@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build test race lint fuzz modelcheck fault bench bench-core serve loadgen bench-serve cluster bench-cluster chaos profile bench-profile fmt
+.PHONY: check build test race lint fuzz modelcheck fault bench bench-compare serve cluster chaos profile fmt
 
 check:
 	sh scripts/check.sh
@@ -32,62 +32,39 @@ modelcheck:
 	$(GO) run ./cmd/modelcheck -all -n 3
 
 # fault runs the default S23 fault-injection campaign and prints the
-# per-protocol resilience matrix; `faultcampaign -smoke` is the CI gate.
+# per-protocol resilience matrix.
 fault:
 	$(GO) run ./cmd/faultcampaign
 
-# bench measures the sweep engine (serial vs parallel vs warm cache) and
-# writes BENCH_sweep.json.
+# bench runs the one measurement harness (BENCHMARK.json, benchmark/):
+# every workload, three runs each, all metrics to bench.json.
+# bench-compare A=old.json B=new.json exits 1 on a regression beyond a
+# bound or a changed simulated count.
 bench:
-	sh scripts/bench.sh sweep
+	$(GO) run -C benchmark repro/benchmark -workload all -runs 3 -out $(CURDIR)/bench.json
 
-# bench-core measures the simulator's cycle loop (cycles/sec and
-# allocs/cycle across the internal/perf suite) and writes BENCH_core.json
-# with the speedup over the recorded pre-refactor baseline.
-bench-core:
-	sh scripts/bench.sh core
+bench-compare:
+	$(GO) run -C benchmark repro/benchmark -compare $(abspath $(A)) $(abspath $(B))
 
 # serve runs the S24 simulation-as-a-service daemon on its default
 # loopback port with an on-disk result store.
 serve:
 	$(GO) run ./cmd/mimdserved -cache-dir .servecache
 
-# loadgen drives an embedded daemon with the mixed spec set, cold then
-# warm, and writes BENCH_serve.json; `bench-serve` additionally enforces
-# the 5x warm-speedup floor (the CI perf artifact).
-loadgen:
-	$(GO) run ./cmd/loadgen
-
-bench-serve:
-	sh scripts/bench.sh serve
-
 # cluster runs the S25 tier self-contained: a router on its default port
-# with three in-process workers. Point loadgen (or curl) at it.
+# with three in-process workers. Point curl at it.
 cluster:
 	$(GO) run ./cmd/mimdrouter -spawn 3
 
-# bench-cluster measures the 1x/2x/4x-worker scaling curve under skewed
-# traffic and writes BENCH_cluster.json (schema cluster-bench-v1).
-bench-cluster:
-	sh scripts/bench.sh cluster
-
 # chaos runs the S27 chaos campaign over every fault class at every
-# intensity and prints the masked/degraded/failed matrix;
-# `chaoscampaign -smoke` is the CI gate.
+# intensity and prints the masked/degraded/failed matrix.
 chaos:
 	$(GO) run ./cmd/chaoscampaign -intensities low,default,high
 
-# profile runs the online miss-ratio-curve profiler self-check: record a
-# tier-1 scenario, replay it as a trace workload, and cross-validate the
-# online curves byte-for-byte against the offline stack algorithm.
+# profile cross-validates the online miss-ratio-curve profiler against
+# the offline stack algorithm: every protocol x 3 seeds, exact.
 profile:
-	$(GO) run ./cmd/mimdsim -profile-smoke
-
-# bench-profile measures the profiler's overhead and the cache-size
-# sweep one profiled run replaces, writing BENCH_profile.json (schema
-# profile-bench-v1).
-bench-profile:
-	sh scripts/bench.sh profile
+	$(GO) test ./internal/mrc -run TestOnlineMatchesOffline
 
 fmt:
 	gofmt -w .

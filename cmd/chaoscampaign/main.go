@@ -22,7 +22,6 @@
 //	chaoscampaign -classes conn-refuse,burst-5xx -intensities low,default,high
 //	chaoscampaign -seed 7 -n 96 -workers 4 -j 4 -o matrix.txt
 //	chaoscampaign -list-classes
-//	chaoscampaign -smoke                            # CI gate: 2 workers, 2 classes, -j1 == -j2 == rerun
 //
 // Determinism: a cell's traffic is sequential, its faults are a pure
 // function of (seed, class, intensity, transport sequence number),
@@ -30,7 +29,7 @@
 // ticker), request hedging stays off, and classification reads only
 // deterministic observables — statuses, retry counts, router counters,
 // and result bytes. The same seed therefore renders the same matrix at
-// any -j and on every rerun; `-smoke` pins exactly that.
+// any -j and on every rerun; TestCampaignSmoke pins exactly that.
 package main
 
 import (
@@ -65,7 +64,6 @@ func main() {
 		jobs      = flag.Int("j", runtime.NumCPU(), "cells run in parallel (each cell is internally sequential)")
 		outPath   = flag.String("o", "", "write the matrix here instead of stdout")
 		listCls   = flag.Bool("list-classes", false, "list chaos classes and exit")
-		smoke     = flag.Bool("smoke", false, "bounded self-check: 2 workers, 2 transport classes; -j1, -j2, and a same-seed rerun must render byte-identical matrices with no failed cell")
 	)
 	flag.Parse()
 
@@ -82,15 +80,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	if *smoke {
-		if err := runSmoke(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, "chaoscampaign -smoke:", err)
-			os.Exit(1)
-		}
-		fmt.Println("chaoscampaign smoke ok: -j1, -j2, and same-seed rerun matrices byte-identical; contract held and results byte-matched the oracle in every cell")
-		return
-	}
 
 	cfg, err := buildConfig(*classList, *intenList, *seed, *requests, *workers)
 	if err != nil {
@@ -184,9 +173,8 @@ const (
 	clientAttempts = 6
 )
 
-// specMix is the deterministic traffic mix, cycled by request index —
-// the same quick-experiment specs loadgen drives, so a campaign cell is
-// a faithful miniature of the benchmark workload.
+// specMix is the deterministic traffic mix, cycled by request index:
+// four quick experiments.
 func specMix() []string {
 	return []string{
 		`{"kind":"experiment","experiment":"fig3-1","seeds":[1]}`,
@@ -593,56 +581,4 @@ func renderMatrix(cells []cellResult) string {
 		}
 	}
 	return b.String()
-}
-
-// runSmoke is the CI gate: 2 workers, the two purely transport-level
-// classes at default intensity, a short sequential run per cell. The
-// matrix must be byte-identical between -j1 and -j2 and across a
-// same-seed rerun, every cell must have actually drawn faults, and no
-// cell may break the contract or the oracle byte-identity. Process
-// classes are pinned by the cluster package's own tests; keeping the
-// smoke to transport classes bounds its wall time by work, not by
-// pause windows.
-func runSmoke(ctx context.Context) error {
-	cfg := config{
-		classes:     []chaos.Class{chaos.ConnRefuse, chaos.Truncate},
-		intensities: []chaos.Intensity{chaos.Default},
-		seed:        1,
-		requests:    24,
-		workers:     2,
-	}
-	run := func(jobs int) (string, []cellResult, error) {
-		res, err := runCampaign(ctx, cfg, jobs)
-		if err != nil {
-			return "", nil, err
-		}
-		return renderMatrix(res), res, nil
-	}
-	serial, cells, err := run(1)
-	if err != nil {
-		return err
-	}
-	parallel, _, err := run(2)
-	if err != nil {
-		return err
-	}
-	if serial != parallel {
-		return fmt.Errorf("-j2 matrix differs from -j1:\n--- j1 ---\n%s--- j2 ---\n%s", serial, parallel)
-	}
-	rerun, _, err := run(2)
-	if err != nil {
-		return err
-	}
-	if rerun != serial {
-		return fmt.Errorf("same-seed rerun rendered a different matrix:\n--- first ---\n%s--- rerun ---\n%s", serial, rerun)
-	}
-	for _, c := range cells {
-		if c.outcome() == outcomeFailed {
-			return fmt.Errorf("cell %s/%s failed:\n%s", c.class, c.intensity, renderMatrix([]cellResult{c}))
-		}
-		if c.injected == 0 {
-			return fmt.Errorf("cell %s/%s drew no faults; the smoke would be vacuous", c.class, c.intensity)
-		}
-	}
-	return nil
 }

@@ -8,7 +8,6 @@
 //	faultcampaign                                   # default campaign, resilience matrix to stdout
 //	faultcampaign -protocols rb,rb-dirty -classes mem-lost-write -trials 8
 //	faultcampaign -seeds 1,2,3 -j 8 -cache-dir .faultcache -o report.txt
-//	faultcampaign -smoke                            # CI gate: -j1 == -j4 bytes, zero silents in detectable classes
 package main
 
 import (
@@ -39,9 +38,7 @@ func main() {
 		format    = flag.String("format", "plain", "output format: plain, markdown, csv")
 		outPath   = flag.String("o", "", "write the report here instead of stdout")
 		events    = flag.String("events", "", "write JSONL progress events to this file (\"-\" = stderr)")
-		batchRun  = flag.Bool("batch", true, "recycle one trial machine per protocol shape by generation reset; -batch=false rebuilds per trial")
 		listCls   = flag.Bool("list-classes", false, "list fault classes and exit")
-		smoke     = flag.Bool("smoke", false, "bounded self-check: byte-identical -j1 vs -j4 and batched vs unbatched reports, zero silent divergences in detectable classes")
 	)
 	flag.Parse()
 
@@ -53,15 +50,6 @@ func main() {
 			}
 			fmt.Printf("%-20s %s\n", c, det)
 		}
-		return
-	}
-
-	if *smoke {
-		if err := runSmoke(); err != nil {
-			fmt.Fprintln(os.Stderr, "faultcampaign -smoke:", err)
-			os.Exit(1)
-		}
-		fmt.Println("faultcampaign smoke ok: -j4 and batched reports byte-identical to -j1; zero silent divergences in detectable classes")
 		return
 	}
 
@@ -95,14 +83,12 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	opts := sweep.Options{Workers: *workers, Store: store, Events: eventsW, Runner: fault.NewCellRunner(cfg)}
-	if *batchRun {
-		// With both runners set, the engine fuses same-cell job groups and
-		// hands each group a batch arena; -batch=false keeps only the
-		// per-trial fresh-machine runner.
-		opts.BatchRunner = fault.NewBatchCellRunner(cfg)
-	}
-	eng := sweep.New(opts)
+	// With both runners set, the engine fuses same-cell job groups and
+	// hands each group a batch arena.
+	eng := sweep.New(sweep.Options{
+		Workers: *workers, Store: store, Events: eventsW,
+		Runner: fault.NewCellRunner(cfg), BatchRunner: fault.NewBatchCellRunner(cfg),
+	})
 	out, err := eng.Run(ctx, cfg.Specs())
 	if code := sweep.ReportRunError(os.Stderr, "faultcampaign", out, err); code != 0 {
 		os.Exit(code)
@@ -167,57 +153,4 @@ func splitList(list string) []string {
 		}
 	}
 	return out
-}
-
-// runSmoke is the CI gate: a small campaign run serially, in parallel,
-// and batched must render byte-identical reports, and no detectable
-// fault class may produce a silent divergence.
-func runSmoke() error {
-	cfg := fault.CampaignConfig{
-		Protocols: []string{"rb", "rwb"},
-		Seeds:     []uint64{1},
-		Trials:    2,
-	}
-	cfg.Trial.Refs = 200
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	run := func(workers int, batch bool) (string, *sweep.Outcome, error) {
-		opts := sweep.Options{Workers: workers, Runner: fault.NewCellRunner(cfg)}
-		if batch {
-			opts.BatchRunner = fault.NewBatchCellRunner(cfg)
-		}
-		out, err := sweep.New(opts).Run(context.Background(), cfg.Specs())
-		if err != nil {
-			return "", nil, err
-		}
-		rep, err := fault.RenderReport(cfg, out, "plain")
-		return rep, out, err
-	}
-	serial, _, err := run(1, false)
-	if err != nil {
-		return err
-	}
-	parallel, out, err := run(4, false)
-	if err != nil {
-		return err
-	}
-	if serial != parallel {
-		return fmt.Errorf("-j4 report differs from -j1")
-	}
-	batched, _, err := run(4, true)
-	if err != nil {
-		return err
-	}
-	if batched != serial {
-		return fmt.Errorf("batched report differs from unbatched")
-	}
-	bad, err := fault.SilentViolations(out)
-	if err != nil {
-		return err
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("silent divergence(s) in detectable classes:\n  %s", strings.Join(bad, "\n  "))
-	}
-	return nil
 }

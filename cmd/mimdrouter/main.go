@@ -22,7 +22,6 @@
 //
 //	mimdrouter -workers w1=http://10.0.0.1:8471,w2=http://10.0.0.2:8471
 //	mimdrouter -spawn 3            # self-contained: 3 in-process workers
-//	mimdrouter -smoke              # CI gate: router + 2 workers, full contract
 //
 // The -job-timeout and -max-jobs flags must mirror the workers' values:
 // both feed the content-hash request id the router routes on.
@@ -30,10 +29,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -70,7 +67,6 @@ func main() {
 		attemptTO = flag.Duration("attempt-timeout", 2*time.Second, "max wait for a worker's response headers before failing over; 0 disables")
 		hedge     = flag.Bool("hedge", false, "hedge idempotent status reads to the successor worker past the primary's windowed p99")
 		drainTO   = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight streams on SIGINT before exiting anyway")
-		smoke     = flag.Bool("smoke", false, "bounded self-check: in-process router + 2 workers; verifies routing, coalescing, failover, and a replica read")
 	)
 	var traces traceFlags
 	flag.Var(&traces, "trace", "register a trace workload as name=path (repeatable) for -spawn workers; runnable as experiment \"trace-<name>\"")
@@ -80,15 +76,6 @@ func main() {
 		if err := experiments.RegisterTraceFile(arg); err != nil {
 			fatal(err)
 		}
-	}
-
-	if *smoke {
-		if err := runSmoke(); err != nil {
-			fmt.Fprintln(os.Stderr, "mimdrouter -smoke:", err)
-			os.Exit(1)
-		}
-		fmt.Println("mimdrouter smoke ok: sharded routing, coalescing, submit-time failover, and replica read verified")
-		return
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -231,169 +218,4 @@ func spawnWorkers(ctx context.Context, n, shards int, jobTO time.Duration, maxJo
 		fleet = append(fleet, cluster.Worker{ID: id, URL: url})
 	}
 	return fleet, nil
-}
-
-// smokeWorker is one in-process worker under test.
-type smokeWorker struct {
-	id  string
-	url string
-	srv *serve.Server
-	hs  *http.Server
-	ln  net.Listener
-}
-
-func startSmokeWorker(id string, shards int) (*smokeWorker, error) {
-	srv := serve.New(serve.Options{Worker: true, NumShards: shards, WorkerID: id})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	return &smokeWorker{id: id, url: "http://" + ln.Addr().String(), srv: srv, hs: hs, ln: ln}, nil
-}
-
-// runSmoke walks the cluster contract end to end with an in-process
-// router over two in-process workers:
-//
-//  1. a submission routes to its shard's rendezvous owner and executes;
-//  2. an identical resubmission is a pure cache hit with byte-identical
-//     tables (content-hash ids survive the router);
-//  3. the rebalancer trips a replica for the hot shard (tiny thresholds)
-//     and the replica fill lands the owner's raw objects on the peer;
-//  4. a replica read answers with byte-identical tables;
-//  5. with every worker down, a submission is refused 503 + Retry-After.
-func runSmoke() error {
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
-	const shards = cluster.DefaultNumShards
-	w1, err := startSmokeWorker("w1", shards)
-	if err != nil {
-		return err
-	}
-	w2, err := startSmokeWorker("w2", shards)
-	if err != nil {
-		return err
-	}
-
-	idOpts := serve.Options{}
-	router, err := cluster.New(cluster.Options{
-		Workers: []cluster.Worker{
-			{ID: w1.id, URL: w1.url},
-			{ID: w2.id, URL: w2.url},
-		},
-		NumShards: shards,
-		RequestID: func(body []byte) (string, error) { return serve.ComputeRequestID(body, idOpts) },
-		// Hair-trigger rebalancer so one submission's latency trips the
-		// replica on the first poll.
-		HotP99MS:   0.000001,
-		MinSamples: 1,
-		HotPolls:   1,
-	})
-	if err != nil {
-		return err
-	}
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	rhs := &http.Server{Handler: router.Handler()}
-	go rhs.Serve(rln)
-	base := "http://" + rln.Addr().String()
-	defer func() {
-		rhs.Shutdown(context.Background())
-		w1.hs.Shutdown(context.Background())
-		w2.hs.Shutdown(context.Background())
-	}()
-
-	// 1. Cold run through the router executes on the shard owner.
-	spec := `{"kind":"experiment","experiment":"fig7-1","seeds":[1,2]}`
-	cold, err := postRun(base, spec)
-	if err != nil {
-		return err
-	}
-	if cold.Cache != "miss" || cold.Executed == 0 || len(cold.Tables) != 1 {
-		return fmt.Errorf("cold run: want a full miss with one table, got cache=%s executed=%d tables=%d",
-			cold.Cache, cold.Executed, len(cold.Tables))
-	}
-
-	// 2. Identical resubmission: pure cache hit, byte-identical table.
-	warm, err := postRun(base, spec)
-	if err != nil {
-		return err
-	}
-	if warm.ID != cold.ID {
-		return fmt.Errorf("request id changed across the router: %s vs %s", cold.ID, warm.ID)
-	}
-	if warm.Cache != "hit" || warm.Executed != 0 {
-		return fmt.Errorf("warm run: want a pure cache hit, got cache=%s executed=%d", warm.Cache, warm.Executed)
-	}
-	if warm.Tables[0] != cold.Tables[0] {
-		return fmt.Errorf("warm table differs from cold through the router")
-	}
-
-	// 3. One rebalancer poll trips a replica for the (now hot) shard and
-	// fills it from the owner.
-	router.RebalanceOnce(ctx)
-	shard := cluster.ShardOf(cold.ID, shards)
-	if rep := router.ReplicaFor(shard); rep == "" {
-		return fmt.Errorf("rebalancer did not replicate hot shard %d", shard)
-	}
-	if router.Metrics().ReplicasAdded() == 0 {
-		return fmt.Errorf("replica fill did not run")
-	}
-
-	// 4. Keep resubmitting: the alternating picks must produce at least
-	// one replica read, still byte-identical and still a cache hit.
-	sawReplica := false
-	for i := 0; i < 4 && !sawReplica; i++ {
-		again, err := postRun(base, spec)
-		if err != nil {
-			return err
-		}
-		if again.Tables[0] != cold.Tables[0] {
-			return fmt.Errorf("replica-path table differs from owner's")
-		}
-		sawReplica = router.Metrics().ReplicaReads() > 0
-	}
-	if !sawReplica {
-		return fmt.Errorf("no replica read after 4 resubmissions of a replicated shard")
-	}
-
-	// 5. All workers down: submissions shed with 503 + Retry-After.
-	w1.hs.Shutdown(context.Background())
-	w2.hs.Shutdown(context.Background())
-	router.ProbeOnce(ctx)
-	router.ProbeOnce(ctx) // FailThreshold consecutive failed rounds
-	resp, err := http.Post(base+"/v1/run", "application/json", strings.NewReader(spec))
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		return fmt.Errorf("fleet down: want 503, got %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		return fmt.Errorf("fleet-down 503 missing Retry-After")
-	}
-	return nil
-}
-
-// postRun submits a spec to the router's /v1/run and decodes the result.
-func postRun(base, spec string) (serve.Response, error) {
-	var out serve.Response
-	resp, err := http.Post(base+"/v1/run", "application/json", strings.NewReader(spec))
-	if err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return out, fmt.Errorf("decoding /v1/run response (status %d): %v", resp.StatusCode, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return out, fmt.Errorf("/v1/run: status %d: %s", resp.StatusCode, out.Error)
-	}
-	return out, nil
 }

@@ -10,7 +10,6 @@
 //
 //	mimdserved -addr 127.0.0.1:8471 -cache-dir .servecache
 //	mimdserved -max-inflight 4 -queue-depth 128 -job-timeout 90s
-//	mimdserved -smoke          # CI gate: boot, run, re-run from cache, drain
 //
 // SIGINT drains gracefully: new submissions are refused with 503,
 // running flights finish (or are cancelled at -drain-timeout with their
@@ -19,10 +18,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -53,7 +50,6 @@ func main() {
 		retryHint = flag.Duration("retry-after", time.Second, "Retry-After hint on 429/503 responses")
 		maxJobs   = flag.Int("max-jobs", 10000, "reject specs expanding past this many jobs")
 		drainTO   = flag.Duration("drain-timeout", 30*time.Second, "how long a SIGINT drain waits before cancelling running flights")
-		smoke     = flag.Bool("smoke", false, "bounded self-check: boot on a loopback port, run an experiment, verify the cache hit and a clean drain")
 		worker    = flag.Bool("worker", false, "run as a cluster worker: enable /shardstats and the /v1/replica pull API mimdrouter uses")
 		stats     = flag.Bool("shard-stats", false, "enable /shardstats latency digests without the replica API")
 		shards    = flag.Int("shards", 0, "virtual shard space size for latency digests; must match the router's; 0 = default")
@@ -67,15 +63,6 @@ func main() {
 		if err := experiments.RegisterTraceFile(arg); err != nil {
 			fatal(err)
 		}
-	}
-
-	if *smoke {
-		if err := runSmoke(); err != nil {
-			fmt.Fprintln(os.Stderr, "mimdserved -smoke:", err)
-			os.Exit(1)
-		}
-		fmt.Println("mimdserved smoke ok: cold run executed, warm run served from cache, metrics and drain verified")
-		return
 	}
 
 	opts := serve.Options{
@@ -141,85 +128,4 @@ func storeDesc(dir string) string {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "mimdserved:", err)
 	os.Exit(1)
-}
-
-// runSmoke boots the daemon on a loopback port and walks the service
-// contract end to end: a cold run executes, an identical warm run is a
-// pure cache hit with identical tables, /healthz and /metrics answer,
-// and the drain completes cleanly.
-func runSmoke() error {
-	srv := serve.New(serve.Options{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	base := "http://" + ln.Addr().String()
-
-	spec := `{"kind":"experiment","experiment":"fig7-1","seeds":[1,2]}`
-	cold, err := postRun(base, spec)
-	if err != nil {
-		return err
-	}
-	if cold.Cache != "miss" || cold.Executed == 0 || len(cold.Tables) != 1 {
-		return fmt.Errorf("cold run: want a full miss with one table, got %+v", cold)
-	}
-	warm, err := postRun(base, spec)
-	if err != nil {
-		return err
-	}
-	if warm.Cache != "hit" || warm.Executed != 0 {
-		return fmt.Errorf("warm run: want a pure cache hit, got cache=%s executed=%d", warm.Cache, warm.Executed)
-	}
-	if warm.Tables[0] != cold.Tables[0] {
-		return fmt.Errorf("warm table differs from cold")
-	}
-
-	hresp, err := http.Get(base + "/healthz")
-	if err != nil {
-		return err
-	}
-	hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
-		return fmt.Errorf("healthz: status %d", hresp.StatusCode)
-	}
-	mresp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return err
-	}
-	mbody, err := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if err != nil {
-		return err
-	}
-	for _, want := range []string{"mimdserved_engine_runs_total 1", "mimdserved_store_served_total 1", "mimdserved_cache_hit_ratio"} {
-		if !strings.Contains(string(mbody), want) {
-			return fmt.Errorf("metrics missing %q", want)
-		}
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		return fmt.Errorf("drain: %v", err)
-	}
-	return hs.Shutdown(context.Background())
-}
-
-// postRun submits a spec to /v1/run and decodes the result document.
-func postRun(base, spec string) (serve.Response, error) {
-	var out serve.Response
-	resp, err := http.Post(base+"/v1/run", "application/json", strings.NewReader(spec))
-	if err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return out, fmt.Errorf("decoding /v1/run response (status %d): %v", resp.StatusCode, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return out, fmt.Errorf("/v1/run: status %d: %s", resp.StatusCode, out.Error)
-	}
-	return out, nil
 }

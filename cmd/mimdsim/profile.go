@@ -1,25 +1,11 @@
-// Profiling modes of mimdsim: -profile attaches the online
-// miss-ratio-curve profiler (internal/mrc) to a plain run; -profile-smoke
-// is the CI self-check (record a tier-1 scenario, replay it as a trace
-// workload, byte-compare online vs offline curves, assert replay metrics
-// equal the original run); -profile-bench measures what the curves cost
-// against the cache-size sweep they replace.
+// -profile attaches the online miss-ratio-curve profiler (internal/mrc)
+// to a plain run and prints its curves.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"reflect"
-	"time"
 
-	"repro/internal/bus"
-	"repro/internal/coherence"
-	"repro/internal/machine"
 	"repro/internal/mrc"
-	"repro/internal/stackdist"
-	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // printProfile renders a run's curves: machine-wide always, per PE when
@@ -37,302 +23,4 @@ func printProfile(set *mrc.Set, verbose bool) {
 			fmt.Printf("%8d  %10d  %10.4f  %.4f\n", pt.Lines, pt.Misses, pt.MissRatio, 1-pt.MissRatio)
 		}
 	}
-}
-
-// smokeConfig is the tier-1 scenario the smoke records and replays.
-func smokeConfig() machine.Config {
-	return machine.Config{Protocol: coherence.RB{}, CacheLines: 64}
-}
-
-const (
-	smokePEs  = 4
-	smokeRefs = 2000
-)
-
-func smokeAgents(seed uint64) []workload.Agent {
-	layout := workload.DefaultLayout()
-	prof := workload.PDEProfile()
-	agents := make([]workload.Agent, smokePEs)
-	for i := range agents {
-		agents[i] = workload.MustApp(prof, layout, i, seed, smokeRefs)
-	}
-	return agents
-}
-
-func smokeRun(m *machine.Machine) error {
-	if _, err := m.Run(uint64(smokeRefs) * 400); err != nil {
-		return err
-	}
-	if !m.Done() {
-		return fmt.Errorf("machine did not drain")
-	}
-	return nil
-}
-
-// recProbe records the raw reference streams a live run's caches see:
-// per PE in program order, and interleaved in machine execution order —
-// the inputs the offline stack algorithm replays.
-type recProbe struct {
-	rec *[]bus.Addr
-	all *[]bus.Addr
-}
-
-func (p *recProbe) OnRef(a bus.Addr) {
-	*p.rec = append(*p.rec, a)
-	*p.all = append(*p.all, a)
-}
-
-// offlineDocs runs Mattson's stack algorithm over captured streams and
-// renders docs with the exact shape mrc.Set.Docs emits, so the
-// online/offline comparison can be a byte comparison.
-func offlineDocs(all []bus.Addr, perPE [][]bus.Addr, sizes []int) []mrc.CurveDoc {
-	doc := func(scope string, stream []bus.Addr) mrc.CurveDoc {
-		p := stackdist.New()
-		for _, a := range stream {
-			p.Touch(a)
-		}
-		return mrc.CurveDoc{
-			Scope: scope, Refs: p.Refs(), Colds: p.Colds(),
-			Footprint: p.Footprint(), Points: p.Curve(sizes),
-		}
-	}
-	docs := []mrc.CurveDoc{doc("machine", all)}
-	for i, stream := range perPE {
-		docs = append(docs, doc(fmt.Sprintf("pe%d", i), stream))
-	}
-	return docs
-}
-
-// runProfileSmoke is the check.sh profile-smoke stage. Everything is a
-// byte comparison or a deep equality — any drift between the online
-// profiler, the offline stack algorithm, and the trace replay path
-// fails the stage.
-func runProfileSmoke(seed uint64) error {
-	cfg := smokeConfig()
-	sizes := mrc.DefaultSizes()
-
-	// Original run, profiled online.
-	mA, err := machine.New(cfg, smokeAgents(seed))
-	if err != nil {
-		return err
-	}
-	setA := mrc.Attach(mA)
-	if err := smokeRun(mA); err != nil {
-		return err
-	}
-	docsA, err := json.Marshal(setA.Docs(sizes))
-	if err != nil {
-		return err
-	}
-	metricsA := mA.Metrics()
-
-	// Record the same scenario standalone (App agents are non-reactive,
-	// so the standalone capture is exactly the stream the live run
-	// consumed) and replay it as a trace workload, profiled the same way.
-	var recs []trace.Record
-	for pe, a := range smokeAgents(seed) {
-		recs = append(recs, trace.Capture(pe, a, smokeRefs+1)...)
-	}
-	split := trace.Split(recs)
-	replay := make([]workload.Agent, smokePEs)
-	for i := range replay {
-		if tr, ok := split[i]; ok {
-			replay[i] = tr
-		} else {
-			replay[i] = workload.Idle()
-		}
-	}
-	mB, err := machine.New(cfg, replay)
-	if err != nil {
-		return err
-	}
-	setB := mrc.Attach(mB)
-	if err := smokeRun(mB); err != nil {
-		return err
-	}
-	if got, want := mB.Metrics(), metricsA; !reflect.DeepEqual(got, want) {
-		return fmt.Errorf("trace replay diverged from the original run:\nreplay:   %+v\noriginal: %+v", got, want)
-	}
-	docsB, err := json.Marshal(setB.Docs(sizes))
-	if err != nil {
-		return err
-	}
-	if string(docsA) != string(docsB) {
-		return fmt.Errorf("replay curves differ from the original run's")
-	}
-	fmt.Printf("profile-smoke: replay of %d records matches the original run (metrics and curves)\n", len(recs))
-
-	// Offline cross-validation: a third identical run records the raw
-	// streams (per PE and interleaved); the stack algorithm's curves over
-	// them must reproduce the online docs byte for byte.
-	mC, err := machine.New(cfg, smokeAgents(seed))
-	if err != nil {
-		return err
-	}
-	perPE := make([][]bus.Addr, smokePEs)
-	var all []bus.Addr
-	for i := 0; i < smokePEs; i++ {
-		mC.Cache(i).SetProbe(&recProbe{rec: &perPE[i], all: &all})
-	}
-	if err := smokeRun(mC); err != nil {
-		return err
-	}
-	offline, err := json.Marshal(offlineDocs(all, perPE, sizes))
-	if err != nil {
-		return err
-	}
-	if string(docsA) != string(offline) {
-		return fmt.Errorf("online curves differ from the offline stack algorithm:\nonline:  %s\noffline: %s", docsA, offline)
-	}
-	fmt.Printf("profile-smoke: online curves match offline stackdist byte-for-byte (%d scopes, %d refs)\n",
-		1+smokePEs, len(all))
-	fmt.Println("profile-smoke: PASS")
-	return nil
-}
-
-// profileBenchDoc is the BENCH_profile.json artifact (schema
-// profile-bench-v1): the cost of one profiled run against the
-// cache-size sweep it replaces.
-type profileBenchDoc struct {
-	Schema       string  `json:"schema"`
-	PEs          int     `json:"pes"`
-	RefsPerPE    int     `json:"refs_per_pe"`
-	UnprofiledMS float64 `json:"unprofiled_ms"`
-	ProfiledMS   float64 `json:"profiled_ms"`
-	// OverheadPct is the profiled run's wall-time overhead over the
-	// unprofiled run (the acceptance budget is <= 5%).
-	OverheadPct float64 `json:"overhead_pct"`
-	// Sweep is one unprofiled run per curve size: the work a single
-	// profiled run replaces.
-	Sweep        []profileBenchPoint `json:"sweep"`
-	SweepTotalMS float64             `json:"sweep_total_ms"`
-	// SweepSpeedup is sweep_total_ms / profiled_ms: how much cheaper the
-	// online curve is than measuring every size directly.
-	SweepSpeedup float64 `json:"sweep_speedup"`
-}
-
-type profileBenchPoint struct {
-	Lines  int     `json:"lines"`
-	WallMS float64 `json:"wall_ms"`
-	// MissRatioMeasured is the direct-mapped cache's measured ratio;
-	// MissRatioCurve is the profiler's fully-associative LRU bound at
-	// the same size (equal associativity would close the gap).
-	MissRatioMeasured float64 `json:"miss_ratio_measured"`
-	MissRatioCurve    float64 `json:"miss_ratio_curve"`
-}
-
-func runProfileBench(out string, seed uint64) error {
-	const pes = 4
-	const refs = 20000
-	layout := workload.DefaultLayout()
-	prof := workload.PDEProfile()
-	agents := func() []workload.Agent {
-		as := make([]workload.Agent, pes)
-		for i := range as {
-			as[i] = workload.MustApp(prof, layout, i, seed, refs)
-		}
-		return as
-	}
-	run := func(lines int, profile bool) (time.Duration, machine.Metrics, *mrc.Set, error) {
-		m, err := machine.New(machine.Config{Protocol: coherence.RB{}, CacheLines: lines}, agents())
-		if err != nil {
-			return 0, machine.Metrics{}, nil, err
-		}
-		var set *mrc.Set
-		if profile {
-			set = mrc.Attach(m)
-		}
-		//lint:ignore determinism benchmark wall time is the measurement itself; no simulation state depends on it
-		start := time.Now()
-		if _, err := m.Run(uint64(refs) * 400); err != nil {
-			return 0, machine.Metrics{}, nil, err
-		}
-		if !m.Done() {
-			return 0, machine.Metrics{}, nil, fmt.Errorf("machine did not drain at %d lines", lines)
-		}
-		//lint:ignore determinism benchmark wall time is the measurement itself; no simulation state depends on it
-		return time.Since(start), m.Metrics(), set, nil
-	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-	const baseLines = 64
-	// Warm up once so both timed runs see hot code paths, then take the
-	// best of three for each configuration — single wall-clock samples at
-	// this scale are dominated by scheduler noise.
-	if _, _, _, err := run(baseLines, false); err != nil {
-		return err
-	}
-	best := func(profile bool) (time.Duration, *mrc.Set, error) {
-		var wall time.Duration
-		var set *mrc.Set
-		for rep := 0; rep < 3; rep++ {
-			w, _, s, err := run(baseLines, profile)
-			if err != nil {
-				return 0, nil, err
-			}
-			if rep == 0 || w < wall {
-				wall = w
-			}
-			set = s
-		}
-		return wall, set, nil
-	}
-	plainWall, _, err := best(false)
-	if err != nil {
-		return err
-	}
-	profWall, set, err := best(true)
-	if err != nil {
-		return err
-	}
-	curve := set.Global.Curve(mrc.DefaultSizes())
-	curveAt := map[int]float64{}
-	for _, pt := range curve {
-		curveAt[pt.Lines] = pt.MissRatio
-	}
-
-	doc := profileBenchDoc{
-		Schema:       "profile-bench-v1",
-		PEs:          pes,
-		RefsPerPE:    refs,
-		UnprofiledMS: ms(plainWall),
-		ProfiledMS:   ms(profWall),
-		OverheadPct:  100 * (ms(profWall) - ms(plainWall)) / ms(plainWall),
-	}
-	for _, sz := range mrc.DefaultSizes() {
-		wall, mt, _, err := run(sz, false)
-		if err != nil {
-			return err
-		}
-		var refs, hits uint64
-		for _, cs := range mt.Caches {
-			refs += cs.Reads + cs.Writes
-			hits += cs.ReadHits + cs.WriteHits
-		}
-		measured := 0.0
-		if refs > 0 {
-			measured = 1 - float64(hits)/float64(refs)
-		}
-		doc.Sweep = append(doc.Sweep, profileBenchPoint{
-			Lines: sz, WallMS: ms(wall),
-			MissRatioMeasured: measured,
-			MissRatioCurve:    curveAt[sz],
-		})
-		doc.SweepTotalMS += ms(wall)
-	}
-	if doc.ProfiledMS > 0 {
-		doc.SweepSpeedup = doc.SweepTotalMS / doc.ProfiledMS
-	}
-
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("profile bench: unprofiled %.1fms, profiled %.1fms (%.1f%% overhead), %d-size sweep %.1fms (%.1fx the profiled run)\n",
-		doc.UnprofiledMS, doc.ProfiledMS, doc.OverheadPct, len(doc.Sweep), doc.SweepTotalMS, doc.SweepSpeedup)
-	return nil
 }

@@ -9,16 +9,10 @@
 //	sweep -experiments table1-1,fig7-1 -seeds 1,2,3
 //	sweep -experiments all -j 8 -cache-dir .sweepcache
 //	sweep -events - ...                       # JSONL progress to stderr
-//	sweep -batch=false ...                    # fresh machine per job (no fusion)
-//	sweep -smoke                              # CI gate: parallel==serial, warm==all-cached
-//	sweep -batch-smoke                        # CI gate: batched==unbatched, byte for byte
-//	sweep -bench -bench-out BENCH_sweep.json  # perf artifact: serial vs parallel vs batched vs warm
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -52,11 +46,6 @@ func main() {
 		format   = flag.String("format", "plain", "output format: plain, markdown, csv")
 		events   = flag.String("events", "", "write JSONL progress events to this file (\"-\" = stderr)")
 		summary  = flag.Bool("summary", true, "print the per-experiment summary to stderr")
-		batchRun = flag.Bool("batch", true, "fuse same-shape jobs and recycle machines by generation reset; -batch=false rebuilds a fresh machine per job")
-		smoke    = flag.Bool("smoke", false, "bounded self-check: assert parallel==serial bytes and a warm re-run executes zero jobs")
-		bsmoke   = flag.Bool("batch-smoke", false, "bounded self-check: assert batched output (reports, journal, store envelopes) is byte-identical to unbatched")
-		bench    = flag.Bool("bench", false, "benchmark the sweep-shaped experiments serial vs parallel vs warm")
-		benchOut = flag.String("bench-out", "BENCH_sweep.json", "where -bench writes its JSON artifact")
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -98,32 +87,6 @@ func main() {
 		return
 	}
 
-	if *smoke {
-		if err := runSmoke(); err != nil {
-			fmt.Fprintln(os.Stderr, "sweep -smoke:", err)
-			os.Exit(1)
-		}
-		fmt.Println("sweep smoke ok: parallel output byte-identical to serial; warm re-run executed 0 jobs")
-		return
-	}
-
-	if *bsmoke {
-		if err := runBatchSmoke(); err != nil {
-			fmt.Fprintln(os.Stderr, "sweep -batch-smoke:", err)
-			os.Exit(1)
-		}
-		fmt.Println("sweep batch smoke ok: fused reports, journal, and store envelopes byte-identical to unbatched")
-		return
-	}
-
-	if *bench {
-		if err := runBench(*benchOut, *workers, *scale); err != nil {
-			fmt.Fprintln(os.Stderr, "sweep -bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	seeds, err := parseSeeds(*seedList)
 	if err != nil {
 		fatal(err)
@@ -160,13 +123,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	opts := sweep.Options{Workers: *workers, Store: store, Events: eventsW, JobTimeout: *jobTO}
-	if !*batchRun {
-		// Naming a Runner alone opts the engine out of job fusion: the
-		// escape hatch if a batched result ever looks suspect.
-		opts.Runner = sweep.ExperimentRunner
-	}
-	eng := sweep.New(opts)
+	eng := sweep.New(sweep.Options{Workers: *workers, Store: store, Events: eventsW, JobTimeout: *jobTO})
 	out, err := eng.Run(ctx, specs)
 	if code := sweep.ReportRunError(os.Stderr, "sweep", out, err); code != 0 {
 		os.Exit(code)
@@ -234,233 +191,4 @@ func resolveSpecs(list string, seeds []uint64, scale int) ([]sweep.Spec, error) 
 		return nil, fmt.Errorf("no experiments selected")
 	}
 	return specs, nil
-}
-
-// smokeIDs is the bounded experiment set the CI gate runs: the
-// parameter-free artifacts plus one real multi-seed simulation, all
-// cheap at scale 1.
-var smokeIDs = []string{"fig3-1", "fig5-1", "fig6-1", "fig6-2", "fig6-3", "section7-sbb", "fig7-1"}
-
-// runSmoke executes the smoke sweep three ways — serial, parallel, and
-// warm — and fails unless the parallel merged output and journal are
-// byte-identical to the serial ones and the warm run executes nothing.
-func runSmoke() error {
-	seeds := []uint64{1, 2}
-	var specs []sweep.Spec
-	for _, id := range smokeIDs {
-		sp, err := sweep.SpecFor(id, seeds, 1)
-		if err != nil {
-			return err
-		}
-		specs = append(specs, sp)
-	}
-
-	render := func(out *sweep.Outcome) []byte {
-		var b bytes.Buffer
-		for _, tb := range out.Tables {
-			b.WriteString(tb.Plain())
-			b.WriteByte('\n')
-		}
-		return b.Bytes()
-	}
-
-	serialStore := sweep.NewMemStore()
-	serial, err := sweep.New(sweep.Options{Workers: 1, Store: serialStore}).Run(context.Background(), specs)
-	if err != nil {
-		return err
-	}
-	parallelStore := sweep.NewMemStore()
-	parallel, err := sweep.New(sweep.Options{Workers: 4, Store: parallelStore}).Run(context.Background(), specs)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(render(serial), render(parallel)) {
-		return fmt.Errorf("parallel merged output differs from serial")
-	}
-	if !bytes.Equal(serialStore.JournalBytes(), parallelStore.JournalBytes()) {
-		return fmt.Errorf("parallel journal differs from serial")
-	}
-	warm, err := sweep.New(sweep.Options{Workers: 4, Store: parallelStore}).Run(context.Background(), specs)
-	if err != nil {
-		return err
-	}
-	if warm.Executed != 0 {
-		return fmt.Errorf("warm re-run executed %d jobs, want 0", warm.Executed)
-	}
-	if !bytes.Equal(render(parallel), render(warm)) {
-		return fmt.Errorf("warm merged output differs from cold")
-	}
-	return nil
-}
-
-// runBatchSmoke executes a 2-shape × 3-seed sweep twice — unbatched
-// (fresh machine per job) and batched (fused same-shape groups recycling
-// machines by generation reset) — and fails unless the merged reports,
-// the journal, and every on-disk store envelope are byte-identical.
-func runBatchSmoke() error {
-	seeds := []uint64{1, 2, 3}
-	var specs []sweep.Spec
-	for _, id := range []string{"ablation-threshold", "ablation-private"} {
-		sp, err := sweep.SpecFor(id, seeds, 1)
-		if err != nil {
-			return err
-		}
-		specs = append(specs, sp)
-	}
-
-	render := func(out *sweep.Outcome) []byte {
-		var b bytes.Buffer
-		for _, tb := range out.Tables {
-			b.WriteString(tb.Plain())
-			b.WriteByte('\n')
-		}
-		return b.Bytes()
-	}
-
-	unbatchedStore := sweep.NewMemStore()
-	unbatched, err := sweep.New(sweep.Options{Workers: 2, Store: unbatchedStore, Runner: sweep.ExperimentRunner}).
-		Run(context.Background(), specs)
-	if err != nil {
-		return err
-	}
-	batchedStore := sweep.NewMemStore()
-	batched, err := sweep.New(sweep.Options{Workers: 2, Store: batchedStore}).
-		Run(context.Background(), specs)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(render(batched), render(unbatched)) {
-		return fmt.Errorf("batched merged output differs from unbatched")
-	}
-	if !bytes.Equal(batchedStore.JournalBytes(), unbatchedStore.JournalBytes()) {
-		return fmt.Errorf("batched journal differs from unbatched")
-	}
-	for _, j := range sweep.Expand(specs) {
-		want, ok, err := unbatchedStore.GetRaw(j.Key)
-		if err != nil || !ok {
-			return fmt.Errorf("unbatched store missing %s: %v", j.Key, err)
-		}
-		got, ok, err := batchedStore.GetRaw(j.Key)
-		if err != nil || !ok {
-			return fmt.Errorf("batched store missing %s: %v", j.Key, err)
-		}
-		if !bytes.Equal(got, want) {
-			return fmt.Errorf("store envelope for %s (%s seed %d) differs between batched and unbatched",
-				j.Key, j.Spec.Experiment, j.Spec.Seed)
-		}
-	}
-	return nil
-}
-
-// benchIDs are the sweep-shaped experiments the perf artifact tracks.
-var benchIDs = []string{"section7-saturation", "ablation-mix", "ablation-threshold", "extension-hier"}
-
-// benchEntry is one experiment's measurements in BENCH_sweep.json.
-// jobs_per_sec is the unbatched parallel rate (comparable to
-// sweep-bench-v1 artifacts); batched_jobs_per_sec is the same sweep with
-// same-shape jobs fused onto generation-reset machines, and
-// batch_speedup is their ratio.
-type benchEntry struct {
-	ID                string  `json:"id"`
-	Jobs              int     `json:"jobs"`
-	SerialWallMS      float64 `json:"serial_wall_ms"`
-	ParallelWallMS    float64 `json:"parallel_wall_ms"`
-	Speedup           float64 `json:"speedup"`
-	JobsPerSec        float64 `json:"jobs_per_sec"`
-	BatchedWallMS     float64 `json:"batched_wall_ms"`
-	BatchedJobsPerSec float64 `json:"batched_jobs_per_sec"`
-	BatchSpeedup      float64 `json:"batch_speedup"`
-	WarmWallMS        float64 `json:"warm_wall_ms"`
-	WarmCacheHitRate  float64 `json:"warm_cache_hit_rate"`
-}
-
-// benchReport is the BENCH_sweep.json schema.
-type benchReport struct {
-	Schema          string       `json:"schema"`
-	GoMaxProcs      int          `json:"gomaxprocs"`
-	Workers         int          `json:"workers"`
-	Scale           int          `json:"scale"`
-	Seeds           []uint64     `json:"seeds"`
-	Experiments     []benchEntry `json:"experiments"`
-	TotalSerialMS   float64      `json:"total_serial_ms"`
-	TotalParallelMS float64      `json:"total_parallel_ms"`
-	OverallSpeedup  float64      `json:"overall_speedup"`
-}
-
-// runBench measures each sweep-shaped experiment four ways — cold serial
-// (unbatched), cold parallel (unbatched), cold parallel batched, warm
-// parallel — and writes the machine-readable perf artifact.
-func runBench(outPath string, workers, scale int) error {
-	seeds := []uint64{1, 2, 3}
-	rep := benchReport{
-		Schema:     "sweep-bench-v2",
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Workers:    workers,
-		Scale:      scale,
-		Seeds:      seeds,
-	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	for _, id := range benchIDs {
-		sp, err := sweep.SpecFor(id, seeds, scale)
-		if err != nil {
-			return err
-		}
-		specs := []sweep.Spec{sp}
-		serial, err := sweep.New(sweep.Options{Workers: 1, Runner: sweep.ExperimentRunner}).Run(context.Background(), specs)
-		if err != nil {
-			return err
-		}
-		warmStore := sweep.NewMemStore()
-		parallel, err := sweep.New(sweep.Options{Workers: workers, Store: warmStore, Runner: sweep.ExperimentRunner}).
-			Run(context.Background(), specs)
-		if err != nil {
-			return err
-		}
-		batched, err := sweep.New(sweep.Options{Workers: workers}).Run(context.Background(), specs)
-		if err != nil {
-			return err
-		}
-		warm, err := sweep.New(sweep.Options{Workers: workers, Store: warmStore}).Run(context.Background(), specs)
-		if err != nil {
-			return err
-		}
-		entry := benchEntry{
-			ID:             id,
-			Jobs:           len(parallel.Jobs),
-			SerialWallMS:   ms(serial.Wall),
-			ParallelWallMS: ms(parallel.Wall),
-			BatchedWallMS:  ms(batched.Wall),
-			WarmWallMS:     ms(warm.Wall),
-		}
-		if parallel.Wall > 0 {
-			entry.Speedup = float64(serial.Wall) / float64(parallel.Wall)
-			entry.JobsPerSec = float64(entry.Jobs) / parallel.Wall.Seconds()
-		}
-		if batched.Wall > 0 {
-			entry.BatchedJobsPerSec = float64(entry.Jobs) / batched.Wall.Seconds()
-			entry.BatchSpeedup = float64(parallel.Wall) / float64(batched.Wall)
-		}
-		if len(warm.Jobs) > 0 {
-			entry.WarmCacheHitRate = float64(warm.CacheHits) / float64(len(warm.Jobs))
-		}
-		rep.Experiments = append(rep.Experiments, entry)
-		rep.TotalSerialMS += entry.SerialWallMS
-		rep.TotalParallelMS += entry.ParallelWallMS
-		fmt.Fprintf(os.Stderr, "%-22s jobs=%d serial=%.0fms parallel=%.0fms speedup=%.2fx batched=%.0fms batchx=%.2fx warm=%.0fms hit=%.0f%%\n",
-			id, entry.Jobs, entry.SerialWallMS, entry.ParallelWallMS, entry.Speedup,
-			entry.BatchedWallMS, entry.BatchSpeedup, entry.WarmWallMS, 100*entry.WarmCacheHitRate)
-	}
-	if rep.TotalParallelMS > 0 {
-		rep.OverallSpeedup = rep.TotalSerialMS / rep.TotalParallelMS
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (overall speedup %.2fx over serial on %d workers)\n",
-		outPath, rep.OverallSpeedup, workers)
-	return nil
 }

@@ -32,7 +32,7 @@ func (r *Router) probeLoop(ctx context.Context) {
 }
 
 // ProbeOnce runs one probe round over the whole fleet (exported so tests
-// and the smoke gate can drive failure detection deterministically). A
+// and the chaos campaign can drive failure detection deterministically). A
 // probe round is also the circuit breakers' clock tick: open circuits
 // cool down in rounds, not wall time, so breaker recovery is as
 // deterministic as the probing that drives it.

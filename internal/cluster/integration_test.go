@@ -2,8 +2,10 @@ package cluster_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,13 +19,16 @@ import (
 )
 
 // clusterUnderTest is a router over N real serve workers, each with its
-// own DirStore.
+// own DirStore (stores[i] belongs to worker "w<i+1>").
 type clusterUnderTest struct {
 	base   string
+	router *cluster.Router
 	stores []*sweep.DirStore
 }
 
-func startTestCluster(t *testing.T, n int) *clusterUnderTest {
+// startTestCluster boots the fleet; opts carries the router tuning, its
+// Workers and RequestID are filled in here.
+func startTestCluster(t *testing.T, n int, opts cluster.Options) *clusterUnderTest {
 	t.Helper()
 	c := &clusterUnderTest{}
 	var fleet []cluster.Worker
@@ -40,16 +45,15 @@ func startTestCluster(t *testing.T, n int) *clusterUnderTest {
 		fleet = append(fleet, cluster.Worker{ID: id, URL: ts.URL})
 	}
 	idOpts := serve.Options{}
-	r, err := cluster.New(cluster.Options{
-		Workers:   fleet,
-		RequestID: func(body []byte) (string, error) { return serve.ComputeRequestID(body, idOpts) },
-	})
+	opts.Workers = fleet
+	opts.RequestID = func(body []byte) (string, error) { return serve.ComputeRequestID(body, idOpts) }
+	r, err := cluster.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(r.Handler())
 	t.Cleanup(ts.Close)
-	c.base = ts.URL
+	c.base, c.router = ts.URL, r
 	return c
 }
 
@@ -87,7 +91,7 @@ func TestClusterByteIdenticalToSingleNode(t *testing.T) {
 	single := httptest.NewServer(serve.New(serve.Options{Store: singleStore}).Handler())
 	defer single.Close()
 
-	clus := startTestCluster(t, 3)
+	clus := startTestCluster(t, 3, cluster.Options{})
 
 	specs := []string{
 		`{"kind":"experiment","experiment":"fig7-1","seeds":[1,2]}`,
@@ -168,74 +172,127 @@ func objectPath(dir, key string) string {
 	return filepath.Join(dir, "objects", key+".json")
 }
 
-// TestReplicaFillCopiesExactBytes: the replication pull API must land
-// the owner's envelopes on the successor byte-for-byte.
+// getStatus issues a body-less GET through the router and returns the
+// status code, draining the body (an event stream runs to its terminal
+// frame).
+func getStatus(t *testing.T, url string) int {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode
+}
+
+// TestReplicaFillCopiesExactBytes walks a hot shard's life through the
+// router over two real workers: the rebalancer trips a replica, the fill
+// lands the owner's envelopes on it byte-for-byte, replica reads answer
+// as pure cache hits with identical tables, and follow-up GETs by id —
+// whose flight and profile doc live on one worker only — are answered
+// whichever worker the alternation picks first.
 func TestReplicaFillCopiesExactBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real experiments")
 	}
+	// Hair-trigger rebalancer: one submission's latency makes its shard
+	// hot on the first poll. Hedging is on and warm after one sample, so
+	// the follow-up status and profile reads below take the hedged path.
+	clus := startTestCluster(t, 2, cluster.Options{HotP99MS: 0.000001, MinSamples: 1, HotPolls: 1,
+		Hedge: true, HedgeMinSamples: 1})
+	const (
+		runSpec  = `{"kind":"experiment","experiment":"fig7-1","seeds":[1]}`
+		jobSpec  = `{"kind":"experiment","experiment":"fig6-1","seeds":[1]}`
+		profSpec = `{"kind":"experiment","experiment":"fig7-1","seeds":[2],"profile":true}`
+	)
 
-	ownerStore, err := sweep.OpenDirStore(filepath.Join(t.TempDir(), "owner"))
+	// Three cold submissions, each seen by its shard's owner only.
+	cold := postJSON(t, clus.base, runSpec)
+	if cold.Cache != "miss" || cold.Executed == 0 {
+		t.Fatalf("cold run: cache=%s executed=%d, want a full miss", cold.Cache, cold.Executed)
+	}
+	jresp, err := http.Post(clus.base+"/v1/jobs", "application/json", strings.NewReader(jobSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := httptest.NewServer(serve.New(serve.Options{Store: ownerStore, Worker: true, WorkerID: "w1"}).Handler())
-	defer owner.Close()
-	succStore, err := sweep.OpenDirStore(filepath.Join(t.TempDir(), "succ"))
-	if err != nil {
-		t.Fatal(err)
+	var job serve.JobStatus
+	err = json.NewDecoder(jresp.Body).Decode(&job)
+	jresp.Body.Close()
+	if err != nil || job.ID == "" {
+		t.Fatalf("POST /v1/jobs: status %d, decode error %v", jresp.StatusCode, err)
 	}
-	succ := httptest.NewServer(serve.New(serve.Options{Store: succStore, Worker: true, WorkerID: "w2"}).Handler())
-	defer succ.Close()
+	if code := getStatus(t, clus.base+job.EventsURL); code != http.StatusOK { // runs to the terminal frame
+		t.Fatalf("GET %s: status %d", job.EventsURL, code)
+	}
+	prof := postJSON(t, clus.base, profSpec)
 
-	// Run something on the owner so it has flights to replicate.
-	resp := postJSON(t, owner.URL, `{"kind":"experiment","experiment":"fig7-1","seeds":[1]}`)
-	shard := cluster.ShardOf(resp.ID, cluster.DefaultNumShards)
-
-	fill, err := json.Marshal(cluster.FillRequest{Source: owner.URL, Shard: shard, Shards: cluster.DefaultNumShards})
-	if err != nil {
-		t.Fatal(err)
+	// One poll replicates every hot shard onto the other worker.
+	clus.router.RebalanceOnce(context.Background())
+	for _, id := range []string{cold.ID, job.ID, prof.ID} {
+		if clus.router.ReplicaFor(cluster.ShardOf(id, cluster.DefaultNumShards)) == "" {
+			t.Fatalf("rebalancer did not replicate the shard of %s", id)
+		}
 	}
-	fresp, err := http.Post(succ.URL+"/v1/replica/fill", "application/json", bytes.NewReader(fill))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fr cluster.FillResponse
-	if err := json.NewDecoder(fresp.Body).Decode(&fr); err != nil {
-		t.Fatal(err)
-	}
-	fresp.Body.Close()
-	if fresp.StatusCode != http.StatusOK {
-		t.Fatalf("fill: status %d", fresp.StatusCode)
-	}
-	if fr.Objects == 0 {
-		t.Fatal("fill copied no objects")
+	if clus.router.Metrics().ReplicasAdded() == 0 {
+		t.Fatal("replica fill did not run")
 	}
 
+	// The fill copied the owner's envelopes exactly.
+	replica, owner := clus.stores[0], clus.stores[1]
+	if clus.router.ReplicaFor(cluster.ShardOf(cold.ID, cluster.DefaultNumShards)) == "w2" {
+		replica, owner = owner, replica
+	}
 	sp, err := sweep.SpecFor("fig7-1", []uint64{1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, j := range sweep.Expand([]sweep.Spec{sp}) {
-		want, err := os.ReadFile(objectPath(ownerStore.Dir(), j.Key))
+		want, err := os.ReadFile(objectPath(owner.Dir(), j.Key))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(objectPath(succStore.Dir(), j.Key))
+		got, err := os.ReadFile(objectPath(replica.Dir(), j.Key))
 		if err != nil {
-			t.Fatalf("successor missing replicated key %s: %v", j.Key, err)
+			t.Fatalf("replica missing replicated key %s: %v", j.Key, err)
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("replicated envelope for %s is not byte-identical", j.Key)
 		}
 	}
 
-	// The replica can now serve the same submission as a pure cache hit.
-	warm := postJSON(t, succ.URL, `{"kind":"experiment","experiment":"fig7-1","seeds":[1]}`)
-	if warm.Cache != "hit" || warm.Executed != 0 {
-		t.Fatalf("replica re-run: cache=%s executed=%d, want a pure hit", warm.Cache, warm.Executed)
+	// Resubmissions alternate owner and replica: within a few, one is a
+	// replica read, and every one is a pure hit with the owner's table.
+	for i := 0; i < 4 && clus.router.Metrics().ReplicaReads() == 0; i++ {
+		warm := postJSON(t, clus.base, runSpec)
+		if warm.Cache != "hit" || warm.Executed != 0 {
+			t.Fatalf("resubmission %d: cache=%s executed=%d, want a pure hit", i, warm.Cache, warm.Executed)
+		}
+		if warm.Tables[0] != cold.Tables[0] {
+			t.Fatal("replica-path table differs from the owner's")
+		}
 	}
-	if warm.Tables[0] != resp.Tables[0] {
-		t.Fatal("replica-served table differs from owner's")
+	if clus.router.Metrics().ReplicaReads() == 0 {
+		t.Fatal("no replica read after 4 resubmissions of a replicated shard")
+	}
+
+	// Follow-up GETs: the replica holds the shard's results but never saw
+	// the flight or the profile doc, so half of these reach a worker that
+	// answers 404; the router must move on to the one that holds them.
+	for i := 0; i < 8; i++ {
+		if code := getStatus(t, clus.base+job.EventsURL); code != http.StatusOK {
+			t.Fatalf("events GET %d: status %d", i, code)
+		}
+		if code := getStatus(t, clus.base+"/v1/jobs/"+job.ID); code != http.StatusOK {
+			t.Fatalf("status GET %d: status %d", i, code)
+		}
+		if code := getStatus(t, clus.base+prof.Profile); code != http.StatusOK {
+			t.Fatalf("profile GET %d: status %d", i, code)
+		}
+	}
+	if n := clus.router.Metrics().Failovers(); n != 0 {
+		t.Fatalf("a 404 from a non-holder counted as %d failover(s)", n)
 	}
 }

@@ -129,8 +129,7 @@ func (m *Metrics) countResumedFlight() {
 }
 
 // ReplicasAdded returns how many replicas the rebalancer has activated
-// (tests and the load generator read this through /metrics; this
-// accessor serves in-process assertions).
+// (/metrics renders it; this accessor serves in-process assertions).
 func (m *Metrics) ReplicasAdded() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -38,8 +38,8 @@ func (r *Router) rebalanceLoop(ctx context.Context) {
 	}
 }
 
-// RebalanceOnce runs one rebalancer poll (exported so tests and the
-// smoke gate can drive the state machine deterministically).
+// RebalanceOnce runs one rebalancer poll (exported so tests can drive
+// the state machine deterministically).
 func (r *Router) RebalanceOnce(ctx context.Context) {
 	alive := r.members.AliveIDs()
 	if len(alive) == 0 {

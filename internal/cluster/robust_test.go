@@ -183,6 +183,51 @@ func TestBreakerSkipsFailingWorker(t *testing.T) {
 	}
 }
 
+// TestHalfOpenTrialAnswered404ClosesBreaker: a recovering worker whose
+// one half-open trial is a by-id read it does not hold answers 404 and is
+// walked past — that answer must land the trial (circuit closed), or the
+// worker stays refused for good.
+func TestHalfOpenTrialAnswered404ClosesBreaker(t *testing.T) {
+	nonHolder := httptest.NewServer(http.NotFoundHandler())
+	defer nonHolder.Close()
+	holder := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, `{"id":"req-trial","status":"done"}`)
+	}))
+	defer holder.Close()
+
+	rank := Rank([]string{"w1", "w2"}, ShardOf("req-trial", DefaultNumShards))
+	urls := map[string]string{rank[0]: nonHolder.URL, rank[1]: holder.URL}
+	r := newTestRouter(t, Options{
+		Workers: []Worker{
+			{ID: "w1", URL: urls["w1"]},
+			{ID: "w2", URL: urls["w2"]},
+		},
+		BreakerThreshold: 1,
+		BreakerCooldown:  1,
+	})
+	r.breakers.OnFailure(rank[0])
+	r.breakers.Tick()
+	if s := r.breakers.State(rank[0]); s != breakerHalfOpen {
+		t.Fatalf("setup: breaker %v, want half-open", s)
+	}
+
+	rec := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/req-trial", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d, want 200 from the holder", rec.Code)
+	}
+	if s := r.breakers.State(rank[0]); s != breakerClosed {
+		t.Fatalf("breaker %v after a 404 trial, want closed", s)
+	}
+	if !r.breakers.Allow(rank[0]) {
+		t.Fatal("worker still refused after its trial was answered")
+	}
+	if n := r.Metrics().Failovers(); n != 0 {
+		t.Fatalf("a 404 from a non-holder counted as %d failover(s)", n)
+	}
+}
+
 // TestAttemptTimeoutFailsOverFromSilentWorker: a worker that accepts
 // the connection and then says nothing (the paused-process profile) is
 // abandoned after AttemptTimeout and the next candidate answers.

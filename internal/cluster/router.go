@@ -269,8 +269,9 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 
 // handleByID routes GET /v1/jobs/{id} and GET /v1/jobs/{id}/events by
 // the id already embedded in the path — the same shard mapping the
-// submission used, so polls and event streams land on the worker that
-// ran the flight. Plain status reads are the one hedgeable request
+// submission used, so polls and event streams reach the worker that ran
+// the flight (proxyToShard walks past a replica that answers 404).
+// Plain status reads are the one hedgeable request
 // shape: content-hash idempotent, no stream, byte-identical from any
 // worker holding the result.
 func (r *Router) handleByID(w http.ResponseWriter, req *http.Request) {
@@ -338,7 +339,8 @@ func gatewayStatus(code int) bool {
 // skipped up front. Non-streaming responses are fully buffered before
 // the first byte reaches the client, so even a mid-body failure can
 // still fail over; a stream that has started relaying cannot, and gets
-// an explicit terminal error frame instead.
+// an explicit terminal error frame instead. A body-less read by id also
+// moves on past a candidate that answers 404 (see below).
 func (r *Router) proxyToShard(w http.ResponseWriter, req *http.Request, shard int, body []byte) {
 	r.inflight.Add(1)
 	defer r.inflight.Done()
@@ -388,6 +390,19 @@ func (r *Router) proxyToShard(w http.ResponseWriter, req *http.Request, shard in
 			// 502 carries no retry contract at all).
 			resp.Body.Close()
 			fail()
+			continue
+		}
+		if body == nil && resp.StatusCode == http.StatusNotFound && i+1 < len(cands) {
+			// A by-id read: flights and profile docs live only on the worker
+			// that ran the submission, and a replicated shard alternates its
+			// front candidate. A 404 here means "not held by this worker" —
+			// a completed, healthy answer: it closes a half-open breaker's
+			// trial like any success, and counts no failover or down. The
+			// 404 is relayed only from the last candidate; if the rest are
+			// skipped or fail, the holder may be among them and the client
+			// gets the retryable 503 instead.
+			r.breakers.OnSuccess(id)
+			resp.Body.Close()
 			continue
 		}
 		ct := resp.Header.Get("Content-Type")
@@ -480,8 +495,8 @@ func (b *cancelBody) Close() error {
 // hedgedGet serves an idempotent status read with p99 hedging: fire the
 // primary candidate, and if it hasn't answered within its own windowed
 // p99, fire the next candidate too — first good answer wins. Returns
-// false when hedging doesn't apply (cold window, lone candidate); the
-// caller falls back to the plain proxy path.
+// false when hedging doesn't apply (cold window, lone candidate) or a
+// candidate answered 404; the caller falls back to the plain proxy path.
 func (r *Router) hedgedGet(w http.ResponseWriter, req *http.Request, shard int) bool {
 	cands, _ := r.candidates(shard)
 	if len(cands) < 2 {
@@ -542,6 +557,12 @@ func (r *Router) hedgedGet(w http.ResponseWriter, req *http.Request, shard int) 
 			}
 		case res := <-ch:
 			good := res.err == nil && !gatewayStatus(res.resp.StatusCode)
+			if good && res.resp.StatusCode == http.StatusNotFound {
+				// "Not held by this worker": the holder may be any other
+				// candidate, not just the hedge partner, so hand the request
+				// to proxyToShard's walk over all of them.
+				return false
+			}
 			if good {
 				r.breakers.OnSuccess(res.id)
 				r.hedge.Record(res.id, res.dur)

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/coherence"
+	"repro/internal/mrc"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -46,11 +48,12 @@ func TestTraceReplayMatchesSynthetic(t *testing.T) {
 		t.Fatalf("capture covered %d PEs, want %d", n, pes)
 	}
 	max := traceMaxCycles(len(recs))
-	syn, err := WorkloadMatrix(Params{}, "trace-identity", "Identity", "note", 64, max, agents)
+	var synProf, repProf mrc.Collector
+	syn, err := WorkloadMatrix(Params{Profile: &synProf}, "trace-identity", "Identity", "note", 64, max, agents)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := WorkloadMatrix(Params{}, "trace-identity", "Identity", "note", 64, max, func() []workload.Agent {
+	rep, err := WorkloadMatrix(Params{Profile: &repProf}, "trace-identity", "Identity", "note", 64, max, func() []workload.Agent {
 		return TraceAgents(opsByPE)
 	})
 	if err != nil {
@@ -59,6 +62,18 @@ func TestTraceReplayMatchesSynthetic(t *testing.T) {
 	for _, format := range []string{"plain", "csv", "markdown"} {
 		if a, b := syn.Render(format), rep.Render(format); a != b {
 			t.Fatalf("replay table differs from synthetic run (%s):\n%s\n---\n%s", format, a, b)
+		}
+	}
+	// The caches saw the same reference streams, so the online miss-ratio
+	// curves of the replay equal the live run's, per protocol and per PE.
+	synCaps, repCaps := synProf.Captures(), repProf.Captures()
+	if len(synCaps) == 0 || len(synCaps) != len(repCaps) {
+		t.Fatalf("%d live captures, %d replay captures", len(synCaps), len(repCaps))
+	}
+	for i := range synCaps {
+		a, b := synCaps[i].Set.Docs(mrc.DefaultSizes()), repCaps[i].Set.Docs(mrc.DefaultSizes())
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: replay curves differ from the live run's", synCaps[i].Shape)
 		}
 	}
 }

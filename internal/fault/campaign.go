@@ -311,9 +311,9 @@ func Matrix(c CampaignConfig, out *sweep.Outcome) (*report.Table, error) {
 }
 
 // SilentViolations scans a completed campaign for silent divergences in
-// detectable classes — each one is an oracle hole, and the check.sh smoke
-// gate fails on any. The returned strings name the offending cells in
-// canonical job order.
+// detectable classes — each one is an oracle hole, and cmd/faultcampaign
+// and TestCampaignNoSilentDivergence fail on any. The returned strings
+// name the offending cells in canonical job order.
 func SilentViolations(out *sweep.Outcome) ([]string, error) {
 	var bad []string
 	for _, jr := range out.Jobs {

@@ -124,8 +124,8 @@ func ParseClass(name string) (Class, error) {
 func (c Class) Detectable() bool { return c != MemBitFlip }
 
 // DetectableClasses returns the classes for which a silent divergence is
-// an oracle bug by construction — the set check.sh's smoke gate asserts
-// zero silents over.
+// an oracle bug by construction — the set TestCampaignNoSilentDivergence
+// asserts zero silents over.
 func DetectableClasses() []Class {
 	var out []Class
 	for _, c := range Classes() {

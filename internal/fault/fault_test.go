@@ -39,34 +39,43 @@ func runCampaign(t *testing.T, cfg CampaignConfig, workers int) *sweep.Outcome {
 
 // TestCampaignDeterministicAcrossWorkers is the acceptance criterion in the
 // flesh: same seed + same spec → byte-identical report, whether the cells
-// run on one worker or race across four.
+// run on one worker, race across four, or — as cmd/faultcampaign and the
+// service run them — go through the engine's fused groups on arena-recycled
+// machines.
 func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	cfg := testCampaign()
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 	serial := runCampaign(t, cfg, 1)
-	parallel := runCampaign(t, cfg, 4)
-	for _, format := range []string{"plain", "csv"} {
-		a, err := RenderReport(cfg, serial, format)
-		if err != nil {
-			t.Fatalf("RenderReport(serial, %s): %v", format, err)
-		}
-		b, err := RenderReport(cfg, parallel, format)
-		if err != nil {
-			t.Fatalf("RenderReport(parallel, %s): %v", format, err)
-		}
-		if a != b {
-			t.Errorf("%s report differs between -j1 and -j4:\n--- j1 ---\n%s\n--- j4 ---\n%s", format, a, b)
-		}
-		if a == "" {
-			t.Errorf("%s report is empty", format)
+	batched, err := sweep.New(sweep.Options{
+		Workers: 4, Runner: NewCellRunner(cfg), BatchRunner: NewBatchCellRunner(cfg),
+	}).Run(context.Background(), cfg.Specs())
+	if err != nil {
+		t.Fatalf("batched campaign: %v", err)
+	}
+	for name, other := range map[string]*sweep.Outcome{"-j4": runCampaign(t, cfg, 4), "batched -j4": batched} {
+		for _, format := range []string{"plain", "csv"} {
+			a, err := RenderReport(cfg, serial, format)
+			if err != nil {
+				t.Fatalf("RenderReport(serial, %s): %v", format, err)
+			}
+			b, err := RenderReport(cfg, other, format)
+			if err != nil {
+				t.Fatalf("RenderReport(%s, %s): %v", name, format, err)
+			}
+			if a != b {
+				t.Errorf("%s report differs between -j1 and %s:\n--- j1 ---\n%s\n--- %s ---\n%s", format, name, a, name, b)
+			}
+			if a == "" {
+				t.Errorf("%s report is empty", format)
+			}
 		}
 	}
 }
 
 // TestCampaignNoSilentDivergence asserts the oracle-soundness half of the
-// tentpole: on the smoke campaign, every injected fault of a detectable
+// tentpole: on the test campaign, every injected fault of a detectable
 // class is masked or detected, never silent.
 func TestCampaignNoSilentDivergence(t *testing.T) {
 	cfg := testCampaign()

@@ -1,6 +1,6 @@
 //go:build !race
 
-package perf
+package machine
 
 // raceEnabled reports whether the race detector is compiled in; its
 // instrumentation allocates, so the zero-alloc regression only asserts

@@ -1,5 +1,5 @@
 //go:build race
 
-package perf
+package machine
 
 const raceEnabled = true

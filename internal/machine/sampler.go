@@ -1,29 +1,30 @@
 package machine
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/event"
-)
-
-// Sampler drives a Machine while firing scheduled observations on a
-// virtual clock aligned with machine cycles, using the discrete-event
-// kernel. It is how time-series measurements (bus utilization over time,
-// lock-convoy phases, warmup-vs-steady-state miss ratios) are taken
-// without polluting the machine's own cycle loop.
-type Sampler struct {
-	m    *Machine
-	loop *event.Loop
+// sample is one scheduled observation: fn fires when the machine reaches
+// cycle next, then every interval cycles after (interval 0 = once).
+type sample struct {
+	next, interval uint64
+	fn             func(m *Machine)
 }
 
-// NewSampler wraps a machine. The sampler's clock starts at the machine's
-// current cycle.
+// Sampler drives a Machine while firing scheduled observations at exact
+// machine cycles. It is how time-series measurements (bus utilization
+// over time, lock-convoy phases, warmup-vs-steady-state miss ratios) are
+// taken without polluting the machine's own cycle loop. Observations due
+// at the same cycle fire in registration order — the Sampler's own
+// contract; the event heap it replaced ordered them by when each was last
+// re-scheduled, which differs once a periodic observation has re-armed.
+type Sampler struct {
+	m       *Machine
+	samples []sample
+}
+
+// NewSampler wraps a machine. Intervals count from the machine's current
+// cycle.
 func NewSampler(m *Machine) *Sampler {
-	s := &Sampler{m: m, loop: event.New()}
-	if c := m.Cycle(); c > 0 {
-		s.loop.Advance(event.Time(c))
-	}
-	return s
+	return &Sampler{m: m}
 }
 
 // Every schedules fn at each multiple of interval cycles from now, for the
@@ -32,21 +33,34 @@ func (s *Sampler) Every(interval uint64, fn func(m *Machine)) {
 	if interval == 0 {
 		panic("machine: zero sampling interval")
 	}
-	var tick event.Func
-	tick = func(now event.Time) {
-		fn(s.m)
-		s.loop.After(event.Time(interval), tick)
-	}
-	s.loop.After(event.Time(interval), tick)
+	s.samples = append(s.samples, sample{next: s.m.Cycle() + interval, interval: interval, fn: fn})
 }
 
-// At schedules fn once at the given absolute machine cycle.
+// At schedules fn once at the given absolute machine cycle. A cycle the
+// machine has already passed is a caller bug and panics.
 func (s *Sampler) At(cycle uint64, fn func(m *Machine)) {
-	s.loop.At(event.Time(cycle), fn2(s.m, fn))
+	if now := s.m.Cycle(); cycle < now {
+		panic(fmt.Sprintf("machine: sampling at cycle %d, before now %d", cycle, now))
+	}
+	s.samples = append(s.samples, sample{next: cycle, fn: fn})
 }
 
-func fn2(m *Machine, fn func(*Machine)) event.Func {
-	return func(event.Time) { fn(m) }
+// fire runs every observation due at the machine's current cycle. It
+// indexes the slice afresh around each callback, so an observation may
+// schedule further ones.
+func (s *Sampler) fire() {
+	now := s.m.Cycle()
+	for i := 0; i < len(s.samples); i++ {
+		if s.samples[i].next > now {
+			continue
+		}
+		s.samples[i].fn(s.m)
+		if iv := s.samples[i].interval; iv != 0 {
+			s.samples[i].next += iv
+		} else {
+			s.samples[i].next = ^uint64(0) // one-shot: never due again
+		}
+	}
 }
 
 // Run steps the machine until it is done or maxCycles elapse, firing
@@ -58,7 +72,7 @@ func (s *Sampler) Run(maxCycles uint64) (uint64, error) {
 		if err := s.m.Step(); err != nil {
 			return s.m.Cycle() - start, err
 		}
-		s.loop.RunUntil(event.Time(s.m.Cycle()))
+		s.fire()
 	}
 	return s.m.Cycle() - start, s.m.Err()
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/coherence"
@@ -31,6 +32,27 @@ func TestSamplerAt(t *testing.T) {
 	}
 }
 
+// TestSamplerFIFOAmongEqualCycles pins the Sampler's determinism
+// contract: observations due at the same cycle fire in the order they
+// were registered, one-shot and periodic alike. (The event heap fired
+// this case at-a,at-b,every: a re-armed periodic sorted after both.)
+func TestSamplerFIFOAmongEqualCycles(t *testing.T) {
+	m := MustNew(Config{}, []workload.Agent{workload.NewHotspot(1, 0)})
+	s := NewSampler(m)
+	var order []string
+	s.At(10, func(*Machine) { order = append(order, "at-a") })
+	s.Every(5, func(m *Machine) {
+		if m.Cycle() == 10 {
+			order = append(order, "every")
+		}
+	})
+	s.At(10, func(*Machine) { order = append(order, "at-b") })
+	s.Run(12)
+	if got := strings.Join(order, ","); got != "at-a,every,at-b" {
+		t.Fatalf("fired %s, want at-a,every,at-b", got)
+	}
+}
+
 func TestSamplerStopsWhenMachineDone(t *testing.T) {
 	m := MustNew(Config{}, []workload.Agent{workload.NewArrayInit(0, 4)})
 	s := NewSampler(m)
@@ -57,6 +79,17 @@ func TestSamplerZeroIntervalPanics(t *testing.T) {
 		}
 	}()
 	s.Every(0, func(*Machine) {})
+}
+
+func TestSamplerAtPastCyclePanics(t *testing.T) {
+	m := MustNew(Config{}, []workload.Agent{workload.NewHotspot(1, 0)})
+	m.RunFor(5)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("At(3) on a machine at cycle 5 did not panic")
+		}
+	}()
+	NewSampler(m).At(3, func(*Machine) {})
 }
 
 func TestUtilizationSeries(t *testing.T) {

@@ -2,7 +2,7 @@
 // exponential backoff with seeded, deterministic jitter. Before it
 // existed the tree had three divergent hand-rolled loops (the cluster
 // health prober's doubling backoff, the rebalancer's replica-fill
-// retry, and loadgen's Retry-After honoring); they all run through
+// retry, and a client's Retry-After honoring); they all run through
 // Policy now, so "how we retry" is one audited decision instead of
 // three accidents.
 //

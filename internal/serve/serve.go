@@ -225,8 +225,8 @@ func New(opts Options) *Server {
 	return s
 }
 
-// Metrics exposes the server's counters (the load generator reads the
-// rendered form; tests read these directly).
+// Metrics exposes the server's counters (/metrics serves the rendered
+// form; tests and benchmark/ read these directly).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Handler returns the daemon's HTTP handler with request accounting

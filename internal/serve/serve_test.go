@@ -160,8 +160,12 @@ func TestOverloadSheds429WithRetryAfter(t *testing.T) {
 func TestHealthzAndMetrics(t *testing.T) {
 	tr := &testRunner{}
 	_, ts := newTestServer(t, tr, Options{})
-	if _, code := post(ts.URL, "/v1/run", `{"kind":"experiment","experiment":"fig7-1","seeds":[1]}`); code != 200 {
-		t.Fatalf("run status %d", code)
+	// One cold run, one identical repeat: one engine run, one request
+	// served straight from the store.
+	for i := 0; i < 2; i++ {
+		if _, code := post(ts.URL, "/v1/run", `{"kind":"experiment","experiment":"fig7-1","seeds":[1]}`); code != 200 {
+			t.Fatalf("run %d status %d", i, code)
+		}
 	}
 
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -184,6 +188,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	for _, want := range []string{
 		"mimdserved_requests_total",
 		"mimdserved_engine_runs_total 1",
+		"mimdserved_store_served_total 1",
 		"mimdserved_cache_hit_ratio",
 		"mimdserved_job_latency_ms_bucket",
 		"mimdserved_queue_depth 0",

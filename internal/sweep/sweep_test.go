@@ -96,29 +96,52 @@ func TestExpandAxesAndOrder(t *testing.T) {
 
 // TestDeterministicAcrossWorkers is the engine's core contract: the
 // merged report and the journal are byte-identical whether the sweep ran
-// on one worker or many.
+// on one worker or many — with the fake runner, and with the registry's
+// parameter-free artifacts plus one real multi-seed simulation (fig7-1)
+// through the default batched runners.
 func TestDeterministicAcrossWorkers(t *testing.T) {
-	specs := fakeSpecs([]uint64{1, 2, 3, 4, 5})
-	serialStore := NewMemStore()
-	serial, err := New(Options{Workers: 1, Store: serialStore, Runner: fakeRunner}).
-		Run(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for workers := 2; workers <= 8; workers *= 2 {
-		parStore := NewMemStore()
-		par, err := New(Options{Workers: workers, Store: parStore, Runner: fakeRunner}).
-			Run(context.Background(), specs)
+	var real []Spec
+	for _, id := range []string{"fig3-1", "fig5-1", "fig6-1", "fig6-2", "fig6-3", "section7-sbb", "fig7-1"} {
+		sp, err := SpecFor(id, []uint64{1, 2}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(renderAll(serial), renderAll(par)) {
-			t.Errorf("workers=%d: merged report differs from serial", workers)
-		}
-		if !bytes.Equal(serialStore.JournalBytes(), parStore.JournalBytes()) {
-			t.Errorf("workers=%d: journal differs from serial:\nserial:\n%s\nparallel:\n%s",
-				workers, serialStore.JournalBytes(), parStore.JournalBytes())
-		}
+		real = append(real, sp)
+	}
+	for _, tc := range []struct {
+		name   string
+		specs  []Spec
+		runner Runner // nil = the engine's own experiment runners
+	}{
+		{"fake", fakeSpecs([]uint64{1, 2, 3, 4, 5}), fakeRunner},
+		{"real", real, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.runner == nil && testing.Short() {
+				t.Skip("runs real experiments")
+			}
+			serialStore := NewMemStore()
+			serial, err := New(Options{Workers: 1, Store: serialStore, Runner: tc.runner}).
+				Run(context.Background(), tc.specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for workers := 2; workers <= 8; workers *= 2 {
+				parStore := NewMemStore()
+				par, err := New(Options{Workers: workers, Store: parStore, Runner: tc.runner}).
+					Run(context.Background(), tc.specs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(renderAll(serial), renderAll(par)) {
+					t.Errorf("workers=%d: merged report differs from serial", workers)
+				}
+				if !bytes.Equal(serialStore.JournalBytes(), parStore.JournalBytes()) {
+					t.Errorf("workers=%d: journal differs from serial:\nserial:\n%s\nparallel:\n%s",
+						workers, serialStore.JournalBytes(), parStore.JournalBytes())
+				}
+			}
+		})
 	}
 }
 

@@ -6,10 +6,13 @@
 #   2. go vet      the stock static checks
 #   3. go build    everything compiles
 #   4. go test     the full suite (fuzz seeds included) under the race
-#                  detector
-#   5. allocs      the steady-state zero-allocation regression (runs
+#                  detector at GOMAXPROCS = NumCPU: the one behavioural
+#                  gate. Sweep, batch, fault-campaign, serve, router,
+#                  chaos-campaign and profiler determinism are ordinary
+#                  tests in their packages
+#   5. allocs      the steady-state zero-allocation regressions (run
 #                  without the race detector, whose instrumentation
-#                  allocates; the -race pass above skips it)
+#                  allocates; the -race pass above skips them)
 #   6. protolint   the module's own analyzers: exhaustive switches,
 #                  determinism, protocol table audit, phase ownership
 #                  (phaseaudit), hot-path allocation freedom (allocaudit)
@@ -20,39 +23,10 @@
 #                  want that distinction to mean something.
 #   7. modelcheck  a bounded run of the Section 4 product-machine proof
 #                  over every protocol (n=3 caches keeps it seconds)
-#   8. sweep       a bounded smoke of the orchestration engine: parallel
-#                  output must be byte-identical to serial and a warm
-#                  cache must execute zero jobs
-#   9. batch       a bounded smoke of the S26 batched execution path: a
-#                  2-shape x 3-seed sweep run fused (same-shape jobs on
-#                  generation-reset machines) must produce reports, a
-#                  journal, and store envelopes byte-identical to the
-#                  unbatched fresh-machine-per-job run
-#  10. faults      a bounded smoke of the S23 fault campaign: the report
-#                  must be byte-identical between -j1, -j4, and the
-#                  batched (arena-recycled) runner, and no detectable
-#                  fault class may produce a silent divergence
-#  11. serve       a bounded smoke of the S24 service daemon: boot on a
-#                  loopback port, run an experiment over HTTP, verify the
-#                  identical resubmission is a pure cache hit, and drain
-#  12. router      a bounded smoke of the S25 cluster tier: in-process
-#                  router + 2 workers; verifies sharded routing,
-#                  cross-worker coalescing, a rebalancer-triggered
-#                  replica read, and 503 + Retry-After with the fleet
-#                  down
-#  13. chaos      a bounded smoke of the S27 chaos layer: router + 2
-#                  workers under two seeded fault classes (conn-refuse,
-#                  truncate); the client contract must hold, every
-#                  completed result must be byte-identical to the
-#                  fault-free single-node oracle, faults must actually
-#                  fire, and the matrix must be byte-identical across
-#                  -j1, -j2, and a same-seed rerun
-#  14. profile    a bounded smoke of the online miss-ratio profiler: a
-#                  tier-1 scenario is recorded, replayed as a trace
-#                  workload (metrics must be identical to the original
-#                  run, curves byte-identical), and the online curves
-#                  are cross-validated byte-for-byte against the offline
-#                  stack algorithm over the recorded reference streams
+#   8. benchmark   the measurement harness is a module of its own that
+#                  ./... never reaches: vet and test it, then run all
+#                  seven workloads at 1/200 size with every correctness
+#                  check on (checks, not measurements)
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -74,7 +48,7 @@ echo "==> go test -race ./..."
 go test -race ./...
 
 echo "==> allocs/cycle regression"
-go test -run TestSteadyStateAllocFree -count=1 ./internal/perf/
+go test -run 'SteadyState.*AllocFree' -count=1 ./internal/machine ./internal/mrc ./internal/batch
 
 echo "==> protolint ./..."
 go run ./cmd/protolint ./...
@@ -82,25 +56,8 @@ go run ./cmd/protolint ./...
 echo "==> modelcheck -all -n 3"
 go run ./cmd/modelcheck -all -n 3
 
-echo "==> sweep -smoke"
-go run ./cmd/sweep -smoke
-
-echo "==> sweep -batch-smoke"
-go run ./cmd/sweep -batch-smoke
-
-echo "==> faultcampaign -smoke"
-go run ./cmd/faultcampaign -smoke
-
-echo "==> mimdserved -smoke"
-go run ./cmd/mimdserved -smoke
-
-echo "==> mimdrouter -smoke"
-go run ./cmd/mimdrouter -smoke
-
-echo "==> chaoscampaign -smoke"
-go run ./cmd/chaoscampaign -smoke
-
-echo "==> mimdsim -profile-smoke"
-go run ./cmd/mimdsim -profile-smoke
+echo "==> benchmark harness"
+(cd benchmark && go vet . && go test .)
+go run -C benchmark repro/benchmark -workload all -smoke
 
 echo "==> all checks passed"
