@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build test race lint fuzz modelcheck fault bench bench-compare serve cluster chaos profile fmt
+.PHONY: check build test race lint fuzz modelcheck fault bench bench-compare serve cluster chaos profile fmt loc
 
 check:
 	sh scripts/check.sh
@@ -68,3 +68,15 @@ profile:
 
 fmt:
 	gofmt -w .
+
+# loc prints the sizes ROADMAP quotes ("lines removed at constant
+# goldens"): every line of non-test Go outside benchmark/ (lint fixtures
+# under testdata/ included), test lines separately so that code moved
+# into _test.go files is not mistaken for code removed, then package,
+# binary and CI stage counts.
+loc:
+	@printf 'non-test Go lines outside benchmark/: '; find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
+	@printf 'test Go lines outside benchmark/:     '; find . -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
+	@printf 'internal packages:                    '; ls -d internal/*/ | wc -l
+	@printf 'binaries:                             '; ls -d cmd/*/ | wc -l
+	@printf 'check.sh stages:                      '; grep '^echo "==> ' scripts/check.sh | grep -vc 'all checks passed'

@@ -86,7 +86,7 @@ func main() {
 	// With both runners set, the engine fuses same-cell job groups and
 	// hands each group a batch arena.
 	eng := sweep.New(sweep.Options{
-		Workers: *workers, Store: store, Events: eventsW,
+		Workers: *workers, Store: store, Sink: sweep.NewWriterSink(eventsW),
 		Runner: fault.NewCellRunner(cfg), BatchRunner: fault.NewBatchCellRunner(cfg),
 	})
 	out, err := eng.Run(ctx, cfg.Specs())

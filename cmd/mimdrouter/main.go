@@ -43,12 +43,6 @@ import (
 	"repro/internal/serve"
 )
 
-// traceFlags collects repeatable -trace name=path arguments.
-type traceFlags []string
-
-func (t *traceFlags) String() string     { return strings.Join(*t, ",") }
-func (t *traceFlags) Set(v string) error { *t = append(*t, v); return nil }
-
 func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:8470", "listen address")
@@ -68,15 +62,8 @@ func main() {
 		hedge     = flag.Bool("hedge", false, "hedge idempotent status reads to the successor worker past the primary's windowed p99")
 		drainTO   = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight streams on SIGINT before exiting anyway")
 	)
-	var traces traceFlags
-	flag.Var(&traces, "trace", "register a trace workload as name=path (repeatable) for -spawn workers; runnable as experiment \"trace-<name>\"")
+	flag.Var(new(experiments.TraceFlag), "trace", "register a trace workload as name=path (repeatable) for -spawn workers; runnable as experiment \"trace-<name>\"")
 	flag.Parse()
-
-	for _, arg := range traces {
-		if err := experiments.RegisterTraceFile(arg); err != nil {
-			fatal(err)
-		}
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

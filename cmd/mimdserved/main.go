@@ -25,19 +25,12 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/serve"
 	"repro/internal/sweep"
 )
-
-// traceFlags collects repeatable -trace name=path arguments.
-type traceFlags []string
-
-func (t *traceFlags) String() string     { return strings.Join(*t, ",") }
-func (t *traceFlags) Set(v string) error { *t = append(*t, v); return nil }
 
 func main() {
 	var (
@@ -51,19 +44,11 @@ func main() {
 		maxJobs   = flag.Int("max-jobs", 10000, "reject specs expanding past this many jobs")
 		drainTO   = flag.Duration("drain-timeout", 30*time.Second, "how long a SIGINT drain waits before cancelling running flights")
 		worker    = flag.Bool("worker", false, "run as a cluster worker: enable /shardstats and the /v1/replica pull API mimdrouter uses")
-		stats     = flag.Bool("shard-stats", false, "enable /shardstats latency digests without the replica API")
 		shards    = flag.Int("shards", 0, "virtual shard space size for latency digests; must match the router's; 0 = default")
 		workerID  = flag.String("worker-id", "", "this worker's id in cluster documents")
 	)
-	var traces traceFlags
-	flag.Var(&traces, "trace", "register a trace workload as name=path (repeatable); runnable as experiment \"trace-<name>\"")
+	flag.Var(new(experiments.TraceFlag), "trace", "register a trace workload as name=path (repeatable); runnable as experiment \"trace-<name>\"")
 	flag.Parse()
-
-	for _, arg := range traces {
-		if err := experiments.RegisterTraceFile(arg); err != nil {
-			fatal(err)
-		}
-	}
 
 	opts := serve.Options{
 		Workers:     *workers,
@@ -73,7 +58,6 @@ func main() {
 		RetryAfter:  *retryHint,
 		MaxJobs:     *maxJobs,
 		Worker:      *worker,
-		ShardStats:  *stats,
 		NumShards:   *shards,
 		WorkerID:    *workerID,
 	}

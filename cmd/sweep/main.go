@@ -28,12 +28,6 @@ import (
 	"repro/internal/sweep"
 )
 
-// traceFlags collects repeatable -trace name=path arguments.
-type traceFlags []string
-
-func (t *traceFlags) String() string     { return strings.Join(*t, ",") }
-func (t *traceFlags) Set(v string) error { *t = append(*t, v); return nil }
-
 func main() {
 	var (
 		list     = flag.Bool("list", false, "list experiment ids with their declared axes and exit")
@@ -49,15 +43,8 @@ func main() {
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	var traces traceFlags
-	flag.Var(&traces, "trace", "register a trace workload as name=path (repeatable); runnable as experiment \"trace-<name>\"")
+	flag.Var(new(experiments.TraceFlag), "trace", "register a trace workload as name=path (repeatable); runnable as experiment \"trace-<name>\"")
 	flag.Parse()
-
-	for _, arg := range traces {
-		if err := experiments.RegisterTraceFile(arg); err != nil {
-			fatal(err)
-		}
-	}
 
 	stopProfiles, err := profiling.Start(*cpuprof, *memprof)
 	if err != nil {
@@ -123,7 +110,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	eng := sweep.New(sweep.Options{Workers: *workers, Store: store, Events: eventsW, JobTimeout: *jobTO})
+	eng := sweep.New(sweep.Options{Workers: *workers, Store: store, Sink: sweep.NewWriterSink(eventsW), JobTimeout: *jobTO})
 	out, err := eng.Run(ctx, specs)
 	if code := sweep.ReportRunError(os.Stderr, "sweep", out, err); code != 0 {
 		os.Exit(code)

@@ -50,7 +50,7 @@ func (r *Router) RebalanceOnce(ctx context.Context) {
 		merged := mergeDigests(shard, stats)
 		r.stepShard(ctx, shard, merged, alive)
 	}
-	r.metrics.countPoll()
+	r.metrics.polls.Inc()
 }
 
 // scrapeStats fetches /shardstats from every alive worker; workers that
@@ -150,7 +150,7 @@ func (r *Router) stepShard(ctx context.Context, shard int, merged Digest, alive 
 	slot.mu.Unlock()
 
 	if retire {
-		r.metrics.countReplicaRetired()
+		r.metrics.replicasRetired.Inc()
 		return
 	}
 	if trip {
@@ -190,7 +190,8 @@ func (r *Router) addReplica(ctx context.Context, shard int, alive []string) {
 	slot.replica = succ
 	slot.hotStreak, slot.coolStreak = 0, 0
 	slot.mu.Unlock()
-	r.metrics.countReplicaAdded(filled)
+	r.metrics.replicasAdded.Inc()
+	r.metrics.fillObjects.Add(filled)
 }
 
 // fillReplica asks the successor to pull the shard's completed results

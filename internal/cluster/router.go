@@ -12,6 +12,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // Options configures a Router.
@@ -220,9 +222,9 @@ func (r *Router) NumShards() int { return r.opts.NumShards }
 // accounting attached.
 func (r *Router) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		cw := &countingWriter{ResponseWriter: w}
-		r.mux.ServeHTTP(cw, req)
-		r.metrics.countRequest(cw.Code())
+		rec := &metrics.StatusRecorder{ResponseWriter: w}
+		r.mux.ServeHTTP(rec, req)
+		r.metrics.requests.Inc(rec.Code())
 	})
 }
 
@@ -347,17 +349,23 @@ func (r *Router) proxyToShard(w http.ResponseWriter, req *http.Request, shard in
 	cands, replicaRead := r.candidates(shard)
 	for i, id := range cands {
 		if !r.breakers.Allow(id) {
-			r.metrics.countBreakerSkip()
+			r.metrics.breakerSkips.Inc()
 			continue
 		}
 		fail := func() {
 			if r.breakers.OnFailure(id) {
-				r.metrics.countBreakerOpen()
+				r.metrics.breakerOpens.Inc()
 			}
 			if i+1 < len(cands) {
-				r.metrics.countFailover()
+				r.metrics.failovers.Inc()
 			}
 			replicaRead = false
+		}
+		proxied := func() {
+			r.metrics.proxied.Inc(id)
+			if replicaRead && i == 0 {
+				r.metrics.replicaReads.Inc()
+			}
 		}
 		target := r.members.URL(id)
 		out, err := http.NewRequestWithContext(req.Context(), req.Method,
@@ -423,18 +431,18 @@ func (r *Router) proxyToShard(w http.ResponseWriter, req *http.Request, shard in
 			}
 			r.breakers.OnSuccess(id)
 			r.hedge.Record(id, wallNow().Sub(start))
-			r.metrics.countProxied(id, replicaRead && i == 0)
+			proxied()
 			copyHeader(w.Header(), resp.Header, "Content-Type", "Retry-After", "Cache-Control")
 			w.WriteHeader(resp.StatusCode)
 			w.Write(data)
 			return
 		}
 		r.breakers.OnSuccess(id)
-		r.metrics.countProxied(id, replicaRead && i == 0)
+		proxied()
 		r.relay(w, resp)
 		return
 	}
-	r.metrics.countNoWorker()
+	r.metrics.noWorker.Inc()
 	r.writeError(w, http.StatusServiceUnavailable, "no worker available for shard "+strconv.Itoa(shard))
 }
 
@@ -474,7 +482,7 @@ func (r *Router) doAttempt(out *http.Request) (*http.Response, error) {
 		if res := <-ch; res.resp != nil {
 			res.resp.Body.Close()
 		}
-		r.metrics.countAttemptTimeout()
+		r.metrics.attemptTimeouts.Inc()
 		return nil, fmt.Errorf("cluster: no response headers within %v", r.opts.AttemptTimeout)
 	}
 }
@@ -552,7 +560,7 @@ func (r *Router) hedgedGet(w http.ResponseWriter, req *http.Request, shard int) 
 		case <-timer.C:
 			if launched == 1 {
 				launched = 2
-				r.metrics.countHedgeFired()
+				r.metrics.hedgesFired.Inc()
 				go fire(cands[1])
 			}
 		case res := <-ch:
@@ -567,9 +575,9 @@ func (r *Router) hedgedGet(w http.ResponseWriter, req *http.Request, shard int) 
 				r.breakers.OnSuccess(res.id)
 				r.hedge.Record(res.id, res.dur)
 				if res.id == cands[1] {
-					r.metrics.countHedgeWon()
+					r.metrics.hedgesWon.Inc()
 				}
-				r.metrics.countProxied(res.id, false)
+				r.metrics.proxied.Inc(res.id)
 				copyHeader(w.Header(), res.resp.Header, "Content-Type", "Retry-After", "Cache-Control")
 				w.WriteHeader(res.resp.StatusCode)
 				w.Write(res.data)
@@ -577,7 +585,7 @@ func (r *Router) hedgedGet(w http.ResponseWriter, req *http.Request, shard int) 
 			}
 			failed++
 			if failed >= launched && launched == 2 {
-				r.metrics.countNoWorker()
+				r.metrics.noWorker.Inc()
 				r.writeError(w, http.StatusServiceUnavailable, "no worker available for shard "+strconv.Itoa(shard))
 				return true
 			}
@@ -585,7 +593,7 @@ func (r *Router) hedgedGet(w http.ResponseWriter, req *http.Request, shard int) 
 				// The primary failed before the hedge trigger: fire the
 				// secondary immediately rather than waiting out the timer.
 				launched = 2
-				r.metrics.countHedgeFired()
+				r.metrics.hedgesFired.Inc()
 				go fire(cands[1])
 			}
 		case <-req.Context().Done():
@@ -647,7 +655,7 @@ func (r *Router) ResumePending(ctx context.Context) (int, error) {
 		r.proxyToShard(rec, req, fl.Shard, fl.Body)
 		if rec.code >= 200 && rec.code < 300 {
 			resumed++
-			r.metrics.countResumedFlight()
+			r.metrics.resumedFlights.Inc()
 		} else {
 			remaining = append(remaining, fl)
 		}
@@ -729,7 +737,7 @@ func (r *Router) relay(w http.ResponseWriter, resp *http.Response) {
 		}
 		if err == io.EOF {
 			if !scan.Terminated() {
-				r.metrics.countTruncatedStream()
+				r.metrics.truncatedStreams.Inc()
 				errorFrame("stream truncated before terminal frame")
 			}
 			return
@@ -758,16 +766,7 @@ func copyHeader(dst, src map[string][]string, names ...string) {
 }
 
 func (r *Router) writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	if code == http.StatusServiceUnavailable || code == http.StatusTooManyRequests {
-		secs := int((r.opts.RetryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-	}
-	w.WriteHeader(code)
-	fmt.Fprintf(w, "{\"error\":%q}\n", msg)
+	WriteError(w, code, r.opts.RetryAfter, msg)
 }
 
 // ActiveReplicas counts shards currently routing through a replica.
@@ -855,38 +854,4 @@ func (r *Router) handleCluster(w http.ResponseWriter, _ *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(doc)
-}
-
-// countingWriter records the status code for the request counter.
-type countingWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (c *countingWriter) WriteHeader(code int) {
-	if c.code == 0 {
-		c.code = code
-	}
-	c.ResponseWriter.WriteHeader(code)
-}
-
-func (c *countingWriter) Write(b []byte) (int, error) {
-	if c.code == 0 {
-		c.code = http.StatusOK
-	}
-	return c.ResponseWriter.Write(b)
-}
-
-// Flush lets streaming handlers flush through the counter.
-func (c *countingWriter) Flush() {
-	if f, ok := c.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (c *countingWriter) Code() int {
-	if c.code == 0 {
-		return http.StatusOK
-	}
-	return c.code
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // contentID is the RequestID stub used by router tests: a pure content
@@ -90,7 +92,7 @@ func TestSubmitFailsOverToNextCandidate(t *testing.T) {
 	if r.members.Alive(rank[0]) {
 		t.Fatal("dead owner not marked down by the failed proxy attempt")
 	}
-	if r.metrics.failovers == 0 {
+	if r.metrics.Failovers() == 0 {
 		t.Fatal("failover not counted")
 	}
 }
@@ -290,5 +292,28 @@ func TestProbeRecoversWorker(t *testing.T) {
 	r.ProbeOnce(ctx)
 	if !r.members.Alive("w1") {
 		t.Fatal("recovered worker not marked back up")
+	}
+}
+
+// TestWriteErrorBodyIsJSON: error text comes from proxy and dial errors
+// and may hold anything; the body must stay parseable JSON (Go's %q
+// escapes \x01, \a and invalid UTF-8 in ways JSON forbids).
+func TestWriteErrorBodyIsJSON(t *testing.T) {
+	r := newTestRouter(t, Options{
+		Workers:    []Worker{{ID: "w1", URL: "http://127.0.0.1:1"}},
+		RetryAfter: 1500 * time.Millisecond,
+	})
+	msg := "dial tcp: \x01 bell \a bad utf-8 \xff \"quoted\""
+	rec := httptest.NewRecorder()
+	r.writeError(rec, http.StatusServiceUnavailable, msg)
+	var doc map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatalf("error body is not JSON: %v\n%s", err, rec.Body)
+	}
+	if want := strings.ToValidUTF8(msg, "\ufffd"); doc["error"] != want {
+		t.Fatalf("error = %q, want %q", doc["error"], want)
+	}
+	if got := rec.Header().Get("Retry-After"); got != "2" {
+		t.Fatalf("Retry-After = %q, want 2 (1.5s rounded up)", got)
 	}
 }

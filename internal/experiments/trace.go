@@ -135,20 +135,29 @@ func RegisterTrace(name string, raw []byte) error {
 	return nil
 }
 
-// RegisterTraceFile registers a trace workload from a "name=path"
-// command-line argument: the file's bytes become experiment
-// "trace-<name>". It is the shared implementation of the repeatable
-// -trace flag the sweep/serve/router CLIs accept at boot.
-func RegisterTraceFile(arg string) error {
+// TraceFlag is the repeatable -trace name=path flag the sweep, serve and
+// router CLIs accept at boot (flag.Var(new(TraceFlag), "trace", ...)).
+// Set reads the file and registers its bytes as experiment
+// "trace-<name>", so a bad argument fails flag parsing; the value is
+// the arguments accepted so far.
+type TraceFlag []string
+
+func (f *TraceFlag) String() string { return strings.Join(*f, ",") }
+
+func (f *TraceFlag) Set(arg string) error {
 	name, path, ok := strings.Cut(arg, "=")
 	if !ok || name == "" || path == "" {
-		return fmt.Errorf("experiments: -trace %q: want name=path", arg)
+		return fmt.Errorf("want name=path")
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("experiments: trace %q: %w", name, err)
+		return err
 	}
-	return RegisterTrace(name, raw)
+	if err := RegisterTrace(name, raw); err != nil {
+		return err
+	}
+	*f = append(*f, arg)
+	return nil
 }
 
 // traceOps splits records into per-PE operation slices, dense over

@@ -2,6 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -78,12 +82,11 @@ func TestTraceReplayMatchesSynthetic(t *testing.T) {
 	}
 }
 
-// TestRegisterTrace exercises the operator-facing registration path:
-// decode, salt, registry entry, replay run, and the error (not panic)
-// contract for bad input.
-func TestRegisterTrace(t *testing.T) {
-	agents := syntheticSet(2, 200, 9)
-	recs := captureSet(t, agents, 200)
+// capturedTraceBytes records a short synthetic run in the binary trace
+// format.
+func capturedTraceBytes(t *testing.T) []byte {
+	t.Helper()
+	recs := captureSet(t, syntheticSet(2, 200, 9), 200)
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
 	for _, r := range recs {
@@ -94,7 +97,54 @@ func TestRegisterTrace(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
+	return buf.Bytes()
+}
+
+// TestTraceFlag drives the -trace flag the sweep, serve and router CLIs
+// share: each occurrence registers its file at parse time, and a
+// malformed, unreadable or duplicate argument fails the parse.
+func TestTraceFlag(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.trace")
+	if err := os.WriteFile(path, capturedTraceBytes(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	parse := func(args ...string) (*TraceFlag, error) {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		f := new(TraceFlag)
+		fs.Var(f, "trace", "")
+		return f, fs.Parse(args)
+	}
+
+	f, err := parse("-trace", "flagrun="+path, "-trace", "flagrun-b="+path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := f.String(), "flagrun="+path+",flagrun-b="+path; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+	for _, id := range []string{"trace-flagrun", "trace-flagrun-b"} {
+		if _, err := ByID(id); err != nil {
+			t.Fatalf("%s not registered: %v", id, err)
+		}
+	}
+
+	for _, bad := range []string{
+		"no-equals", "=" + path, "noname=", // not name=path
+		"missing=" + path + ".absent", // unreadable file
+		"flagrun=" + path,             // duplicate name
+	} {
+		if f, err := parse("-trace", bad); err == nil || len(*f) != 0 {
+			t.Errorf("-trace %q: err = %v, accepted = %v; want a parse error and nothing accepted", bad, err, *f)
+		}
+	}
+}
+
+// TestRegisterTrace exercises the operator-facing registration path:
+// decode, salt, registry entry, replay run, and the error (not panic)
+// contract for bad input.
+func TestRegisterTrace(t *testing.T) {
+	raw := capturedTraceBytes(t)
 
 	if err := RegisterTrace("goldrun", raw); err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bus"
 	"repro/internal/machine"
-	"repro/internal/stackdist"
 )
 
 // probe feeds one PE's references into its own profiler and the shared
@@ -60,11 +59,11 @@ func Detach(m *machine.Machine) {
 // Lines — emission is array-ordered, never a map walk, so the rendered
 // bytes are deterministic.
 type CurveDoc struct {
-	Scope     string                 `json:"scope"`
-	Refs      uint64                 `json:"refs"`
-	Colds     uint64                 `json:"colds"`
-	Footprint int                    `json:"footprint"`
-	Points    []stackdist.CurvePoint `json:"points"`
+	Scope     string       `json:"scope"`
+	Refs      uint64       `json:"refs"`
+	Colds     uint64       `json:"colds"`
+	Footprint int          `json:"footprint"`
+	Points    []CurvePoint `json:"points"`
 }
 
 // docFor serializes one profiler.

@@ -1,17 +1,17 @@
-package stackdist_test
+package mrc_test
 
 import (
 	"fmt"
 
 	"repro/internal/bus"
-	"repro/internal/stackdist"
+	"repro/internal/mrc"
 )
 
 // ExampleProfiler computes the exact miss curve of a tiny looped trace in
 // one pass: references cycle through 4 addresses, so any cache of 4 or
 // more lines only takes the 4 cold misses.
 func ExampleProfiler() {
-	p := stackdist.New()
+	p := mrc.New()
 	for i := 0; i < 40; i++ {
 		p.Touch(bus.Addr(i % 4))
 	}

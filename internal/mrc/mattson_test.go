@@ -1,6 +1,7 @@
-package stackdist
+package mrc
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -11,10 +12,117 @@ import (
 	"repro/internal/workload"
 )
 
+// mattson is the oracle the online profiler is pinned against:
+// Mattson's stack algorithm done naively, with an explicit LRU stack
+// and an unbucketed reuse-distance histogram. One pass over a trace
+// yields the exact miss count of every fully-associative LRU cache
+// size, at O(footprint) per reference. The tests below check the oracle
+// itself, against first principles and against the cache simulator.
+type mattson struct {
+	stack  []bus.Addr // most recently used first
+	index  map[bus.Addr]int
+	counts map[int]uint64 // reuse distance -> occurrences
+	colds  uint64
+	refs   uint64
+}
+
+// mattsonCold is the reuse distance of a first-ever reference.
+const mattsonCold = int(^uint(0) >> 1)
+
+func newMattson() *mattson {
+	return &mattson{index: make(map[bus.Addr]int), counts: make(map[int]uint64)}
+}
+
+// Touch records a reference and returns its reuse (stack) distance:
+// the number of distinct addresses referenced since the previous touch
+// of a, or mattsonCold for a first reference. A fully-associative LRU
+// cache of S lines hits exactly the references with distance < S.
+func (p *mattson) Touch(a bus.Addr) int {
+	p.refs++
+	pos, seen := p.index[a]
+	if !seen {
+		p.colds++
+		p.push(a)
+		return mattsonCold
+	}
+	// Move to front; everything above shifts down.
+	copy(p.stack[1:pos+1], p.stack[:pos])
+	p.stack[0] = a
+	for i := 0; i <= pos; i++ {
+		p.index[p.stack[i]] = i
+	}
+	p.counts[pos]++
+	return pos
+}
+
+func (p *mattson) push(a bus.Addr) {
+	p.stack = append(p.stack, a)
+	copy(p.stack[1:], p.stack[:len(p.stack)-1])
+	p.stack[0] = a
+	for i := range p.stack {
+		p.index[p.stack[i]] = i
+	}
+}
+
+// Refs returns the number of references recorded.
+func (p *mattson) Refs() uint64 { return p.refs }
+
+// Colds returns the number of first-ever references (compulsory misses).
+func (p *mattson) Colds() uint64 { return p.colds }
+
+// Footprint returns the number of distinct addresses seen.
+func (p *mattson) Footprint() int { return len(p.stack) }
+
+// Misses returns the exact miss count of a fully-associative LRU cache
+// with the given number of lines: cold misses plus every reuse at
+// distance >= lines.
+func (p *mattson) Misses(lines int) uint64 {
+	if lines <= 0 {
+		return p.refs
+	}
+	misses := p.colds
+	for d, c := range p.counts {
+		if d >= lines {
+			misses += c
+		}
+	}
+	return misses
+}
+
+// MissRatio returns Misses(lines)/Refs.
+func (p *mattson) MissRatio(lines int) float64 {
+	if p.refs == 0 {
+		return 0
+	}
+	return float64(p.Misses(lines)) / float64(p.refs)
+}
+
+// Curve evaluates the miss curve at the given sizes (sorted ascending in
+// the result).
+func (p *mattson) Curve(sizes []int) []CurvePoint {
+	out := make([]CurvePoint, 0, len(sizes))
+	for _, s := range sizes {
+		out = append(out, CurvePoint{Lines: s, Misses: p.Misses(s), MissRatio: p.MissRatio(s)})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Lines < out[j].Lines })
+	return out
+}
+
+// Distances returns the raw reuse-distance histogram (excluding colds),
+// sorted by distance.
+func (p *mattson) Distances() []CurvePoint {
+	out := make([]CurvePoint, 0, len(p.counts))
+	for d, c := range p.counts {
+		out = append(out, CurvePoint{Lines: d, Misses: c})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Lines < out[j].Lines })
+	return out
+}
+
 func TestColdAndReuse(t *testing.T) {
-	p := New()
-	if d := p.Touch(1); d != Cold {
-		t.Fatalf("first touch distance = %d, want Cold", d)
+	p := newMattson()
+	if d := p.Touch(1); d != mattsonCold {
+		t.Fatalf("first touch distance = %d, want mattsonCold", d)
 	}
 	if d := p.Touch(1); d != 0 {
 		t.Fatalf("immediate reuse distance = %d, want 0", d)
@@ -32,7 +140,7 @@ func TestColdAndReuse(t *testing.T) {
 func TestMissesInclusionProperty(t *testing.T) {
 	// Misses are monotone nonincreasing in cache size (the stack
 	// algorithm's inclusion property).
-	p := New()
+	p := newMattson()
 	rng := workload.NewRNG(1)
 	for i := 0; i < 5000; i++ {
 		p.Touch(bus.Addr(rng.Intn(200)))
@@ -56,7 +164,7 @@ func TestMissesInclusionProperty(t *testing.T) {
 }
 
 func TestCurveAndPowersOfTwo(t *testing.T) {
-	p := New()
+	p := newMattson()
 	for i := 0; i < 10; i++ {
 		p.Touch(bus.Addr(i % 4))
 	}
@@ -80,7 +188,7 @@ func TestCurveAndPowersOfTwo(t *testing.T) {
 }
 
 func TestDistancesHistogram(t *testing.T) {
-	p := New()
+	p := newMattson()
 	p.Touch(1)
 	p.Touch(2)
 	p.Touch(1) // distance 1
@@ -92,7 +200,7 @@ func TestDistancesHistogram(t *testing.T) {
 }
 
 func TestEmptyProfiler(t *testing.T) {
-	p := New()
+	p := newMattson()
 	if p.MissRatio(4) != 0 || p.Misses(4) != 0 || p.Footprint() != 0 {
 		t.Fatal("empty profiler not all-zero")
 	}
@@ -113,7 +221,7 @@ func TestCrossValidateAgainstCacheSimulator(t *testing.T) {
 		}
 	}
 
-	p := New()
+	p := newMattson()
 	for _, a := range refs {
 		p.Touch(a)
 	}
@@ -150,7 +258,7 @@ func TestCrossValidateAgainstCacheSimulator(t *testing.T) {
 // Property: for any trace, refs = colds + sum of all reuse counts.
 func TestQuickAccounting(t *testing.T) {
 	f := func(addrs []uint8) bool {
-		p := New()
+		p := newMattson()
 		for _, a := range addrs {
 			p.Touch(bus.Addr(a))
 		}

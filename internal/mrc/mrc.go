@@ -13,8 +13,8 @@
 // 0 and bucket b>=1 holds distances [2^(b-1), 2^b). A fully-associative
 // LRU of S=2^j lines misses a reference iff its reuse distance is >= S
 // (Mattson), and every distance >= 2^j lands in a bucket >= j+1 whole —
-// so at power-of-two sizes the bucketed histogram reproduces
-// internal/stackdist exactly:
+// so at power-of-two sizes the bucketed histogram reproduces Mattson's
+// stack algorithm (the naive reference in mattson_test.go) exactly:
 //
 //	Misses(2^j) = colds + sum_{b >= j+1} counts[b]
 //
@@ -45,7 +45,6 @@ import (
 	"math/bits"
 
 	"repro/internal/bus"
-	"repro/internal/stackdist"
 )
 
 const (
@@ -273,13 +272,19 @@ func (p *Profiler) MissRatio(lines int) float64 {
 	return float64(p.Misses(lines)) / float64(p.refs)
 }
 
+// CurvePoint is one (size, miss ratio) sample.
+type CurvePoint struct {
+	Lines     int     `json:"lines"`
+	Misses    uint64  `json:"misses"`
+	MissRatio float64 `json:"miss_ratio"`
+}
+
 // Curve evaluates the miss curve at the given sizes (each a power of
-// two), ascending in the result — the same shape stackdist.Curve
-// returns, so cross-validation is a direct comparison.
-func (p *Profiler) Curve(sizes []int) []stackdist.CurvePoint {
-	out := make([]stackdist.CurvePoint, 0, len(sizes))
+// two), ascending in the result.
+func (p *Profiler) Curve(sizes []int) []CurvePoint {
+	out := make([]CurvePoint, 0, len(sizes))
 	for _, s := range sizes {
-		out = append(out, stackdist.CurvePoint{Lines: s, Misses: p.Misses(s), MissRatio: p.MissRatio(s)})
+		out = append(out, CurvePoint{Lines: s, Misses: p.Misses(s), MissRatio: p.MissRatio(s)})
 	}
 	// Sizes are caller-ordered; emit ascending without assuming it.
 	for i := 1; i < len(out); i++ {
@@ -294,8 +299,8 @@ func (p *Profiler) Curve(sizes []int) []stackdist.CurvePoint {
 // point i carries the bucket's smallest distance in Lines and its count
 // in Misses. Emission order is fixed by the array — never a map walk —
 // so serialized curves are deterministic.
-func (p *Profiler) Buckets() []stackdist.CurvePoint {
-	out := make([]stackdist.CurvePoint, 0, maxBuckets)
+func (p *Profiler) Buckets() []CurvePoint {
+	out := make([]CurvePoint, 0, maxBuckets)
 	for b := 0; b < maxBuckets; b++ {
 		if p.counts[b] == 0 {
 			continue
@@ -304,7 +309,7 @@ func (p *Profiler) Buckets() []stackdist.CurvePoint {
 		if b >= 1 {
 			lo = 1 << (b - 1)
 		}
-		out = append(out, stackdist.CurvePoint{Lines: lo, Misses: p.counts[b]})
+		out = append(out, CurvePoint{Lines: lo, Misses: p.counts[b]})
 	}
 	return out
 }
@@ -312,4 +317,16 @@ func (p *Profiler) Buckets() []stackdist.CurvePoint {
 // DefaultSizes is the conventional evaluation grid: every power of two
 // from a single line to 8192 lines, bracketing all simulated cache
 // geometries.
-func DefaultSizes() []int { return stackdist.PowersOfTwo(0, 13) }
+func DefaultSizes() []int { return PowersOfTwo(0, 13) }
+
+// PowersOfTwo returns 2^lo .. 2^hi inclusive, the conventional sweep.
+func PowersOfTwo(lo, hi int) []int {
+	if lo < 0 || hi < lo || hi > 30 {
+		panic(fmt.Sprintf("mrc: bad power range [%d, %d]", lo, hi))
+	}
+	var out []int
+	for i := lo; i <= hi; i++ {
+		out = append(out, 1<<uint(i))
+	}
+	return out
+}

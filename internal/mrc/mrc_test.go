@@ -8,17 +8,16 @@ import (
 	"repro/internal/bus"
 	"repro/internal/coherence"
 	"repro/internal/machine"
-	"repro/internal/stackdist"
 	"repro/internal/workload"
 )
 
 // sizes is the exactness grid: every power of two the acceptance bound
 // cares about, from one line past the largest simulated geometry.
-var testSizes = stackdist.PowersOfTwo(0, 13)
+var testSizes = PowersOfTwo(0, 13)
 
 // checkExact cross-validates an online profiler against the offline
 // stack algorithm over the same stream.
-func checkExact(t *testing.T, label string, on *Profiler, off *stackdist.Profiler) {
+func checkExact(t *testing.T, label string, on *Profiler, off *mattson) {
 	t.Helper()
 	if on.Refs() != off.Refs() || on.Colds() != off.Colds() || on.Footprint() != off.Footprint() {
 		t.Fatalf("%s: refs/colds/footprint = %d/%d/%d online vs %d/%d/%d offline",
@@ -94,7 +93,7 @@ func TestProfilerMatchesStackdistStreams(t *testing.T) {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
 			on := New()
-			off := stackdist.New()
+			off := newMattson()
 			rng := xorshift(0x9e3779b97f4a7c15)
 			for i := 0; i < g.n; i++ {
 				a := g.next(i, &rng)
@@ -123,7 +122,7 @@ func (p *teeProbe) OnRef(a bus.Addr) {
 
 // TestOnlineMatchesOffline is the tentpole cross-validation: for every
 // protocol and several seeds, one live profiled run must reproduce the
-// offline stackdist curve exactly — per PE and machine-wide — and the
+// offline Mattson curve exactly — per PE and machine-wide — and the
 // plain Attach path must match the instrumented run bit for bit.
 func TestOnlineMatchesOffline(t *testing.T) {
 	const pes = 4
@@ -167,13 +166,13 @@ func TestOnlineMatchesOffline(t *testing.T) {
 				run(m)
 
 				// Offline replay of the captured streams.
-				offAll := stackdist.New()
+				offAll := newMattson()
 				for _, a := range all {
 					offAll.Touch(a)
 				}
 				checkExact(t, "machine", global, offAll)
 				for i := 0; i < pes; i++ {
-					off := stackdist.New()
+					off := newMattson()
 					for _, a := range recs[i] {
 						off.Touch(a)
 					}

@@ -33,11 +33,7 @@ func TestConcurrentIdenticalPostsCoalesce(t *testing.T) {
 
 	// Wait until every late submission has attached to the in-flight
 	// run, then let the gated runner finish.
-	waitFor(t, func() bool {
-		s.metrics.mu.Lock()
-		defer s.metrics.mu.Unlock()
-		return s.metrics.coalesced == waiters-1
-	})
+	waitFor(t, func() bool { return s.metrics.coalesced.Value() == waiters-1 })
 	close(tr.gate)
 	wg.Wait()
 
@@ -98,10 +94,7 @@ func TestRepeatServedFromStore(t *testing.T) {
 	if got := s.metrics.EngineRuns(); got != 1 {
 		t.Fatalf("engine runs = %d, want 1", got)
 	}
-	s.metrics.mu.Lock()
-	served := s.metrics.storeServed
-	s.metrics.mu.Unlock()
-	if served != 1 {
+	if served := s.metrics.storeServed.Value(); served != 1 {
 		t.Fatalf("store-served = %d, want 1", served)
 	}
 }
@@ -184,11 +177,7 @@ func TestCoalescedWaiterSurvivesSubmitterDisconnect(t *testing.T) {
 		resp, _ := post(ts.URL, "/v1/run", spec)
 		second <- resp
 	}()
-	waitFor(t, func() bool {
-		s.metrics.mu.Lock()
-		defer s.metrics.mu.Unlock()
-		return s.metrics.coalesced == 1
-	})
+	waitFor(t, func() bool { return s.metrics.coalesced.Value() == 1 })
 
 	cancel() // first client gone
 	close(tr.gate)

@@ -1,206 +1,65 @@
 package serve
 
 import (
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
 	"time"
+
+	"repro/internal/metrics"
 )
 
-// latencyBuckets are the job-latency histogram's upper bounds, in
-// milliseconds (cumulative, Prometheus-style; +Inf is implicit).
-var latencyBuckets = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
-
-// Metrics aggregates the daemon's counters. Everything is
-// mutex-guarded — the serving hot path is simulation-bound, not
-// counter-bound — and rendered in Prometheus text exposition format.
+// Metrics is the daemon's /metrics: every series is declared once, in
+// render order, in newMetrics.
 type Metrics struct {
-	mu sync.Mutex
+	reg              metrics.Registry
+	requests         *metrics.CounterVec
+	inFlight, queued *metrics.Gauge
 
-	requestsByCode map[int]int64 // HTTP responses, by status code
-	coalesced      int64         // submissions attached to an in-flight identical run
-	engineRuns     int64         // admitted engine executions
-	storeServed    int64         // requests answered from the DirStore fast path
-	jobsExecuted   int64         // simulation jobs actually run
-	jobCacheHits   int64         // jobs served from the store
-	jobsFailed     int64         // jobs that panicked or timed out
-	silentFailures int64         // silent divergences reported by fault campaigns
-	profilesBuilt  int64         // miss-ratio-curve docs built and memoized
-	profilesServed int64         // GET /v1/profile answers served from the store
-	latencyCounts  []int64       // job wall-time histogram, latencyBuckets + +Inf
-	latencySumMS   float64
-	latencyTotal   int64
+	coalesced, engineRuns, storeServed                     *metrics.Counter
+	jobsExecuted, jobCacheHits, jobsFailed, silentFailures *metrics.Counter
+	profilesBuilt, profilesServed                          *metrics.Counter
+	jobLatency                                             *metrics.Histogram
 }
 
 func newMetrics() *Metrics {
-	return &Metrics{
-		requestsByCode: map[int]int64{},
-		latencyCounts:  make([]int64, len(latencyBuckets)+1),
-	}
-}
-
-func (m *Metrics) countRequest(code int) {
-	m.mu.Lock()
-	m.requestsByCode[code]++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) countCoalesced() {
-	m.mu.Lock()
-	m.coalesced++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) countEngineRun() {
-	m.mu.Lock()
-	m.engineRuns++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) countStoreServed() {
-	m.mu.Lock()
-	m.storeServed++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) countProfileBuilt() {
-	m.mu.Lock()
-	m.profilesBuilt++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) countProfileServed() {
-	m.mu.Lock()
-	m.profilesServed++
-	m.mu.Unlock()
-}
-
-// ProfilesBuilt returns how many curve docs this server has built.
-func (m *Metrics) ProfilesBuilt() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.profilesBuilt
-}
-
-// ProfilesServed returns how many /v1/profile answers were served.
-func (m *Metrics) ProfilesServed() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.profilesServed
+	m := &Metrics{}
+	r := &m.reg
+	m.requests = r.CounterVec("mimdserved_requests_total", "HTTP responses by status code.", "code")
+	m.inFlight = r.Gauge("mimdserved_inflight_runs", "Engine runs executing now.")
+	m.queued = r.Gauge("mimdserved_queue_depth", "Admitted submissions waiting for an execution slot.")
+	m.coalesced = r.Counter("mimdserved_coalesced_total", "Submissions coalesced onto an identical in-flight run.")
+	m.engineRuns = r.Counter("mimdserved_engine_runs_total", "Engine executions admitted (excludes the store fast path).")
+	m.storeServed = r.Counter("mimdserved_store_served_total", "Requests answered entirely from the result store.")
+	m.jobsExecuted = r.Counter("mimdserved_jobs_executed_total", "Simulation jobs executed.")
+	m.jobCacheHits = r.Counter("mimdserved_job_cache_hits_total", "Jobs served from the result store.")
+	m.jobsFailed = r.Counter("mimdserved_jobs_failed_total", "Jobs that panicked or timed out.")
+	m.silentFailures = r.Counter("mimdserved_silent_failures_total", "Silent divergences reported by fault campaigns.")
+	m.profilesBuilt = r.Counter("mimdserved_profiles_built_total", "Miss-ratio-curve documents built and memoized.")
+	m.profilesServed = r.Counter("mimdserved_profiles_served_total", "/v1/profile answers served from the store.")
+	r.Ratio("mimdserved_cache_hit_ratio", "Jobs served from the store over all finished jobs.", m.jobCacheHits, m.jobsExecuted)
+	m.jobLatency = r.Histogram("mimdserved_job_latency_ms", "Per-job wall time in milliseconds.",
+		[]float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000})
+	return m
 }
 
 // observeOutcome folds one completed engine run into the job counters
 // and the latency histogram.
 func (m *Metrics) observeOutcome(executed, cacheHits, failed int, jobWalls []time.Duration, silent int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.jobsExecuted += int64(executed)
-	m.jobCacheHits += int64(cacheHits)
-	m.jobsFailed += int64(failed)
-	m.silentFailures += int64(silent)
+	m.jobsExecuted.Add(int64(executed))
+	m.jobCacheHits.Add(int64(cacheHits))
+	m.jobsFailed.Add(int64(failed))
+	m.silentFailures.Add(int64(silent))
 	for _, w := range jobWalls {
-		ms := float64(w) / float64(time.Millisecond)
-		i := sort.SearchFloat64s(latencyBuckets, ms)
-		m.latencyCounts[i]++
-		m.latencySumMS += ms
-		m.latencyTotal++
+		m.jobLatency.Observe(float64(w) / float64(time.Millisecond))
 	}
 }
 
-// CacheHitRatio is jobs served from the store over all finished jobs.
-func (m *Metrics) CacheHitRatio() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	total := m.jobCacheHits + m.jobsExecuted
-	if total == 0 {
-		return 0
-	}
-	return float64(m.jobCacheHits) / float64(total)
-}
+// ProfilesBuilt returns how many curve docs this server has built.
+func (m *Metrics) ProfilesBuilt() int64 { return m.profilesBuilt.Value() }
 
 // EngineRuns returns the number of admitted engine executions.
-func (m *Metrics) EngineRuns() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.engineRuns
-}
+func (m *Metrics) EngineRuns() int64 { return m.engineRuns.Value() }
 
 // Render writes the Prometheus text exposition. inFlight/queued are the
 // admission controller's live gauges, sampled by the caller.
 func (m *Metrics) Render(inFlight, queued int) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var b strings.Builder
-	w := func(format string, args ...any) { fmt.Fprintf(&b, format, args...) }
-
-	w("# HELP mimdserved_requests_total HTTP responses by status code.\n")
-	w("# TYPE mimdserved_requests_total counter\n")
-	codes := make([]int, 0, len(m.requestsByCode))
-	for code := range m.requestsByCode {
-		codes = append(codes, code)
-	}
-	sort.Ints(codes)
-	for _, code := range codes {
-		w("mimdserved_requests_total{code=%q} %d\n", strconv.Itoa(code), m.requestsByCode[code])
-	}
-
-	w("# HELP mimdserved_inflight_runs Engine runs executing now.\n")
-	w("# TYPE mimdserved_inflight_runs gauge\n")
-	w("mimdserved_inflight_runs %d\n", inFlight)
-	w("# HELP mimdserved_queue_depth Admitted submissions waiting for an execution slot.\n")
-	w("# TYPE mimdserved_queue_depth gauge\n")
-	w("mimdserved_queue_depth %d\n", queued)
-
-	w("# HELP mimdserved_coalesced_total Submissions coalesced onto an identical in-flight run.\n")
-	w("# TYPE mimdserved_coalesced_total counter\n")
-	w("mimdserved_coalesced_total %d\n", m.coalesced)
-	w("# HELP mimdserved_engine_runs_total Engine executions admitted (excludes the store fast path).\n")
-	w("# TYPE mimdserved_engine_runs_total counter\n")
-	w("mimdserved_engine_runs_total %d\n", m.engineRuns)
-	w("# HELP mimdserved_store_served_total Requests answered entirely from the result store.\n")
-	w("# TYPE mimdserved_store_served_total counter\n")
-	w("mimdserved_store_served_total %d\n", m.storeServed)
-
-	w("# HELP mimdserved_jobs_executed_total Simulation jobs executed.\n")
-	w("# TYPE mimdserved_jobs_executed_total counter\n")
-	w("mimdserved_jobs_executed_total %d\n", m.jobsExecuted)
-	w("# HELP mimdserved_job_cache_hits_total Jobs served from the result store.\n")
-	w("# TYPE mimdserved_job_cache_hits_total counter\n")
-	w("mimdserved_job_cache_hits_total %d\n", m.jobCacheHits)
-	w("# HELP mimdserved_jobs_failed_total Jobs that panicked or timed out.\n")
-	w("# TYPE mimdserved_jobs_failed_total counter\n")
-	w("mimdserved_jobs_failed_total %d\n", m.jobsFailed)
-	w("# HELP mimdserved_silent_failures_total Silent divergences reported by fault campaigns.\n")
-	w("# TYPE mimdserved_silent_failures_total counter\n")
-	w("mimdserved_silent_failures_total %d\n", m.silentFailures)
-	w("# HELP mimdserved_profiles_built_total Miss-ratio-curve documents built and memoized.\n")
-	w("# TYPE mimdserved_profiles_built_total counter\n")
-	w("mimdserved_profiles_built_total %d\n", m.profilesBuilt)
-	w("# HELP mimdserved_profiles_served_total /v1/profile answers served from the store.\n")
-	w("# TYPE mimdserved_profiles_served_total counter\n")
-	w("mimdserved_profiles_served_total %d\n", m.profilesServed)
-
-	total := m.jobCacheHits + m.jobsExecuted
-	ratio := 0.0
-	if total > 0 {
-		ratio = float64(m.jobCacheHits) / float64(total)
-	}
-	w("# HELP mimdserved_cache_hit_ratio Jobs served from the store over all finished jobs.\n")
-	w("# TYPE mimdserved_cache_hit_ratio gauge\n")
-	w("mimdserved_cache_hit_ratio %g\n", ratio)
-
-	w("# HELP mimdserved_job_latency_ms Per-job wall time in milliseconds.\n")
-	w("# TYPE mimdserved_job_latency_ms histogram\n")
-	cum := int64(0)
-	for i, le := range latencyBuckets {
-		cum += m.latencyCounts[i]
-		w("mimdserved_job_latency_ms_bucket{le=%q} %d\n", strconv.FormatFloat(le, 'g', -1, 64), cum)
-	}
-	cum += m.latencyCounts[len(latencyBuckets)]
-	w("mimdserved_job_latency_ms_bucket{le=\"+Inf\"} %d\n", cum)
-	w("mimdserved_job_latency_ms_sum %g\n", m.latencySumMS)
-	w("mimdserved_job_latency_ms_count %d\n", m.latencyTotal)
-	return b.String()
+	return m.reg.Render(map[*metrics.Gauge]int64{m.inFlight: int64(inFlight), m.queued: int64(queued)})
 }

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/mrc"
-	"repro/internal/stackdist"
 	"repro/internal/sweep"
 )
 
@@ -127,7 +126,7 @@ func (s *Server) ensureProfile(req *request) error {
 	if err := rs.PutRaw(pkey, payload); err != nil {
 		return err
 	}
-	s.metrics.countProfileBuilt()
+	s.metrics.profilesBuilt.Inc()
 	return nil
 }
 
@@ -136,15 +135,15 @@ func (s *Server) ensureProfile(req *request) error {
 // otherwise (the true miss ratio lies between upper's and lower's — the
 // curve is monotone non-increasing in size).
 type WhatIfAnswer struct {
-	Experiment string                `json:"experiment"`
-	Seed       uint64                `json:"seed"`
-	Scale      int                   `json:"scale"`
-	Shape      string                `json:"shape"`
-	Scope      string                `json:"scope"`
-	Refs       uint64                `json:"refs"`
-	Exact      bool                  `json:"exact"`
-	Lower      *stackdist.CurvePoint `json:"lower,omitempty"`
-	Upper      *stackdist.CurvePoint `json:"upper,omitempty"`
+	Experiment string          `json:"experiment"`
+	Seed       uint64          `json:"seed"`
+	Scale      int             `json:"scale"`
+	Shape      string          `json:"shape"`
+	Scope      string          `json:"scope"`
+	Refs       uint64          `json:"refs"`
+	Exact      bool            `json:"exact"`
+	Lower      *mrc.CurvePoint `json:"lower,omitempty"`
+	Upper      *mrc.CurvePoint `json:"upper,omitempty"`
 }
 
 // WhatIfDoc is the GET /v1/profile/{id}?lines=N document.
@@ -155,7 +154,7 @@ type WhatIfDoc struct {
 }
 
 // bracket finds the grid points around lines in an ascending curve.
-func bracket(points []stackdist.CurvePoint, lines int) (lower, upper *stackdist.CurvePoint, exact bool) {
+func bracket(points []mrc.CurvePoint, lines int) (lower, upper *mrc.CurvePoint, exact bool) {
 	for i := range points {
 		p := &points[i]
 		if p.Lines <= lines {
@@ -204,7 +203,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 			"no profile for "+id+` (submit the spec with "profile": true first)`)
 		return
 	}
-	s.metrics.countProfileServed()
+	s.metrics.profilesServed.Inc()
 	if q := r.URL.Query().Get("lines"); q != "" {
 		lines, err := strconv.Atoi(q)
 		if err != nil || lines <= 0 {

@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
+	"repro/internal/metrics"
 	"repro/internal/sweep"
 )
 
@@ -58,8 +59,6 @@ type Options struct {
 	// digests plus the /v1/replica pull API the router's rebalancer uses
 	// to fill read replicas (DESIGN.md S25).
 	Worker bool
-	// ShardStats enables /shardstats alone, without the replica API.
-	ShardStats bool
 	// NumShards sizes the virtual shard space the latency digests are
 	// bucketed by; it must match the router's. 0 means
 	// cluster.DefaultNumShards.
@@ -144,7 +143,7 @@ type Server struct {
 	wg      sync.WaitGroup
 
 	// tracker holds the per-shard latency windows behind /shardstats
-	// (nil unless Worker or ShardStats is set).
+	// (nil unless Worker is set).
 	tracker *cluster.Tracker
 	// replicaClient performs replica-fill pulls against peer workers.
 	replicaClient *http.Client
@@ -211,11 +210,9 @@ func New(opts Options) *Server {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobStatus)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
 	mux.HandleFunc("GET /v1/profile/{id}", s.handleProfile)
-	if opts.Worker || opts.ShardStats {
+	if opts.Worker {
 		s.tracker = cluster.NewTracker(opts.NumShards)
 		mux.HandleFunc("GET /shardstats", s.handleShardStats)
-	}
-	if opts.Worker {
 		s.replicaClient = &http.Client{Timeout: 30 * time.Second}
 		mux.HandleFunc("GET /v1/replica/manifest", s.handleReplicaManifest)
 		mux.HandleFunc("GET /v1/replica/objects/{key}", s.handleReplicaObject)
@@ -246,9 +243,9 @@ func (s *Server) Handler() http.Handler {
 				return
 			}
 		}
-		cw := &countingWriter{ResponseWriter: w}
-		s.mux.ServeHTTP(cw, r)
-		s.metrics.countRequest(cw.Code())
+		rec := &metrics.StatusRecorder{ResponseWriter: w}
+		s.mux.ServeHTTP(rec, r)
+		s.metrics.requests.Inc(rec.Code())
 	})
 }
 
@@ -330,7 +327,7 @@ func (s *Server) getOrStart(req *request) (f *flight, coalesced bool, err error)
 	}
 	if f, ok := s.flights[req.id]; ok {
 		s.mu.Unlock()
-		s.metrics.countCoalesced()
+		s.metrics.coalesced.Inc()
 		return f, true, nil
 	}
 	f = newFlight(req)
@@ -391,7 +388,7 @@ func (s *Server) execute(f *flight) (Response, int) {
 	// pass below runs under an admission slot.
 	fast := s.storeHasAll(req) && (!req.spec.Profile || s.storeHasProfile(req.id))
 	if fast {
-		s.metrics.countStoreServed()
+		s.metrics.storeServed.Inc()
 	} else {
 		release, err := s.admit.acquire(s.baseCtx)
 		switch {
@@ -403,7 +400,7 @@ func (s *Server) execute(f *flight) (Response, int) {
 			return resp, http.StatusServiceUnavailable
 		}
 		defer release()
-		s.metrics.countEngineRun()
+		s.metrics.engineRuns.Inc()
 	}
 
 	eng := sweep.New(sweep.Options{
@@ -532,29 +529,12 @@ func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) (*request, b
 }
 
 func (s *Server) writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.opts.RetryAfter)))
-	}
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
-}
-
-// retryAfterSeconds renders the hint as whole seconds, at least 1 (the
-// header's granularity).
-func retryAfterSeconds(d time.Duration) int {
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
+	cluster.WriteError(w, code, s.opts.RetryAfter, msg)
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.opts.RetryAfter)))
-	}
+	cluster.SetRetryAfter(w.Header(), code, s.opts.RetryAfter)
 	// Marshal first and declare the exact length: a response bigger than
 	// the server's write buffer would otherwise go out chunked, and a
 	// mid-body connection cut would then look like a clean short read to
@@ -668,38 +648,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	inFlight, queued := s.admit.depths()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	fmt.Fprint(w, s.metrics.Render(inFlight, queued))
-}
-
-// countingWriter records the status code for the request counter.
-type countingWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (c *countingWriter) WriteHeader(code int) {
-	if c.code == 0 {
-		c.code = code
-	}
-	c.ResponseWriter.WriteHeader(code)
-}
-
-func (c *countingWriter) Write(b []byte) (int, error) {
-	if c.code == 0 {
-		c.code = http.StatusOK
-	}
-	return c.ResponseWriter.Write(b)
-}
-
-// Flush lets streaming handlers flush through the counter.
-func (c *countingWriter) Flush() {
-	if f, ok := c.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (c *countingWriter) Code() int {
-	if c.code == 0 {
-		return http.StatusOK
-	}
-	return c.code
 }

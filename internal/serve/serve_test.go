@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/report"
 	"repro/internal/sweep"
 )
@@ -426,11 +427,20 @@ func waitFor(t *testing.T, cond func() bool) {
 func TestRetryAfterSeconds(t *testing.T) {
 	for _, tc := range []struct {
 		d    time.Duration
-		want int
-	}{{0, 1}, {time.Millisecond, 1}, {time.Second, 1}, {1500 * time.Millisecond, 2}, {3 * time.Second, 3}} {
-		if got := retryAfterSeconds(tc.d); got != tc.want {
-			t.Errorf("retryAfterSeconds(%v) = %d, want %d", tc.d, got, tc.want)
+		want string
+	}{{0, "1"}, {time.Millisecond, "1"}, {time.Second, "1"}, {1500 * time.Millisecond, "2"}, {3 * time.Second, "3"}} {
+		for _, code := range []int{http.StatusTooManyRequests, http.StatusServiceUnavailable} {
+			h := http.Header{}
+			cluster.SetRetryAfter(h, code, tc.d)
+			if got := h.Get("Retry-After"); got != tc.want {
+				t.Errorf("SetRetryAfter(%d, %v) = %q, want %q", code, tc.d, got, tc.want)
+			}
 		}
+	}
+	h := http.Header{}
+	cluster.SetRetryAfter(h, http.StatusInternalServerError, time.Second)
+	if got, ok := h["Retry-After"]; ok {
+		t.Errorf("a 500 got Retry-After %q; only 429 and 503 promise one", got)
 	}
 }
 

@@ -18,10 +18,9 @@ import (
 var errNoRawStore = errors.New("serve: store does not support raw replication access")
 
 // recordShardLatency folds one completed flight's wall latency into the
-// per-shard tracker (worker mode / -shard-stats). The shard is derived
-// from the content-hash request id with the same mapping the router
-// uses, so the digests the worker publishes line up with the router's
-// shard table.
+// per-shard tracker (worker mode). The shard is derived from the
+// content-hash request id with the same mapping the router uses, so the
+// digests the worker publishes line up with the router's shard table.
 func (s *Server) recordShardLatency(id string, wall time.Duration) {
 	if s.tracker == nil {
 		return

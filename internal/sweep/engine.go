@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -71,15 +70,11 @@ type Options struct {
 	// Store memoizes results; nil means a fresh in-memory store (no
 	// caching across runs).
 	Store Store
-	// Events, when non-nil, receives a live JSONL progress stream (job
-	// start/finish, wall time, cache hit/miss). Event order follows
-	// completion order, not canonical order — it is observability, not
-	// an artifact. Internally this is NewWriterSink(Events) appended to
-	// Sink; the byte format is unchanged.
-	Events io.Writer
-	// Sink, when non-nil, receives every progress event as a value —
-	// the exported subscriber path (a Hub for fan-out/replay, or any
-	// custom EventSink). It sees the same events as the Events stream.
+	// Sink, when non-nil, receives every progress event (job
+	// start/finish, wall time, cache hit/miss) as a value: a Hub for
+	// fan-out and replay, NewWriterSink for a live JSONL stream, or any
+	// custom EventSink. Event order follows completion order, not
+	// canonical order — it is observability, not an artifact.
 	Sink EventSink
 	// Runner executes jobs; nil means ExperimentRunner.
 	Runner Runner
@@ -103,7 +98,6 @@ type Options struct {
 // Engine runs sweeps.
 type Engine struct {
 	opts Options
-	sink MultiSink
 }
 
 // New builds an engine.
@@ -115,24 +109,18 @@ func New(opts Options) *Engine {
 		opts.Store = NewMemStore()
 	}
 	if opts.Runner == nil {
-		// Batched by default: the service layers construct engines with
-		// both runners nil and inherit fusion transparently.
+		// Batched by default: the CLIs and benchmark/ construct engines
+		// with both runners nil and get fusion. serve always passes a
+		// Runner, so the daemons never fuse.
 		if opts.BatchRunner == nil {
 			opts.BatchRunner = ExperimentBatchRunner
 		}
 		opts.Runner = ExperimentRunner
 	}
-	e := &Engine{opts: opts}
-	if ws := NewWriterSink(opts.Events); ws != nil {
-		e.sink = append(e.sink, ws)
-	}
-	if opts.Sink != nil {
-		e.sink = append(e.sink, opts.Sink)
-	}
-	return e
+	return &Engine{opts: opts}
 }
 
-// Event is one progress record on the Events stream.
+// Event is one progress record handed to Options.Sink.
 type Event struct {
 	Event      string  `json:"event"` // "start", "done", "failed", "sweep"
 	Job        int     `json:"job,omitempty"`
@@ -200,7 +188,9 @@ func wallNow() time.Time {
 }
 
 func (e *Engine) emit(ev Event) {
-	e.sink.Emit(ev)
+	if e.opts.Sink != nil {
+		e.opts.Sink.Emit(ev)
+	}
 }
 
 // Run expands specs into jobs, executes them on the worker pool, and

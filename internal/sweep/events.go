@@ -15,27 +15,26 @@ type EventSink interface {
 	Emit(Event)
 }
 
-// WriterSink adapts an io.Writer into an EventSink that renders each
-// event as one JSON line — the exact byte format the engine has always
-// produced for Options.Events (cmd/sweep -events). A nil writer yields a
-// nil sink.
-type WriterSink struct {
+// writerSink renders each event as one JSON line — the byte format of
+// cmd/sweep -events.
+type writerSink struct {
 	mu sync.Mutex
 	w  io.Writer
 }
 
-// NewWriterSink wraps w; it returns nil when w is nil so callers can
-// pass the result straight into a sink list.
-func NewWriterSink(w io.Writer) *WriterSink {
+// NewWriterSink adapts w into an EventSink writing JSONL. A nil writer
+// yields a nil EventSink (not a nil pointer inside a non-nil interface),
+// so the result can go straight into Options.Sink.
+func NewWriterSink(w io.Writer) EventSink {
 	if w == nil {
 		return nil
 	}
-	return &WriterSink{w: w}
+	return &writerSink{w: w}
 }
 
 // Emit implements EventSink: one marshalled JSON object per line, whole
 // lines only (the mutex keeps concurrent workers from interleaving).
-func (s *WriterSink) Emit(ev Event) {
+func (s *writerSink) Emit(ev Event) {
 	data, err := json.Marshal(ev)
 	if err != nil {
 		return
@@ -131,18 +130,5 @@ func (s *Subscription) Next(ctx context.Context) (Event, bool) {
 			return Event{}, false
 		}
 		h.cond.Wait()
-	}
-}
-
-// MultiSink fans one event out to several sinks in order; nil entries
-// are skipped.
-type MultiSink []EventSink
-
-// Emit implements EventSink.
-func (m MultiSink) Emit(ev Event) {
-	for _, s := range m {
-		if s != nil {
-			s.Emit(ev)
-		}
 	}
 }

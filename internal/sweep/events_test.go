@@ -11,9 +11,8 @@ import (
 	"time"
 )
 
-// TestWriterSinkMatchesLegacyFormat pins the JSONL byte format of the
-// Events writer path: one marshalled Event per line, exactly as the
-// engine emitted before the sink refactor.
+// TestWriterSinkMatchesLegacyFormat pins the JSONL byte format of
+// NewWriterSink (cmd/sweep -events): one marshalled Event per line.
 func TestWriterSinkMatchesLegacyFormat(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewWriterSink(&buf)
@@ -38,14 +37,36 @@ func TestWriterSinkMatchesLegacyFormat(t *testing.T) {
 	}
 }
 
-// TestEngineEventsAndSinkAgree runs one sweep with both the legacy
-// Events writer and a Hub sink attached: the hub must buffer exactly the
-// events the JSONL stream carries, in the same order.
+// TestNilWriterSinkIsNilInterface: the CLIs pass NewWriterSink(w)
+// straight into Options.Sink with w nil when -events is unset; that must
+// be a nil EventSink the engine skips, not a nil pointer it calls.
+func TestNilWriterSinkIsNilInterface(t *testing.T) {
+	if sink := NewWriterSink(nil); sink != nil {
+		t.Fatalf("NewWriterSink(nil) = %#v, want a nil EventSink", sink)
+	}
+	if _, err := New(Options{Workers: 1, Runner: fakeRunner, Sink: NewWriterSink(nil)}).
+		Run(context.Background(), fakeSpecs([]uint64{1})); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// teeSink hands each event to every sink in order.
+type teeSink []EventSink
+
+func (t teeSink) Emit(ev Event) {
+	for _, s := range t {
+		s.Emit(ev)
+	}
+}
+
+// TestEngineEventsAndSinkAgree runs one sweep with both a JSONL writer
+// sink and a Hub attached: the hub must buffer exactly the events the
+// JSONL stream carries, in the same order.
 func TestEngineEventsAndSinkAgree(t *testing.T) {
 	var buf bytes.Buffer
 	hub := NewHub()
 	specs := fakeSpecs([]uint64{1, 2})
-	if _, err := New(Options{Workers: 1, Runner: fakeRunner, Events: &buf, Sink: hub}).
+	if _, err := New(Options{Workers: 1, Runner: fakeRunner, Sink: teeSink{NewWriterSink(&buf), hub}}).
 		Run(context.Background(), specs); err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestPanicRecoveryDrainsQueue(t *testing.T) {
 		return fakeRunner(spec)
 	}
 	var events bytes.Buffer
-	eng := New(Options{Workers: 4, Runner: runner, Events: &events})
+	eng := New(Options{Workers: 4, Runner: runner, Sink: NewWriterSink(&events)})
 	specs := []Spec{{
 		Experiment: "fake-a", Version: 1,
 		Axes: fakeSpecs(nil)[0].Axes, Seeds: []uint64{1, 2, 3, 4}, Scale: 1,

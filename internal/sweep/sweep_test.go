@@ -391,7 +391,7 @@ func TestAggregate(t *testing.T) {
 func TestEventsStream(t *testing.T) {
 	var buf bytes.Buffer
 	specs := fakeSpecs([]uint64{1, 2})
-	if _, err := New(Options{Workers: 2, Runner: fakeRunner, Events: &buf}).
+	if _, err := New(Options{Workers: 2, Runner: fakeRunner, Sink: NewWriterSink(&buf)}).
 		Run(context.Background(), specs); err != nil {
 		t.Fatal(err)
 	}
