@@ -108,7 +108,7 @@ func main() {
 			Buses:            *buses,
 			MemLatency:       *memLat,
 			CheckConsistency: !*noCheck,
-			WatchdogCycles:   *watchdog,
+			StallCycles:      *watchdog,
 		}
 	}
 

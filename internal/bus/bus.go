@@ -361,11 +361,12 @@ type Bus struct {
 
 	// The request lines are asserted/deasserted by the request-line
 	// (snoop) phase and consumed by the arbiter in the bus phase, so the
-	// slot state is co-owned by both.
+	// slot state is co-owned by both. One bit per source id, sized with
+	// reqs; asserted is its population count.
 	//phase:bus,snoop
-	slots []int // sources with their request line asserted
+	lines []uint64
 	//phase:bus,snoop
-	slotted []bool // membership view of slots, indexed by source id
+	asserted int
 	//phase:bus
 	stalled []int // per-Tick scratch: sources whose grant stalled this cycle
 	//phase:bus,snoop
@@ -431,10 +432,8 @@ func (b *Bus) SetInjector(inj Injector) { b.inj = inj }
 // resolved at Attach time and are part of the machine's shape, not its
 // run state, so a recycled bus re-runs a workload exactly as a new one.
 func (b *Bus) Reset() {
-	b.slots = b.slots[:0]
-	for i := range b.slotted {
-		b.slotted[i] = false
-	}
+	clear(b.lines)
+	b.asserted = 0
 	b.stalled = b.stalled[:0]
 	b.targets = b.targets[:0]
 	b.priority = -1
@@ -569,9 +568,9 @@ func (b *Bus) AttachRequester(id int, r Requester) {
 		grown := make([]Requester, id+1)
 		copy(grown, b.reqs)
 		b.reqs = grown
-		flags := make([]bool, id+1)
-		copy(flags, b.slotted)
-		b.slotted = flags
+		for len(b.lines) <= id>>6 {
+			b.lines = append(b.lines, 0)
+		}
 	}
 	if b.reqs[id] != nil {
 		panic(fmt.Sprintf("bus: duplicate requester id %d", id))
@@ -588,22 +587,19 @@ func (b *Bus) requester(id int) Requester {
 }
 
 // RequestSlot asserts source id's bus-request line. Asserting an already
-// asserted line is a no-op — the slotted bitmap makes the (very common)
-// re-assertion of a still-blocked source O(1) rather than a scan of every
-// asserted line. Called from the request-line phase and by the bus itself
-// when it re-asserts a stalled source's line.
+// asserted line is a no-op. Called from the request-line phase and by the
+// bus itself when it re-asserts a stalled source's line.
 //
 //phase:bus,snoop
 //hotpath:allocfree
 func (b *Bus) RequestSlot(id int) {
-	if id >= 0 && id < len(b.slotted) && b.slotted[id] {
-		return
-	}
 	if b.requester(id) == nil {
 		panic(fmt.Sprintf("bus: slot requested for unattached source %d", id))
 	}
-	b.slotted[id] = true
-	b.slots = append(b.slots, id)
+	if bit := uint64(1) << (id & 63); b.lines[id>>6]&bit == 0 {
+		b.lines[id>>6] |= bit
+		b.asserted++
+	}
 }
 
 // CancelSlot deasserts source id's request line (and its priority claim).
@@ -612,14 +608,9 @@ func (b *Bus) RequestSlot(id int) {
 //phase:bus,snoop
 //hotpath:allocfree
 func (b *Bus) CancelSlot(id int) {
-	if id >= 0 && id < len(b.slotted) && b.slotted[id] {
-		b.slotted[id] = false
-		for i, s := range b.slots {
-			if s == id {
-				b.slots = append(b.slots[:i], b.slots[i+1:]...)
-				break
-			}
-		}
+	if b.lineAsserted(id) {
+		b.lines[id>>6] &^= 1 << (id & 63)
+		b.asserted--
 	}
 	if b.priority == id {
 		b.priority = -1
@@ -643,17 +634,17 @@ func (b *Bus) PrioritySlot(id int) {
 	b.priority = id
 }
 
-// Slotted reports whether source id currently has a request line asserted.
-func (b *Bus) Slotted(id int) bool {
-	if b.priority == id {
-		return true
-	}
-	return id >= 0 && id < len(b.slotted) && b.slotted[id]
+// lineAsserted reports whether id's ordinary request line is asserted.
+func (b *Bus) lineAsserted(id int) bool {
+	return id >= 0 && id>>6 < len(b.lines) && b.lines[id>>6]&(1<<(id&63)) != 0
 }
+
+// Slotted reports whether source id currently has a request line asserted.
+func (b *Bus) Slotted(id int) bool { return b.priority == id || b.lineAsserted(id) }
 
 // PendingLen returns the number of asserted request lines.
 func (b *Bus) PendingLen() int {
-	n := len(b.slots)
+	n := b.asserted
 	if b.priority != -1 {
 		n++
 	}
@@ -787,28 +778,33 @@ func (b *Bus) pick() (int, bool) {
 		b.lastWin = s
 		return s, true
 	}
-	if len(b.slots) == 0 {
+	if b.asserted == 0 {
 		return 0, false
 	}
 	// Round-robin: grant the source that follows lastWin most closely in
-	// increasing (wrapping) id order.
-	best := -1
-	bestKey := int(^uint(0) >> 1)
-	for i, s := range b.slots {
-		key := s - b.lastWin
-		if key <= 0 {
-			key += 1 << 30
-		}
-		if key < bestKey {
-			bestKey = key
-			best = i
-		}
+	// increasing (wrapping) id order — the first asserted line after it.
+	s := b.nextLine(b.lastWin + 1)
+	if s < 0 {
+		s = b.nextLine(0)
 	}
-	s := b.slots[best]
-	b.slots = append(b.slots[:best], b.slots[best+1:]...)
-	b.slotted[s] = false
+	b.lines[s>>6] &^= 1 << (s & 63)
+	b.asserted--
 	b.lastWin = s
 	return s, true
+}
+
+// nextLine returns the lowest asserted request line with id >= from, or -1.
+//
+//hotpath:allocfree
+func (b *Bus) nextLine(from int) int {
+	skip := ^uint64(0) << (from & 63) // masks off the ids below from in its word
+	for w := from >> 6; w < len(b.lines); w++ {
+		if word := b.lines[w] & skip; word != 0 {
+			return w<<6 + bits.TrailingZeros64(word)
+		}
+		skip = ^uint64(0)
+	}
+	return -1
 }
 
 // execute performs one transaction against memory and the snoopers.

@@ -179,7 +179,10 @@ type Cache struct {
 	id    int
 	proto coherence.Protocol
 	cfg   Config
-	sets  [][]line
+	// lines is the whole tag store in one arena: set s occupies
+	// lines[s*ways : (s+1)*ways], so a lookup costs one host-cache miss,
+	// not a slice-header load and then the line.
+	lines []line
 	nsets int
 
 	//phase:any
@@ -214,8 +217,12 @@ type Cache struct {
 	planReq bus.Request
 	//phase:bus,snoop
 	planNeed bool
+	// news, when non-nil, is this cache's bit in the machine's has-news
+	// set (see SetNews): mutated raises it, the machine's request-line
+	// phase lowers it.
 	//phase:any
-	gen uint64 // mutation generation, see Gen
+	news    *uint64
+	newsBit uint64
 
 	// OnResolve, when non-nil, is invoked synchronously whenever an
 	// operation's result binds — on cache hits, bus completions, and
@@ -244,28 +251,19 @@ func New(id int, proto coherence.Protocol, cfg Config) (*Cache, error) {
 	if proto == nil {
 		return nil, fmt.Errorf("cache: nil protocol")
 	}
-	nsets := cfg.Lines / cfg.Ways
-	sets := make([][]line, nsets)
-	backing := make([]line, cfg.Lines)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
-	return &Cache{id: id, proto: proto, cfg: cfg, sets: sets, nsets: nsets}, nil
+	return &Cache{id: id, proto: proto, cfg: cfg, lines: make([]line, cfg.Lines), nsets: cfg.Lines / cfg.Ways}, nil
 }
 
 // Reset returns the cache to its freshly constructed state — every frame
 // invalid, no in-flight operation, no memoized plan, zero counters —
 // without reallocating the line arena. Identity (id, protocol, geometry)
-// and wiring (OnResolve, probe, presence table) survive: they are the machine's
-// shape, re-applied by the machine when it differs. The caller owns the
-// presence table and resets it separately; the cache starts with no
-// valid frames, so it needs no un-recording here.
+// and wiring (OnResolve, probe, presence table, news bit) survive: they are
+// the machine's shape, re-applied by the machine when it differs. The
+// caller owns the presence table and the has-news set and resets them
+// separately; the cache starts with no valid frames, so it needs no
+// un-recording here.
 func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = line{}
-		}
-	}
+	clear(c.lines)
 	c.useClock = 0
 	c.pend = pending{}
 	c.hasPend = false
@@ -274,7 +272,6 @@ func (c *Cache) Reset() {
 	c.planOK = false
 	c.planReq = bus.Request{}
 	c.planNeed = false
-	c.gen = 0
 	c.stats = Stats{}
 }
 
@@ -294,6 +291,15 @@ func (c *Cache) ID() int { return c.id }
 // frame occupancy to (see bus.Presence). Must be set before any traffic;
 // the cache starts with no valid frames, so the table needs no seeding.
 func (c *Cache) SetPresence(p *bus.Presence) { c.pres = p }
+
+// SetNews wires the cache to its bit (mask) of a has-news word: every
+// change to a line or to the in-flight operation — processor accesses,
+// own bus completions, snooped traffic that touched a held line, local
+// resolutions — raises the bit. Whoever lowers it may then skip the cache
+// while it stays low: its bus needs, pending state and resolved value are
+// exactly as last observed. The machine's cycle loop uses this to poll
+// only caches something happened to.
+func (c *Cache) SetNews(word *uint64, mask uint64) { c.news, c.newsBit = word, mask }
 
 // Probe is the cache's reference-stream observation port (internal/mrc
 // plugs an online reuse-distance profiler into it). It fires once per
@@ -323,14 +329,19 @@ func (c *Cache) Protocol() coherence.Protocol { return c.proto }
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// setFor returns the set index of an address.
-func (c *Cache) setFor(a bus.Addr) int { return int(a) & (c.nsets - 1) }
+// setOf returns the frames of the set an address maps to.
+//
+//hotpath:allocfree
+func (c *Cache) setOf(a bus.Addr) []line {
+	base := (int(a) & (c.nsets - 1)) * c.cfg.Ways
+	return c.lines[base : base+c.cfg.Ways]
+}
 
 // lookup returns the line holding addr, or nil.
 //
 //hotpath:allocfree
 func (c *Cache) lookup(a bus.Addr) *line {
-	set := c.sets[c.setFor(a)]
+	set := c.setOf(a)
 	for i := range set {
 		if set[i].valid && set[i].addr == a {
 			return &set[i]
@@ -352,24 +363,17 @@ func (c *Cache) Lookup(a bus.Addr) (coherence.State, bus.Word, bool) {
 // Busy reports whether an operation is in flight.
 func (c *Cache) Busy() bool { return c.hasPend || c.hasResolved }
 
-// mutated discards the memoized plan and advances the generation
-// counter; every path that changes a line or the pending op calls it
-// before (or instead of) the change.
+// mutated discards the memoized plan and raises the has-news bit; every
+// path that changes a line or the pending op calls it before (or instead
+// of) the change.
 //
 //hotpath:allocfree
 func (c *Cache) mutated() {
 	c.planOK = false
-	c.gen++
+	if c.news != nil {
+		*c.news |= c.newsBit
+	}
 }
-
-// Gen returns the cache's mutation generation: it advances on every
-// change to a line or to the in-flight operation (processor accesses,
-// own bus completions, snooped traffic that touched a held line, local
-// resolutions). A caller that saw generation g and sees it again can
-// skip the cache entirely — its bus needs, pending state and resolved
-// value are all exactly as last observed. The machine's cycle loop uses
-// this to poll only caches something happened to.
-func (c *Cache) Gen() uint64 { return c.gen }
 
 // setPend records p as the in-flight operation.
 //
@@ -781,7 +785,7 @@ func (c *Cache) completeLocally(ln *line, out coherence.ProcOutcome) {
 //
 //hotpath:allocfree
 func (c *Cache) victim(a bus.Addr) *line {
-	set := c.sets[c.setFor(a)]
+	set := c.setOf(a)
 	best := &set[0]
 	for i := range set {
 		ln := &set[i]
@@ -1160,15 +1164,14 @@ type Entry struct {
 	Data  bus.Word
 }
 
-// Entries lists all valid lines in ascending address order is NOT
-// guaranteed; callers sort if they need determinism.
+// Entries lists all valid lines in frame order (set by set, way by way):
+// deterministic for a given run, but not ascending address order; callers
+// sort if they need that.
 func (c *Cache) Entries() []Entry {
 	var out []Entry
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid {
-				out = append(out, Entry{Addr: set[i].addr, State: set[i].state, Dirty: set[i].dirty, Data: set[i].data})
-			}
+	for i := range c.lines {
+		if ln := &c.lines[i]; ln.valid {
+			out = append(out, Entry{Addr: ln.addr, State: ln.state, Dirty: ln.dirty, Data: ln.data})
 		}
 	}
 	return out

@@ -194,7 +194,7 @@ func (s *RunSpec) Build() (machine.Config, []workload.Agent, error) {
 		MemLatency:       d.MemLatency,
 		CheckConsistency: !d.DisableCheck,
 		TwoPhaseRMW:      d.TwoPhaseRMW,
-		WatchdogCycles:   watchdog,
+		StallCycles:      watchdog,
 	}
 
 	agents, err := d.buildAgents()

@@ -20,8 +20,8 @@ func TestLoadDefaults(t *testing.T) {
 	if cfg.Protocol.Name() != "rb" || len(agents) != 4 || cfg.CacheLines != 1024 {
 		t.Fatalf("defaults: proto=%s agents=%d lines=%d", cfg.Protocol.Name(), len(agents), cfg.CacheLines)
 	}
-	if !cfg.CheckConsistency || cfg.WatchdogCycles != 1_000_000 {
-		t.Fatalf("defaults: check=%v watchdog=%d", cfg.CheckConsistency, cfg.WatchdogCycles)
+	if !cfg.CheckConsistency || cfg.StallCycles != 1_000_000 {
+		t.Fatalf("defaults: check=%v watchdog=%d", cfg.CheckConsistency, cfg.StallCycles)
 	}
 	if s.MaxCyclesOrDefault() != 100_000_000 {
 		t.Fatalf("MaxCycles = %d", s.MaxCyclesOrDefault())
@@ -124,7 +124,7 @@ func TestDisables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.CheckConsistency || cfg.WatchdogCycles != 0 {
+	if cfg.CheckConsistency || cfg.StallCycles != 0 {
 		t.Fatalf("disables ignored: %+v", cfg)
 	}
 }

@@ -52,7 +52,7 @@ func RMWStyleRows(p Params) ([]RMWStyleRow, error) {
 				CacheLines:       64,
 				TwoPhaseRMW:      twoPhase,
 				CheckConsistency: true,
-				WatchdogCycles:   1_000_000,
+				StallCycles:      1_000_000,
 			}, func() []workload.Agent {
 				locks = locks[:0]
 				agents := make([]workload.Agent, pes)

@@ -21,7 +21,7 @@ import (
 //
 //   - append that can grow its backing array. Allowed: the first argument
 //     is a reslice ("x[:0]", "x[:i]"); a self-append to a field
-//     ("b.slots = append(b.slots, v)" — a long-lived scratch buffer whose
+//     ("b.stalled = append(b.stalled, v)" — a long-lived scratch buffer whose
 //     growth amortizes to zero); a self-append to a local initialized
 //     from a reslice ("t := b.targets[:0]; t = append(t, v)").
 //   - make, new, map/slice composite literals, and &T{} (escaping

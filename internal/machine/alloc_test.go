@@ -9,8 +9,10 @@ import (
 
 // TestSteadyStateAllocFree is the allocation regression of the flat-core
 // refactor: after warmup, the cycle loop must not allocate at all —
-// RB/RWB x 1/8/64 PEs x oracle on or off, one bus, 2048-line
-// direct-mapped caches, unbounded Table 1-1 application agents. The
+// RB/RWB x 1/8/64/65/130 PEs x oracle on or off, one bus, 2048-line
+// direct-mapped caches, unbounded Table 1-1 application agents (65 and
+// 130 PEs: a second and third word of every per-PE bitmap, and broadcast
+// snooping in place of the presence table). The
 // assertion runs only without the race detector (raceEnabled), whose
 // instrumentation allocates on its own.
 func TestSteadyStateAllocFree(t *testing.T) {
@@ -21,7 +23,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		t.Skip("short mode")
 	}
 	for _, proto := range []string{"rb", "rwb"} {
-		for _, pes := range []int{1, 8, 64} {
+		for _, pes := range []int{1, 8, 64, 65, 130} {
 			for _, oracle := range []bool{false, true} {
 				name := fmt.Sprintf("%s-%dpe", proto, pes)
 				if oracle {

@@ -10,6 +10,7 @@ package machine
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/bus"
@@ -51,9 +52,6 @@ type Config struct {
 	// spuriously; fault-injection runs use tighter values so a wedged
 	// transaction is *detected* rather than spun on forever.
 	StallCycles uint64
-	// WatchdogCycles is the older name for StallCycles, honored when
-	// StallCycles is zero.
-	WatchdogCycles uint64
 }
 
 func (c Config) withDefaults() Config {
@@ -68,9 +66,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Buses == 0 {
 		c.Buses = 1
-	}
-	if c.StallCycles == 0 {
-		c.StallCycles = c.WatchdogCycles
 	}
 	return c
 }
@@ -167,13 +162,35 @@ type Machine struct {
 	//phase:any
 	err error
 
-	// issueCycle stamps are set at issue (CPU phase) and cleared at
-	// delivery (bus or snoop phase).
+	// issueCycle stamps are set at issue (CPU phase, or at the delivery
+	// that starts the second leg of a two-phase Test-and-Set) and cleared
+	// at delivery (bus or snoop phase).
 	//phase:any
 	issueCycle []uint64 // per PE: cycle its in-flight op was issued (0 = none)
-	//phase:snoop
-	lastGen []uint64 // per PE: cache generation at its last phase-3 pass
-	missLat stats.Histogram
+	// nextWatch is a lower bound on the first cycle the watchdog can trip;
+	// Step scans issueCycle only when the clock reaches it.
+	nextWatch uint64
+	missLat   stats.Histogram
+
+	// The active sets, one bit per PE, that keep a cycle's host cost
+	// proportional to what happened in it. news holds the caches mutated
+	// since their last request-line pass (Cache.mutated raises the bit
+	// through cache.SetNews, from any phase; snoopPhase lowers it).
+	// runnable holds the PEs the CPU phase must visit: a PE leaves when it
+	// blocks or halts and returns at delivery.
+	//phase:any
+	news []uint64
+	//phase:any
+	runnable []uint64
+	// A blocked PE's StallCycles are credited in one add when it unblocks:
+	// cpuDone counts completed CPU phases and stallFrom[i] is its value when
+	// PE i's uncredited stall began, so the stall so far is their difference
+	// (a bus-phase delivery in cycle d precedes d's CPU phase, a snoop-phase
+	// one follows it). Metrics adds the in-progress part.
+	//phase:cpu
+	cpuDone uint64
+	//phase:any
+	stallFrom []uint64
 
 	dirtyOwners map[bus.Addr]int // VerifyFinalMemory scratch, reused across calls
 }
@@ -201,6 +218,8 @@ func New(cfg Config, agents []workload.Agent) (*Machine, error) {
 		m.buses.SetPresence(pres)
 		m.pres = pres
 	}
+	words := (len(agents) + 63) / 64
+	m.news, m.runnable, m.stallFrom = make([]uint64, words), make([]uint64, words), make([]uint64, len(agents))
 	for i, agent := range agents {
 		c, err := cache.New(i, cfg.Protocol, cache.Config{Lines: cfg.CacheLines, Ways: cfg.CacheWays})
 		if err != nil {
@@ -211,6 +230,7 @@ func New(cfg Config, agents []workload.Agent) (*Machine, error) {
 			c.OnResolve = func(info cache.ResolveInfo) { m.checkResolve(pe, info) }
 		}
 		c.SetPresence(pres)
+		c.SetNews(&m.news[i>>6], 1<<(i&63))
 		m.buses.Attach(i, c)
 		m.buses.AttachRequester(i, c)
 		m.caches = append(m.caches, c)
@@ -219,7 +239,7 @@ func New(cfg Config, agents []workload.Agent) (*Machine, error) {
 		m.procs = append(m.procs, proc)
 		m.slotBank = append(m.slotBank, -1)
 		m.issueCycle = append(m.issueCycle, 0)
-		m.lastGen = append(m.lastGen, ^uint64(0)) // force the first pass
+		m.runnable[i>>6] |= 1 << (i & 63)
 	}
 	return m, nil
 }
@@ -279,8 +299,12 @@ func (m *Machine) resetCore() {
 		m.procs[i].SetTwoPhaseRMW(m.cfg.TwoPhaseRMW)
 		m.slotBank[i] = -1
 		m.issueCycle[i] = 0
-		m.lastGen[i] = ^uint64(0)
+		m.stallFrom[i] = 0
+		m.runnable[i>>6] |= 1 << (i & 63)
 	}
+	clear(m.news)
+	m.cpuDone = 0
+	m.nextWatch = 0
 	m.cycle = 0
 	m.err = nil
 	m.missLat.Reset()
@@ -343,24 +367,36 @@ func (m *Machine) Step() error {
 	m.busPhase()
 	m.cpuPhase()
 	m.snoopPhase()
-
-	// Watchdog: a PE stuck on one operation signals a machine bug (or, in
-	// a fault-injection run, a detected fault).
-	if m.cfg.StallCycles > 0 && m.err == nil {
-		for i, since := range m.issueCycle {
-			if since > 0 && m.cycle-since > m.cfg.StallCycles {
-				addr, wants := m.caches[i].WantsBus()
-				m.err = &StallError{
-					Cycle: m.cycle, PE: i, Since: since,
-					Pending: fmt.Sprintf("%s (wantsBus=%v addr=%d priority=%v)",
-						m.caches[i].PendingString(), wants, addr, m.caches[i].NeedsPriority()),
-					BusState: m.busStateDump(),
-				}
-				break
-			}
-		}
+	if m.cfg.StallCycles > 0 && m.cycle >= m.nextWatch && m.err == nil {
+		m.watchdog()
 	}
 	return m.err
+}
+
+// watchdog trips on a PE stuck on one operation for more than StallCycles
+// — a machine bug or, in a fault-injection run, a detected fault — and
+// otherwise moves nextWatch to the earliest cycle a PE blocked now could
+// trip. The bound holds until then without another scan: an operation
+// issued later trips later than that, and a delivery only removes a
+// candidate.
+func (m *Machine) watchdog() {
+	m.nextWatch = m.cycle + m.cfg.StallCycles + 1
+	for i, since := range m.issueCycle {
+		if since == 0 {
+			continue
+		}
+		if m.cycle-since > m.cfg.StallCycles {
+			addr, wants := m.caches[i].WantsBus()
+			m.err = &StallError{
+				Cycle: m.cycle, PE: i, Since: since,
+				Pending: fmt.Sprintf("%s (wantsBus=%v addr=%d priority=%v)",
+					m.caches[i].PendingString(), wants, addr, m.caches[i].NeedsPriority()),
+				BusState: m.busStateDump(),
+			}
+			return
+		}
+		m.nextWatch = min(m.nextWatch, since+m.cfg.StallCycles+1)
+	}
 }
 
 // busPhase is phase 1 of the cycle: each bank executes at most one
@@ -392,19 +428,33 @@ func (m *Machine) busPhase() {
 	}
 }
 
-// cpuPhase is phase 2 of the cycle: every ready PE issues one operation;
-// in-cache hits bind (and are oracle-checked via OnResolve) here, after
-// this cycle's bus transactions.
+// cpuPhase is phase 2 of the cycle: every runnable PE issues one operation
+// (or burns a compute cycle); in-cache hits bind (and are oracle-checked
+// via OnResolve) here, after this cycle's bus transactions. A PE that
+// blocks or halts leaves the runnable set: there is nothing to do for it
+// until deliver brings it back.
 //
 //phase:cpu
 //hotpath:allocfree
 func (m *Machine) cpuPhase() {
-	for i, p := range m.procs {
-		p.CPUPhase()
-		if p.Status() == processor.StatusBlocked && m.issueCycle[i] == 0 {
-			m.issueCycle[i] = m.cycle
+	for k, word := range m.runnable {
+		for ; word != 0; word &= word - 1 {
+			i := k<<6 + bits.TrailingZeros64(word)
+			p := m.procs[i]
+			p.CPUPhase()
+			switch p.Status() {
+			case processor.StatusBlocked:
+				m.runnable[k] &^= 1 << (i & 63)
+				m.issueCycle[i] = m.cycle
+				m.stallFrom[i] = m.cycle
+			case processor.StatusHalted:
+				m.runnable[k] &^= 1 << (i & 63)
+			case processor.StatusReady, processor.StatusComputing:
+				// Still runnable next cycle.
+			}
 		}
 	}
+	m.cpuDone++
 }
 
 // snoopPhase is phase 3 of the cycle — request-line management: assert or
@@ -413,47 +463,46 @@ func (m *Machine) cpuPhase() {
 // such resolutions bind their value now and are delivered at the end of
 // the cycle.
 //
-// Caches whose generation is unchanged since the last pass are skipped
-// outright: nothing happened to them, so their bus needs are as last
-// asserted (a stalled slot is kept alive by the bus itself, and any grant,
-// withdrawal or snoop hit advances the generation), they cannot have
-// resolved anything, and an unchanged priority claim needs no action — the
-// skip is exactly the no-op the full pass would have performed. With many
-// PEs most caches are idle or blocked most cycles, and the cycle loop
-// touches only the ones with news.
+// Only caches in the has-news set are visited. Nothing happened to the
+// others, so their bus needs are as last asserted (a stalled slot is kept
+// alive by the bus itself, and any grant, withdrawal or snoop hit is
+// news), they cannot have resolved anything, and an unchanged priority
+// claim needs no action — the skip is exactly the no-op the full pass
+// would have performed. With many PEs most caches are idle or blocked most
+// cycles, and the cycle loop touches only the ones with news.
 //
 //phase:snoop
 //hotpath:allocfree
 func (m *Machine) snoopPhase() {
-	for i, c := range m.caches {
-		gen := c.Gen()
-		if gen == m.lastGen[i] {
-			continue
-		}
-		if c.NeedsPriority() {
-			// Priority slot already asserted at interrupt time.
-			m.lastGen[i] = gen
-			continue
-		}
-		// WantsBus may resolve the operation locally (advancing the
-		// generation), so re-read the counter after it.
-		if addr, want := c.WantsBus(); want {
-			bank := m.buses.BankOf(addr)
-			if m.slotBank[i] != bank && m.slotBank[i] >= 0 {
-				m.buses.CancelSlot(i)
+	for k, word := range m.news {
+		for ; word != 0; word &= word - 1 {
+			i := k<<6 + bits.TrailingZeros64(word)
+			c := m.caches[i]
+			if c.NeedsPriority() {
+				// Priority slot already asserted at interrupt time.
+				m.news[k] &^= 1 << (i & 63)
+				continue
 			}
-			m.buses.RequestSlot(addr, i)
-			m.slotBank[i] = bank
-		} else if m.slotBank[i] >= 0 {
-			m.buses.CancelSlot(i)
-			m.slotBank[i] = -1
-		}
-		m.lastGen[i] = c.Gen()
-		// A delivery can start the next leg of a two-phase Test-and-Set
-		// (a new pending op), advancing the generation again; the next
-		// cycle's pass picks that up, as the separate delivery loop did.
-		if v, ok := c.TakeResolved(); ok {
-			m.deliver(i, v)
+			if addr, want := c.WantsBus(); want {
+				bank := m.buses.BankOf(addr)
+				if m.slotBank[i] != bank && m.slotBank[i] >= 0 {
+					m.buses.CancelSlot(i)
+				}
+				m.buses.RequestSlot(addr, i)
+				m.slotBank[i] = bank
+			} else if m.slotBank[i] >= 0 {
+				m.buses.CancelSlot(i)
+				m.slotBank[i] = -1
+			}
+			// WantsBus may have resolved the operation locally, which is
+			// news already acted on, so the bit drops after it. A delivery
+			// can start the next leg of a two-phase Test-and-Set (a new
+			// pending op) and raise it again; the next cycle's pass picks
+			// that up.
+			m.news[k] &^= 1 << (i & 63)
+			if v, ok := c.TakeResolved(); ok {
+				m.deliver(i, v)
+			}
 		}
 	}
 }
@@ -479,18 +528,29 @@ func (m *Machine) busStateDump() string {
 }
 
 // deliver completes PE i's blocked operation, recording its miss latency
-// (cycles from issue to delivery inclusive). Deliveries happen from the
-// bus phase (a grant completed) and the snoop phase (planning resolved the
-// operation without the bus), never from the CPU phase.
+// (cycles from issue to delivery inclusive) and crediting the CPU phases
+// it sat out. Deliveries happen from the bus phase (a grant completed) and
+// the snoop phase (planning resolved the operation without the bus), never
+// from the CPU phase. A delivery that starts the second leg of a two-phase
+// Test-and-Set leaves the PE blocked: that leg is stamped as issued in the
+// next CPU phase, which the PE sits out like any other.
 //
 //phase:bus,snoop
 //hotpath:allocfree
 func (m *Machine) deliver(i int, v bus.Word) {
 	if start := m.issueCycle[i]; start > 0 {
 		m.missLat.Observe(m.cycle - start + 1)
-		m.issueCycle[i] = 0
 	}
-	m.procs[i].Deliver(v)
+	p := m.procs[i]
+	p.CreditStall(m.cpuDone - m.stallFrom[i])
+	p.Deliver(v)
+	if p.Status() == processor.StatusBlocked {
+		m.issueCycle[i] = m.cpuDone + 1
+		m.stallFrom[i] = m.cpuDone
+		return
+	}
+	m.issueCycle[i] = 0
+	m.runnable[i>>6] |= 1 << (i & 63)
 }
 
 // checkResolve folds one bound operation into the oracle, at its binding
@@ -663,8 +723,12 @@ func (m *Machine) Metrics() Metrics {
 	for _, c := range m.caches {
 		mt.Caches = append(mt.Caches, c.Stats())
 	}
-	for _, p := range m.procs {
-		mt.Procs = append(mt.Procs, p.Stats())
+	for i, p := range m.procs {
+		st := p.Stats()
+		if p.Status() == processor.StatusBlocked {
+			st.StallCycles += m.cpuDone - m.stallFrom[i] // not yet credited, see deliver
+		}
+		mt.Procs = append(mt.Procs, st)
 	}
 	return mt
 }

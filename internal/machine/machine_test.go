@@ -416,7 +416,7 @@ func TestWatchdog(t *testing.T) {
 		workload.NewRandom(0, 16, 200, 0.5, 0.1, 1),
 		workload.NewRandom(0, 16, 200, 0.5, 0.1, 2),
 	}
-	m := MustNew(Config{WatchdogCycles: 100000, CheckConsistency: true}, agents)
+	m := MustNew(Config{StallCycles: 100000, CheckConsistency: true}, agents)
 	if _, err := m.Run(1_000_000); err != nil {
 		t.Fatalf("healthy machine tripped the watchdog: %v", err)
 	}
@@ -424,9 +424,9 @@ func TestWatchdog(t *testing.T) {
 	// An absurdly tight threshold fires on ordinary memory latency — the
 	// mechanism works end to end.
 	slow := MustNew(Config{
-		Protocol:       protoOrDie(t, "nocache"),
-		MemLatency:     5,
-		WatchdogCycles: 2,
+		Protocol:    protoOrDie(t, "nocache"),
+		MemLatency:  5,
+		StallCycles: 2,
 	}, []workload.Agent{
 		workload.NewRandom(0, 8, 50, 0.5, 0, 1),
 		workload.NewRandom(0, 8, 50, 0.5, 0, 2),
@@ -472,7 +472,7 @@ func (s *spinWriter) Next(workload.Result) workload.Op {
 func TestWatchdogNamesWedgedTransaction(t *testing.T) {
 	const lockAddr = bus.Addr(7)
 	agents := []workload.Agent{&spinWriter{addr: lockAddr}}
-	m := MustNew(Config{WatchdogCycles: 50}, agents)
+	m := MustNew(Config{StallCycles: 50}, agents)
 	wedge := &lockWedge{addr: lockAddr}
 	m.buses.AttachRequester(len(agents), wedge)
 	m.buses.RequestSlot(lockAddr, len(agents))
@@ -487,6 +487,11 @@ func TestWatchdogNamesWedgedTransaction(t *testing.T) {
 	}
 	if se.PE != 0 {
 		t.Fatalf("stalled PE = %d, want 0", se.PE)
+	}
+	// The watchdog scans only when its lower bound comes due; it must still
+	// trip on the first cycle the threshold is exceeded.
+	if se.Cycle != se.Since+50+1 {
+		t.Fatalf("tripped at cycle %d for an operation issued at %d, want %d", se.Cycle, se.Since, se.Since+51)
 	}
 	want := "write addr=7"
 	if !strings.Contains(se.Pending, want) {
@@ -653,7 +658,7 @@ func TestQuickCrossProtocolEquivalence(t *testing.T) {
 				Protocol:         coherence.New(k),
 				CacheLines:       16,
 				CheckConsistency: true,
-				WatchdogCycles:   100000,
+				StallCycles:      100000,
 			}, agents)
 			if _, err := m.Run(1_000_000); err != nil {
 				t.Logf("seed %d %v: %v", seed, k, err)

@@ -31,7 +31,7 @@ func TestTwoPhaseMutualExclusion(t *testing.T) {
 				Protocol:         protoOrDie(t, proto),
 				TwoPhaseRMW:      true,
 				CheckConsistency: true,
-				WatchdogCycles:   200000,
+				StallCycles:      200000,
 			}, agents)
 			if _, err := m.Run(10_000_000); err != nil {
 				t.Fatal(err)
@@ -70,7 +70,7 @@ func TestTwoPhaseCostsTwoTransactionsPerAttempt(t *testing.T) {
 		m := MustNew(Config{
 			TwoPhaseRMW:      twoPhase,
 			CheckConsistency: true,
-			WatchdogCycles:   200000,
+			StallCycles:      200000,
 		}, agents)
 		if _, err := m.Run(20_000_000); err != nil {
 			t.Fatal(err)
@@ -107,7 +107,7 @@ func TestTwoPhaseRandomWorkloadsConsistent(t *testing.T) {
 			CacheLines:       16,
 			TwoPhaseRMW:      true,
 			CheckConsistency: true,
-			WatchdogCycles:   200000,
+			StallCycles:      200000,
 		}, agents)
 		if _, err := m.Run(2_000_000); err != nil {
 			t.Fatalf("%s: %v", proto, err)

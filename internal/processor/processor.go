@@ -135,6 +135,10 @@ func (p *Processor) Stats() Stats { return p.stats }
 // Cache returns the PE's private cache.
 func (p *Processor) Cache() *cache.Cache { return p.cache }
 
+// CreditStall adds n blocked cycles at once, for a driver that skips
+// CPUPhase on a blocked PE instead of calling it to count each one.
+func (p *Processor) CreditStall(n uint64) { p.stats.StallCycles += n }
+
 // CPUPhase runs the PE for one cycle. If a memory operation completes
 // immediately (a cache hit), the retirement is returned for the oracle;
 // otherwise ret is nil.

@@ -133,11 +133,15 @@ func QuicksortProfile() AppProfile {
 // stackModel generates a reference stream with an LRU-stack-distance
 // locality profile over a bounded segment.
 type stackModel struct {
-	rng      *RNG
-	base     bus.Addr
-	size     int
-	stack    []bus.Addr // most recently used first
-	nextNew  int        // allocation cursor within the segment
+	rng  *RNG
+	base bus.Addr
+	size int
+	// stack holds segment offsets (address minus base), most recently used
+	// first. Two bytes an entry (NewApp bounds a segment at 64K words)
+	// halve the MaxDepth-sized backing, the workload layer's dominant
+	// allocation, and the bytes promote moves per reference.
+	stack    []uint16
+	nextNew  int // allocation cursor within the segment
 	hotFrac  float64
 	hotSet   int
 	midFrac  float64
@@ -158,7 +162,7 @@ func newStackModel(rng *RNG, base bus.Addr, size int, p AppProfile) *stackModel 
 	// float-rounding margin), so this capacity makes promote append-safe
 	// without ever reallocating mid-run — the reference stream must not
 	// be the simulator's steady-state allocation source.
-	m.stack = make([]bus.Addr, 0, p.MaxDepth+2)
+	m.stack = make([]uint16, 0, p.MaxDepth+2)
 	return m
 }
 
@@ -196,24 +200,24 @@ func (m *stackModel) next() bus.Addr {
 	if depth >= len(m.stack) {
 		// Deeper than history: reference a fresh address (a compulsory
 		// miss until the segment wraps).
-		a := m.base + bus.Addr(m.nextNew%m.size)
+		off := uint16(m.nextNew % m.size)
 		m.nextNew++
-		m.promote(a, len(m.stack))
-		return a
+		m.promote(off, len(m.stack))
+		return m.base + bus.Addr(off)
 	}
-	a := m.stack[depth]
-	m.promote(a, depth)
-	return a
+	off := m.stack[depth]
+	m.promote(off, depth)
+	return m.base + bus.Addr(off)
 }
 
-// promote moves the address at the given stack position to the front,
+// promote moves the offset at the given stack position to the front,
 // inserting it if position == len(stack).
-func (m *stackModel) promote(a bus.Addr, pos int) {
+func (m *stackModel) promote(off uint16, pos int) {
 	if pos == len(m.stack) {
 		m.stack = append(m.stack, 0)
 	}
 	copy(m.stack[1:pos+1], m.stack[:pos])
-	m.stack[0] = a
+	m.stack[0] = off
 }
 
 // App is the synthetic-application agent behind the Table 1-1
@@ -240,6 +244,9 @@ func NewApp(profile AppProfile, layout Layout, pe int, seed uint64, maxRefs int)
 	}
 	if layout.SharedWords < 1 || layout.CodeWords < 1 || layout.LocalWords < 1 {
 		return nil, fmt.Errorf("workload: layout has empty segments")
+	}
+	if layout.CodeWords > 1<<16 || layout.LocalWords > 1<<16 {
+		return nil, fmt.Errorf("workload: code and local segments are limited to 64K words")
 	}
 	rng := NewRNG(seed*1e9 + uint64(pe)*7919)
 	return &App{
