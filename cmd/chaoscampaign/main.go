@@ -416,9 +416,7 @@ func runCell(ctx context.Context, cfg config, class chaos.Class, in chaos.Intens
 		RequestID: func(body []byte) (string, error) { return serve.ComputeRequestID(body, idOpts) },
 		Client:    &http.Client{Transport: tr},
 		// Fast, deterministic failure detection: one failed probe round
-		// marks a worker down, one stalled attempt fails over. Hedging
-		// stays off — a hedged attempt would consume plan sequence
-		// numbers nondeterministically.
+		// marks a worker down, one stalled attempt fails over.
 		AttemptTimeout: attemptTimeout,
 		FailThreshold:  1,
 		ProbeTimeout:   250 * time.Millisecond,

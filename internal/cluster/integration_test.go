@@ -199,10 +199,8 @@ func TestReplicaFillCopiesExactBytes(t *testing.T) {
 		t.Skip("runs real experiments")
 	}
 	// Hair-trigger rebalancer: one submission's latency makes its shard
-	// hot on the first poll. Hedging is on and warm after one sample, so
-	// the follow-up status and profile reads below take the hedged path.
-	clus := startTestCluster(t, 2, cluster.Options{HotP99MS: 0.000001, MinSamples: 1, HotPolls: 1,
-		Hedge: true, HedgeMinSamples: 1})
+	// hot on the first poll.
+	clus := startTestCluster(t, 2, cluster.Options{HotP99MS: 0.000001, MinSamples: 1, HotPolls: 1})
 	const (
 		runSpec  = `{"kind":"experiment","experiment":"fig7-1","seeds":[1]}`
 		jobSpec  = `{"kind":"experiment","experiment":"fig6-1","seeds":[1]}`

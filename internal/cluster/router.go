@@ -77,14 +77,6 @@ type Options struct {
 	// BreakerCooldown is how many prober rounds an open circuit waits
 	// before admitting a half-open trial; 0 means 2.
 	BreakerCooldown int
-	// Hedge enables p99-driven request hedging for idempotent job
-	// status reads. Off by default — and it must stay off under the
-	// chaos campaign, where a hedged attempt would consume fault-plan
-	// sequence numbers nondeterministically.
-	Hedge bool
-	// HedgeMinSamples is how many latencies a worker's window needs
-	// before its reads can hedge; 0 means 32.
-	HedgeMinSamples int
 	// Journal, when set, records begin/done per submission so a router
 	// restart resumes in-flight work (see ResumePending).
 	Journal *Journal
@@ -139,9 +131,6 @@ func (o Options) withDefaults() Options {
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = 2
 	}
-	if o.HedgeMinSamples <= 0 {
-		o.HedgeMinSamples = 32
-	}
 	return o
 }
 
@@ -168,7 +157,6 @@ type Router struct {
 	probe    *http.Client
 	mux      *http.ServeMux
 	breakers *breakerSet
-	hedge    *hedger
 	draining atomic.Bool
 	inflight sync.WaitGroup
 }
@@ -190,7 +178,6 @@ func New(opts Options) (*Router, error) {
 		shards:   make([]shardSlot, opts.NumShards),
 		probe:    &http.Client{Timeout: opts.ProbeTimeout},
 		breakers: newBreakerSet(opts.BreakerThreshold, opts.BreakerCooldown),
-		hedge:    newHedger(opts.HedgeMinSamples),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", r.handleHealthz)
@@ -202,8 +189,7 @@ func New(opts Options) (*Router, error) {
 	mux.HandleFunc("GET /v1/jobs/{id}", r.handleByID)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", r.handleByID)
 	// Profile docs shard by the same content-hash id as the submission
-	// that built them, so the read lands on the worker holding the doc;
-	// byte-identical from any holder, hence hedgeable like status reads.
+	// that built them, so the read lands on the worker holding the doc.
 	mux.HandleFunc("GET /v1/profile/{id}", r.handleByID)
 	r.mux = mux
 	return r, nil
@@ -273,16 +259,8 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 // the id already embedded in the path — the same shard mapping the
 // submission used, so polls and event streams reach the worker that ran
 // the flight (proxyToShard walks past a replica that answers 404).
-// Plain status reads are the one hedgeable request
-// shape: content-hash idempotent, no stream, byte-identical from any
-// worker holding the result.
 func (r *Router) handleByID(w http.ResponseWriter, req *http.Request) {
-	id := req.PathValue("id")
-	shard := ShardOf(id, r.opts.NumShards)
-	if r.opts.Hedge && !strings.HasSuffix(req.URL.Path, "/events") && r.hedgedGet(w, req, shard) {
-		return
-	}
-	r.proxyToShard(w, req, shard, nil)
+	r.proxyToShard(w, req, ShardOf(req.PathValue("id"), r.opts.NumShards), nil)
 }
 
 // handleExperiments proxies the registry listing to any alive worker.
@@ -376,7 +354,6 @@ func (r *Router) proxyToShard(w http.ResponseWriter, req *http.Request, shard in
 		}
 		out.URL.RawQuery = req.URL.RawQuery
 		copyHeader(out.Header, req.Header, "Content-Type", "Accept")
-		start := wallNow()
 		resp, err := r.doAttempt(out)
 		if err != nil {
 			if req.Context().Err() != nil {
@@ -430,7 +407,6 @@ func (r *Router) proxyToShard(w http.ResponseWriter, req *http.Request, shard in
 				continue
 			}
 			r.breakers.OnSuccess(id)
-			r.hedge.Record(id, wallNow().Sub(start))
 			proxied()
 			copyHeader(w.Header(), resp.Header, "Content-Type", "Retry-After", "Cache-Control")
 			w.WriteHeader(resp.StatusCode)
@@ -498,108 +474,6 @@ func (b *cancelBody) Close() error {
 	err := b.ReadCloser.Close()
 	b.cancel()
 	return err
-}
-
-// hedgedGet serves an idempotent status read with p99 hedging: fire the
-// primary candidate, and if it hasn't answered within its own windowed
-// p99, fire the next candidate too — first good answer wins. Returns
-// false when hedging doesn't apply (cold window, lone candidate) or a
-// candidate answered 404; the caller falls back to the plain proxy path.
-func (r *Router) hedgedGet(w http.ResponseWriter, req *http.Request, shard int) bool {
-	cands, _ := r.candidates(shard)
-	if len(cands) < 2 {
-		return false
-	}
-	delay, ok := r.hedge.Delay(cands[0])
-	if !ok {
-		return false
-	}
-	r.inflight.Add(1)
-	defer r.inflight.Done()
-
-	ctx, cancel := context.WithCancel(req.Context())
-	defer cancel()
-	type result struct {
-		id   string
-		data []byte
-		resp *http.Response
-		err  error
-		dur  time.Duration
-	}
-	ch := make(chan result, 2)
-	fire := func(id string) {
-		start := wallNow()
-		out, err := http.NewRequestWithContext(ctx, http.MethodGet,
-			r.members.URL(id)+req.URL.Path, nil)
-		if err != nil {
-			ch <- result{id: id, err: err}
-			return
-		}
-		out.URL.RawQuery = req.URL.RawQuery
-		copyHeader(out.Header, req.Header, "Accept")
-		resp, err := r.opts.Client.Do(out)
-		if err != nil {
-			ch <- result{id: id, err: err}
-			return
-		}
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			ch <- result{id: id, err: err}
-			return
-		}
-		ch <- result{id: id, data: data, resp: resp, dur: wallNow().Sub(start)}
-	}
-	go fire(cands[0])
-	//lint:ignore determinism the hedge trigger is wall-clock tail-latency defense; campaigns run with hedging disabled
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	launched, failed := 1, 0
-	for {
-		select {
-		case <-timer.C:
-			if launched == 1 {
-				launched = 2
-				r.metrics.hedgesFired.Inc()
-				go fire(cands[1])
-			}
-		case res := <-ch:
-			good := res.err == nil && !gatewayStatus(res.resp.StatusCode)
-			if good && res.resp.StatusCode == http.StatusNotFound {
-				// "Not held by this worker": the holder may be any other
-				// candidate, not just the hedge partner, so hand the request
-				// to proxyToShard's walk over all of them.
-				return false
-			}
-			if good {
-				r.breakers.OnSuccess(res.id)
-				r.hedge.Record(res.id, res.dur)
-				if res.id == cands[1] {
-					r.metrics.hedgesWon.Inc()
-				}
-				r.metrics.proxied.Inc(res.id)
-				copyHeader(w.Header(), res.resp.Header, "Content-Type", "Retry-After", "Cache-Control")
-				w.WriteHeader(res.resp.StatusCode)
-				w.Write(res.data)
-				return true
-			}
-			failed++
-			if failed >= launched && launched == 2 {
-				r.metrics.noWorker.Inc()
-				r.writeError(w, http.StatusServiceUnavailable, "no worker available for shard "+strconv.Itoa(shard))
-				return true
-			}
-			if launched == 1 {
-				// The primary failed before the hedge trigger: fire the
-				// secondary immediately rather than waiting out the timer.
-				launched = 2
-				r.metrics.hedgesFired.Inc()
-				go fire(cands[1])
-			}
-		case <-req.Context().Done():
-			return true
-		}
-	}
 }
 
 // Drain stops accepting new submissions (they shed with 503 and a
@@ -747,13 +621,6 @@ func (r *Router) relay(w http.ResponseWriter, resp *http.Response) {
 			return
 		}
 	}
-}
-
-// wallNow samples the wall clock for latency observability (hedge
-// windows). No simulation result ever depends on it.
-func wallNow() time.Time {
-	//lint:ignore determinism latency observability needs the wall clock; results never depend on it
-	return time.Now()
 }
 
 // copyHeader copies the named headers that are present in src.

@@ -115,9 +115,9 @@ func RegisterTrace(name string, raw []byte) error {
 	if len(recs) == 0 {
 		return fmt.Errorf("experiments: trace %q is empty", name)
 	}
-	opsByPE, pes := traceOps(recs)
+	agents := trace.Split(recs)
 	salt := TraceSalt(raw)
-	note := fmt.Sprintf("replay of trace %q: %d records, %d PEs, content %s", name, len(recs), pes, salt)
+	note := fmt.Sprintf("replay of trace %q: %d records, %d PEs, content %s", name, len(recs), len(agents()), salt)
 	register(Experiment{
 		ID:      id,
 		Title:   fmt.Sprintf("Trace Replay: %s", name),
@@ -127,9 +127,7 @@ func RegisterTrace(name string, raw []byte) error {
 		Chart:   &ChartSpec{Labels: []int{0}, Value: 5}, // bus/ref per protocol
 		Run: func(p Params) (*Table, error) {
 			return WorkloadMatrix(p, id, fmt.Sprintf("Trace Replay: %s", name), note,
-				traceCacheLines, traceMaxCycles(len(recs)), func() []workload.Agent {
-					return TraceAgents(opsByPE)
-				})
+				traceCacheLines, traceMaxCycles(len(recs)), agents)
 		},
 	})
 	return nil
@@ -158,33 +156,4 @@ func (f *TraceFlag) Set(arg string) error {
 	}
 	*f = append(*f, arg)
 	return nil
-}
-
-// traceOps splits records into per-PE operation slices, dense over
-// 0..maxPE. The slices are shared read-only by every trial's agents.
-func traceOps(recs []trace.Record) ([][]workload.Op, int) {
-	split := trace.Split(recs)
-	maxPE := 0
-	for pe := range split {
-		if pe > maxPE {
-			maxPE = pe
-		}
-	}
-	ops := make([][]workload.Op, maxPE+1)
-	for pe, tr := range split {
-		ops[pe] = tr.Ops
-	}
-	return ops, maxPE + 1
-}
-
-// TraceAgents builds one fresh replay agent per PE over the shared
-// per-PE operation slices; PEs with no records idle. Trace agents
-// implement Reseeder, so the set works in batched arenas and
-// Machine.Reset like any synthetic workload.
-func TraceAgents(opsByPE [][]workload.Op) []workload.Agent {
-	agents := make([]workload.Agent, len(opsByPE))
-	for i, ops := range opsByPE {
-		agents[i] = &workload.Trace{Ops: ops}
-	}
-	return agents
 }

@@ -47,8 +47,8 @@ func TestTraceReplayMatchesSynthetic(t *testing.T) {
 	const pes, refs = 3, 600
 	agents := syntheticSet(pes, refs, 5)
 	recs := captureSet(t, agents, refs)
-	opsByPE, n := traceOps(recs)
-	if n != pes {
+	replay := trace.Split(recs)
+	if n := len(replay()); n != pes {
 		t.Fatalf("capture covered %d PEs, want %d", n, pes)
 	}
 	max := traceMaxCycles(len(recs))
@@ -57,9 +57,7 @@ func TestTraceReplayMatchesSynthetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := WorkloadMatrix(Params{Profile: &repProf}, "trace-identity", "Identity", "note", 64, max, func() []workload.Agent {
-		return TraceAgents(opsByPE)
-	})
+	rep, err := WorkloadMatrix(Params{Profile: &repProf}, "trace-identity", "Identity", "note", 64, max, replay)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 func TestInjectorStateDoesNotLeakAcrossReset(t *testing.T) {
 	cfg := TrialConfig{}.withDefaults()
 	const seed = 7
-	fresh, err := cfg.Reference(seed)
+	fresh, err := cfg.ReferenceIn(nil, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

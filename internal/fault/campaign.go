@@ -119,37 +119,60 @@ func (c CampaignConfig) Specs() []sweep.Spec {
 // out of it by these names.
 var cellColumns = []string{"cell", "protocol", "class", "seed", "trials", "masked", "detected", "silent", "details"}
 
-// runCell executes one campaign cell: a fault-free reference run for the
-// cell's seed, then Trials planned faults of the cell's class, classified
-// and tallied into a one-row table. With a non-nil arena the reference
-// and every trial recycle one machine per trial shape (protocol-major,
-// since that is all that varies within a campaign); the tallies are
-// byte-identical either way.
+// Cell is one executed campaign cell: the fault-free reference run of
+// the cell's seed and its classified trials, in trial order.
+type Cell struct {
+	Ref    *Reference
+	Trials []TrialResult
+}
+
+// RunCell executes the (protocol, class, seed) cell: a fault-free
+// reference run for the seed, then Trials planned faults of the class.
+// The sweep runners tabulate the result; cmd/mimdsim -faults prints it
+// trial by trial. With a non-nil arena the reference and every trial
+// recycle one machine per trial shape (protocol-major, since that is all
+// that varies within a campaign); the results are identical either way.
+func (c CampaignConfig) RunCell(arena *batch.Arena, protoName string, class Class, seed uint64) (*Cell, error) {
+	cfg := c.withDefaults()
+	proto, err := coherence.ByName(protoName)
+	if err != nil {
+		return nil, err
+	}
+	id := CellID(protoName, class)
+	tcfg := cfg.Trial
+	tcfg.Protocol = proto
+	ref, err := tcfg.ReferenceIn(arena, seed)
+	if err != nil {
+		return nil, fmt.Errorf("%s seed %d: %w", id, seed, err)
+	}
+	cell := &Cell{Ref: ref}
+	// Per-trial plan seeds come from one seeded stream, so trial t of
+	// cell (proto, class, seed) is the same fault everywhere, forever.
+	trialRNG := workload.NewRNG(seed ^ 0xfa17fa17fa17fa17)
+	for t := 0; t < cfg.Trials; t++ {
+		res, err := RunTrialIn(arena, tcfg, ref, class, seed, trialRNG.Uint64())
+		if err != nil {
+			return nil, fmt.Errorf("%s seed %d trial %d: %w", id, seed, t, err)
+		}
+		cell.Trials = append(cell.Trials, res)
+	}
+	return cell, nil
+}
+
+// runCell executes one campaign cell and tallies it into a one-row
+// table.
 func runCell(cfg CampaignConfig, arena *batch.Arena, spec sweep.JobSpec) (*report.Table, error) {
 	protoName, class, err := ParseCellID(spec.Experiment)
 	if err != nil {
 		return nil, err
 	}
-	proto, err := coherence.ByName(protoName)
+	cell, err := cfg.RunCell(arena, protoName, class, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
-	tcfg := cfg.Trial
-	tcfg.Protocol = proto
-	ref, err := tcfg.ReferenceIn(arena, spec.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("%s seed %d: %w", spec.Experiment, spec.Seed, err)
-	}
 	var counts [3]int
 	var details []string
-	// Per-trial plan seeds come from one seeded stream, so trial t of
-	// cell (proto, class, seed) is the same fault everywhere, forever.
-	trialRNG := workload.NewRNG(spec.Seed ^ 0xfa17fa17fa17fa17)
-	for t := 0; t < cfg.Trials; t++ {
-		res, err := RunTrialIn(arena, tcfg, ref, class, spec.Seed, trialRNG.Uint64())
-		if err != nil {
-			return nil, fmt.Errorf("%s seed %d trial %d: %w", spec.Experiment, spec.Seed, t, err)
-		}
+	for t, res := range cell.Trials {
 		counts[res.Outcome]++
 		details = append(details, fmt.Sprintf("t%d %v: %s", t, res.Outcome, res.Detail))
 	}

@@ -203,11 +203,11 @@ func TestPlanEventDeterministic(t *testing.T) {
 // oracles all pass with no fault installed.
 func TestReferenceDeterministic(t *testing.T) {
 	cfg := TrialConfig{PEs: 4, Refs: 200, AddrRange: 64}
-	a, err := cfg.Reference(7)
+	a, err := cfg.ReferenceIn(nil, 7)
 	if err != nil {
 		t.Fatalf("Reference: %v", err)
 	}
-	b, err := cfg.Reference(7)
+	b, err := cfg.ReferenceIn(nil, 7)
 	if err != nil {
 		t.Fatalf("Reference: %v", err)
 	}
@@ -228,7 +228,7 @@ func TestReferenceDeterministic(t *testing.T) {
 func TestRunTrialKnownDetections(t *testing.T) {
 	cfg := TrialConfig{PEs: 4, Refs: 300, AddrRange: 64}
 	cfg = cfg.withDefaults()
-	ref, err := cfg.Reference(3)
+	ref, err := cfg.ReferenceIn(nil, 3)
 	if err != nil {
 		t.Fatalf("Reference: %v", err)
 	}
@@ -237,7 +237,7 @@ func TestRunTrialKnownDetections(t *testing.T) {
 		t.Run(class.String(), func(t *testing.T) {
 			sawDetected := false
 			for trialSeed := uint64(0); trialSeed < 8; trialSeed++ {
-				res, err := RunTrial(cfg, ref, class, 3, trialSeed)
+				res, err := RunTrialIn(nil, cfg, ref, class, 3, trialSeed)
 				if err != nil {
 					t.Fatalf("RunTrial(seed %d): %v", trialSeed, err)
 				}
@@ -269,12 +269,12 @@ func TestRunTrialKnownDetections(t *testing.T) {
 func TestRunTrialFiredAndClassified(t *testing.T) {
 	cfg := TrialConfig{PEs: 4, Refs: 300, AddrRange: 64}
 	cfg = cfg.withDefaults()
-	ref, err := cfg.Reference(5)
+	ref, err := cfg.ReferenceIn(nil, 5)
 	if err != nil {
 		t.Fatalf("Reference: %v", err)
 	}
 	for _, class := range []Class{BusDrop, BusDup, BusSnoopSuppress, MemLostWrite} {
-		res, err := RunTrial(cfg, ref, class, 5, 11)
+		res, err := RunTrialIn(nil, cfg, ref, class, 5, 11)
 		if err != nil {
 			t.Fatalf("RunTrial(%v): %v", class, err)
 		}

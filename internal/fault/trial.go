@@ -154,15 +154,10 @@ type Reference struct {
 	Image  map[bus.Addr]bus.Word // final memory image, dirty lines drained
 }
 
-// Reference runs the workload fault-free and records the baseline. It
+// ReferenceIn runs the workload fault-free and records the baseline,
+// drawing its machine from a batch arena (nil constructs a fresh one). It
 // errors if the fault-free run trips any oracle — that would be a
 // simulator bug, and no classification built on it would mean anything.
-func (c TrialConfig) Reference(wlSeed uint64) (*Reference, error) {
-	return c.ReferenceIn(nil, wlSeed)
-}
-
-// ReferenceIn is Reference drawing its machine from a batch arena (nil
-// falls back to fresh construction).
 func (c TrialConfig) ReferenceIn(arena *batch.Arena, wlSeed uint64) (*Reference, error) {
 	c = c.withDefaults()
 	m, err := c.build(arena, wlSeed)
@@ -330,19 +325,14 @@ type TrialResult struct {
 	Detail string
 }
 
-// RunTrial executes one fault trial: the workload of wlSeed (the same
+// RunTrialIn executes one fault trial: the workload of wlSeed (the same
 // program the Reference measured) with one fault of the given class,
 // planned from trialSeed, injected mid-run. The result is the trial's
-// masked/detected/silent classification.
-func RunTrial(cfg TrialConfig, ref *Reference, class Class, wlSeed, trialSeed uint64) (TrialResult, error) {
-	return RunTrialIn(nil, cfg, ref, class, wlSeed, trialSeed)
-}
-
-// RunTrialIn is RunTrial drawing its machine from a batch arena (nil
-// falls back to fresh construction). Recycling is safe here precisely
-// because generation reset erases all injection state: the bus injector,
-// the memory write interceptor, corrupted memory words, and perturbed
-// cache lines all die with the old generation.
+// masked/detected/silent classification. The machine is drawn from a
+// batch arena (nil constructs a fresh one); recycling is safe here
+// precisely because generation reset erases all injection state: the bus
+// injector, the memory write interceptor, corrupted memory words, and
+// perturbed cache lines all die with the old generation.
 func RunTrialIn(arena *batch.Arena, cfg TrialConfig, ref *Reference, class Class, wlSeed, trialSeed uint64) (TrialResult, error) {
 	cfg = cfg.withDefaults()
 	ev := PlanEvent(class, trialSeed, ref, cfg)

@@ -8,7 +8,7 @@ import (
 )
 
 // ReportRunError is the one uniform rendering of an Engine.Run error for
-// every CLI (cmd/sweep, cmd/paperrepro, cmd/faultcampaign). It writes
+// every CLI (cmd/paperrepro, cmd/faultcampaign). It writes
 // the diagnosis to w prefixed with the tool name and returns the exit
 // code the process must use:
 //

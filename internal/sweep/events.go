@@ -16,7 +16,7 @@ type EventSink interface {
 }
 
 // writerSink renders each event as one JSON line — the byte format of
-// cmd/sweep -events.
+// cmd/paperrepro -events.
 type writerSink struct {
 	mu sync.Mutex
 	w  io.Writer

@@ -12,7 +12,7 @@ import (
 )
 
 // TestWriterSinkMatchesLegacyFormat pins the JSONL byte format of
-// NewWriterSink (cmd/sweep -events): one marshalled Event per line.
+// NewWriterSink (cmd/paperrepro -events): one marshalled Event per line.
 func TestWriterSinkMatchesLegacyFormat(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewWriterSink(&buf)

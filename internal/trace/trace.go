@@ -1,6 +1,6 @@
 // Package trace serializes memory-reference traces: the workload streams
-// the generators synthesize can be captured to a file, inspected
-// (cmd/tracestat), and replayed into the simulator (cmd/mimdsim
+// the generators synthesize can be captured to a file and inspected
+// (cmd/mimdtrace), and replayed into the simulator (cmd/mimdsim
 // -trace). Two formats are provided: a compact binary encoding (varint
 // delta-coded addresses, the natural archival format) and a line-oriented
 // text form that is easy to write by hand for small scenario scripts.
@@ -214,10 +214,14 @@ func (r *Reader) Read() (Record, error) {
 }
 
 // ReadAll drains the stream.
-func (r *Reader) ReadAll() ([]Record, error) {
+func (r *Reader) ReadAll() ([]Record, error) { return readAll(r) }
+
+// readAll drains a source; on an error it returns the records decoded
+// before it.
+func readAll(src Source) ([]Record, error) {
 	var out []Record
 	for {
-		rec, err := r.Read()
+		rec, err := src.Read()
 		if err == io.EOF {
 			return out, nil
 		}
@@ -228,14 +232,28 @@ func (r *Reader) ReadAll() ([]Record, error) {
 	}
 }
 
-// Decode parses a whole trace from raw bytes, auto-detecting the
-// format: an MCT1 magic prefix selects the binary decoder, anything
-// else the text parser.
-func Decode(data []byte) ([]Record, error) {
-	if len(data) >= len(magic) && [4]byte(data[:4]) == magic {
-		return NewReader(bytes.NewReader(data)).ReadAll()
+// Source is a streaming record reader: Read returns io.EOF at a clean
+// end of the trace. Reader and TextScanner both implement it.
+type Source interface {
+	Read() (Record, error)
+}
+
+// Open sniffs the format of a trace stream without buffering it: an
+// MCT1 magic prefix selects the binary decoder, anything else the text
+// scanner. binary reports which one was chosen.
+func Open(r io.Reader) (src Source, binary bool) {
+	br := bufio.NewReader(r)
+	if head, _ := br.Peek(len(magic)); bytes.Equal(head, magic[:]) {
+		return NewReader(br), true
 	}
-	return ParseText(bytes.NewReader(data))
+	return NewTextScanner(br), false
+}
+
+// Decode parses a whole trace from raw bytes in either format (see
+// Open).
+func Decode(data []byte) ([]Record, error) {
+	src, _ := Open(bytes.NewReader(data))
+	return readAll(src)
 }
 
 // WriteText encodes records in the line format:
@@ -248,18 +266,36 @@ func Decode(data []byte) ([]Record, error) {
 //
 // Lines starting with '#' and blank lines are comments.
 func WriteText(w io.Writer, recs []Record) error {
-	bw := bufio.NewWriter(w)
+	tw := NewTextWriter(w)
 	for _, r := range recs {
-		line, err := FormatText(r)
-		if err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintln(bw, line); err != nil {
+		if err := tw.Write(r); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return tw.Flush()
 }
+
+// TextWriter encodes records to the line format one at a time; it has
+// Writer's method set, so tools can stream to either format.
+type TextWriter struct{ w *bufio.Writer }
+
+// NewTextWriter creates a streaming text-format writer.
+func NewTextWriter(w io.Writer) *TextWriter {
+	return &TextWriter{w: bufio.NewWriter(w)}
+}
+
+// Write appends one record as one line.
+func (t *TextWriter) Write(r Record) error {
+	line, err := FormatText(r)
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintln(t.w, line)
+	return err
+}
+
+// Flush commits buffered output.
+func (t *TextWriter) Flush() error { return t.w.Flush() }
 
 // FormatText renders one record as a text-format line (no newline).
 func FormatText(r Record) (string, error) {
@@ -385,37 +421,32 @@ func parseTextLine(lineNo int, line string) (Record, error) {
 }
 
 // ParseText decodes the line format in full.
-func ParseText(rd io.Reader) ([]Record, error) {
-	var out []Record
-	sc := NewTextScanner(rd)
-	for {
-		rec, err := sc.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-}
+func ParseText(rd io.Reader) ([]Record, error) { return readAll(NewTextScanner(rd)) }
 
-// Split demultiplexes a trace into one replay agent per PE. PEs appearing
-// in the trace but issuing no final halt simply halt when their records
-// run out (workload.Trace semantics).
-func Split(recs []Record) map[int]*workload.Trace {
-	byPE := map[int][]workload.Op{}
+// Split demultiplexes a trace into replay agents, one per PE and dense
+// over 0..the highest PE in the trace (a PE without records idles; a PE
+// issuing no final halt halts when its records run out). Every call of
+// the returned function builds a fresh set over the same read-only
+// operation slices, so one decoded trace can drive any number of runs.
+// An empty trace yields empty sets.
+func Split(recs []Record) func() []workload.Agent {
+	var byPE [][]workload.Op
 	for _, r := range recs {
+		for len(byPE) <= r.PE {
+			byPE = append(byPE, nil)
+		}
 		byPE[r.PE] = append(byPE[r.PE], r.Op)
 	}
-	out := make(map[int]*workload.Trace, len(byPE))
-	for pe, ops := range byPE {
-		out[pe] = workload.NewTrace(ops...)
+	return func() []workload.Agent {
+		agents := make([]workload.Agent, len(byPE))
+		for pe, ops := range byPE {
+			agents[pe] = &workload.Trace{Ops: ops}
+		}
+		return agents
 	}
-	return out
 }
 
-// Stats summarizes a trace for cmd/tracestat.
+// Stats summarizes a trace for cmd/mimdtrace.
 type Stats struct {
 	Records   int
 	PEs       int

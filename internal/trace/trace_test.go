@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"repro/internal/bus"
@@ -204,9 +205,10 @@ func TestParseTextDefaultClass(t *testing.T) {
 }
 
 func TestSplit(t *testing.T) {
-	agents := Split(sampleRecords())
-	if len(agents) != 3 {
-		t.Fatalf("split into %d agents, want 3", len(agents))
+	fresh := Split(append(sampleRecords(), Record{PE: 4, Op: workload.Read(9, coherence.ClassShared)}))
+	agents := fresh()
+	if len(agents) != 5 {
+		t.Fatalf("split into %d agents, want 5 (dense over PE 0..4)", len(agents))
 	}
 	// PE0's agent replays its two reads then halts.
 	a := agents[0]
@@ -218,6 +220,65 @@ func TestSplit(t *testing.T) {
 	}
 	if op := a.Next(workload.Result{}); op.Kind != workload.OpHalt {
 		t.Fatalf("third op = %+v", op)
+	}
+	// PE3 has no records: it idles.
+	if op := agents[3].Next(workload.Result{}); op.Kind != workload.OpHalt {
+		t.Fatalf("recordless PE issued %+v", op)
+	}
+	// A second set starts from the top, whatever the first consumed.
+	if op := fresh()[0].Next(workload.Result{}); op.Addr != 100 {
+		t.Fatalf("fresh set's first op = %+v", op)
+	}
+	if n := len(Split(nil)()); n != 0 {
+		t.Fatalf("empty trace split into %d agents", n)
+	}
+}
+
+// TestOpenSniffsFormat: the same records reach the caller whichever
+// format the stream is in, and Open says which it found.
+func TestOpenSniffsFormat(t *testing.T) {
+	var bin, text bytes.Buffer
+	w := NewWriter(&bin)
+	for _, r := range sampleRecords() {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteText(&text, sampleRecords()); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		data   []byte
+		binary bool
+	}{{"binary", bin.Bytes(), true}, {"text", text.Bytes(), false}, {"empty", nil, false}, {"short", []byte("#\n"), false}} {
+		// iotest-style one byte at a time: the peek must not depend on
+		// the first Read filling the buffer.
+		src, binary := Open(iotest.OneByteReader(bytes.NewReader(tc.data)))
+		if binary != tc.binary {
+			t.Errorf("%s: binary = %v", tc.name, binary)
+		}
+		var got []Record
+		for {
+			rec, err := src.Read()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			got = append(got, rec)
+		}
+		want := sampleRecords()
+		if len(tc.data) < 4 {
+			want = nil
+		}
+		if !recordsEqual(got, want) {
+			t.Errorf("%s: got %v", tc.name, got)
+		}
 	}
 }
 
