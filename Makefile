@@ -28,8 +28,10 @@ lint:
 fuzz:
 	$(GO) test ./internal/coherence -run FuzzProtocolStep -fuzz FuzzProtocolStep -fuzztime 60s
 
+# modelcheck prints the full default sweep (every protocol, 2..5 caches);
+# `go test ./cmd/modelcheck` compares it with the recorded counts.
 modelcheck:
-	$(GO) run ./cmd/modelcheck -all -n 3
+	$(GO) run ./cmd/modelcheck -all
 
 # fault runs the default S23 fault-injection campaign and prints the
 # per-protocol resilience matrix.

@@ -13,39 +13,56 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/check"
 	"repro/internal/coherence"
 )
 
-func main() {
-	var (
-		protoName = flag.String("protocol", "", "protocol to check (default: rb and rwb)")
-		n         = flag.Int("n", 0, "number of caches (default: 2..5)")
-		all       = flag.Bool("all", false, "check every implemented protocol")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	var protos []coherence.Protocol
+// run is main with its streams and exit code made explicit: 0 every check
+// passed, 1 a check failed, 2 the command line was unusable.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("modelcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		protoName = fs.String("protocol", "", "protocol to check (default: rb and rwb)")
+		n         = fs.Int("n", 0, "number of caches (default: 2..5)")
+		all       = fs.Bool("all", false, "check every implemented protocol")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "modelcheck: unexpected argument %q (usage: modelcheck [-all | -protocol name] [-n caches])\n", fs.Arg(0))
+		return 2
+	}
+
+	var tables []*coherence.Table
 	explicit := false
 	switch {
 	case *all:
 		for _, k := range coherence.Kinds() {
-			protos = append(protos, coherence.New(k))
+			tables = append(tables, coherence.New(k))
 		}
 	case *protoName != "":
 		explicit = true
-		p, err := coherence.ByName(*protoName)
+		t, err := coherence.ByName(*protoName)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "modelcheck:", err)
+			return 2
 		}
-		protos = []coherence.Protocol{p}
+		tables = []*coherence.Table{t}
 	default:
-		protos = []coherence.Protocol{coherence.RB{}, coherence.NewRWB(2)}
+		tables = []*coherence.Table{coherence.New(coherence.KindRB), coherence.New(coherence.KindRWB)}
 	}
 
 	sizes := []int{2, 3, 4, 5}
@@ -54,7 +71,7 @@ func main() {
 	}
 
 	failed := false
-	for _, p := range protos {
+	for _, t := range tables {
 		// The product machine models one implicitly shared address and
 		// assumes transparency: the protocol behaves identically for every
 		// data class. Cm* is class-dependent — shared data never enters its
@@ -62,46 +79,44 @@ func main() {
 		// table with a shared address proves nothing about the real
 		// configuration. Skip such protocols in sweeps; an explicit
 		// -protocol request still runs the check and shows the trace.
-		if !explicit && !transparent(p) {
-			fmt.Printf("%-13s SKIP: class-dependent cachability (shared data is uncached; the transparent product machine does not apply)\n", p.Name())
+		if !explicit && !transparent(t) {
+			fmt.Fprintf(stdout, "%-13s SKIP: class-dependent cachability (shared data is uncached; the transparent product machine does not apply)\n", t.Name())
 			continue
 		}
 		for _, size := range sizes {
 			opt := check.Options{Caches: size}
-			switch p.Name() {
+			switch t.Name() {
 			case "rb":
 				opt.Invariant = check.RBLemma
 			case "rwb":
 				opt.Invariant = check.RWBLemma
 			}
-			res, err := check.Run(p, opt)
+			res, err := check.Run(t, opt)
 			if err != nil {
 				failed = true
-				fmt.Printf("%-13s N=%d  FAIL: %v\n", p.Name(), size, err)
+				fmt.Fprintf(stdout, "%-13s N=%d  FAIL: %v\n", t.Name(), size, err)
 				continue
 			}
 			lemma := ""
 			if opt.Invariant != nil {
 				lemma = " (configuration lemma verified)"
 			}
-			fmt.Printf("%-13s N=%d  OK: %d reachable states, %d transitions%s\n",
-				p.Name(), size, res.States, res.Transitions, lemma)
+			fmt.Fprintf(stdout, "%-13s N=%d  OK: %d reachable states, %d transitions%s\n",
+				t.Name(), size, res.States, res.Transitions, lemma)
 		}
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-// transparent reports whether p's cachability decision ignores the data
-// class — the premise of the single-address product machine.
-func transparent(p coherence.Protocol) bool {
-	for _, e := range []coherence.ProcEvent{coherence.EvRead, coherence.EvWrite} {
-		base := p.Cachable(coherence.ClassUnknown, e)
-		for _, c := range []coherence.Class{coherence.ClassCode, coherence.ClassLocal, coherence.ClassShared} {
-			if p.Cachable(c, e) != base {
-				return false
-			}
+// transparent reports whether t's class filter treats every data class
+// alike — the premise of the single-address product machine.
+func transparent(t *coherence.Table) bool {
+	for _, uncached := range t.Uncached {
+		if uncached != t.Uncached[0] {
+			return false
 		}
 	}
 	return true

@@ -18,7 +18,7 @@ func appAgents(seed uint64) []workload.Agent {
 	return agents
 }
 
-var cfg = machine.Config{Protocol: coherence.RB{}, CacheLines: 64, CheckConsistency: true}
+var cfg = machine.Config{Protocol: coherence.New(coherence.KindRB), CacheLines: 64, CheckConsistency: true}
 
 // metricsOf drives a machine to completion and fingerprints the run.
 func metricsOf(t *testing.T, m *machine.Machine) string {

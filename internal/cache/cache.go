@@ -898,12 +898,13 @@ func (c *Cache) readCompleted(p *pending, res bus.Result) Progress {
 		state, aux = ln.state, ln.aux
 	}
 	out := c.proto.OnProc(state, aux, coherence.EvRead)
-	// Install (or refresh) the line with the fetched word in the
-	// protocol's read-miss target state; shared-line-aware protocols
-	// (Illinois) pick the state from the bus's shared signal instead.
+	// Install (or refresh) the line with the fetched word. A line still
+	// Invalid takes the protocol's read-miss target for the bus's shared
+	// signal (Illinois installs Exclusive when it stayed quiet); one that
+	// was snarfed meanwhile follows its own CR entry.
 	next := out.Next
-	if sa, ok := c.proto.(coherence.SharedAware); ok {
-		next = sa.ReadMissTarget(res.SharedLine)
+	if state == coherence.Invalid {
+		next = c.proto.ReadMissTarget(res.SharedLine)
 	}
 	if ln == nil {
 		ln = c.install(p.addr, next, out.NextAux, false, res.Data)

@@ -90,7 +90,7 @@ func (r *rig) state(id int, a bus.Addr) coherence.State {
 }
 
 func TestConfigValidation(t *testing.T) {
-	proto := coherence.RB{}
+	proto := coherence.New(coherence.KindRB)
 	if _, err := New(0, proto, Config{Lines: 3}); err == nil {
 		t.Error("non-power-of-two Lines accepted")
 	}
@@ -510,7 +510,7 @@ func TestCmStarSharedBypassesCache(t *testing.T) {
 
 func TestLRUWithTwoWays(t *testing.T) {
 	// 4 lines, 2 ways -> 2 sets. Addresses 0, 2, 4 share set 0.
-	proto := coherence.RB{}
+	proto := coherence.New(coherence.KindRB)
 	mem := memory.New()
 	b := bus.New(mem)
 	c := MustNew(0, proto, Config{Lines: 4, Ways: 2})

@@ -349,14 +349,14 @@ func (e *explorer) busRead(s *state, i int) string {
 		return fmt.Sprintf("PE%d bus read returned a stale memory value", i)
 	}
 	next := out.Next
-	if sa, ok := e.proto.(coherence.SharedAware); ok {
+	if st == coherence.Invalid {
 		shared := false
 		for j := 0; j < s.n; j++ {
 			if j != i && s.lines[j].Present && s.lines[j].State != coherence.Invalid {
 				shared = true
 			}
 		}
-		next = sa.ReadMissTarget(shared)
+		next = e.proto.ReadMissTarget(shared)
 	}
 	if !out.NoAllocate {
 		s.lines[i] = LineView{Present: true, State: next, Aux: out.NextAux, HasLatest: true}

@@ -11,7 +11,7 @@ import (
 // the RB scheme, including the configuration lemma.
 func TestRBConsistentForNUpTo5(t *testing.T) {
 	for n := 1; n <= 5; n++ {
-		res, err := Run(coherence.RB{}, Options{Caches: n, Invariant: RBLemma})
+		res, err := Run(coherence.New(coherence.KindRB), Options{Caches: n, Invariant: RBLemma})
 		if err != nil {
 			t.Fatalf("N=%d: %v", n, err)
 		}
@@ -64,17 +64,17 @@ func TestBaselinesConsistent(t *testing.T) {
 
 // brokenNoInvalidate omits RB's invalidate-on-bus-write: the checker must
 // find a stale read.
-type brokenNoInvalidate struct{ coherence.RB }
+type brokenNoInvalidate struct{ *coherence.Table }
 
-func (brokenNoInvalidate) OnSnoop(s coherence.State, aux uint8, dirty bool, ev coherence.SnoopEvent) coherence.SnoopOutcome {
+func (b brokenNoInvalidate) OnSnoop(s coherence.State, aux uint8, dirty bool, ev coherence.SnoopEvent) coherence.SnoopOutcome {
 	if s == coherence.Readable && ev == coherence.SnBusWrite {
 		return coherence.SnoopOutcome{Next: coherence.Readable}
 	}
-	return coherence.RB{}.OnSnoop(s, aux, dirty, ev)
+	return b.Table.OnSnoop(s, aux, dirty, ev)
 }
 
 func TestCheckerCatchesMissingInvalidate(t *testing.T) {
-	_, err := Run(brokenNoInvalidate{}, Options{Caches: 2})
+	_, err := Run(brokenNoInvalidate{coherence.New(coherence.KindRB)}, Options{Caches: 2})
 	if err == nil {
 		t.Fatal("broken protocol passed")
 	}
@@ -93,17 +93,17 @@ func TestCheckerCatchesMissingInvalidate(t *testing.T) {
 
 // brokenNoFlush omits the Local owner's read interrupt: bus reads then
 // return stale memory.
-type brokenNoFlush struct{ coherence.RB }
+type brokenNoFlush struct{ *coherence.Table }
 
-func (brokenNoFlush) OnSnoop(s coherence.State, aux uint8, dirty bool, ev coherence.SnoopEvent) coherence.SnoopOutcome {
+func (b brokenNoFlush) OnSnoop(s coherence.State, aux uint8, dirty bool, ev coherence.SnoopEvent) coherence.SnoopOutcome {
 	if s == coherence.Local && ev == coherence.SnBusRead {
 		return coherence.SnoopOutcome{Next: coherence.Local}
 	}
-	return coherence.RB{}.OnSnoop(s, aux, dirty, ev)
+	return b.Table.OnSnoop(s, aux, dirty, ev)
 }
 
 func TestCheckerCatchesMissingFlush(t *testing.T) {
-	_, err := Run(brokenNoFlush{}, Options{Caches: 2})
+	_, err := Run(brokenNoFlush{coherence.New(coherence.KindRB)}, Options{Caches: 2})
 	if err == nil {
 		t.Fatal("broken protocol passed")
 	}
@@ -114,12 +114,12 @@ func TestCheckerCatchesMissingFlush(t *testing.T) {
 
 // brokenNoWriteback drops Local lines on eviction: the latest value is
 // lost.
-type brokenNoWriteback struct{ coherence.RB }
+type brokenNoWriteback struct{ *coherence.Table }
 
 func (brokenNoWriteback) WritebackOnEvict(s coherence.State, dirty bool) bool { return false }
 
 func TestCheckerCatchesLostWriteback(t *testing.T) {
-	_, err := Run(brokenNoWriteback{}, Options{Caches: 2})
+	_, err := Run(brokenNoWriteback{coherence.New(coherence.KindRB)}, Options{Caches: 2})
 	if err == nil {
 		t.Fatal("broken protocol passed")
 	}
@@ -130,17 +130,17 @@ func TestCheckerCatchesLostWriteback(t *testing.T) {
 
 // brokenDoubleOwner makes Readable copies inhibit reads too: two owners
 // answer one bus read.
-type brokenDoubleOwner struct{ coherence.RB }
+type brokenDoubleOwner struct{ *coherence.Table }
 
-func (brokenDoubleOwner) OnSnoop(s coherence.State, aux uint8, dirty bool, ev coherence.SnoopEvent) coherence.SnoopOutcome {
+func (b brokenDoubleOwner) OnSnoop(s coherence.State, aux uint8, dirty bool, ev coherence.SnoopEvent) coherence.SnoopOutcome {
 	if s == coherence.Readable && ev == coherence.SnBusRead {
 		return coherence.SnoopOutcome{Next: coherence.Readable, Inhibit: true}
 	}
-	return coherence.RB{}.OnSnoop(s, aux, dirty, ev)
+	return b.Table.OnSnoop(s, aux, dirty, ev)
 }
 
 func TestCheckerCatchesDoubleOwner(t *testing.T) {
-	_, err := Run(brokenDoubleOwner{}, Options{Caches: 3})
+	_, err := Run(brokenDoubleOwner{coherence.New(coherence.KindRB)}, Options{Caches: 3})
 	if err == nil {
 		t.Fatal("broken protocol passed")
 	}
@@ -153,30 +153,30 @@ func TestCheckerCatchesDoubleOwner(t *testing.T) {
 // violating read consistency: a Local line demoted by a bus write keeps
 // state R instead of I under RB (RB caches do not read write data, so the
 // copy is stale).
-type brokenLemma struct{ coherence.RB }
+type brokenLemma struct{ *coherence.Table }
 
-func (brokenLemma) OnSnoop(s coherence.State, aux uint8, dirty bool, ev coherence.SnoopEvent) coherence.SnoopOutcome {
+func (b brokenLemma) OnSnoop(s coherence.State, aux uint8, dirty bool, ev coherence.SnoopEvent) coherence.SnoopOutcome {
 	if s == coherence.Local && ev == coherence.SnBusWrite {
 		return coherence.SnoopOutcome{Next: coherence.Readable}
 	}
-	return coherence.RB{}.OnSnoop(s, aux, dirty, ev)
+	return b.Table.OnSnoop(s, aux, dirty, ev)
 }
 
 func TestLemmaInvariantCatchesStaleReadable(t *testing.T) {
-	_, err := Run(brokenLemma{}, Options{Caches: 2, Invariant: RBLemma})
+	_, err := Run(brokenLemma{coherence.New(coherence.KindRB)}, Options{Caches: 2, Invariant: RBLemma})
 	if err == nil {
 		t.Fatal("lemma violation not caught")
 	}
 }
 
 func TestOptionsValidation(t *testing.T) {
-	if _, err := Run(coherence.RB{}, Options{Caches: 0}); err == nil {
+	if _, err := Run(coherence.New(coherence.KindRB), Options{Caches: 0}); err == nil {
 		t.Error("Caches=0 accepted")
 	}
-	if _, err := Run(coherence.RB{}, Options{Caches: 7}); err == nil {
+	if _, err := Run(coherence.New(coherence.KindRB), Options{Caches: 7}); err == nil {
 		t.Error("Caches=7 accepted")
 	}
-	if _, err := Run(coherence.RB{}, Options{Caches: 3, MaxStates: 2}); err == nil {
+	if _, err := Run(coherence.New(coherence.KindRB), Options{Caches: 3, MaxStates: 2}); err == nil {
 		t.Error("MaxStates=2 not enforced")
 	}
 }

@@ -10,7 +10,7 @@ import (
 // ExampleRun explores the RB product machine for three caches, verifying
 // the Section 4 configuration lemma at every reachable state.
 func ExampleRun() {
-	res, err := check.Run(coherence.RB{}, check.Options{
+	res, err := check.Run(coherence.New(coherence.KindRB), check.Options{
 		Caches:    3,
 		Invariant: check.RBLemma,
 	})

@@ -3,7 +3,7 @@ package coherence
 import "testing"
 
 func TestGoodmanWriteOnceSequence(t *testing.T) {
-	p := Goodman{}
+	p := New(KindGoodman)
 	// Read miss -> Valid.
 	out := p.OnProc(Invalid, 0, EvRead)
 	if out.Next != Valid || out.Action != ActRead {
@@ -27,7 +27,7 @@ func TestGoodmanWriteOnceSequence(t *testing.T) {
 }
 
 func TestGoodmanWriteMissIsReadThenWrite(t *testing.T) {
-	out := Goodman{}.OnProc(Invalid, 0, EvWrite)
+	out := New(KindGoodman).OnProc(Invalid, 0, EvWrite)
 	if out.Next != Reserved || out.Action != ActReadThenWrite {
 		t.Fatalf("write miss = %+v, want BR+BW to Reserved", out)
 	}
@@ -36,7 +36,7 @@ func TestGoodmanWriteMissIsReadThenWrite(t *testing.T) {
 // TestGoodmanIsEventBroadcastOnly captures the property the paper improves
 // on: write-once caches never gain data from observed transactions.
 func TestGoodmanIsEventBroadcastOnly(t *testing.T) {
-	p := Goodman{}
+	p := New(KindGoodman)
 	for _, s := range p.States() {
 		for _, ev := range []SnoopEvent{SnBusRead, SnBusWrite, SnBusInv, SnReadData} {
 			if out := p.OnSnoop(s, 0, s == DirtyState, ev); out.TakeData {
@@ -51,7 +51,7 @@ func TestGoodmanIsEventBroadcastOnly(t *testing.T) {
 }
 
 func TestGoodmanSnoopDemotions(t *testing.T) {
-	p := Goodman{}
+	p := New(KindGoodman)
 	// Reserved loses exclusivity on another's read.
 	if out := p.OnSnoop(Reserved, 0, false, SnBusRead); out.Next != Valid || out.Inhibit {
 		t.Errorf("Reserved+BR = %+v, want demotion to Valid without inhibit", out)
@@ -69,7 +69,7 @@ func TestGoodmanSnoopDemotions(t *testing.T) {
 }
 
 func TestGoodmanRMW(t *testing.T) {
-	p := Goodman{}
+	p := New(KindGoodman)
 	if flush, next, _ := p.RMWFlush(DirtyState, true); !flush || next != Reserved {
 		t.Error("Dirty must flush for a locked read and become Reserved")
 	}
@@ -85,7 +85,7 @@ func TestGoodmanRMW(t *testing.T) {
 }
 
 func TestWriteThroughBehavior(t *testing.T) {
-	p := WriteThrough{}
+	p := New(KindWriteThrough)
 	if out := p.OnProc(Invalid, 0, EvRead); out.Next != Valid || out.Action != ActRead {
 		t.Fatalf("read miss = %+v", out)
 	}
@@ -111,7 +111,7 @@ func TestWriteThroughBehavior(t *testing.T) {
 }
 
 func TestCmStarClassPolicy(t *testing.T) {
-	p := CmStar{}
+	p := New(KindCmStar)
 	if !p.Cachable(ClassCode, EvRead) || !p.Cachable(ClassLocal, EvRead) {
 		t.Error("code and local data must be cachable")
 	}
@@ -138,7 +138,7 @@ func TestCmStarClassPolicy(t *testing.T) {
 }
 
 func TestNoCacheBypassesEverything(t *testing.T) {
-	p := NoCache{}
+	p := New(KindNoCache)
 	for _, c := range []Class{ClassUnknown, ClassCode, ClassLocal, ClassShared} {
 		if p.Cachable(c, EvRead) {
 			t.Errorf("class %v cachable under nocache", c)

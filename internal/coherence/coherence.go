@@ -1,17 +1,18 @@
-// Package coherence implements the paper's cache consistency schemes as
-// pure state-transition tables: the RB scheme of Section 3 (Figure 3-1),
-// the RWB scheme of Section 5 (Figure 5-1), and the comparison baselines —
-// Goodman's write-once protocol [GOO83], a write-through-invalidate
+// Package coherence holds the paper's cache consistency schemes as data:
+// one Table per scheme — the RB scheme of Section 3 (Figure 3-1), the RWB
+// scheme of Section 5 (Figure 5-1), and the comparison baselines: Goodman's
+// write-once protocol [GOO83], Illinois, a write-through-invalidate
 // protocol, the Cm*-style cache used for Table 1-1 (code and local data
 // cachable, write-through local data, shared data uncached), and a no-cache
-// configuration.
+// configuration — and one interpreter (table.go) that answers the Protocol
+// method set from any of them.
 //
 // A Protocol is deliberately side-effect free: it maps (state, event) to an
 // outcome and never touches a cache. The same tables therefore drive the
 // cycle-level simulator (internal/cache, internal/machine), the transition
-// diagram renderings of Figures 3-1 and 5-1 (internal/experiments), and the
-// exhaustive product-machine consistency checker (internal/check) that
-// mechanizes the Section 4 proof.
+// diagram renderings of Figures 3-1 and 5-1 (internal/experiments), the
+// static table audit (internal/lint), and the exhaustive product-machine
+// consistency checker (internal/check) that mechanizes the Section 4 proof.
 package coherence
 
 import (
@@ -129,6 +130,7 @@ const (
 	ClassCode          // instruction fetch / read-only shared
 	ClassLocal         // private data
 	ClassShared        // read/write shared data
+	numClasses
 )
 
 func (c Class) String() string {
@@ -245,9 +247,12 @@ type SnoopOutcome struct {
 	Dirty    DirtyEffect
 }
 
-// Protocol is a cache consistency scheme expressed as transition tables.
-// Implementations must be pure: identical arguments yield identical
-// outcomes, with no retained state (per-line counters travel through aux).
+// Protocol is what the cache and the model checker ask of a scheme. *Table
+// answers it, and documents each rule where the table states it; the
+// interface remains so that a test can wrap a table and break one answer,
+// and for the RB shim. Implementations must be pure: identical arguments
+// yield identical outcomes, with no retained state (per-line counters
+// travel through aux).
 type Protocol interface {
 	// Name returns the scheme's short name ("rb", "rwb", ...).
 	Name() string
@@ -261,29 +266,26 @@ type Protocol interface {
 	OnSnoop(s State, aux uint8, dirty bool, ev SnoopEvent) SnoopOutcome
 	// RMWFlush decides whether a line must flush its value so a locked
 	// (Test-and-Set) read observes the latest value, and the line's state
-	// afterwards. Unlike SnBusRead this is non-cachable: clean owners keep
-	// their state (Figures 6-1/6-2 keep the spinning caches unchanged).
+	// afterwards (Owner.Flush).
 	RMWFlush(s State, dirty bool) (flush bool, next State, d DirtyEffect)
 	// RMWSuccess maps the issuer's line state across a successful
 	// Test-and-Set; broadcast is the transaction's write-part op as seen
 	// by the other caches (ActWrite or ActInv).
 	RMWSuccess(s State, aux uint8) (next State, nextAux uint8, broadcast Action)
 	// LocalRMW reports whether a Test-and-Set may complete entirely within
-	// a cache holding the line in state s: true only for states that are
-	// exclusive (no other copy exists) and hold the latest value, making
-	// the in-cache RMW globally atomic without a bus transaction.
+	// a cache holding the line in state s (Table.Arcs).
 	LocalRMW(s State) bool
 	// Cachable reports whether references of the given class may be
-	// cached. The paper's schemes always return true (transparency);
-	// the Cm* and no-cache baselines do not.
+	// cached (Table.Uncached).
 	Cachable(c Class, e ProcEvent) bool
 	// WritebackOnEvict reports whether a line in state s (with the given
 	// dirty bit) must be written back to memory when its frame is reused
-	// ("Only those overwritten items that are tagged local need to be
-	// written back"). The paper's schemes ignore the dirty bit — they
-	// have no such tag — which is exactly what the rb-dirty variant's
-	// ablation quantifies.
+	// (Owner.Evict).
 	WritebackOnEvict(s State, dirty bool) bool
+	// ReadMissTarget is the state a line still Invalid when its fetch
+	// completes is installed in, given the bus's shared line: the
+	// Invalid --CR--> target, or Table.QuietReadMiss.
+	ReadMissTarget(sharedLine bool) State
 }
 
 // Kind identifies a protocol implementation.
@@ -311,6 +313,20 @@ const (
 	numKinds
 )
 
+// registry is the one ordered list of schemes: Kinds, Kind.String, New and
+// ByName all read it, so a kind's name is its table's name. A variant is
+// its base table with the stated differences as arguments.
+var registry = [numKinds]*Table{
+	KindRB:           rb,
+	KindRWB:          NewRWB(2),
+	KindGoodman:      goodmanTable("goodman", Invalid),
+	KindWriteThrough: writeThroughTable("writethrough", [numClasses]bool{}, Invalid, Valid),
+	KindCmStar:       writeThroughTable("cmstar", [numClasses]bool{ClassUnknown: true, ClassShared: true}, Valid, Invalid),
+	KindNoCache:      noCache,
+	KindIllinois:     goodmanTable("illinois", Reserved),
+	KindRBDirty:      rbTable("rb-dirty", IfDirty),
+}
+
 // Kinds returns all protocol kinds in presentation order.
 func Kinds() []Kind {
 	out := make([]Kind, numKinds)
@@ -321,63 +337,25 @@ func Kinds() []Kind {
 }
 
 func (k Kind) String() string {
-	switch k {
-	case KindRB:
-		return "rb"
-	case KindRWB:
-		return "rwb"
-	case KindGoodman:
-		return "goodman"
-	case KindWriteThrough:
-		return "writethrough"
-	case KindCmStar:
-		return "cmstar"
-	case KindNoCache:
-		return "nocache"
-	case KindIllinois:
-		return "illinois"
-	case KindRBDirty:
-		return "rb-dirty"
+	if k < numKinds {
+		return registry[k].Scheme
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// New returns a fresh protocol of the given kind with default parameters
-// (RWB uses the paper's k=2 write threshold).
-func New(k Kind) Protocol {
-	switch k {
-	case KindRB:
-		return RB{}
-	case KindRWB:
-		return NewRWB(2)
-	case KindGoodman:
-		return Goodman{}
-	case KindWriteThrough:
-		return WriteThrough{}
-	case KindCmStar:
-		return CmStar{}
-	case KindNoCache:
-		return NoCache{}
-	case KindIllinois:
-		return Illinois{}
-	case KindRBDirty:
-		return RBDirtyEvict{}
-	}
-	panic(fmt.Sprintf("coherence: unknown kind %d", k))
-}
+// New returns the table of the given kind with default parameters (RWB
+// uses the paper's k=2 write threshold). Tables are shared and read-only.
+func New(k Kind) *Table { return registry[k] }
 
-// ByName resolves a protocol by its Name. It returns an error listing the
+// ByName resolves a table by its name. It returns an error listing the
 // valid names on failure.
-func ByName(name string) (Protocol, error) {
-	for _, k := range Kinds() {
-		p := New(k)
-		if p.Name() == name {
-			return p, nil
+func ByName(name string) (*Table, error) {
+	names := make([]string, 0, len(registry))
+	for _, t := range registry {
+		if t.Scheme == name {
+			return t, nil
 		}
-	}
-	names := make([]string, 0, int(numKinds))
-	for _, k := range Kinds() {
-		names = append(names, k.String())
+		names = append(names, t.Scheme)
 	}
 	sort.Strings(names)
 	return nil, fmt.Errorf("coherence: unknown protocol %q (valid: %v)", name, names)

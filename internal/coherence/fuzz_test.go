@@ -11,97 +11,88 @@ import (
 	"repro/internal/lint"
 )
 
-// FuzzProtocolStep drives every protocol hook of a fuzzer-chosen kind
-// with a fuzzer-chosen (state, event, aux, dirty) probe and asserts the
-// two properties the simulator assumes on every step: no table hole
-// panics, and the outcome passes the shared sanity rules. States and
-// events are folded into the protocol's declared domain, so every run
-// lands on a meaningful table row rather than rejecting most inputs.
+// FuzzProtocolStep steps the interpreter on a fuzzer-chosen cell of a
+// fuzzer-chosen table (RWB also at a fuzzer-chosen K) with a fuzzer-chosen
+// streak and dirty bit, and asserts what the simulator assumes on every
+// step: the answer is one of the arcs the table wrote for that cell — for
+// a counted cell, the arm its guard selects — and passes the shared
+// sanity rules. The cell comes from Table.Cells, so every run lands on a
+// meaningful position rather than rejecting most inputs.
 func FuzzProtocolStep(f *testing.F) {
 	kinds := coherence.Kinds()
 	// Seed one probe per protocol plus the interesting corners: the RWB
-	// threshold region (aux 1..2), a snooped write against a dirty line,
-	// and saturated aux.
+	// threshold region, a snooped write against a dirty line, and
+	// saturated aux.
 	for i := range kinds {
 		f.Add(uint8(i), uint8(0), uint8(0), uint8(0), false)
 	}
-	f.Add(uint8(1), uint8(2), uint8(1), uint8(1), false) // rwb near threshold
-	f.Add(uint8(0), uint8(2), uint8(1), uint8(0), true)  // rb Local, dirty, snoop write
-	f.Add(uint8(6), uint8(3), uint8(1), uint8(255), true)
+	f.Add(uint8(1), uint8(15), uint8(2), uint8(1), false) // rwb F --CW--> at the threshold
+	f.Add(uint8(1), uint8(16), uint8(7), uint8(5), false) // its Test-and-Set at k=7, below it
+	f.Add(uint8(0), uint8(18), uint8(0), uint8(0), true)  // rb Local, dirty, snoop write
+	f.Add(uint8(6), uint8(24), uint8(0), uint8(255), true)
 
-	f.Fuzz(func(t *testing.T, kindSel, stateSel, evSel, aux uint8, dirty bool) {
-		p := coherence.New(kinds[int(kindSel)%len(kinds)])
-		states := p.States()
-		if len(states) == 0 {
-			t.Fatalf("%s declares no states", p.Name())
+	f.Fuzz(func(t *testing.T, kindSel, cellSel, k, aux uint8, dirty bool) {
+		tab := coherence.New(kinds[int(kindSel)%len(kinds)])
+		if tab.K != 0 && k >= 2 {
+			tab = coherence.NewRWB(k)
 		}
-		s := states[int(stateSel)%len(states)]
+		cells := tab.Cells()
+		c := cells[int(cellSel)%len(cells)]
+		if d := c.Defect(); d != "" {
+			t.Fatalf("%s (%v, %v): %s", tab.Name(), c.State, c.On, d)
+		}
+		want := c.Arms[0]
+		if want.Streak == coherence.StreakCount && aux+1 >= tab.K {
+			want = c.Arms[1]
+		}
+		s := c.State
+
+		var next coherence.State
+		if e, ok := c.On.Proc(); ok {
+			out := tab.OnProc(s, aux, e)
+			next = out.Next
+			if out.Action != want.Action || out.Dirty != want.Dirty || out.NoAllocate != want.NoAllocate {
+				t.Errorf("%s: OnProc(%v, aux=%d, %v) = %+v, table says %+v", tab.Name(), s, aux, e, out, want)
+			}
+			for _, v := range lint.CheckProcOutcome(s, e, out) {
+				t.Errorf("%s: OnProc(%v, aux=%d, %v): %s", tab.Name(), s, aux, e, v)
+			}
+		} else if ev, ok := c.On.Snoop(); ok {
+			out := tab.OnSnoop(s, aux, dirty, ev)
+			next = out.Next
+			if out.Inhibit != want.Inhibit || out.TakeData != want.TakeData || out.Dirty != want.Dirty {
+				t.Errorf("%s: OnSnoop(%v, aux=%d, dirty=%v, %v) = %+v, table says %+v", tab.Name(), s, aux, dirty, ev, out, want)
+			}
+			for _, v := range lint.CheckSnoopOutcome(s, ev, out) {
+				t.Errorf("%s: OnSnoop(%v, aux=%d, dirty=%v, %v): %s", tab.Name(), s, aux, dirty, ev, v)
+			}
+		} else {
+			var bcast coherence.Action
+			next, _, bcast = tab.RMWSuccess(s, aux)
+			wantBcast := coherence.ActWrite // the locked write part is BW, or BI where the arc generates BI
+			if want.Action == coherence.ActInv {
+				wantBcast = coherence.ActInv
+			}
+			if bcast != wantBcast {
+				t.Errorf("%s: RMWSuccess(%v, aux=%d) broadcasts %v, want %v", tab.Name(), s, aux, bcast, wantBcast)
+			}
+		}
+		if next != want.Next {
+			t.Errorf("%s: (%v, aux=%d, %v) goes to %v, table says %v", tab.Name(), s, aux, c.On, next, want.Next)
+		}
+
+		// The rules that are not arcs, on the same state.
+		_, flushed, _ := tab.RMWFlush(s, dirty)
 		declared := map[coherence.State]bool{}
-		for _, d := range states {
+		for _, d := range tab.States() {
 			declared[d] = true
 		}
-
-		step := func(desc string, fn func()) {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("%s: %s panics: %v", p.Name(), desc, r)
-				}
-			}()
-			fn()
-		}
-
-		pe := coherence.ProcEvent(evSel % 2)
-		step("OnProc", func() {
-			out := p.OnProc(s, aux, pe)
-			if !declared[out.Next] {
-				t.Errorf("%s: OnProc(%v, aux=%d, %v) targets undeclared state %v", p.Name(), s, aux, pe, out.Next)
+		for what, target := range map[string]coherence.State{
+			"the arc": next, "RMWFlush": flushed, "ReadMissTarget": tab.ReadMissTarget(dirty),
+		} {
+			if !declared[target] {
+				t.Errorf("%s: %s from %v targets undeclared state %v", tab.Name(), what, s, target)
 			}
-			for _, v := range lint.CheckProcOutcome(s, pe, out) {
-				t.Errorf("%s: OnProc(%v, aux=%d, %v): %s", p.Name(), s, aux, pe, v)
-			}
-		})
-
-		se := coherence.SnoopEvent(evSel % 4)
-		step("OnSnoop", func() {
-			out := p.OnSnoop(s, aux, dirty, se)
-			if !declared[out.Next] {
-				t.Errorf("%s: OnSnoop(%v, aux=%d, dirty=%v, %v) targets undeclared state %v", p.Name(), s, aux, dirty, se, out.Next)
-			}
-			for _, v := range lint.CheckSnoopOutcome(s, se, out) {
-				t.Errorf("%s: OnSnoop(%v, aux=%d, dirty=%v, %v): %s", p.Name(), s, aux, dirty, se, v)
-			}
-		})
-
-		step("RMWFlush", func() {
-			flush, next, _ := p.RMWFlush(s, dirty)
-			if !declared[next] {
-				t.Errorf("%s: RMWFlush(%v, dirty=%v) targets undeclared state %v", p.Name(), s, dirty, next)
-			}
-			if !flush && next != s {
-				t.Errorf("%s: RMWFlush(%v, dirty=%v) changes state to %v without flushing", p.Name(), s, dirty, next)
-			}
-		})
-
-		step("RMWSuccess", func() {
-			next, _, bcast := p.RMWSuccess(s, aux)
-			if !declared[next] {
-				t.Errorf("%s: RMWSuccess(%v, aux=%d) targets undeclared state %v", p.Name(), s, aux, next)
-			}
-			if bcast != coherence.ActWrite && bcast != coherence.ActInv {
-				t.Errorf("%s: RMWSuccess(%v, aux=%d) broadcasts %v; the locked write part must be BW or BI", p.Name(), s, aux, bcast)
-			}
-		})
-
-		step("LocalRMW", func() { p.LocalRMW(s) })
-		step("WritebackOnEvict", func() { p.WritebackOnEvict(s, dirty) })
-		c := coherence.Class(evSel % 4)
-		step("Cachable", func() { p.Cachable(c, pe) })
-		if sa, ok := p.(coherence.SharedAware); ok {
-			step("ReadMissTarget", func() {
-				if next := sa.ReadMissTarget(dirty); !declared[next] {
-					t.Errorf("%s: ReadMissTarget(%v) targets undeclared state %v", p.Name(), dirty, next)
-				}
-			})
 		}
 	})
 }

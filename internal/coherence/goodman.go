@@ -1,124 +1,76 @@
 package coherence
 
-import "fmt"
-
-// Goodman implements the write-once scheme of [GOO83] ("Using Cache Memory
-// to Reduce Processor-Memory Traffic"), the design the paper's schemes
+// goodmanTable is the write-once scheme of [GOO83] ("Using Cache Memory to
+// Reduce Processor-Memory Traffic"), the design the paper's schemes
 // extend. The paper classifies it as "event broadcasting": caches note the
 // occurrence of bus reads and writes but never the data, so — unlike RB —
-// an Invalid copy cannot be refreshed by someone else's bus read, and —
-// unlike RWB — a bus write always invalidates rather than updates.
+// an Invalid copy cannot be refreshed by someone else's bus read (Invalid
+// ignores BRdata), and — unlike RWB — a bus write always invalidates
+// rather than updates every holder of a copy.
 //
 // States: Invalid, Valid (clean, possibly shared), Reserved (written
 // exactly once since fetched; memory current; no other copies), DirtyState
 // (written more than once; memory stale; sole copy).
-type Goodman struct{}
+//
+// quietReadMiss is the one difference between its two variants. illinois
+// is the Illinois/MESI-style protocol of Papamarcos & Patel, published at
+// the same ISCA as this paper (1984) — the natural contemporaneous
+// comparison point. It refines write-once with a clean-exclusive state: a
+// read miss installs Exclusive when the bus's shared line is quiet (no
+// other cache held a copy), so a subsequent write needs no bus transaction
+// at all; the Invalid --CR--> arc is its Shared target. Its states map
+// onto Valid = Shared, Reserved = Exclusive (clean), DirtyState = Modified,
+// and like Goodman — unlike the paper's schemes — it is event-broadcast
+// only: observed transactions never deliver usable data.
+func goodmanTable(scheme string, quietReadMiss State) *Table {
+	return Build(Table{
+		Scheme:        scheme,
+		QuietReadMiss: quietReadMiss,
+		Arcs: []Arc{
+			{From: Invalid, On: CR, Next: Valid, Action: ActRead, Dirty: DirtyClear},
+			// Write miss: fetch the line, then write through once (the
+			// "write-once" that gives the scheme its name).
+			{From: Invalid, On: CW, Next: Reserved, Action: ActReadThenWrite, Dirty: DirtyClear},
+			{From: Invalid, On: BR | BW | BI | BRdata, Next: Invalid},
 
-// Name implements Protocol.
-func (Goodman) Name() string { return "goodman" }
+			{From: Valid, On: CR | BR | BI | BRdata, Next: Valid},
+			// First write: write through, invalidating all other copies, and
+			// reserve the line.
+			{From: Valid, On: CW, Next: Reserved, Action: ActWrite, Dirty: DirtyClear},
+			{From: Valid, On: BW, Next: Invalid},
 
-// States implements Protocol.
-func (Goodman) States() []State { return []State{Invalid, Valid, Reserved, DirtyState} }
-
-// OnProc implements Protocol.
-func (Goodman) OnProc(s State, aux uint8, e ProcEvent) ProcOutcome {
-	switch s {
-	case Invalid:
-		if e == EvRead {
-			return ProcOutcome{Next: Valid, Action: ActRead, Dirty: DirtyClear}
-		}
-		// Write miss: fetch the line, then write through once (the
-		// "write-once" that gives the scheme its name).
-		return ProcOutcome{Next: Reserved, Action: ActReadThenWrite, Dirty: DirtyClear}
-	case Valid:
-		if e == EvRead {
-			return ProcOutcome{Next: Valid, Action: ActNone}
-		}
-		// First write: write through, invalidating all other copies, and
-		// reserve the line.
-		return ProcOutcome{Next: Reserved, Action: ActWrite, Dirty: DirtyClear}
-	case Reserved:
-		if e == EvRead {
-			return ProcOutcome{Next: Reserved, Action: ActNone}
-		}
-		// Second write: purely local; memory is now stale.
-		return ProcOutcome{Next: DirtyState, Action: ActNone, Dirty: DirtySet}
-	case DirtyState:
-		if e == EvRead {
-			return ProcOutcome{Next: DirtyState, Action: ActNone}
-		}
-		return ProcOutcome{Next: DirtyState, Action: ActNone, Dirty: DirtySet}
-	default:
-		panic(fmt.Sprintf("goodman: OnProc from foreign state %v", s))
-	}
-}
-
-// OnSnoop implements Protocol. Note the two deliberate non-reactions that
-// distinguish event broadcasting from the paper's data broadcasting:
-// Invalid ignores SnReadData, and every holder of a copy is invalidated
-// (never updated) by a bus write.
-func (Goodman) OnSnoop(s State, aux uint8, dirty bool, ev SnoopEvent) SnoopOutcome {
-	switch s {
-	case Invalid:
-		return SnoopOutcome{Next: Invalid}
-	case Valid:
-		switch ev {
-		case SnBusRead, SnReadData, SnBusInv:
-			return SnoopOutcome{Next: Valid}
-		case SnBusWrite:
-			return SnoopOutcome{Next: Invalid}
-		}
-	case Reserved:
-		switch ev {
-		case SnBusRead:
+			{From: Reserved, On: CR | BI | BRdata, Next: Reserved},
+			// Second write: purely local; memory is now stale. This is the
+			// Illinois payoff: writing a clean-exclusive line is free.
+			{From: Reserved, On: CW, Next: DirtyState, Dirty: DirtySet},
 			// Another cache fetches the line; memory is current, so no
 			// inhibit is needed, but exclusivity is lost.
-			return SnoopOutcome{Next: Valid}
-		case SnReadData, SnBusInv:
-			return SnoopOutcome{Next: Reserved}
-		case SnBusWrite:
-			return SnoopOutcome{Next: Invalid}
-		}
-	case DirtyState:
-		switch ev {
-		case SnBusRead:
+			{From: Reserved, On: BR, Next: Valid},
+			{From: Reserved, On: BW, Next: Invalid},
+
+			{From: DirtyState, On: CR | BI | BRdata, Next: DirtyState},
+			{From: DirtyState, On: CW, Next: DirtyState, Dirty: DirtySet},
 			// Memory is stale: interrupt the read, supply the value (the
 			// bus writes it through), and demote to Valid.
-			return SnoopOutcome{Next: Valid, Inhibit: true, Dirty: DirtyClear}
-		case SnReadData, SnBusInv:
-			return SnoopOutcome{Next: DirtyState}
-		case SnBusWrite:
-			return SnoopOutcome{Next: Invalid, Dirty: DirtyClear}
-		}
-	default:
-		panic(fmt.Sprintf("goodman: OnSnoop from foreign state %v", s))
-	}
-	panic(fmt.Sprintf("goodman: OnSnoop(%v) missed event %v", s, ev))
+			{From: DirtyState, On: BR, Next: Valid, Inhibit: true, Dirty: DirtyClear},
+			{From: DirtyState, On: BW, Next: Invalid, Dirty: DirtyClear},
+
+			// The successful set of a Test-and-Set is a write-through, so
+			// the issuer holds a written-once line. Reserved and Dirty lines
+			// are exclusive (no other cache holds a copy): theirs completes
+			// in the cache.
+			{From: Invalid, On: TS, Next: Reserved, Action: ActWrite},
+			{From: Valid, On: TS, Next: Reserved, Action: ActWrite},
+			{From: Reserved, On: TS, Next: Reserved},
+			{From: DirtyState, On: TS, Next: Reserved},
+		},
+		Owners: map[State]Owner{DirtyState: {
+			// DirtyState is by definition dirty; flushing for a locked read
+			// brings memory current, leaving the line effectively Reserved
+			// (sole copy, memory current).
+			Flush: Always, FlushTo: Reserved,
+			// Only DirtyState lines have values absent from memory.
+			Evict: Always,
+		}},
+	})
 }
-
-// RMWFlush implements Protocol: DirtyState is by definition dirty; flushing
-// for a locked read brings memory current, leaving the line effectively
-// Reserved (sole copy, memory current).
-func (Goodman) RMWFlush(s State, dirty bool) (bool, State, DirtyEffect) {
-	if s == DirtyState {
-		return true, Reserved, DirtyClear
-	}
-	return false, s, DirtyKeep
-}
-
-// RMWSuccess implements Protocol: the successful set is a write-through, so
-// the issuer holds a written-once line.
-func (Goodman) RMWSuccess(s State, aux uint8) (State, uint8, Action) {
-	return Reserved, 0, ActWrite
-}
-
-// Cachable implements Protocol: write-once is transparent.
-func (Goodman) Cachable(c Class, e ProcEvent) bool { return true }
-
-// WritebackOnEvict implements Protocol: only DirtyState lines have values
-// absent from memory.
-func (Goodman) WritebackOnEvict(s State, dirty bool) bool { return s == DirtyState }
-
-// LocalRMW implements Protocol: Reserved and Dirty lines are exclusive (no
-// other cache holds a copy), so a Test-and-Set completes in the cache.
-func (Goodman) LocalRMW(s State) bool { return s == Reserved || s == DirtyState }

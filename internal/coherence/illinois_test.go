@@ -3,7 +3,7 @@ package coherence
 import "testing"
 
 func TestIllinoisReadMissTarget(t *testing.T) {
-	p := Illinois{}
+	p := New(KindIllinois)
 	if got := p.ReadMissTarget(false); got != Reserved {
 		t.Errorf("quiet shared line -> %v, want Exclusive (Reserved)", got)
 	}
@@ -15,7 +15,7 @@ func TestIllinoisReadMissTarget(t *testing.T) {
 // TestIllinoisSilentUpgrade is the protocol's defining transition: writing
 // a clean-exclusive line takes no bus transaction.
 func TestIllinoisSilentUpgrade(t *testing.T) {
-	p := Illinois{}
+	p := New(KindIllinois)
 	out := p.OnProc(Reserved, 0, EvWrite)
 	if out.Action != ActNone || out.Next != DirtyState || out.Dirty != DirtySet {
 		t.Fatalf("E+write = %+v, want silent upgrade to Modified", out)
@@ -23,13 +23,13 @@ func TestIllinoisSilentUpgrade(t *testing.T) {
 	// Contrast with Goodman, which writes through from its Reserved too —
 	// but only reaches Reserved via a bus write; Illinois reaches
 	// Exclusive on a quiet read miss.
-	if g := (Goodman{}).OnProc(Valid, 0, EvWrite); g.Action != ActWrite {
+	if g := New(KindGoodman).OnProc(Valid, 0, EvWrite); g.Action != ActWrite {
 		t.Fatalf("goodman shared write = %+v", g)
 	}
 }
 
 func TestIllinoisSnoopMatrix(t *testing.T) {
-	p := Illinois{}
+	p := New(KindIllinois)
 	cases := []struct {
 		s       State
 		ev      SnoopEvent
@@ -57,7 +57,7 @@ func TestIllinoisSnoopMatrix(t *testing.T) {
 }
 
 func TestIllinoisRMW(t *testing.T) {
-	p := Illinois{}
+	p := New(KindIllinois)
 	if flush, next, _ := p.RMWFlush(DirtyState, true); !flush || next != Reserved {
 		t.Error("Modified must flush for a locked read, leaving clean-exclusive")
 	}
@@ -73,7 +73,7 @@ func TestIllinoisRMW(t *testing.T) {
 }
 
 func TestIllinoisEvictionAndTransparency(t *testing.T) {
-	p := Illinois{}
+	p := New(KindIllinois)
 	if !p.WritebackOnEvict(DirtyState, true) || p.WritebackOnEvict(Reserved, false) || p.WritebackOnEvict(Valid, false) {
 		t.Error("writeback policy wrong")
 	}
@@ -93,5 +93,5 @@ func TestIllinoisForeignStatePanics(t *testing.T) {
 			t.Fatal("foreign state did not panic")
 		}
 	}()
-	Illinois{}.OnProc(Local, 0, EvRead)
+	New(KindIllinois).OnProc(Local, 0, EvRead)
 }

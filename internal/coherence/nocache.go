@@ -1,45 +1,16 @@
 package coherence
 
-// NoCache sends every reference to the bus: the configuration a
+// noCache sends every reference to the bus: the configuration a
 // shared-memory machine has before any of the paper's machinery is added,
 // and the denominator for all bus-traffic comparisons (Section 7's
-// bandwidth arithmetic with a miss ratio of 1).
-type NoCache struct{}
-
-// Name implements Protocol.
-func (NoCache) Name() string { return "nocache" }
-
-// States implements Protocol.
-func (NoCache) States() []State { return []State{Invalid} }
-
-// OnProc implements Protocol: every access is an uncached bus transaction.
-func (NoCache) OnProc(s State, aux uint8, e ProcEvent) ProcOutcome {
-	if e == EvRead {
-		return ProcOutcome{Next: Invalid, Action: ActRead, NoAllocate: true}
-	}
-	return ProcOutcome{Next: Invalid, Action: ActWrite, NoAllocate: true}
-}
-
-// OnSnoop implements Protocol: nothing is cached, nothing reacts.
-func (NoCache) OnSnoop(s State, aux uint8, dirty bool, ev SnoopEvent) SnoopOutcome {
-	return SnoopOutcome{Next: Invalid}
-}
-
-// RMWFlush implements Protocol.
-func (NoCache) RMWFlush(s State, dirty bool) (bool, State, DirtyEffect) {
-	return false, s, DirtyKeep
-}
-
-// RMWSuccess implements Protocol.
-func (NoCache) RMWSuccess(s State, aux uint8) (State, uint8, Action) {
-	return Invalid, 0, ActWrite
-}
-
-// Cachable implements Protocol: nothing is.
-func (NoCache) Cachable(c Class, e ProcEvent) bool { return false }
-
-// WritebackOnEvict implements Protocol.
-func (NoCache) WritebackOnEvict(s State, dirty bool) bool { return false }
-
-// LocalRMW implements Protocol.
-func (NoCache) LocalRMW(s State) bool { return false }
+// bandwidth arithmetic with a miss ratio of 1). Nothing is cachable, so
+// every access is an uncached bus transaction and nothing reacts.
+var noCache = Build(Table{
+	Scheme:   "nocache",
+	Uncached: [numClasses]bool{true, true, true, true},
+	Arcs: []Arc{
+		{From: Invalid, On: CR, Next: Invalid, Action: ActRead, NoAllocate: true},
+		{From: Invalid, On: CW, Next: Invalid, Action: ActWrite, NoAllocate: true},
+		{From: Invalid, On: BR | BW | BI | BRdata, Next: Invalid},
+	},
+})

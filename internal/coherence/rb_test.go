@@ -7,7 +7,7 @@ import "testing"
 // modifier actions (1 = generate BW, 2 = interrupt BR and supply data,
 // 3 = generate BR).
 func TestRBTransitionDiagram(t *testing.T) {
-	p := RB{}
+	p := New(KindRB)
 
 	procCases := []struct {
 		s      State
@@ -67,7 +67,7 @@ func TestRBTransitionDiagram(t *testing.T) {
 // bus write leaves the line clean (memory just got the value), while a
 // local write in L dirties it — the invariant behind the RMW flush rule.
 func TestRBWriteIsWriteThrough(t *testing.T) {
-	p := RB{}
+	p := New(KindRB)
 	for _, s := range []State{Invalid, Readable} {
 		out := p.OnProc(s, 0, EvWrite)
 		if out.Dirty != DirtyClear {
@@ -82,14 +82,14 @@ func TestRBWriteIsWriteThrough(t *testing.T) {
 // TestRBLocalFlushClearsDirty: after servicing a bus read, the former owner
 // is Readable and clean.
 func TestRBLocalFlushClearsDirty(t *testing.T) {
-	out := RB{}.OnSnoop(Local, 0, true, SnBusRead)
+	out := New(KindRB).OnSnoop(Local, 0, true, SnBusRead)
 	if !out.Inhibit || out.Next != Readable || out.Dirty != DirtyClear {
 		t.Fatalf("L+BR snoop = %+v, want inhibit -> Readable clean", out)
 	}
 }
 
 func TestRBRMWFlushOnlyWhenDirty(t *testing.T) {
-	p := RB{}
+	p := New(KindRB)
 	if flush, next, d := p.RMWFlush(Local, true); !flush || next != Local || d != DirtyClear {
 		t.Errorf("dirty Local must flush for a locked read and stay Local; got flush=%v next=%v dirty=%v", flush, next, d)
 	}
@@ -104,14 +104,14 @@ func TestRBRMWFlushOnlyWhenDirty(t *testing.T) {
 }
 
 func TestRBRMWSuccessMakesLocal(t *testing.T) {
-	next, _, bc := RB{}.RMWSuccess(Readable, 0)
+	next, _, bc := New(KindRB).RMWSuccess(Readable, 0)
 	if next != Local || bc != ActWrite {
 		t.Fatalf("RMW success = (%v, %v), want (Local, BW)", next, bc)
 	}
 }
 
 func TestRBEvictionPolicy(t *testing.T) {
-	p := RB{}
+	p := New(KindRB)
 	if !p.WritebackOnEvict(Local, false) {
 		t.Error("Local lines must be written back on eviction, even clean")
 	}
@@ -123,7 +123,7 @@ func TestRBEvictionPolicy(t *testing.T) {
 }
 
 func TestRBTransparent(t *testing.T) {
-	p := RB{}
+	p := New(KindRB)
 	for _, c := range []Class{ClassUnknown, ClassCode, ClassLocal, ClassShared} {
 		for _, e := range []ProcEvent{EvRead, EvWrite} {
 			if !p.Cachable(c, e) {
@@ -134,7 +134,7 @@ func TestRBTransparent(t *testing.T) {
 }
 
 func TestRBStatesAndName(t *testing.T) {
-	p := RB{}
+	p := New(KindRB)
 	if p.Name() != "rb" {
 		t.Errorf("Name() = %q", p.Name())
 	}
@@ -156,11 +156,11 @@ func TestRBForeignStatePanics(t *testing.T) {
 			t.Fatal("OnProc from a Goodman state did not panic")
 		}
 	}()
-	RB{}.OnProc(Reserved, 0, EvRead)
+	New(KindRB).OnProc(Reserved, 0, EvRead)
 }
 
 func TestRBDirtyEvictVariant(t *testing.T) {
-	p := RBDirtyEvict{}
+	p := New(KindRBDirty)
 	if p.Name() != "rb-dirty" {
 		t.Fatalf("Name() = %q", p.Name())
 	}
@@ -174,5 +174,16 @@ func TestRBDirtyEvictVariant(t *testing.T) {
 	// Every other behavior is inherited from RB verbatim.
 	if out := p.OnProc(Readable, 0, EvWrite); out.Next != Local || out.Action != ActWrite {
 		t.Errorf("inherited transition diverged: %+v", out)
+	}
+}
+
+// TestRBShimForwards: the RB literal benchmark/core.go spells answers
+// every hook exactly as the rb table does.
+func TestRBShimForwards(t *testing.T) {
+	if got, want := oracleDump("rb", RB{}), oracleDump("rb", New(KindRB)); got != want {
+		t.Errorf("RB{} diverges from New(KindRB):\n%s\nwant:\n%s", got, want)
+	}
+	if (RB{}).ReadMissTarget(false) != Readable || (RB{}).ReadMissTarget(true) != Readable {
+		t.Error("RB{}.ReadMissTarget is not the Invalid --CR--> target")
 	}
 }

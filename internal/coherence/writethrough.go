@@ -1,84 +1,51 @@
 package coherence
 
-import "fmt"
-
-// WriteThrough is the classic write-through-with-invalidate baseline: every
-// write goes to the bus and memory, every other copy is invalidated, and a
-// cache never gains information from transactions it merely observes
+// writeThroughTable is the classic write-through-with-invalidate baseline:
+// every write goes to the bus and memory, every other copy is invalidated,
+// and a cache never gains information from transactions it merely observes
 // (beyond the invalidation itself). It bounds the paper's schemes from
 // below: correct, simple, and maximally bus-hungry for write-heavy and
 // lock-heavy workloads.
 //
 // States: Invalid and Valid. Writes do not allocate (a write miss updates
 // memory without installing the line), the common choice for write-through
-// caches of the period.
-type WriteThrough struct{}
+// caches of the period. Memory is always current, so nothing ever flushes
+// or is written back; Valid lines may be shared, so Test-and-Set always
+// takes the bus.
+//
+// The parameters are the differences between its two variants: the class
+// filter, a Valid line's state after it observes a bus write, and after
+// its own successful Test-and-Set (under writethrough the issuer keeps its
+// updated copy). cmstar emulates the cache configuration of the paper's
+// motivating measurements (Table 1-1, from Raskin's Cm* experiments):
+// "only code and local data were considered cachable and a write-through
+// policy was adopted for local data. Thus writes to local data were
+// counted as cache misses since they caused communication external to the
+// processor/cache. All references to shared (non-code) data also caused a
+// cache miss." Unlike the paper's schemes it is not transparent: it needs
+// the reference's class (which the Cm* experiments knew statically) to
+// decide cachability, and shared and unclassified references bypass the
+// cache entirely; the cache layer only consults the arcs for cachable
+// references. There is then no coherence problem to solve — caches hold
+// only code and private data, so an observed bus write never concerns a
+// cached line and nothing reacts. And Test-and-Set targets shared data,
+// which stays out of the cache.
+func writeThroughTable(scheme string, uncached [numClasses]bool, observedWrite, testSet State) *Table {
+	return Build(Table{
+		Scheme:   scheme,
+		Uncached: uncached,
+		Arcs: []Arc{
+			{From: Invalid, On: CR, Next: Valid, Action: ActRead, Dirty: DirtyClear},
+			// Write miss: write through without allocating. The set of a
+			// Test-and-Set is an ordinary write-through too.
+			{From: Invalid, On: CW, Next: Invalid, Action: ActWrite, NoAllocate: true},
+			{From: Invalid, On: BR | BW | BI | BRdata, Next: Invalid},
 
-// Name implements Protocol.
-func (WriteThrough) Name() string { return "writethrough" }
-
-// States implements Protocol.
-func (WriteThrough) States() []State { return []State{Invalid, Valid} }
-
-// OnProc implements Protocol.
-func (WriteThrough) OnProc(s State, aux uint8, e ProcEvent) ProcOutcome {
-	switch s {
-	case Invalid:
-		if e == EvRead {
-			return ProcOutcome{Next: Valid, Action: ActRead, Dirty: DirtyClear}
-		}
-		// Write miss: write through without allocating.
-		return ProcOutcome{Next: Invalid, Action: ActWrite, NoAllocate: true}
-	case Valid:
-		if e == EvRead {
-			return ProcOutcome{Next: Valid, Action: ActNone}
-		}
-		// Write hit: update the copy and write through.
-		return ProcOutcome{Next: Valid, Action: ActWrite, Dirty: DirtyClear}
-	default:
-		panic(fmt.Sprintf("writethrough: OnProc from foreign state %v", s))
-	}
+			{From: Valid, On: CR | BR | BI | BRdata, Next: Valid},
+			// Write hit: update the copy and write through.
+			{From: Valid, On: CW, Next: Valid, Action: ActWrite, Dirty: DirtyClear},
+			{From: Valid, On: BW, Next: observedWrite},
+			{From: Valid, On: TS, Next: testSet, Action: ActWrite},
+		},
+	})
 }
-
-// OnSnoop implements Protocol.
-func (WriteThrough) OnSnoop(s State, aux uint8, dirty bool, ev SnoopEvent) SnoopOutcome {
-	switch s {
-	case Invalid:
-		return SnoopOutcome{Next: Invalid}
-	case Valid:
-		switch ev {
-		case SnBusRead, SnReadData, SnBusInv:
-			return SnoopOutcome{Next: Valid}
-		case SnBusWrite:
-			return SnoopOutcome{Next: Invalid}
-		}
-	default:
-		panic(fmt.Sprintf("writethrough: OnSnoop from foreign state %v", s))
-	}
-	panic(fmt.Sprintf("writethrough: OnSnoop(%v) missed event %v", s, ev))
-}
-
-// RMWFlush implements Protocol: memory is always current under pure
-// write-through, so nothing ever flushes.
-func (WriteThrough) RMWFlush(s State, dirty bool) (bool, State, DirtyEffect) {
-	return false, s, DirtyKeep
-}
-
-// RMWSuccess implements Protocol: the set is an ordinary write-through; a
-// Valid issuer keeps its (updated) copy, an Invalid issuer stays Invalid.
-func (WriteThrough) RMWSuccess(s State, aux uint8) (State, uint8, Action) {
-	if s == Valid {
-		return Valid, 0, ActWrite
-	}
-	return Invalid, 0, ActWrite
-}
-
-// Cachable implements Protocol.
-func (WriteThrough) Cachable(c Class, e ProcEvent) bool { return true }
-
-// WritebackOnEvict implements Protocol: memory is always current.
-func (WriteThrough) WritebackOnEvict(s State, dirty bool) bool { return false }
-
-// LocalRMW implements Protocol: Valid lines may be shared, so Test-and-Set
-// always takes the bus.
-func (WriteThrough) LocalRMW(s State) bool { return false }

@@ -91,7 +91,7 @@ func TestBuildRWBThreshold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rwb, ok := cfg.Protocol.(coherence.RWB); !ok || int(rwb.Threshold) != k {
+		if rwb, ok := cfg.Protocol.(*coherence.Table); !ok || rwb.Name() != "rwb" || int(rwb.K) != k {
 			t.Fatalf("rwb_threshold %d built %#v", k, cfg.Protocol)
 		}
 	}

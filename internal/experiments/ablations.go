@@ -80,7 +80,8 @@ func ArrayInitRows(p Params) ([]ArrayInitRow, error) {
 	const cacheLines = 64
 	elements := cacheLines * 4 * p.Scale
 	var rows []ArrayInitRow
-	for _, proto := range []coherence.Protocol{coherence.RB{}, coherence.RBDirtyEvict{}, coherence.NewRWB(2), coherence.Goodman{}, coherence.WriteThrough{}} {
+	for _, kind := range []coherence.Kind{coherence.KindRB, coherence.KindRBDirty, coherence.KindRWB, coherence.KindGoodman, coherence.KindWriteThrough} {
+		proto := coherence.New(kind)
 		m, err := p.Machine("arrayinit/"+proto.Name(), machine.Config{
 			Protocol:         proto,
 			CacheLines:       cacheLines,
@@ -153,7 +154,8 @@ func LockRows(p Params) ([]LockRow, error) {
 	const pes = 8
 	iters := 20 * p.Scale
 	var rows []LockRow
-	for _, proto := range []coherence.Protocol{coherence.RB{}, coherence.NewRWB(2), coherence.Goodman{}, coherence.Illinois{}, coherence.WriteThrough{}} {
+	for _, kind := range []coherence.Kind{coherence.KindRB, coherence.KindRWB, coherence.KindGoodman, coherence.KindIllinois, coherence.KindWriteThrough} {
+		proto := coherence.New(kind)
 		for _, strat := range []workload.Strategy{workload.StrategyTS, workload.StrategyTTS} {
 			// The agents are (re)built inside the closure so the locks
 			// slice always tracks the machine's live agents, fresh or
@@ -387,7 +389,8 @@ func FaultRows(p Params) ([]FaultRow, error) {
 	const pes, words = 4, 256
 	refs := 3000 * p.Scale
 	var rows []FaultRow
-	for _, proto := range []coherence.Protocol{coherence.RB{}, coherence.NewRWB(2), coherence.Goodman{}} {
+	for _, kind := range []coherence.Kind{coherence.KindRB, coherence.KindRWB, coherence.KindGoodman} {
+		proto := coherence.New(kind)
 		m, err := p.Machine("faultrecovery/"+proto.Name(), machine.Config{
 			Protocol:         proto,
 			CacheLines:       64,

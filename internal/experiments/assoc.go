@@ -45,7 +45,7 @@ func AssocRows(p Params) ([]AssocRow, error) {
 		for _, ways := range []int{1, 2, 4} {
 			layout := workload.DefaultLayout()
 			m, err := p.Machine(fmt.Sprintf("assoc/size=%d/ways=%d", size, ways), machine.Config{
-				Protocol:   coherence.CmStar{},
+				Protocol:   coherence.New(coherence.KindCmStar),
 				CacheLines: size,
 				CacheWays:  ways,
 			}, func() []workload.Agent {

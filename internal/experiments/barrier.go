@@ -44,7 +44,8 @@ func BarrierRows(p Params) ([]BarrierRow, error) {
 	const pes = 8
 	rounds := 10 * p.Scale
 	var rows []BarrierRow
-	for _, proto := range []coherence.Protocol{coherence.RB{}, coherence.NewRWB(2), coherence.Goodman{}, coherence.WriteThrough{}, coherence.NoCache{}} {
+	for _, kind := range []coherence.Kind{coherence.KindRB, coherence.KindRWB, coherence.KindGoodman, coherence.KindWriteThrough, coherence.KindNoCache} {
+		proto := coherence.New(kind)
 		var barriers []*workload.Barrier
 		var buildErr error
 		m, err := p.Machine("barrier/"+proto.Name(), machine.Config{

@@ -13,40 +13,27 @@ import (
 // (feed it to `dot -Tsvg` to get the picture). Processor-request arcs are
 // solid, bus-request arcs dashed, matching the figures' visual language;
 // arc labels carry the request and the modifier.
-func TransitionDOT(p coherence.Protocol) string {
+func TransitionDOT(p *coherence.Table) string {
 	type arc struct {
 		from, to, label string
 		bus             bool
 	}
 	var arcs []arc
-	for _, s := range p.States() {
-		for _, e := range []coherence.ProcEvent{coherence.EvRead, coherence.EvWrite} {
-			out := p.OnProc(s, 1, e)
-			label := e.String()
-			if m := modifier(out.Action, false); m != "-" {
-				label += " / " + strings.SplitN(m, " ", 2)[0]
-			}
-			arcs = append(arcs, arc{from: s.Letter(), to: out.Next.Letter(), label: label})
+	for _, a := range figureArcs(p) {
+		label := a.On.String()
+		_, bus := a.On.Snoop()
+		if m := modifier(a.Action, a.Inhibit); m != "-" {
+			label += " / " + strings.SplitN(m, " ", 2)[0]
 		}
-		for _, ev := range []coherence.SnoopEvent{coherence.SnBusRead, coherence.SnBusWrite, coherence.SnBusInv} {
-			if ev == coherence.SnBusInv && !usesInvalidate(p) {
-				continue
-			}
-			out := p.OnSnoop(s, 1, true, ev)
-			label := ev.String()
-			if out.Inhibit {
-				label += " / 2"
-			}
-			if out.TakeData {
-				label += " / take"
-			}
-			// Self-loops with no effect clutter the diagram; the figures
-			// omit them too.
-			if out.Next == s && !out.Inhibit && !out.TakeData {
-				continue
-			}
-			arcs = append(arcs, arc{from: s.Letter(), to: out.Next.Letter(), label: label, bus: true})
+		if a.TakeData {
+			label += " / take"
 		}
+		// Bus self-loops with no effect clutter the diagram; the figures
+		// omit them too.
+		if bus && a.Next == a.From && !a.Inhibit && !a.TakeData {
+			continue
+		}
+		arcs = append(arcs, arc{from: a.From.Letter(), to: a.Next.Letter(), label: label, bus: bus})
 	}
 
 	var b strings.Builder

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"slices"
+
 	"repro/internal/coherence"
 	"repro/internal/report"
 )
@@ -17,7 +19,7 @@ func init() {
 		Title:   "State Transition Diagram for each Cache Entry for the RB Scheme",
 		Version: 1, // parameter-free: the transition relation has no axes
 		Run: func(Params) (*Table, error) {
-			return TransitionTable(coherence.RB{}, "fig3-1",
+			return TransitionTable(coherence.New(coherence.KindRB), "fig3-1",
 				"State Transition Diagram for each Cache Entry for the RB Scheme"), nil
 		},
 	})
@@ -26,7 +28,7 @@ func init() {
 		Title:   "State Transition Diagram for each Cache Entry for the RWB Scheme",
 		Version: 1,
 		Run: func(Params) (*Table, error) {
-			return TransitionTable(coherence.NewRWB(2), "fig5-1",
+			return TransitionTable(coherence.New(coherence.KindRWB), "fig5-1",
 				"State Transition Diagram for each Cache Entry for the RWB Scheme"), nil
 		},
 	})
@@ -49,55 +51,54 @@ func modifier(action coherence.Action, inhibit bool) string {
 	return "-"
 }
 
+// figureArcs reads from the table the arcs Figures 3-1 and 5-1 draw, state
+// by state: the processor requests, then the bus requests. The figures
+// have no Test-and-Set or read-data arcs, show BI only for a scheme that
+// generates it, and draw a state as a write enters it: in F the streak is
+// already 1, so the counted write-through arm, which is taken while
+// streak+1 < K, is in the figure only when K > 2 (at the paper's K = 2 it
+// fires only after a foreign bus read reset the streak to 0, a refinement
+// the figure does not draw). The full-streak arm always is.
+func figureArcs(t *coherence.Table) []coherence.Arc {
+	generatesBI := slices.ContainsFunc(t.Arcs, func(a coherence.Arc) bool { return a.Action == coherence.ActInv })
+	var arcs []coherence.Arc
+	for _, c := range t.Cells() {
+		for _, a := range c.Arms {
+			notDrawn := a.On == coherence.TS || a.On == coherence.BRdata || a.On == coherence.BI && !generatesBI ||
+				a.Streak == coherence.StreakCount && t.K <= 2
+			if !notDrawn {
+				arcs = append(arcs, a)
+			}
+		}
+	}
+	return arcs
+}
+
 // TransitionTable renders a protocol's complete transition relation.
-func TransitionTable(p coherence.Protocol, id, title string) *report.Table {
+func TransitionTable(p *coherence.Table, id, title string) *report.Table {
 	t := &report.Table{
 		ID:      id,
 		Title:   title,
 		Columns: []string{"State", "Request", "Next State", "Modifier"},
 		Note:    "CW/CR: CPU write/read request; BW/BR/BI: bus write/read/invalidate request (the figures' legend)",
 	}
-	for _, s := range p.States() {
-		for _, e := range []coherence.ProcEvent{coherence.EvRead, coherence.EvWrite} {
-			out := p.OnProc(s, 1, e)
-			t.AddRow(s.Letter(), e.String(), out.Next.Letter(), modifier(out.Action, false))
-		}
-		for _, ev := range []coherence.SnoopEvent{coherence.SnBusRead, coherence.SnBusWrite, coherence.SnBusInv} {
-			if ev == coherence.SnBusInv && !usesInvalidate(p) {
-				continue
+	for _, a := range figureArcs(p) {
+		mod := modifier(a.Action, a.Inhibit)
+		if a.TakeData {
+			if mod == "-" {
+				mod = "take broadcast data"
+			} else {
+				mod += ", take broadcast data"
 			}
-			out := p.OnSnoop(s, 1, true, ev)
-			mod := modifier(coherence.ActNone, out.Inhibit)
-			if out.TakeData {
-				if mod == "-" {
-					mod = "take broadcast data"
-				} else {
-					mod += ", take broadcast data"
-				}
-			}
-			t.AddRow(s.Letter(), ev.String(), out.Next.Letter(), mod)
 		}
+		t.AddRow(a.From.Letter(), a.On.String(), a.Next.Letter(), mod)
 	}
 	return t
 }
 
-// usesInvalidate reports whether any processor transition of p emits BI.
-func usesInvalidate(p coherence.Protocol) bool {
-	for _, s := range p.States() {
-		for _, e := range []coherence.ProcEvent{coherence.EvRead, coherence.EvWrite} {
-			for aux := uint8(0); aux < 4; aux++ {
-				if p.OnProc(s, aux, e).Action == coherence.ActInv {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
 // CountTransitions returns (states, arcs) for a protocol — the figures'
 // size, used by documentation and sanity tests.
-func CountTransitions(p coherence.Protocol) (states, arcs int) {
+func CountTransitions(p *coherence.Table) (states, arcs int) {
 	t := TransitionTable(p, "tmp", "tmp")
 	set := map[string]bool{}
 	for _, row := range t.Rows {

@@ -54,7 +54,7 @@ func Figure61() *report.Table {
 }
 
 func figure61() *report.Table {
-	s := newScenario(coherence.RB{}, 3, 16)
+	s := newScenario(coherence.New(coherence.KindRB), 3, 16)
 	t := &report.Table{
 		ID:      "fig6-1",
 		Title:   "Synchronization with Test-and-Set for RB Scheme",
@@ -102,7 +102,7 @@ func Figure62() *report.Table {
 }
 
 func figure62() *report.Table {
-	s := newScenario(coherence.RB{}, 3, 16)
+	s := newScenario(coherence.New(coherence.KindRB), 3, 16)
 	t := &report.Table{
 		ID:      "fig6-2",
 		Title:   "Synchronization with Test-and-Test-and-Set for RB Scheme",
@@ -157,7 +157,7 @@ func Figure63() *report.Table {
 }
 
 func figure63() *report.Table {
-	s := newScenario(coherence.NewRWB(2), 3, 16)
+	s := newScenario(coherence.New(coherence.KindRWB), 3, 16)
 	t := &report.Table{
 		ID:      "fig6-3",
 		Title:   "Synchronization with Test-and-Test-and-Set for RWB Scheme",

@@ -48,7 +48,7 @@ func RMWStyleRows(p Params) ([]RMWStyleRow, error) {
 			var locks []*workload.Spinlock
 			var buildErr error
 			m, err := p.Machine(fmt.Sprintf("rmwstyle/twoPhase=%v/%s", twoPhase, strat), machine.Config{
-				Protocol:         coherence.RB{},
+				Protocol:         coherence.New(coherence.KindRB),
 				CacheLines:       64,
 				TwoPhaseRMW:      twoPhase,
 				CheckConsistency: true,

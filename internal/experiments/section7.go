@@ -80,7 +80,7 @@ func Figure71Rows(p Params) ([]Figure71Row, error) {
 	var rows []Figure71Row
 	for _, buses := range []int{1, 2, 4} {
 		m, err := p.Machine(fmt.Sprintf("fig7-1/buses=%d", buses), machine.Config{
-			Protocol:         coherence.RB{},
+			Protocol:         coherence.New(coherence.KindRB),
 			CacheLines:       64,
 			Buses:            buses,
 			CheckConsistency: true,
@@ -152,7 +152,8 @@ func SaturationRows(p Params) ([]SaturationRow, error) {
 	p = p.withDefaults()
 	refs := 2500 * p.Scale
 	var rows []SaturationRow
-	for _, proto := range []coherence.Protocol{coherence.RB{}, coherence.NoCache{}} {
+	for _, kind := range []coherence.Kind{coherence.KindRB, coherence.KindNoCache} {
+		proto := coherence.New(kind)
 		for _, pes := range []int{2, 4, 8, 16, 32} {
 			layout := workload.DefaultLayout()
 			// Paper-scale caches (the largest Table 1-1 size). The shape

@@ -55,7 +55,7 @@ func Table11Rows(p Params) ([]Table11Row, error) {
 			prof := prof
 			layout := workload.DefaultLayout()
 			m, err := p.Machine(fmt.Sprintf("table11/size=%d/%s", size, prof.Name), machine.Config{
-				Protocol:   coherence.CmStar{},
+				Protocol:   coherence.New(coherence.KindCmStar),
 				CacheLines: size,
 			}, func() []workload.Agent {
 				agents := make([]workload.Agent, pes)

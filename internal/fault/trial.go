@@ -33,7 +33,7 @@ type TrialConfig struct {
 
 func (c TrialConfig) withDefaults() TrialConfig {
 	if c.Protocol == nil {
-		c.Protocol = coherence.RB{}
+		c.Protocol = coherence.New(coherence.KindRB)
 	}
 	if c.PEs == 0 {
 		c.PEs = 4

@@ -119,7 +119,7 @@ func New(cfg Config, agents [][]workload.Agent) (*Machine, error) {
 		m.global.Attach(ci, ad)
 		m.global.AttachRequester(ci, ad)
 		for pi := 0; pi < cfg.PEsPerCluster; pi++ {
-			c, err := cache.New(pi, coherence.WriteThrough{}, cache.Config{Lines: cfg.L1Lines})
+			c, err := cache.New(pi, coherence.New(coherence.KindWriteThrough), cache.Config{Lines: cfg.L1Lines})
 			if err != nil {
 				return nil, err
 			}

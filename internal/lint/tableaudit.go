@@ -8,22 +8,25 @@ import (
 	"repro/internal/coherence"
 )
 
-// The table audit is the third analyzer family: it loads every protocol
-// registered in coherence.Kinds() and verifies, by exhaustive enumeration
-// of its transition table, the properties the simulator and the
-// Section 4 model checker silently assume:
+// The table audit is the third analyzer family: it loads every table
+// registered in coherence.Kinds() and verifies the properties the
+// simulator and the Section 4 model checker silently assume:
 //
-//   - totality: every (declared state, event) pair — processor events,
-//     snoop events with both dirty values, RMW hooks — has a defined
-//     outcome (no panic) for every probed aux value;
+//   - totality, read off the table itself: every (declared state, event)
+//     cell holds exactly one arc, or a counted arc and its full-streak
+//     partner (coherence.Cell.Defect);
 //   - closure and reachability: outcomes only target declared states, and
-//     every declared state is reachable from the initial state;
+//     every declared state is reachable from Invalid, the state the cache
+//     gives an absent line;
 //   - outcome sanity: the structural rules in CheckProcOutcome and
 //     CheckSnoopOutcome (shared with FuzzProtocolStep in
 //     internal/coherence).
 //
-// auditAuxProbes are the per-line counter values the audit drives each
-// table with; they cover zero, the RWB threshold region, and saturation.
+// Closure and sanity are checked on what the interpreter answers — the
+// thing the cache consumes — for every well-formed cell, both dirty values
+// and the streaks in auditAuxProbes, which cover zero, the RWB threshold
+// region, and saturation; so are the rules that are not arcs (flush,
+// eviction, LocalRMW, the class filter, the read-miss target).
 var auditAuxProbes = []uint8{0, 1, 2, 255}
 
 // AuditFinding is one violated table property.
@@ -37,12 +40,11 @@ type AuditFinding struct {
 type Audit struct {
 	Protocol    string
 	States      []coherence.State // declared, in presentation order
-	Initial     coherence.State
 	Unreachable []coherence.State
 	Findings    []AuditFinding
 	Probes      int // (state, event, aux, dirty) combinations exercised
 
-	proto coherence.Protocol // audited implementation, for Report
+	table *coherence.Table // audited table, for Report
 }
 
 // Clean reports whether the audit found nothing.
@@ -58,130 +60,91 @@ func AuditAll() []Audit {
 	return out
 }
 
-// AuditProtocol exhaustively exercises p's transition table.
-func AuditProtocol(p coherence.Protocol) Audit {
-	a := Audit{Protocol: p.Name(), States: p.States(), Initial: initialState(p), proto: p}
+// AuditProtocol audits one built table.
+func AuditProtocol(t *coherence.Table) Audit {
+	a := Audit{Protocol: t.Name(), States: t.States(), table: t}
 	declared := map[coherence.State]bool{}
 	for _, s := range a.States {
 		declared[s] = true
 	}
-	if len(a.States) == 0 {
-		a.Findings = append(a.Findings, AuditFinding{a.Protocol, "closure", "protocol declares no states"})
-		return a
-	}
-	if !declared[a.Initial] {
-		a.Findings = append(a.Findings, AuditFinding{a.Protocol, "closure",
-			fmt.Sprintf("initial state %v is not declared", a.Initial)})
+	if !declared[coherence.Invalid] {
+		a.Findings = append(a.Findings, AuditFinding{a.Protocol, "closure", "initial state Invalid is not declared"})
 	}
 
 	// reach accumulates the successor relation for the reachability pass.
 	reach := map[coherence.State][]coherence.State{}
-	edge := func(from, to coherence.State) {
-		reach[from] = append(reach[from], to)
-	}
 	finding := func(rule, format string, args ...any) {
 		a.Findings = append(a.Findings, AuditFinding{a.Protocol, rule, fmt.Sprintf(format, args...)})
 	}
-	// probe runs fn, converting a table hole (panic) into a totality
-	// finding and reporting whether the outcome is usable.
-	probe := func(desc string, fn func()) bool {
+	// probed records one interpreter answer: from --desc--> next.
+	probed := func(from, next coherence.State, desc string) {
 		a.Probes++
-		err := catchPanic(fn)
-		if err != "" {
-			finding("totality", "%s panics: %s", desc, err)
-			return false
+		if !declared[next] {
+			finding("closure", "%s targets undeclared state %v", desc, next)
+		} else {
+			reach[from] = append(reach[from], next)
 		}
-		return true
 	}
 
-	for _, s := range a.States {
+	for _, c := range t.Cells() {
+		s := c.State
+		if d := c.Defect(); d != "" {
+			finding("totality", "(%v, %v): %s", s, c.On, d)
+			continue
+		}
 		for _, aux := range auditAuxProbes {
-			for _, e := range []coherence.ProcEvent{coherence.EvRead, coherence.EvWrite} {
-				var out coherence.ProcOutcome
-				if !probe(fmt.Sprintf("OnProc(%v, aux=%d, %v)", s, aux, e), func() { out = p.OnProc(s, aux, e) }) {
-					continue
-				}
-				if !declared[out.Next] {
-					finding("closure", "OnProc(%v, aux=%d, %v) targets undeclared state %v", s, aux, e, out.Next)
-				} else {
-					edge(s, out.Next)
-				}
+			if e, ok := c.On.Proc(); ok {
+				out := t.OnProc(s, aux, e)
+				desc := fmt.Sprintf("OnProc(%v, aux=%d, %v)", s, aux, e)
+				probed(s, out.Next, desc)
 				for _, v := range CheckProcOutcome(s, e, out) {
-					finding("sanity", "OnProc(%v, aux=%d, %v): %s", s, aux, e, v)
+					finding("sanity", "%s: %s", desc, v)
 				}
-			}
-			for _, dirty := range []bool{false, true} {
-				for _, ev := range []coherence.SnoopEvent{coherence.SnBusRead, coherence.SnBusWrite, coherence.SnBusInv, coherence.SnReadData} {
-					var out coherence.SnoopOutcome
+			} else if ev, ok := c.On.Snoop(); ok {
+				for _, dirty := range []bool{false, true} {
+					out := t.OnSnoop(s, aux, dirty, ev)
 					desc := fmt.Sprintf("OnSnoop(%v, aux=%d, dirty=%v, %v)", s, aux, dirty, ev)
-					if !probe(desc, func() { out = p.OnSnoop(s, aux, dirty, ev) }) {
-						continue
-					}
-					if !declared[out.Next] {
-						finding("closure", "%s targets undeclared state %v", desc, out.Next)
-					} else {
-						edge(s, out.Next)
-					}
+					probed(s, out.Next, desc)
 					for _, v := range CheckSnoopOutcome(s, ev, out) {
 						finding("sanity", "%s: %s", desc, v)
 					}
 				}
-			}
-			var next coherence.State
-			var bcast coherence.Action
-			if probe(fmt.Sprintf("RMWSuccess(%v, aux=%d)", s, aux), func() { next, _, bcast = p.RMWSuccess(s, aux) }) {
-				if !declared[next] {
-					finding("closure", "RMWSuccess(%v, aux=%d) targets undeclared state %v", s, aux, next)
-				} else {
-					edge(s, next)
-				}
-				if bcast != coherence.ActWrite && bcast != coherence.ActInv {
-					finding("sanity", "RMWSuccess(%v, aux=%d) broadcasts %v; the locked write part must be BW or BI", s, aux, bcast)
-				}
+			} else {
+				next, _, _ := t.RMWSuccess(s, aux)
+				probed(s, next, fmt.Sprintf("RMWSuccess(%v, aux=%d)", s, aux))
 			}
 		}
+	}
+	// The rules that are not arcs. WritebackOnEvict, LocalRMW and the class
+	// filter have no wrong answer the audit could name; they are exercised
+	// so that an unanswerable one (an index out of range) stops the audit.
+	for _, s := range a.States {
 		for _, dirty := range []bool{false, true} {
-			var flush bool
-			var next coherence.State
-			desc := fmt.Sprintf("RMWFlush(%v, dirty=%v)", s, dirty)
-			if probe(desc, func() { flush, next, _ = p.RMWFlush(s, dirty) }) {
-				if !declared[next] {
-					finding("closure", "%s targets undeclared state %v", desc, next)
-				} else {
-					edge(s, next)
-				}
-				if !flush && next != s {
-					finding("sanity", "%s changes state to %v without flushing", desc, next)
-				}
-			}
-			probe(fmt.Sprintf("WritebackOnEvict(%v, dirty=%v)", s, dirty), func() { p.WritebackOnEvict(s, dirty) })
+			_, next, _ := t.RMWFlush(s, dirty)
+			probed(s, next, fmt.Sprintf("RMWFlush(%v, dirty=%v)", s, dirty))
+			t.WritebackOnEvict(s, dirty)
+			a.Probes++
 		}
-		probe(fmt.Sprintf("LocalRMW(%v)", s), func() { p.LocalRMW(s) })
+		t.LocalRMW(s)
+		a.Probes++
 	}
 	for _, c := range []coherence.Class{coherence.ClassUnknown, coherence.ClassCode, coherence.ClassLocal, coherence.ClassShared} {
 		for _, e := range []coherence.ProcEvent{coherence.EvRead, coherence.EvWrite} {
-			probe(fmt.Sprintf("Cachable(%v, %v)", c, e), func() { p.Cachable(c, e) })
+			t.Cachable(c, e)
+			a.Probes++
 		}
 	}
-	// Shared-line-aware protocols add read-miss edges from the bus's
-	// shared-line decision (Illinois installs Exclusive or Shared).
-	if sa, ok := p.(coherence.SharedAware); ok {
+	// A table that watches the shared line adds read-miss edges from the
+	// bus's shared-line decision (Illinois installs Exclusive or Shared).
+	if t.QuietReadMiss != coherence.Invalid {
 		for _, shared := range []bool{false, true} {
-			var next coherence.State
-			desc := fmt.Sprintf("ReadMissTarget(shared=%v)", shared)
-			if probe(desc, func() { next = sa.ReadMissTarget(shared) }) {
-				if !declared[next] {
-					finding("closure", "%s targets undeclared state %v", desc, next)
-				} else {
-					edge(a.Initial, next)
-				}
-			}
+			probed(coherence.Invalid, t.ReadMissTarget(shared), fmt.Sprintf("ReadMissTarget(shared=%v)", shared))
 		}
 	}
 
 	// Reachability: BFS over the accumulated successor relation.
-	seen := map[coherence.State]bool{a.Initial: true}
-	frontier := []coherence.State{a.Initial}
+	seen := map[coherence.State]bool{coherence.Invalid: true}
+	frontier := []coherence.State{coherence.Invalid}
 	for len(frontier) > 0 {
 		s := frontier[0]
 		frontier = frontier[1:]
@@ -195,25 +158,10 @@ func AuditProtocol(p coherence.Protocol) Audit {
 	for _, s := range a.States {
 		if !seen[s] {
 			a.Unreachable = append(a.Unreachable, s)
-			finding("reachability", "state %v is unreachable from initial state %v", s, a.Initial)
+			finding("reachability", "state %v is unreachable from initial state Invalid", s)
 		}
 	}
 	return a
-}
-
-// initialState is the state a fresh line starts in: Invalid when the
-// protocol declares it, otherwise the first declared state.
-func initialState(p coherence.Protocol) coherence.State {
-	states := p.States()
-	for _, s := range states {
-		if s == coherence.Invalid {
-			return s
-		}
-	}
-	if len(states) > 0 {
-		return states[0]
-	}
-	return coherence.Invalid
 }
 
 // CheckProcOutcome returns the outcome-sanity rules out violates as a
@@ -280,17 +228,6 @@ func CheckSnoopOutcome(s coherence.State, ev coherence.SnoopEvent, out coherence
 	return v
 }
 
-// catchPanic runs fn, returning the panic message ("" if none).
-func catchPanic(fn func()) (msg string) {
-	defer func() {
-		if r := recover(); r != nil {
-			msg = fmt.Sprint(r)
-		}
-	}()
-	fn()
-	return ""
-}
-
 // Report renders the audit as a stable, diffable text block — the golden
 // representation asserted by TestTableAuditGolden, so a protocol change
 // that opens a table hole fails CI with a readable diff.
@@ -301,38 +238,37 @@ func (a Audit) Report() string {
 	for i, s := range a.States {
 		letters[i] = s.Letter()
 	}
-	fmt.Fprintf(&b, "states: %s (initial %s)\n", strings.Join(letters, " "), a.Initial.Letter())
-	if p := a.proto; p != nil {
-		for _, s := range a.States {
-			for _, e := range []coherence.ProcEvent{coherence.EvRead, coherence.EvWrite} {
-				if out, err := safeProc(p, s, 0, e); err == "" {
-					extra := ""
-					if out.NoAllocate {
-						extra = " noalloc"
-					}
-					if out.Dirty == coherence.DirtySet {
-						extra += " dirty"
-					}
-					fmt.Fprintf(&b, "  %-2s --%s--> %-2s [%s]%s\n", s.Letter(), e, out.Next.Letter(), out.Action, extra)
+	fmt.Fprintf(&b, "states: %s (initial I)\n", strings.Join(letters, " "))
+	// Every arm of every cell, read from the table: processor arcs first,
+	// then the observed-bus reactions.
+	var snoop strings.Builder
+	for _, c := range a.table.Cells() {
+		for _, e := range c.Arms {
+			extra := ""
+			if _, ok := c.On.Proc(); ok {
+				if e.NoAllocate {
+					extra = " noalloc"
 				}
-			}
-		}
-		for _, s := range a.States {
-			for _, ev := range []coherence.SnoopEvent{coherence.SnBusRead, coherence.SnBusWrite, coherence.SnBusInv, coherence.SnReadData} {
-				if out, err := safeSnoop(p, s, 0, false, ev); err == "" {
-					extra := ""
-					if out.Inhibit {
-						extra = " inhibit"
-					}
-					if out.TakeData {
-						extra += " take"
-					}
-					line := fmt.Sprintf("  %-2s ..%s..> %-2s%s", s.Letter(), ev, out.Next.Letter(), extra)
-					b.WriteString(strings.TrimRight(line, " ") + "\n")
+				if e.Dirty == coherence.DirtySet {
+					extra += " dirty"
 				}
+				if e.Streak == coherence.StreakFull {
+					extra += fmt.Sprintf(" (streak reaches K=%d)", a.table.K)
+				}
+				fmt.Fprintf(&b, "  %-2s --%s--> %-2s [%s]%s\n", c.State.Letter(), c.On, e.Next.Letter(), e.Action, extra)
+			} else if _, ok := c.On.Snoop(); ok {
+				if e.Inhibit {
+					extra = " inhibit"
+				}
+				if e.TakeData {
+					extra += " take"
+				}
+				line := fmt.Sprintf("  %-2s ..%s..> %-2s%s", c.State.Letter(), c.On, e.Next.Letter(), extra)
+				snoop.WriteString(strings.TrimRight(line, " ") + "\n")
 			}
 		}
 	}
+	b.WriteString(snoop.String())
 	if len(a.Unreachable) > 0 {
 		letters := make([]string, len(a.Unreachable))
 		for i, s := range a.Unreachable {
@@ -354,14 +290,4 @@ func (a Audit) Report() string {
 		}
 	}
 	return b.String()
-}
-
-func safeProc(p coherence.Protocol, s coherence.State, aux uint8, e coherence.ProcEvent) (out coherence.ProcOutcome, errMsg string) {
-	errMsg = catchPanic(func() { out = p.OnProc(s, aux, e) })
-	return out, errMsg
-}
-
-func safeSnoop(p coherence.Protocol, s coherence.State, aux uint8, dirty bool, ev coherence.SnoopEvent) (out coherence.SnoopOutcome, errMsg string) {
-	errMsg = catchPanic(func() { out = p.OnSnoop(s, aux, dirty, ev) })
-	return out, errMsg
 }

@@ -66,69 +66,50 @@ func TestTableAuditGolden(t *testing.T) {
 	}
 }
 
-// badProto seeds one violation of every audit rule:
+// badTable seeds one violation of every audit rule:
 //
-//	totality:     OnProc(Local, CW) has no table entry and panics;
-//	closure:      OnProc(Invalid, CW) targets Valid, which is undeclared;
+//	totality:     (Local, CW) has no entry — a hole, which must not read
+//	              as "go to Invalid" — and (Readable, BR) is written twice;
+//	closure:      (Invalid, CW) targets Valid, which is undeclared;
 //	reachability: FirstWrite is declared but no transition enters it;
 //	sanity:       a write dirties a line entering Invalid over a bus write,
-//	              a snooped invalidate claims to take data, a snooped read
-//	              both inhibits and takes data, and RMWSuccess broadcasts
-//	              a bus read instead of the locked write part.
-type badProto struct{}
+//	              a snooped invalidate claims to take data, and a snooped
+//	              read both inhibits and takes data.
+func badTable() *coherence.Table {
+	const (
+		I, R, L, F = coherence.Invalid, coherence.Readable, coherence.Local, coherence.FirstWrite
+		CR, CW     = coherence.CR, coherence.CW
+		BR, BW, BI = coherence.BR, coherence.BW, coherence.BI
+		BRdata     = coherence.BRdata
+	)
+	return coherence.Build(coherence.Table{
+		Scheme: "bad",
+		Arcs: []coherence.Arc{
+			{From: I, On: CR, Next: R, Action: coherence.ActRead},
+			{From: I, On: CW, Next: coherence.Valid, Action: coherence.ActWrite}, // closure: Valid undeclared
+			{From: I, On: BR | BW | BI | BRdata, Next: I},
 
-func (badProto) Name() string { return "bad" }
+			{From: R, On: CR, Next: L},
+			{From: R, On: CW, Next: I, Action: coherence.ActWrite, Dirty: coherence.DirtySet}, // sanity, twice
+			{From: R, On: BR | BW | BRdata, Next: R},
+			{From: R, On: BR, Next: R},                 // totality: doubled
+			{From: R, On: BI, Next: I, TakeData: true}, // sanity: BI carries no data
 
-func (badProto) States() []coherence.State {
-	return []coherence.State{coherence.Invalid, coherence.Readable, coherence.Local, coherence.FirstWrite}
+			{From: L, On: CR | BW | BI | BRdata, Next: L},             // totality: no CW entry
+			{From: L, On: BR, Next: L, Inhibit: true, TakeData: true}, // sanity: both
+
+			{From: F, On: CR | CW | BR | BW | BI | BRdata, Next: F},
+		},
+	})
 }
-
-func (badProto) OnProc(s coherence.State, aux uint8, e coherence.ProcEvent) coherence.ProcOutcome {
-	switch {
-	case s == coherence.Invalid && e == coherence.EvRead:
-		return coherence.ProcOutcome{Next: coherence.Readable, Action: coherence.ActRead}
-	case s == coherence.Invalid && e == coherence.EvWrite:
-		return coherence.ProcOutcome{Next: coherence.Valid, Action: coherence.ActWrite} // closure: Valid undeclared
-	case s == coherence.Readable && e == coherence.EvRead:
-		return coherence.ProcOutcome{Next: coherence.Local}
-	case s == coherence.Readable && e == coherence.EvWrite:
-		return coherence.ProcOutcome{Next: coherence.Invalid, Action: coherence.ActWrite, Dirty: coherence.DirtySet}
-	case s == coherence.Local && e == coherence.EvRead:
-		return coherence.ProcOutcome{Next: coherence.Local}
-	case s == coherence.FirstWrite:
-		return coherence.ProcOutcome{Next: coherence.FirstWrite}
-	}
-	panic("bad: no table entry") // totality: (Local, CW) lands here
-}
-
-func (badProto) OnSnoop(s coherence.State, aux uint8, dirty bool, ev coherence.SnoopEvent) coherence.SnoopOutcome {
-	switch {
-	case s == coherence.Readable && ev == coherence.SnBusInv:
-		return coherence.SnoopOutcome{Next: coherence.Invalid, TakeData: true} // sanity: BI carries no data
-	case s == coherence.Local && ev == coherence.SnBusRead:
-		return coherence.SnoopOutcome{Next: coherence.Local, Inhibit: true, TakeData: true} // sanity: both
-	}
-	return coherence.SnoopOutcome{Next: s}
-}
-
-func (badProto) RMWFlush(s coherence.State, dirty bool) (bool, coherence.State, coherence.DirtyEffect) {
-	return false, s, coherence.DirtyKeep
-}
-
-func (badProto) RMWSuccess(s coherence.State, aux uint8) (coherence.State, uint8, coherence.Action) {
-	return s, 0, coherence.ActRead // sanity: the locked write part must be BW or BI
-}
-
-func (badProto) LocalRMW(coherence.State) bool                      { return false }
-func (badProto) Cachable(coherence.Class, coherence.ProcEvent) bool { return true }
-func (badProto) WritebackOnEvict(coherence.State, bool) bool        { return false }
 
 // TestAuditCatchesSeededViolations proves every audit rule fires: each
-// seeded defect in badProto must surface under its own rule name.
+// seeded defect in badTable must surface under its own rule name.
 func TestAuditCatchesSeededViolations(t *testing.T) {
-	a := AuditProtocol(badProto{})
+	bad := badTable()
+	a := AuditProtocol(bad)
 	if a.Clean() {
-		t.Fatal("audit of badProto reported clean")
+		t.Fatal("audit of badTable reported clean")
 	}
 	has := func(rule, substr string) {
 		t.Helper()
@@ -139,18 +120,27 @@ func TestAuditCatchesSeededViolations(t *testing.T) {
 		}
 		t.Errorf("no %s finding containing %q; findings: %v", rule, substr, a.Findings)
 	}
-	has("totality", "OnProc(Local")
-	has("totality", "panics")
+	has("totality", "(Local, CW): 0 entries")
+	has("totality", "(Readable, BR): 2 entries")
 	has("closure", "targets undeclared state Valid")
 	has("reachability", "state FirstWrite is unreachable")
 	has("sanity", "sets the dirty bit while entering Invalid")
 	has("sanity", "sets the dirty bit on a BW transition")
 	has("sanity", "takes data from a BI")
 	has("sanity", "both inhibits (supplies the value) and takes data")
-	has("sanity", "broadcasts BR")
 	if len(a.Unreachable) != 1 || a.Unreachable[0] != coherence.FirstWrite {
 		t.Errorf("Unreachable = %v, want [FirstWrite]", a.Unreachable)
 	}
+	// A hole is never answered as the zero value "go to Invalid": the
+	// interpreter refuses the cell.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("OnProc(Local, CW) on the hole returned an outcome")
+			}
+		}()
+		bad.OnProc(coherence.Local, 0, coherence.EvWrite)
+	}()
 	// The report for a dirty audit must carry the findings block so the
 	// defects stay visible even through the golden path.
 	rep := a.Report()

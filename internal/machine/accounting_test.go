@@ -53,7 +53,7 @@ func TestEveryCycleAccountedFor(t *testing.T) {
 		steps  int
 	}{
 		// Two words of every bitmap, broadcast snooping, a saturated bus.
-		{"rb-65pe", Config{Protocol: coherence.RB{}, CacheLines: 64}, apps(65), 4000},
+		{"rb-65pe", Config{Protocol: coherence.New(coherence.KindRB), CacheLines: 64}, apps(65), 4000},
 		// Deliveries that leave the PE blocked (the unlock leg), think-time
 		// computes, and snoop-phase resolutions of the spin reads.
 		{"rwb-16pe-tts-twophase", Config{Protocol: coherence.NewRWB(2), CacheLines: 64, TwoPhaseRMW: true},
@@ -69,7 +69,7 @@ func TestEveryCycleAccountedFor(t *testing.T) {
 				return agents
 			}(), 20000},
 		// Bus-hold cycles, and PEs that halt part-way through the run.
-		{"memlatency-3", Config{Protocol: coherence.RB{}, CacheLines: 64, MemLatency: 3},
+		{"memlatency-3", Config{Protocol: coherence.New(coherence.KindRB), CacheLines: 64, MemLatency: 3},
 			[]workload.Agent{
 				workload.NewRandom(0, 24, 300, 0.4, 0.1, 1),
 				workload.NewRandom(0, 24, 900, 0.4, 0.1, 2),

@@ -19,7 +19,7 @@ func Example() {
 		Lock: 64, Strategy: workload.StrategyTTS, Iterations: 3,
 	})
 	m, err := machine.New(machine.Config{
-		Protocol:         coherence.RB{},
+		Protocol:         coherence.New(coherence.KindRB),
 		CheckConsistency: true,
 	}, []workload.Agent{a, b})
 	if err != nil {
@@ -37,7 +37,7 @@ func Example() {
 
 // ExampleSampler takes a utilization time series while a machine runs.
 func ExampleSampler() {
-	m := machine.MustNew(machine.Config{Protocol: coherence.NoCache{}},
+	m := machine.MustNew(machine.Config{Protocol: coherence.New(coherence.KindNoCache)},
 		[]workload.Agent{workload.NewHotspot(1, 100)})
 	series, err := machine.NewSampler(m).UtilizationSeries(50, 100000)
 	if err != nil {

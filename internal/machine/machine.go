@@ -56,7 +56,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Protocol == nil {
-		c.Protocol = coherence.RB{}
+		c.Protocol = coherence.New(coherence.KindRB)
 	}
 	if c.CacheLines == 0 {
 		c.CacheLines = 1024

@@ -136,13 +136,13 @@ func TestOracleWithMultipleBuses(t *testing.T) {
 
 // brokenRB deliberately omits the invalidate-on-bus-write rule so that the
 // oracle's ability to catch incoherence is itself tested.
-type brokenRB struct{ coherence.RB }
+type brokenRB struct{ *coherence.Table }
 
-func (brokenRB) OnSnoop(s coherence.State, aux uint8, dirty bool, ev coherence.SnoopEvent) coherence.SnoopOutcome {
+func (b brokenRB) OnSnoop(s coherence.State, aux uint8, dirty bool, ev coherence.SnoopEvent) coherence.SnoopOutcome {
 	if s == coherence.Readable && ev == coherence.SnBusWrite {
 		return coherence.SnoopOutcome{Next: coherence.Readable} // BUG: keeps stale copy
 	}
-	return coherence.RB{}.OnSnoop(s, aux, dirty, ev)
+	return b.Table.OnSnoop(s, aux, dirty, ev)
 }
 
 func TestOracleCatchesBrokenProtocol(t *testing.T) {
@@ -157,7 +157,7 @@ func TestOracleCatchesBrokenProtocol(t *testing.T) {
 		workload.Compute(5),
 		workload.Write(5, 77, coherence.ClassShared),
 	)
-	m := MustNew(Config{Protocol: brokenRB{}, CheckConsistency: true},
+	m := MustNew(Config{Protocol: brokenRB{coherence.New(coherence.KindRB)}, CheckConsistency: true},
 		[]workload.Agent{pe0, pe1})
 	_, err := m.Run(1000)
 	if err == nil {
@@ -231,7 +231,7 @@ func TestTTSGeneratesLessBusTrafficThanTS(t *testing.T) {
 				Seed: uint64(i),
 			}))
 		}
-		m := MustNew(Config{Protocol: coherence.RB{}, CheckConsistency: true}, agents)
+		m := MustNew(Config{Protocol: coherence.New(coherence.KindRB), CheckConsistency: true}, agents)
 		if _, err := m.Run(4_000_000); err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +277,7 @@ func TestMultiBusSplitsTraffic(t *testing.T) {
 		workload.NewRandom(0, 64, 2000, 0.5, 0, 1),
 		workload.NewRandom(0, 64, 2000, 0.5, 0, 2),
 	}
-	m := MustNew(Config{Protocol: coherence.RB{}, Buses: 2, CacheLines: 16, CheckConsistency: true}, agents)
+	m := MustNew(Config{Protocol: coherence.New(coherence.KindRB), Buses: 2, CacheLines: 16, CheckConsistency: true}, agents)
 	if _, err := m.Run(1_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +578,7 @@ func TestAuditFinalCoherenceFaultFree(t *testing.T) {
 // snoopers. The oracle and the final-state audit must still hold.
 func TestBroadcastFallbackAbove64PEs(t *testing.T) {
 	const pes = bus.MaxPresenceIDs + 1
-	for _, proto := range []coherence.Protocol{coherence.RB{}, coherence.NewRWB(2)} {
+	for _, proto := range []coherence.Protocol{coherence.New(coherence.KindRB), coherence.NewRWB(2)} {
 		t.Run(proto.Name(), func(t *testing.T) {
 			layout := workload.DefaultLayout()
 			agents := make([]workload.Agent, pes)

@@ -100,7 +100,7 @@ func TestUtilizationSeries(t *testing.T) {
 		workload.NewRandom(0, 64, 500, 0.5, 0, 3),
 		workload.NewRandom(0, 64, 500, 0.5, 0, 4),
 	}
-	m := MustNew(Config{Protocol: coherence.NoCache{}, CheckConsistency: true}, agents)
+	m := MustNew(Config{Protocol: coherence.New(coherence.KindNoCache), CheckConsistency: true}, agents)
 	series, err := NewSampler(m).UtilizationSeries(100, 1_000_000)
 	if err != nil {
 		t.Fatal(err)

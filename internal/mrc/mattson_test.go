@@ -229,7 +229,7 @@ func TestCrossValidateAgainstCacheSimulator(t *testing.T) {
 	for _, size := range []int{4, 16, 64} {
 		mem := memory.New()
 		b := bus.New(mem)
-		c := cache.MustNew(0, coherence.RB{}, cache.Config{Lines: size, Ways: size})
+		c := cache.MustNew(0, coherence.New(coherence.KindRB), cache.Config{Lines: size, Ways: size})
 		b.Attach(0, c)
 		b.AttachRequester(0, c)
 		for _, a := range refs {

@@ -211,7 +211,7 @@ func TestDocsShape(t *testing.T) {
 		workload.NewRandom(0, 128, 400, 0.3, 0, 7),
 		workload.NewRandom(4096, 128, 400, 0.3, 0, 8),
 	}
-	m, err := machine.New(machine.Config{Protocol: coherence.RB{}, CacheLines: 32}, agents)
+	m, err := machine.New(machine.Config{Protocol: coherence.New(coherence.KindRB), CacheLines: 32}, agents)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestProfilerSteadyStateAllocFree(t *testing.T) {
 		// during warmup; effectively endless so the loop never idles.
 		agents[i] = workload.NewRandom(bus.Addr(i)<<12, 256, 1<<30, 0.3, 0.02, uint64(i+1))
 	}
-	m, err := machine.New(machine.Config{Protocol: coherence.RB{}, CacheLines: 64}, agents)
+	m, err := machine.New(machine.Config{Protocol: coherence.New(coherence.KindRB), CacheLines: 64}, agents)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ func newPE(t *testing.T, agent workload.Agent) (*Processor, *bus.Bus, *memory.Me
 	t.Helper()
 	mem := memory.New()
 	b := bus.New(mem)
-	c := cache.MustNew(0, coherence.RB{}, cache.Config{Lines: 16})
+	c := cache.MustNew(0, coherence.New(coherence.KindRB), cache.Config{Lines: 16})
 	b.Attach(0, c)
 	b.AttachRequester(0, c)
 	return New(0, agent, c), b, mem
@@ -165,7 +165,7 @@ func TestNewValidation(t *testing.T) {
 			t.Fatal("New(nil agent) did not panic")
 		}
 	}()
-	New(0, nil, cache.MustNew(0, coherence.RB{}, cache.Config{Lines: 4}))
+	New(0, nil, cache.MustNew(0, coherence.New(coherence.KindRB), cache.Config{Lines: 4}))
 }
 
 func TestTwoPhaseTestSetAtProcessorLevel(t *testing.T) {

@@ -54,33 +54,39 @@ const (
 )
 
 // RB returns the paper's RB (read-broadcast) scheme of Section 3.
-func RB() Protocol { return coherence.RB{} }
+func RB() Protocol { return coherence.New(coherence.KindRB) }
 
 // RWB returns the paper's RWB (read-write-broadcast) scheme of Section 5
 // with the given write-streak threshold k (the paper uses 2).
 func RWB(k uint8) Protocol { return coherence.NewRWB(k) }
 
 // Goodman returns the write-once comparison baseline [GOO83].
-func Goodman() Protocol { return coherence.Goodman{} }
+func Goodman() Protocol { return coherence.New(coherence.KindGoodman) }
 
 // WriteThrough returns the write-through-invalidate baseline.
-func WriteThrough() Protocol { return coherence.WriteThrough{} }
+func WriteThrough() Protocol { return coherence.New(coherence.KindWriteThrough) }
 
 // CmStar returns the Table 1-1 emulation baseline (code and local data
 // cachable, write-through local data, shared data uncached).
-func CmStar() Protocol { return coherence.CmStar{} }
+func CmStar() Protocol { return coherence.New(coherence.KindCmStar) }
 
 // NoCache returns the cacheless baseline.
-func NoCache() Protocol { return coherence.NoCache{} }
+func NoCache() Protocol { return coherence.New(coherence.KindNoCache) }
 
 // Illinois returns the Illinois/MESI-style comparison protocol
 // (Papamarcos & Patel, ISCA 1984), with a clean-exclusive state chosen by
 // the bus's shared line.
-func Illinois() Protocol { return coherence.Illinois{} }
+func Illinois() Protocol { return coherence.New(coherence.KindIllinois) }
 
 // ProtocolByName resolves "rb", "rwb", "goodman", "illinois",
 // "writethrough", "cmstar", "nocache" or "rb-dirty".
-func ProtocolByName(name string) (Protocol, error) { return coherence.ByName(name) }
+func ProtocolByName(name string) (Protocol, error) {
+	t, err := coherence.ByName(name)
+	if err != nil {
+		return nil, err // not a nil *Table inside a non-nil Protocol
+	}
+	return t, nil
+}
 
 // ProtocolNames lists the valid protocol names.
 func ProtocolNames() []string {

@@ -9,7 +9,9 @@
 #                  detector at GOMAXPROCS = NumCPU: the one behavioural
 #                  gate. Sweep, batch, fault-campaign, serve, router,
 #                  chaos-campaign and profiler determinism are ordinary
-#                  tests in their packages
+#                  tests in their packages, and so is the Section 4
+#                  product-machine proof over every protocol at n = 2..5
+#                  caches with its state counts pinned (cmd/modelcheck)
 #   5. allocs      the steady-state zero-allocation regressions (run
 #                  without the race detector, whose instrumentation
 #                  allocates; the -race pass above skips them)
@@ -21,9 +23,7 @@
 #                  just proved compiles — a type error here would exit 2
 #                  (tool/load failure) rather than 1 (findings), and we
 #                  want that distinction to mean something.
-#   7. modelcheck  a bounded run of the Section 4 product-machine proof
-#                  over every protocol (n=3 caches keeps it seconds)
-#   8. benchmark   the measurement harness is a module of its own that
+#   7. benchmark   the measurement harness is a module of its own that
 #                  ./... never reaches: vet and test it, then run all
 #                  seven workloads at 1/200 size with every correctness
 #                  check on (checks, not measurements)
@@ -52,9 +52,6 @@ go test -run 'SteadyState.*AllocFree' -count=1 ./internal/machine ./internal/mrc
 
 echo "==> protolint ./..."
 go run ./cmd/protolint ./...
-
-echo "==> modelcheck -all -n 3"
-go run ./cmd/modelcheck -all -n 3
 
 echo "==> benchmark harness"
 (cd benchmark && go vet . && go test .)
