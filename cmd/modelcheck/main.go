@@ -1,9 +1,13 @@
 // Command modelcheck exhaustively verifies a cache-coherence protocol's
 // consistency — the Section 4 proof, mechanized. It explores the product
-// machine of N cache automata plus memory for a single address and checks
-// that every read observes the latest written value, that the latest
-// value always survives, and (for RB/RWB) that the configuration lemma
-// holds. On failure it prints a minimal counterexample trace.
+// machine of N caches plus memory for a single address and checks that
+// every read observes the latest written value, that the latest value
+// always survives, that at most one cache interrupts a bus read, and (for
+// RB/RWB) that the configuration lemma holds. The caches, the bus and the
+// memory are the simulator's own (internal/check drives a machine.Machine
+// with one-line caches), so the verdict is about the code that runs the
+// experiments, not about a model of it. On failure it prints a minimal
+// counterexample trace.
 //
 // Usage:
 //
@@ -46,6 +50,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	if *all && *protoName != "" {
+		fmt.Fprintln(stderr, "modelcheck: -all and -protocol are mutually exclusive")
+		return 2
+	}
 	var tables []*coherence.Table
 	explicit := false
 	switch {
@@ -65,20 +73,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tables = []*coherence.Table{coherence.New(coherence.KindRB), coherence.New(coherence.KindRWB)}
 	}
 
+	// An -n that was given is used as given, so that 0 and negatives are
+	// refused below like any other size check.Run does not take.
 	sizes := []int{2, 3, 4, 5}
-	if *n > 0 {
-		sizes = []int{*n}
-	}
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "n" {
+			sizes = []int{*n}
+		}
+	})
 
 	failed := false
 	for _, t := range tables {
-		// The product machine models one implicitly shared address and
-		// assumes transparency: the protocol behaves identically for every
-		// data class. Cm* is class-dependent — shared data never enters its
-		// cache in the simulator (Cachable gates OnProc), so driving its
-		// table with a shared address proves nothing about the real
-		// configuration. Skip such protocols in sweeps; an explicit
-		// -protocol request still runs the check and shows the trace.
+		// The product machine has every PE reference one address in one
+		// class, a class every scheme caches, and assumes transparency: the
+		// protocol behaves identically for every data class. Cm* is
+		// class-dependent — it keeps shared data out of its cache and has
+		// nothing to keep the classes it does cache coherent — so N PEs
+		// sharing a cached address is not a configuration it runs. Skip such
+		// protocols in sweeps; an explicit -protocol request still runs the
+		// check and shows the trace.
 		if !explicit && !transparent(t) {
 			fmt.Fprintf(stdout, "%-13s SKIP: class-dependent cachability (shared data is uncached; the transparent product machine does not apply)\n", t.Name())
 			continue
@@ -92,10 +105,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 				opt.Invariant = check.RWBLemma
 			}
 			res, err := check.Run(t, opt)
-			if err != nil {
+			if v := (*check.Violation)(nil); errors.As(err, &v) {
 				failed = true
 				fmt.Fprintf(stdout, "%-13s N=%d  FAIL: %v\n", t.Name(), size, err)
 				continue
+			}
+			if err != nil {
+				// Not a verdict: the check could not run as asked (a size
+				// outside what the product machine takes).
+				fmt.Fprintln(stderr, "modelcheck:", err)
+				return 2
 			}
 			lemma := ""
 			if opt.Invariant != nil {

@@ -36,15 +36,19 @@ func TestAllGolden(t *testing.T) {
 // are the first eight lines of the -all sweep.
 func TestDefaultIsRBAndRWB(t *testing.T) {
 	out, _, code := modelcheck()
-	all, _, _ := modelcheck("-all")
-	if lines := strings.SplitAfter(all, "\n"); code != 0 || out != strings.Join(lines[:8], "") {
+	all, err := os.ReadFile("testdata/all.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.SplitAfter(string(all), "\n"); code != 0 || out != strings.Join(lines[:8], "") {
 		t.Errorf("exit %d, output:\n%s", code, out)
 	}
 }
 
 // TestExplicitCmStarFails: -all skips the class-dependent Cm* table, but
 // an explicit request runs it — and the transparent product machine,
-// which caches shared data it never would, finds the violation.
+// which has several PEs share an address in a class Cm* caches, as its
+// software never would, finds the violation.
 func TestExplicitCmStarFails(t *testing.T) {
 	out, _, code := modelcheck("-protocol", "cmstar", "-n", "2")
 	if code != 1 || !strings.Contains(out, "FAIL") {
@@ -55,7 +59,9 @@ func TestExplicitCmStarFails(t *testing.T) {
 // TestUsageErrors: an unusable command line is one line on stderr and
 // exit 2, and nothing runs. A stray positional argument used to end flag
 // parsing silently (`modelcheck bogus -n 2` ran the default sweep), and an
-// unknown protocol used to exit 1 like a failed check.
+// unknown protocol used to exit 1 like a failed check. So did a size the
+// product machine does not take (`rb N=7 FAIL: ...`), while `-n 0` and
+// negatives ran the default sizes and -all dropped a -protocol beside it.
 func TestUsageErrors(t *testing.T) {
 	for _, c := range []struct {
 		args    []string
@@ -66,6 +72,10 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-protocol", "mesi"}, `"mesi"`, true},
 		{[]string{"-n", "two"}, `"two"`, false},
 		{[]string{"-nosuchflag"}, "nosuchflag", false},
+		{[]string{"-protocol", "rb", "-n", "7"}, "7", true},
+		{[]string{"-n", "-3"}, "-3", true},
+		{[]string{"-n", "0"}, "0", true},
+		{[]string{"-all", "-protocol", "rb"}, "-protocol", true},
 	} {
 		out, errs, code := modelcheck(c.args...)
 		if code != 2 || out != "" {

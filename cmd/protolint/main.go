@@ -20,10 +20,7 @@
 //     static precondition for parallelizing the core by bus bank;
 //   - allocaudit: functions marked //hotpath:allocfree may not contain
 //     heap-allocating constructs, the static twin of the runtime
-//     TestSteadyStateAllocFree pin;
-//   - syncaudit: fields accessed both atomically and plainly, and locks
-//     acquired in inconsistent order, are flagged in the concurrent
-//     harness layers (serve, sweep, fault campaigns).
+//     TestSteadyStateAllocFree pin.
 //
 // Usage:
 //

@@ -22,7 +22,7 @@ func TestExitCodes(t *testing.T) {
 		want int
 	}{
 		{"clean", []string{"-tables=false", filepath.Join(fixtures, "clean")}, 0},
-		{"findings", []string{"-tables=false", filepath.Join(fixtures, "syncaudit")}, 1},
+		{"findings", []string{"-tables=false", filepath.Join(fixtures, "exhaustive")}, 1},
 		{"load error", []string{"-tables=false", "testdata/broken"}, 2},
 		{"bad flag", []string{"-nonsense"}, 2},
 		{"bad format", []string{"-format=yaml", filepath.Join(fixtures, "clean")}, 2},

@@ -1156,11 +1156,11 @@ func (c *Cache) InjectStale(a bus.Addr, mask bus.Word) bool {
 	return true
 }
 
-// Contents returns every valid line (address, state, value), used by the
-// fault-recovery experiment to scavenge clean copies.
+// Entry is one valid line as Entries lists it and Restore writes it.
 type Entry struct {
 	Addr  bus.Addr
 	State coherence.State
+	Aux   uint8
 	Dirty bool
 	Data  bus.Word
 }
@@ -1172,8 +1172,26 @@ func (c *Cache) Entries() []Entry {
 	var out []Entry
 	for i := range c.lines {
 		if ln := &c.lines[i]; ln.valid {
-			out = append(out, Entry{Addr: ln.addr, State: ln.state, Dirty: ln.dirty, Data: ln.data})
+			out = append(out, Entry{Addr: ln.addr, State: ln.state, Aux: ln.aux, Dirty: ln.dirty, Data: ln.data})
 		}
 	}
 	return out
+}
+
+// Restore is the inverse of Entries: it makes the cache hold e, in place
+// if the address is present and otherwise in the frame a miss would take,
+// whose occupant is dropped without a write-back. The model checker sets up
+// each product state with it. The presence table, the plan memo and the
+// has-news bit are kept exact, as for any other change to a line. The cache
+// must be idle.
+func (c *Cache) Restore(e Entry) {
+	if c.Busy() {
+		panic(fmt.Sprintf("cache %d: Restore while busy", c.id))
+	}
+	c.mutated()
+	if ln := c.lookup(e.Addr); ln != nil {
+		ln.state, ln.aux, ln.dirty, ln.data = e.State, e.Aux, e.Dirty, e.Data
+		return
+	}
+	c.install(e.Addr, e.State, e.Aux, e.Dirty, e.Data)
 }

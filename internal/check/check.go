@@ -1,28 +1,53 @@
-// Package check mechanizes the Section 4 consistency proof: it builds the
-// product machine of N cache automata plus memory for a single address and
-// exhaustively explores every interleaving of processor reads, writes,
-// Test-and-Sets, and evictions, verifying at each step that
+// Package check mechanizes the Section 4 consistency proof: it explores the
+// product machine of N caches plus memory for a single address, through
+// every interleaving of processor reads, writes, Test-and-Sets and
+// evictions, and verifies at each step that
 //
-//   - every in-cache read (and locked read) observes the latest written
-//     value (the theorem: "Each PE always reads the latest value written");
+//   - every read, in-cache or from the bus, and every Test-and-Set's locked
+//     read delivers the latest written value (the theorem: "Each PE always
+//     reads the latest value written");
 //   - the latest value always survives somewhere (no lost updates);
-//   - at most one cache ever claims read-interrupt ownership of a bus read;
+//   - at most one cache interrupts a bus read, and the retried read is not
+//     interrupted again;
+//   - every operation completes;
 //   - the protocol-specific configuration lemma holds (for RB: shared or
 //     local configurations only; for RWB: plus the single-F intermediate).
 //
-// Values are abstracted to a has-latest bit per copy: a write mints a new
-// "latest" token; a copy holds it only if it received that write's data
-// (directly, by write-through, by broadcast take, or by flush). The
-// abstraction is exact for these properties because the protocols never
-// inspect data values (the lock-zero test of RMW is explored as a
-// nondeterministic branch).
+// The transition relation is the simulator itself. Run builds one
+// machine.Machine with one-line caches; for each (state, action) it restores
+// every cache's line and the memory word from the state, hands one PE the
+// operation, steps the machine until the operation has been delivered, and
+// reads the successor back from Cache.Entries and Memory.Peek. Nothing here
+// interprets a protocol table: what a bus read does is what internal/cache
+// and internal/bus do, pending requests and the interrupt's retry included.
+//
+// Values are tokens. A state records only whether each copy is the latest,
+// so a restored copy holds the "latest" word or the "stale" one, and a write
+// or a successful Test-and-Set mints a third, fresh word that is the latest
+// from then on. That is exact for the properties above because no protocol
+// inspects data, with one exception: the Test-and-Set's zero test. It is
+// explored as two actions that differ only in the encoding. ts-succeed
+// restores the latest value as 0, so that the real Test-and-Set succeeds,
+// ts-fail as a non-zero word; stale is non-zero in both, so a locked read
+// that observes it fails the test and delivers a word visibly not the latest.
+//
+// An eviction is a read of a second address: every address maps to the one
+// frame, so the fetch reuses it, after whatever write-back the cache owes.
+// Likewise a cache that does not hold the address is restored holding the
+// second one, Invalid.
 package check
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
+	"repro/internal/bus"
+	"repro/internal/cache"
 	"repro/internal/coherence"
+	"repro/internal/machine"
+	"repro/internal/workload"
 )
 
 // LineView is one cache's view of the address in a Snapshot.
@@ -112,16 +137,18 @@ func (s state) snapshot() Snapshot {
 
 // Run explores the product machine of proto with opt.Caches caches.
 func Run(proto coherence.Protocol, opt Options) (Result, error) {
-	if opt.Caches < 1 || opt.Caches > maxCaches {
-		return Result{}, fmt.Errorf("check: Caches = %d, need 1..%d", opt.Caches, maxCaches)
+	r, err := newRig(machine.Config{Protocol: proto}, opt.Caches)
+	if err != nil {
+		return Result{}, err
 	}
-	maxStates := opt.MaxStates
-	if maxStates == 0 {
-		maxStates = 5_000_000
-	}
-	e := &explorer{proto: proto, opt: opt}
+	return r.explore(opt)
+}
 
-	initial := state{n: opt.Caches, mem: true}
+// explore is the breadth-first search over product states; r.apply is its
+// transition relation.
+func (r *rig) explore(opt Options) (Result, error) {
+	maxStates := cmp.Or(opt.MaxStates, 5_000_000)
+	initial := state{n: len(r.agents), mem: true}
 	parents := map[state]edge{initial: {}}
 	queue := []state{initial}
 	res := Result{States: 1}
@@ -131,17 +158,17 @@ func Run(proto coherence.Protocol, opt Options) (Result, error) {
 		queue = queue[1:]
 		if opt.Invariant != nil {
 			if err := opt.Invariant(cur.snapshot()); err != nil {
-				return res, e.violation(parents, cur, err.Error(), "")
+				return res, violation(parents, cur, err.Error(), "")
 			}
 		}
-		for _, act := range e.actions(cur) {
+		for _, act := range actions(cur) {
 			res.Transitions++
-			next, verr := act.apply(e, cur)
+			next, verr := r.apply(cur, act)
 			if verr != "" {
-				return res, e.violation(parents, cur, verr, act.name)
+				return res, violation(parents, cur, verr, act.String())
 			}
 			if _, seen := parents[next]; !seen {
-				parents[next] = edge{from: cur, action: act.name}
+				parents[next] = edge{from: cur, action: act.String()}
 				queue = append(queue, next)
 				res.States++
 				if res.States > maxStates {
@@ -159,377 +186,202 @@ type edge struct {
 	action string
 }
 
-type explorer struct {
-	proto coherence.Protocol
-	opt   Options
-}
-
-func (e *explorer) violation(parents map[state]edge, at state, prop, lastAction string) error {
+func violation(parents map[state]edge, at state, prop, lastAction string) error {
 	var trace []string
 	if lastAction != "" {
 		trace = append(trace, lastAction)
 	}
-	cur := at
-	for {
-		ed, ok := parents[cur]
-		if !ok || ed.action == "" {
-			break
-		}
+	for ed := parents[at]; ed.action != ""; ed = parents[ed.from] {
 		trace = append(trace, ed.action)
-		cur = ed.from
 	}
-	// Reverse into chronological order.
-	for i, j := 0, len(trace)-1; i < j; i, j = i+1, j-1 {
-		trace[i], trace[j] = trace[j], trace[i]
-	}
+	slices.Reverse(trace) // into chronological order
 	return &Violation{Property: prop, State: at.snapshot(), Trace: trace}
 }
 
-// action is one explorable step.
+// action is one explorable step: PE pe performs kind.
 type action struct {
-	name  string
-	apply func(e *explorer, s state) (state, string)
+	pe   int
+	kind int
 }
 
-// actions enumerates every step from a state: per PE a read, a write, an
-// eviction (if present), and both branches of a Test-and-Set.
-func (e *explorer) actions(s state) []action {
+const (
+	actRead = iota
+	actWrite
+	actTSFail
+	actTSSucceed
+	actEvict
+)
+
+// kinds holds, per action kind, its name in traces and the operation the PE
+// is handed; see the package comment for the eviction and the tokens.
+var kinds = [...]struct {
+	name string
+	op   workload.Op
+}{
+	actRead:      {"read", workload.Read(addr, class)},
+	actWrite:     {"write", workload.Write(addr, tokFresh, class)},
+	actTSFail:    {"ts-fail", workload.TestSet(addr, tokFresh)},
+	actTSSucceed: {"ts-succeed", workload.TestSet(addr, tokFresh)},
+	actEvict:     {"evict", workload.Read(other, class)},
+}
+
+func (a action) String() string { return fmt.Sprintf("PE%d %s", a.pe, kinds[a.kind].name) }
+
+// actions enumerates every step from a state: per PE a read, a write, both
+// branches of a Test-and-Set, and an eviction if the line is present.
+func actions(s state) []action {
 	var out []action
-	for i := 0; i < s.n; i++ {
-		i := i
-		out = append(out,
-			action{fmt.Sprintf("PE%d read", i), func(e *explorer, s state) (state, string) {
-				return e.read(s, i)
-			}},
-			action{fmt.Sprintf("PE%d write", i), func(e *explorer, s state) (state, string) {
-				return e.write(s, i)
-			}},
-			action{fmt.Sprintf("PE%d ts-fail", i), func(e *explorer, s state) (state, string) {
-				return e.testSet(s, i, false)
-			}},
-			action{fmt.Sprintf("PE%d ts-succeed", i), func(e *explorer, s state) (state, string) {
-				return e.testSet(s, i, true)
-			}},
-		)
-		if s.lines[i].Present {
-			out = append(out, action{fmt.Sprintf("PE%d evict", i), func(e *explorer, s state) (state, string) {
-				return e.evict(s, i)
-			}})
+	for pe := 0; pe < s.n; pe++ {
+		for kind := range kinds {
+			if kind != actEvict || s.lines[pe].Present {
+				out = append(out, action{pe, kind})
+			}
 		}
 	}
 	return out
 }
 
-func (e *explorer) cur(s state, i int) (coherence.State, uint8) {
-	if s.lines[i].Present {
-		return s.lines[i].State, s.lines[i].Aux
-	}
-	return coherence.Invalid, 0
+const (
+	// addr is the product machine's one address; other shares its frame.
+	addr  bus.Addr = 0
+	other bus.Addr = 1
+
+	// The value tokens (see the package comment). Under ts-succeed the
+	// latest value is 0 instead of tokLatest.
+	tokLatest bus.Word = 1
+	tokStale  bus.Word = 2
+	tokFresh  bus.Word = 3
+
+	// class is a reference class no registered scheme keeps out of its
+	// cache; the transparent ones do not look at it.
+	class = coherence.ClassLocal
+
+	// maxSteps bounds one operation; the longest (write-back, killed read,
+	// retry, write-through) is four transactions of MemLatency+1 cycles.
+	maxSteps = 256
+)
+
+// rig is the machine the exploration drives, one per Run.
+type rig struct {
+	m      *machine.Machine
+	caches []*cache.Cache
+	agents []*agent
 }
 
-// applySnoop folds a snoop outcome into cache j, propagating the given
-// data-latest flag on TakeData.
-func applySnoop(s *state, j int, out coherence.SnoopOutcome, dataLatest bool) {
-	ln := &s.lines[j]
-	ln.State, ln.Aux = out.Next, out.NextAux
-	switch out.Dirty {
-	case coherence.DirtySet:
-		ln.Dirty = true
-	case coherence.DirtyClear:
-		ln.Dirty = false
-	case coherence.DirtyKeep:
-		// The reaction leaves the dirty bit alone.
+// newRig builds cfg's machine with n PEs and one-line caches.
+func newRig(cfg machine.Config, n int) (*rig, error) {
+	if n < 1 || n > maxCaches {
+		return nil, fmt.Errorf("check: Caches = %d, need 1..%d", n, maxCaches)
 	}
-	if out.TakeData {
-		ln.HasLatest = dataLatest
+	r := &rig{}
+	var programs []workload.Agent
+	for i := 0; i < n; i++ {
+		a := &agent{}
+		r.agents, programs = append(r.agents, a), append(programs, a)
 	}
+	cfg.CacheLines, cfg.CacheWays = 1, 1
+	var err error
+	if r.m, err = machine.New(cfg, programs); err != nil {
+		return nil, fmt.Errorf("check: %w", err)
+	}
+	for i := range programs {
+		r.caches = append(r.caches, r.m.Cache(i))
+	}
+	return r, nil
 }
 
-// busWrite performs the global effects of a bus write sourced by src (-1
-// for none) carrying data whose latest flag is dataLatest: memory takes
-// the value; every other present line reacts.
-func (e *explorer) busWrite(s *state, src int, dataLatest bool) string {
-	s.mem = dataLatest
-	for j := 0; j < s.n; j++ {
-		if j == src || !s.lines[j].Present {
-			continue
-		}
-		out := e.proto.OnSnoop(s.lines[j].State, s.lines[j].Aux, s.lines[j].Dirty, coherence.SnBusWrite)
-		if out.Inhibit {
-			return fmt.Sprintf("cache %d inhibits a bus write", j)
-		}
-		applySnoop(s, j, out, dataLatest)
-		if !out.TakeData {
-			// The copy did not adopt the newly minted value; whatever it
-			// holds is now stale.
-			s.lines[j].HasLatest = false
-		}
-	}
-	return ""
+// agent is a PE's program: it idles on one-cycle computes, so the processor
+// asks again every cycle, until given one operation, issues it, and keeps
+// the value the processor hands back.
+type agent struct {
+	op    workload.Op
+	phase uint8 // 0 idle, 1 op not yet issued, 2 op issued and not yet delivered
+	value bus.Word
 }
 
-// busInv broadcasts the RWB invalidate from src.
-func (e *explorer) busInv(s *state, src int) string {
-	for j := 0; j < s.n; j++ {
-		if j == src || !s.lines[j].Present {
-			continue
-		}
-		out := e.proto.OnSnoop(s.lines[j].State, s.lines[j].Aux, s.lines[j].Dirty, coherence.SnBusInv)
-		if out.Inhibit {
-			return fmt.Sprintf("cache %d inhibits a bus invalidate", j)
-		}
-		applySnoop(s, j, out, false)
-		s.lines[j].HasLatest = false
+// Next implements workload.Agent.
+func (a *agent) Next(prev workload.Result) workload.Op {
+	switch a.phase {
+	case 1:
+		a.phase = 2
+		return a.op
+	case 2:
+		a.phase, a.value = 0, prev.Value
 	}
-	return ""
+	return workload.Compute(1)
 }
 
-// busRead performs a bus read by cache i, including the interrupt-flush-
-// retry protocol, and installs the result. The caller chose installState
-// via the protocol's read-miss outcome.
-func (e *explorer) busRead(s *state, i int) string {
-	// Snoop for an interrupting owner.
-	owner := -1
-	for j := 0; j < s.n; j++ {
-		if j == i || !s.lines[j].Present {
-			continue
+// apply executes act from s on the machine and returns the state it leaves,
+// or the property it violated.
+func (r *rig) apply(s state, act action) (state, string) {
+	latest := tokLatest
+	if act.kind == actTSSucceed {
+		latest = 0
+	}
+	word := func(hasLatest bool) bus.Word {
+		if hasLatest {
+			return latest
 		}
-		out := e.proto.OnSnoop(s.lines[j].State, s.lines[j].Aux, s.lines[j].Dirty, coherence.SnBusRead)
-		if out.Inhibit {
-			if owner != -1 {
-				return fmt.Sprintf("caches %d and %d both interrupt a bus read", owner, j)
-			}
-			owner = j
-			// The owner flushes: its value goes to memory; its own state
-			// follows the snoop outcome.
-			flushLatest := s.lines[j].HasLatest
-			applySnoop(s, j, out, flushLatest)
-			s.mem = flushLatest
-			// The flush is a bus write observed by everyone else
-			// (including the original requester).
-			for k := 0; k < s.n; k++ {
-				if k == j || !s.lines[k].Present {
-					continue
-				}
-				// The flush re-broadcasts the existing latest value, so
-				// copies that do not take it simply keep their current
-				// staleness status.
-				wout := e.proto.OnSnoop(s.lines[k].State, s.lines[k].Aux, s.lines[k].Dirty, coherence.SnBusWrite)
-				applySnoop(s, k, wout, flushLatest)
-			}
-		} else {
-			applySnoop(s, j, out, false)
+		return tokStale
+	}
+	for i := 0; i < s.n; i++ {
+		e := cache.Entry{Addr: other}
+		if ln := s.lines[i]; ln.Present {
+			e = cache.Entry{Addr: addr, State: ln.State, Aux: ln.Aux, Dirty: ln.Dirty, Data: word(ln.HasLatest)}
+		}
+		r.caches[i].Restore(e)
+	}
+	r.m.Memory().Poke(addr, word(s.mem))
+
+	a := r.agents[act.pe]
+	a.op, a.phase = kinds[act.kind].op, 1
+	flushed, steps := r.flushSupplied(), 0
+	inFlight := func() bool { return a.phase != 0 || slices.ContainsFunc(r.caches, (*cache.Cache).Busy) }
+	for ; steps < maxSteps && inFlight(); steps++ {
+		if err := r.m.Step(); err != nil {
+			return s, err.Error()
 		}
 	}
-	// The (retried, if interrupted) read is served. It must not be
-	// interrupted again.
-	if owner != -1 {
-		for j := 0; j < s.n; j++ {
-			if j == i || !s.lines[j].Present {
+	// A bus read interrupted again and again never completes: name the
+	// interrupt, not the hang it causes.
+	if n := r.flushSupplied() - flushed; n > 1 {
+		return s, fmt.Sprintf("%v: its bus read was interrupted %d times, more than the one flush by the one owner", act, n)
+	}
+	if steps == maxSteps {
+		return s, fmt.Sprintf("%v did not complete in %d cycles", act, maxSteps)
+	}
+
+	if act.kind != actWrite && act.kind != actEvict && a.value != latest {
+		return s, fmt.Sprintf("%v delivered a stale value", act)
+	}
+	if act.kind == actWrite || act.kind == actTSSucceed {
+		latest = tokFresh // written, the Test-and-Set having just read 0
+	}
+
+	next := state{n: s.n, mem: r.m.Memory().Peek(addr) == latest}
+	survives := next.mem
+	for i := 0; i < s.n; i++ {
+		for _, e := range r.caches[i].Entries() {
+			if e.Addr != addr {
 				continue
 			}
-			if out := e.proto.OnSnoop(s.lines[j].State, s.lines[j].Aux, s.lines[j].Dirty, coherence.SnBusRead); out.Inhibit {
-				return fmt.Sprintf("cache %d interrupts the retried read", j)
-			}
+			next.lines[i] = LineView{Present: true, State: e.State, Aux: e.Aux, Dirty: e.Dirty, HasLatest: e.Data == latest}
+			survives = survives || next.lines[i].HasLatest && e.State != coherence.Invalid
 		}
 	}
-	// Re-evaluate the requester: the flush broadcast may have satisfied
-	// it (RWB), in which case the read completes in-cache.
-	st, aux := e.cur(*s, i)
-	out := e.proto.OnProc(st, aux, coherence.EvRead)
-	if out.Action == coherence.ActNone {
-		if !s.lines[i].HasLatest {
-			return fmt.Sprintf("PE%d read a stale snarfed value", i)
-		}
-		s.lines[i].State, s.lines[i].Aux = out.Next, out.NextAux
-		return ""
+	if !survives {
+		return s, fmt.Sprintf("%v lost the latest value", act)
 	}
-	// Memory answers; its value must be the latest.
-	if !s.mem {
-		return fmt.Sprintf("PE%d bus read returned a stale memory value", i)
-	}
-	next := out.Next
-	if st == coherence.Invalid {
-		shared := false
-		for j := 0; j < s.n; j++ {
-			if j != i && s.lines[j].Present && s.lines[j].State != coherence.Invalid {
-				shared = true
-			}
-		}
-		next = e.proto.ReadMissTarget(shared)
-	}
-	if !out.NoAllocate {
-		s.lines[i] = LineView{Present: true, State: next, Aux: out.NextAux, HasLatest: true}
-	}
-	// Broadcast of the read data to the other caches.
-	for j := 0; j < s.n; j++ {
-		if j == i || !s.lines[j].Present {
-			continue
-		}
-		rout := e.proto.OnSnoop(s.lines[j].State, s.lines[j].Aux, s.lines[j].Dirty, coherence.SnReadData)
-		applySnoop(s, j, rout, true)
-	}
-	return ""
+	return next, ""
 }
 
-// read explores a CPU read by PE i.
-func (e *explorer) read(s state, i int) (state, string) {
-	st, aux := e.cur(s, i)
-	out := e.proto.OnProc(st, aux, coherence.EvRead)
-	if out.Action == coherence.ActNone {
-		// In-cache hit: the theorem's check.
-		if !s.lines[i].HasLatest {
-			return s, fmt.Sprintf("PE%d read-hit observed a stale value", i)
-		}
-		s.lines[i].State, s.lines[i].Aux = out.Next, out.NextAux
-		return s, ""
+// flushSupplied totals the bus reads the caches have interrupted so far.
+func (r *rig) flushSupplied() uint64 {
+	var n uint64
+	for _, c := range r.caches {
+		n += c.Stats().FlushSupplied
 	}
-	if verr := e.busRead(&s, i); verr != "" {
-		return s, verr
-	}
-	return s, ""
-}
-
-// write explores a CPU write by PE i: a brand-new latest value is minted.
-func (e *explorer) write(s state, i int) (state, string) {
-	st, aux := e.cur(s, i)
-	out := e.proto.OnProc(st, aux, coherence.EvWrite)
-	switch out.Action {
-	case coherence.ActNone:
-		// Purely local write: every other copy and memory become stale.
-		s.lines[i].State, s.lines[i].Aux = out.Next, out.NextAux
-		if out.Dirty == coherence.DirtySet {
-			s.lines[i].Dirty = true
-		} else if out.Dirty == coherence.DirtyClear {
-			s.lines[i].Dirty = false
-		}
-		s.lines[i].HasLatest = true
-		s.mem = false
-		for j := 0; j < s.n; j++ {
-			if j != i {
-				s.lines[j].HasLatest = false
-			}
-		}
-		return s, ""
-	case coherence.ActWrite:
-		if verr := e.busWrite(&s, i, true); verr != "" {
-			return s, verr
-		}
-		if out.NoAllocate {
-			if s.lines[i].Present {
-				s.lines[i].State, s.lines[i].Aux = out.Next, out.NextAux
-				s.lines[i].Dirty = out.Dirty == coherence.DirtySet
-				s.lines[i].HasLatest = true
-			}
-		} else {
-			s.lines[i] = LineView{Present: true, State: out.Next, Aux: out.NextAux,
-				Dirty: out.Dirty == coherence.DirtySet, HasLatest: true}
-		}
-		return s, ""
-	case coherence.ActInv:
-		if verr := e.busInv(&s, i); verr != "" {
-			return s, verr
-		}
-		s.lines[i] = LineView{Present: true, State: out.Next, Aux: out.NextAux,
-			Dirty: out.Dirty == coherence.DirtySet, HasLatest: true}
-		s.mem = false
-		return s, ""
-	case coherence.ActReadThenWrite:
-		// A write miss that fetches first (Goodman, Illinois): perform
-		// the read, then re-dispatch the write against the installed
-		// line (Illinois may now complete it locally in Exclusive).
-		if verr := e.busRead(&s, i); verr != "" {
-			return s, verr
-		}
-		st2, aux2 := e.cur(s, i)
-		if e.proto.OnProc(st2, aux2, coherence.EvWrite).Action == coherence.ActReadThenWrite {
-			return s, fmt.Sprintf("PE%d read-then-write did not converge", i)
-		}
-		return e.write(s, i)
-	default:
-		// ActRead answers a CPU write only in a broken table; surface it
-		// as a property violation rather than exploring nonsense.
-		return s, fmt.Sprintf("PE%d write produced unknown action %v", i, out.Action)
-	}
-}
-
-// testSet explores a Test-and-Set by PE i with the chosen branch (the
-// lock-free/lock-held outcome is data-dependent, so both are explored).
-func (e *explorer) testSet(s state, i int, succeed bool) (state, string) {
-	st, aux := e.cur(s, i)
-	if s.lines[i].Present && e.proto.LocalRMW(st) {
-		// In-cache atomic: the locked read is the cached value.
-		if !s.lines[i].HasLatest {
-			return s, fmt.Sprintf("PE%d local Test-and-Set observed a stale value", i)
-		}
-		if !succeed {
-			return s, ""
-		}
-		return e.write(s, i)
-	}
-	// Bus RMW: locked read with dirty-owner flush.
-	for j := 0; j < s.n; j++ {
-		if j == i || !s.lines[j].Present {
-			continue
-		}
-		flush, next, d := e.proto.RMWFlush(s.lines[j].State, s.lines[j].Dirty)
-		if flush {
-			s.mem = s.lines[j].HasLatest
-			s.lines[j].State = next
-			if d == coherence.DirtyClear {
-				s.lines[j].Dirty = false
-			}
-		}
-	}
-	if !s.mem {
-		return s, fmt.Sprintf("PE%d locked read observed a stale memory value", i)
-	}
-	if !succeed {
-		return s, ""
-	}
-	next, nextAux, bcast := e.proto.RMWSuccess(st, aux)
-	if bcast == coherence.ActInv {
-		if verr := e.busInv(&s, i); verr != "" {
-			return s, verr
-		}
-	} else {
-		if verr := e.busWrite(&s, i, true); verr != "" {
-			return s, verr
-		}
-	}
-	// The locked transaction always updates memory with the new value.
-	s.mem = true
-	if next != coherence.Invalid {
-		s.lines[i] = LineView{Present: true, State: next, Aux: nextAux, HasLatest: true}
-	} else if s.lines[i].Present {
-		s.lines[i] = LineView{}
-	}
-	return s, ""
-}
-
-// evict explores reuse of PE i's line frame.
-func (e *explorer) evict(s state, i int) (state, string) {
-	ln := s.lines[i]
-	if e.proto.WritebackOnEvict(ln.State, ln.Dirty) {
-		if verr := e.busWrite(&s, i, ln.HasLatest); verr != "" {
-			return s, verr
-		}
-	}
-	s.lines[i] = LineView{}
-	// No lost updates: the latest value must survive somewhere.
-	if !s.mem {
-		ok := false
-		for j := 0; j < s.n; j++ {
-			if s.lines[j].Present && s.lines[j].HasLatest {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return s, fmt.Sprintf("PE%d eviction lost the latest value", i)
-		}
-	}
-	return s, ""
+	return n
 }
 
 // RBLemma is the Section 4 lemma for the RB scheme: every reachable

@@ -10,9 +10,10 @@
 // A Protocol is deliberately side-effect free: it maps (state, event) to an
 // outcome and never touches a cache. The same tables therefore drive the
 // cycle-level simulator (internal/cache, internal/machine), the transition
-// diagram renderings of Figures 3-1 and 5-1 (internal/experiments), the
-// static table audit (internal/lint), and the exhaustive product-machine
-// consistency checker (internal/check) that mechanizes the Section 4 proof.
+// diagram renderings of Figures 3-1 and 5-1 (internal/experiments) and the
+// static table audit (internal/lint); the exhaustive product-machine
+// consistency checker (internal/check) that mechanizes the Section 4 proof
+// reads no table itself, it drives that simulator.
 package coherence
 
 import (
@@ -247,7 +248,7 @@ type SnoopOutcome struct {
 	Dirty    DirtyEffect
 }
 
-// Protocol is what the cache and the model checker ask of a scheme. *Table
+// Protocol is what the cache asks of a scheme. *Table
 // answers it, and documents each rule where the table states it; the
 // interface remains so that a test can wrap a table and break one answer,
 // and for the RB shim. Implementations must be pure: identical arguments

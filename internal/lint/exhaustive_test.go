@@ -79,7 +79,6 @@ func TestExpandPatterns(t *testing.T) {
 	want := []string{
 		"testdata/allocfree", "testdata/clean", "testdata/determinism",
 		"testdata/exhaustive", "testdata/ignorescope", "testdata/phase",
-		"testdata/syncaudit",
 	}
 	if len(dirs) != len(want) {
 		t.Fatalf("ExpandPatterns = %v, want %v", dirs, want)

@@ -29,7 +29,6 @@ var knownAnalyzers = map[string]bool{
 	"tableaudit":  true,
 	"phaseaudit":  true,
 	"allocaudit":  true,
-	"syncaudit":   true,
 }
 
 // ignoreScope records which analyzers one source line's directives

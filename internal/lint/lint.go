@@ -2,7 +2,7 @@
 // module built entirely on the standard library (go/parser, go/ast,
 // go/types, go/importer — no golang.org/x/tools). It complements the
 // dynamic verification layers (internal/check's product-machine
-// exploration, the race detector) with six analyzer families:
+// exploration, the race detector) with five analyzer families:
 //
 //   - exhaustive: every switch over a module-defined enum type (a named
 //     integer or string type with declared constants, e.g.
@@ -23,8 +23,6 @@
 //     write reached from a phase that does not own it (phaseaudit.go).
 //   - allocaudit: functions marked "//hotpath:allocfree" may not contain
 //     heap-allocating constructs (allocaudit.go).
-//   - syncaudit: fields accessed both atomically and plainly, and locks
-//     acquired in inconsistent order, are flagged (syncaudit.go).
 //
 // Findings can be suppressed with a "//lint:ignore reason" comment on the
 // offending line or the line directly above it; prefix the reason with an
@@ -48,7 +46,7 @@ import (
 // set.
 type Diagnostic struct {
 	Pos        token.Position
-	Analyzer   string // "exhaustive", "determinism", "tableaudit", "phaseaudit", "allocaudit" or "syncaudit"
+	Analyzer   string // "exhaustive", "determinism", "tableaudit", "phaseaudit" or "allocaudit"
 	Message    string
 	Suppressed bool // covered by a //lint:ignore directive
 }
@@ -78,9 +76,9 @@ type Config struct {
 // Run loads every package in cfg.Dirs, applies the AST analyzers, runs
 // the table audit, and returns all diagnostics sorted by position. The
 // per-package analyzers (exhaustive, determinism, allocaudit) see one
-// package at a time; the whole-program analyzers (phaseaudit, syncaudit)
-// see every loaded package at once, because phase ownership and lock
-// order are cross-package properties. The error is non-nil only for load
+// package at a time; the whole-program analyzer (phaseaudit) sees every
+// loaded package at once, because phase ownership is a cross-package
+// property. The error is non-nil only for load
 // failures (unparsable or untypeable code), not for findings.
 func Run(cfg Config) ([]Diagnostic, error) {
 	l := newLoader()
@@ -100,7 +98,6 @@ func Run(cfg Config) ([]Diagnostic, error) {
 		diags = append(diags, checkAllocFree(p)...)
 	}
 	diags = append(diags, checkPhases(all, "")...)
-	diags = append(diags, checkSync(all)...)
 	if !cfg.SkipTables {
 		for _, a := range AuditAll() {
 			for _, f := range a.Findings {

@@ -4,10 +4,11 @@ import (
 	"testing"
 )
 
-// TestModuleIsClean runs the full pass — all three analyzer families —
-// over the entire module, enforcing the acceptance criterion that
-// `protolint ./...` exits zero at merge. Fixture packages live under
-// testdata and are skipped by the walk exactly as the go tool would.
+// TestModuleIsClean runs the full pass — every analyzer family — over the
+// entire module. It is the gate: check.sh has no protolint stage, so this
+// test is what keeps `protolint ./...` (`make lint`) exiting zero. Fixture
+// packages live under testdata and are skipped by the walk exactly as the
+// go tool would.
 func TestModuleIsClean(t *testing.T) {
 	dirs, err := ExpandPatterns([]string{"../../..."})
 	if err != nil {

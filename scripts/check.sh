@@ -9,21 +9,17 @@
 #                  detector at GOMAXPROCS = NumCPU: the one behavioural
 #                  gate. Sweep, batch, fault-campaign, serve, router,
 #                  chaos-campaign and profiler determinism are ordinary
-#                  tests in their packages, and so is the Section 4
+#                  tests in their packages, and so are the Section 4
 #                  product-machine proof over every protocol at n = 2..5
-#                  caches with its state counts pinned (cmd/modelcheck)
+#                  caches with its reachable states pinned (cmd/modelcheck,
+#                  internal/check) and the module's own analyzers over the
+#                  whole tree (internal/lint's TestModuleIsClean and
+#                  TestAuditRegisteredProtocolsClean; `make lint` is the
+#                  same pass for people)
 #   5. allocs      the steady-state zero-allocation regressions (run
 #                  without the race detector, whose instrumentation
 #                  allocates; the -race pass above skips them)
-#   6. protolint   the module's own analyzers: exhaustive switches,
-#                  determinism, protocol table audit, phase ownership
-#                  (phaseaudit), hot-path allocation freedom (allocaudit)
-#                  and sync hygiene (syncaudit). Runs after the build/test
-#                  gates because it type-checks the same tree those gates
-#                  just proved compiles — a type error here would exit 2
-#                  (tool/load failure) rather than 1 (findings), and we
-#                  want that distinction to mean something.
-#   7. benchmark   the measurement harness is a module of its own that
+#   6. benchmark   the measurement harness is a module of its own that
 #                  ./... never reaches: vet and test it, then run all
 #                  seven workloads at 1/200 size with every correctness
 #                  check on (checks, not measurements)
@@ -49,9 +45,6 @@ go test -race ./...
 
 echo "==> allocs/cycle regression"
 go test -run 'SteadyState.*AllocFree' -count=1 ./internal/machine ./internal/mrc ./internal/batch
-
-echo "==> protolint ./..."
-go run ./cmd/protolint ./...
 
 echo "==> benchmark harness"
 (cd benchmark && go vet . && go test .)
