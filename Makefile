@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build test race lint fuzz modelcheck fault bench bench-compare serve cluster chaos profile fmt loc
+.PHONY: check build test race lint fuzz modelcheck fault bench bench-compare bench-pairs serve cluster chaos profile fmt loc
 
 check:
 	sh scripts/check.sh
@@ -48,6 +48,12 @@ bench:
 
 bench-compare:
 	$(GO) run -C benchmark repro/benchmark -compare $(abspath $(A)) $(abspath $(B))
+
+# bench-pairs W=<workload> [PARENT=<rev>] [N=10] is the measurement a
+# performance claim rests on: N alternated runs of PARENT (default HEAD)
+# and of the working tree, quartiles and wins per end-to-end metric.
+bench-pairs:
+	sh scripts/pairs.sh $(W) $(or $(PARENT),HEAD) $(or $(N),10)
 
 # serve runs the S24 simulation-as-a-service daemon on its default
 # loopback port with an on-disk result store.

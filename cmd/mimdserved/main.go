@@ -20,6 +20,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -33,22 +34,33 @@ import (
 )
 
 func main() {
+	if err := run(context.Background(), os.Args[1:], os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "mimdserved:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the daemon: it serves until SIGINT or until ctx is cancelled,
+// drains, and returns. A bad flag exits 2 as the flag package does.
+func run(ctx context.Context, args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("mimdserved", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr      = flag.String("addr", "127.0.0.1:8471", "listen address")
-		cacheDir  = flag.String("cache-dir", "", "memoize job results in this sweep store directory (empty = in-memory, no persistence)")
-		workers   = flag.Int("j", runtime.NumCPU(), "worker pool size per engine run")
-		inflight  = flag.Int("max-inflight", 2, "max concurrent engine runs")
-		queue     = flag.Int("queue-depth", 64, "max submissions waiting for a run slot before 429s; negative = no queue")
-		jobTO     = flag.Duration("job-timeout", 0, "per-job wall-clock budget; requests may lower it but never raise it; 0 disables")
-		retryHint = flag.Duration("retry-after", time.Second, "Retry-After hint on 429/503 responses")
-		maxJobs   = flag.Int("max-jobs", 10000, "reject specs expanding past this many jobs")
-		drainTO   = flag.Duration("drain-timeout", 30*time.Second, "how long a SIGINT drain waits before cancelling running flights")
-		worker    = flag.Bool("worker", false, "run as a cluster worker: enable /shardstats and the /v1/replica pull API mimdrouter uses")
-		shards    = flag.Int("shards", 0, "virtual shard space size for latency digests; must match the router's; 0 = default")
-		workerID  = flag.String("worker-id", "", "this worker's id in cluster documents")
+		addr      = fs.String("addr", "127.0.0.1:8471", "listen address")
+		cacheDir  = fs.String("cache-dir", "", "memoize job results in this sweep store directory (empty = in-memory, no persistence)")
+		workers   = fs.Int("j", runtime.NumCPU(), "worker pool size per engine run")
+		inflight  = fs.Int("max-inflight", 2, "max concurrent engine runs")
+		queue     = fs.Int("queue-depth", 64, "max submissions waiting for a run slot before 429s; negative = no queue")
+		jobTO     = fs.Duration("job-timeout", 0, "per-job wall-clock budget; requests may lower it but never raise it; 0 disables")
+		retryHint = fs.Duration("retry-after", time.Second, "Retry-After hint on 429/503 responses")
+		maxJobs   = fs.Int("max-jobs", 10000, "reject specs expanding past this many jobs")
+		drainTO   = fs.Duration("drain-timeout", 30*time.Second, "how long a SIGINT drain waits before cancelling running flights")
+		worker    = fs.Bool("worker", false, "run as a cluster worker: enable /shardstats and the /v1/replica pull API mimdrouter uses")
+		shards    = fs.Int("shards", 0, "virtual shard space size for latency digests; must match the router's; 0 = default")
+		workerID  = fs.String("worker-id", "", "this worker's id in cluster documents")
 	)
-	flag.Var(new(experiments.TraceFlag), "trace", "register a trace workload as name=path (repeatable); runnable as experiment \"trace-<name>\"")
-	flag.Parse()
+	fs.Var(new(experiments.TraceFlag), "trace", "register a trace workload as name=path (repeatable); runnable as experiment \"trace-<name>\"")
+	fs.Parse(args)
 
 	opts := serve.Options{
 		Workers:     *workers,
@@ -64,7 +76,7 @@ func main() {
 	if *cacheDir != "" {
 		ds, err := sweep.OpenDirStore(*cacheDir)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		opts.Store = ds
 	}
@@ -72,34 +84,35 @@ func main() {
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	hs := &http.Server{Handler: srv.Handler()}
 
 	// SIGINT starts the drain; a second ^C kills the process the usual
 	// way once stop() restores default handling.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(ctx, os.Interrupt)
 	defer stop()
 
 	errs := make(chan error, 1)
 	go func() { errs <- hs.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "mimdserved: listening on http://%s (store=%s inflight=%d queue=%d)\n",
+	fmt.Fprintf(stderr, "mimdserved: listening on http://%s (store=%s inflight=%d queue=%d)\n",
 		ln.Addr(), storeDesc(*cacheDir), *inflight, *queue)
 
 	select {
 	case err := <-errs:
-		fatal(err)
+		return err
 	case <-ctx.Done():
 	}
 	stop()
-	fmt.Fprintln(os.Stderr, "mimdserved: draining (new submissions get 503; ^C again to kill)")
+	fmt.Fprintln(stderr, "mimdserved: draining (new submissions get 503; ^C again to kill)")
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTO)
 	defer cancel()
 	if err := srv.Shutdown(drainCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "mimdserved: drain deadline hit; running flights cancelled, completed jobs are journaled for resume")
+		fmt.Fprintln(stderr, "mimdserved: drain deadline hit; running flights cancelled, completed jobs are journaled for resume")
 	}
 	hs.Shutdown(context.Background())
-	fmt.Fprintln(os.Stderr, "mimdserved: stopped")
+	fmt.Fprintln(stderr, "mimdserved: stopped")
+	return nil
 }
 
 func storeDesc(dir string) string {
@@ -107,9 +120,4 @@ func storeDesc(dir string) string {
 		return "memory"
 	}
 	return dir
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mimdserved:", err)
-	os.Exit(1)
 }

@@ -361,48 +361,12 @@ func (s *Server) runFlight(f *flight) {
 	f.hub.Close()
 }
 
-// storeHasAll probes every job key in the shared store. When all are
-// present the request can be answered without consuming an execution
-// slot — the DirStore fast path. A probe that quarantines a corrupt
-// entry reports a miss, which routes the request through the engine so
-// the damaged cell transparently re-runs.
-func (s *Server) storeHasAll(req *request) bool {
-	for _, j := range req.jobs {
-		_, ok, err := s.opts.Store.Get(j.Key)
-		if err != nil || !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// execute runs a flight's request: fast path from the store, or an
+// execute runs a flight's request: answered from the store, or by an
 // admitted engine run.
 func (s *Server) execute(f *flight) (Response, int) {
 	req := f.req
 	resp := Response{ID: req.id, Kind: req.spec.Kind}
 	start := wallNow()
-
-	// A profile request is only store-servable when the curve doc is
-	// memoized too; otherwise it takes the engine path so the profile
-	// pass below runs under an admission slot.
-	fast := s.storeHasAll(req) && (!req.spec.Profile || s.storeHasProfile(req.id))
-	if fast {
-		s.metrics.storeServed.Inc()
-	} else {
-		release, err := s.admit.acquire(s.baseCtx)
-		switch {
-		case errors.Is(err, errOverload):
-			resp.Error = "server overloaded: admission queue full"
-			return resp, http.StatusTooManyRequests
-		case err != nil:
-			resp.Error = "server shutting down"
-			return resp, http.StatusServiceUnavailable
-		}
-		defer release()
-		s.metrics.engineRuns.Inc()
-	}
-
 	eng := sweep.New(sweep.Options{
 		Workers:    s.opts.Workers,
 		Store:      s.opts.Store,
@@ -410,7 +374,37 @@ func (s *Server) execute(f *flight) (Response, int) {
 		Sink:       f.hub,
 		JobTimeout: req.timeout,
 	})
-	out, err := eng.Run(s.baseCtx, req.specs)
+
+	// The probe is the answer: when every job is in the shared store the
+	// Outcome comes back without consuming an execution slot. A probe that
+	// quarantines a corrupt entry, or fails, reports a miss, which routes
+	// the request through the engine so the damaged cell transparently
+	// re-runs (and a store that stays broken is reported by that run). A
+	// profile request is only store-servable when the curve doc is
+	// memoized too; otherwise it takes the engine path so the profile pass
+	// below runs under an admission slot.
+	var out *sweep.Outcome
+	hit := false
+	if !req.spec.Profile || s.storeHasProfile(req.id) {
+		out, hit, _ = eng.Lookup(req.specs)
+	}
+	var err error
+	if hit {
+		s.metrics.storeServed.Inc()
+	} else {
+		release, aerr := s.admit.acquire(s.baseCtx)
+		switch {
+		case errors.Is(aerr, errOverload):
+			resp.Error = "server overloaded: admission queue full"
+			return resp, http.StatusTooManyRequests
+		case aerr != nil:
+			resp.Error = "server shutting down"
+			return resp, http.StatusServiceUnavailable
+		}
+		defer release()
+		s.metrics.engineRuns.Inc()
+		out, err = eng.Run(s.baseCtx, req.specs)
+	}
 	resp.WallMS = float64(wallNow().Sub(start)) / float64(time.Millisecond)
 
 	var failures *sweep.FailureSummary
@@ -473,7 +467,7 @@ func (s *Server) execute(f *flight) (Response, int) {
 	if req.spec.Profile && len(out.Failed) == 0 {
 		// Build (or find) the request's miss-ratio-curve doc. On the
 		// store fast path this is a pure lookup — storeHasProfile gated
-		// fast above; on the engine path the pass runs under the
+		// the Lookup above; on the engine path the pass runs under the
 		// admission slot still held here.
 		if perr := s.ensureProfile(req); perr != nil {
 			resp.Error = perr.Error()

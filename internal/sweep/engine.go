@@ -344,13 +344,41 @@ func (e *Engine) Run(ctx context.Context, specs []Spec) (*Outcome, error) {
 	if err := e.merge(out, specs, results, failed); err != nil {
 		return nil, err
 	}
-	e.emit(Event{Event: "sweep", Jobs: len(jobs), Executed: out.Executed,
-		CacheHits: out.CacheHits, Failed: len(out.Failed),
-		WallMS: float64(out.Wall) / float64(time.Millisecond)})
+	e.emitSweep(out)
 	if len(out.Failed) > 0 {
 		return out, &FailureSummary{Failures: out.Failed}
 	}
 	return out, nil
+}
+
+// Lookup answers specs from the store alone. It Gets each job once in
+// canonical order and gives up at the first miss, having emitted nothing;
+// when every job is stored it returns the Outcome an all-hit Run would
+// have (same merge, same start, cached done and sweep events, in the
+// order a one-worker Run emits them). It runs no job, takes no worker and
+// neither reads nor writes the journal: journaling belongs to Run.
+func (e *Engine) Lookup(specs []Spec) (*Outcome, bool, error) {
+	jobs := Expand(specs)
+	start := wallNow()
+	results := make([]JobResult, len(jobs))
+	for i, j := range jobs {
+		jobStart := wallNow()
+		res, ok, err := e.opts.Store.Get(j.Key)
+		if err != nil || !ok || res.Table == nil {
+			return nil, false, err
+		}
+		results[i] = JobResult{Job: j, Table: res.Table, Cached: true, Wall: wallNow().Sub(jobStart)}
+	}
+	out := &Outcome{Jobs: results, CacheHits: len(jobs), Wall: wallNow().Sub(start)}
+	if err := e.merge(out, specs, results, make([]*JobFailure, len(jobs))); err != nil {
+		return nil, false, err
+	}
+	for _, r := range results {
+		e.emitStart(r.Job)
+		e.emitDone(r)
+	}
+	e.emitSweep(out)
+	return out, true, nil
 }
 
 // jobGroup is one fused dispatch unit: jobs[start:end] in canonical
@@ -373,7 +401,7 @@ func fuseGroups(jobs []Job, fuse bool) []jobGroup {
 	return groups
 }
 
-// sameShape reports whether two jobs differ only in seed — the fusion
+// sameJobShape reports whether two jobs differ only in seed — the fusion
 // criterion and exactly the deltas Machine.Reset can absorb.
 func sameJobShape(a, b JobSpec) bool {
 	return a.Experiment == b.Experiment && a.Version == b.Version && a.Scale == b.Scale
@@ -382,8 +410,7 @@ func sameJobShape(a, b JobSpec) bool {
 // runJob serves one job from the store or executes it and memoizes the
 // result. arena, when non-nil, is the fused group's machine arena.
 func (e *Engine) runJob(j Job, arena *batch.Arena) (JobResult, error) {
-	e.emit(Event{Event: "start", Job: j.Index, Key: j.Key,
-		Experiment: j.Spec.Experiment, Seed: j.Spec.Seed, Scale: j.Spec.Scale})
+	e.emitStart(j)
 	start := wallNow()
 	res, ok, err := e.opts.Store.Get(j.Key)
 	if err != nil {
@@ -406,11 +433,27 @@ func (e *Engine) runJob(j Job, arena *batch.Arena) (JobResult, error) {
 			return JobResult{}, err
 		}
 	}
-	wall := wallNow().Sub(start)
+	done := JobResult{Job: j, Table: table, Cached: cached, Wall: wallNow().Sub(start)}
+	e.emitDone(done)
+	return done, nil
+}
+
+func (e *Engine) emitStart(j Job) {
+	e.emit(Event{Event: "start", Job: j.Index, Key: j.Key,
+		Experiment: j.Spec.Experiment, Seed: j.Spec.Seed, Scale: j.Spec.Scale})
+}
+
+func (e *Engine) emitDone(r JobResult) {
+	j := r.Job
 	e.emit(Event{Event: "done", Job: j.Index, Key: j.Key,
 		Experiment: j.Spec.Experiment, Seed: j.Spec.Seed, Scale: j.Spec.Scale,
-		Cached: cached, WallMS: float64(wall) / float64(time.Millisecond)})
-	return JobResult{Job: j, Table: table, Cached: cached, Wall: wall}, nil
+		Cached: r.Cached, WallMS: float64(r.Wall) / float64(time.Millisecond)})
+}
+
+func (e *Engine) emitSweep(out *Outcome) {
+	e.emit(Event{Event: "sweep", Jobs: len(out.Jobs), Executed: out.Executed,
+		CacheHits: out.CacheHits, Failed: len(out.Failed),
+		WallMS: float64(out.Wall) / float64(time.Millisecond)})
 }
 
 // callRunner executes the configured Runner with panic recovery and,

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -136,11 +137,7 @@ func (m *MemStore) PutRaw(key string, payload []byte) error {
 func (m *MemStore) JournalKeys() (map[string]bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(map[string]bool, len(m.done))
-	for k := range m.done {
-		out[k] = true
-	}
-	return out, nil
+	return maps.Clone(m.done), nil
 }
 
 // AppendJournal implements Store.
@@ -185,12 +182,20 @@ func (m *MemStore) JournalBytes() []byte {
 // truncation, a flipped bit, or a hand-edited file all classify as
 // corruption. Corrupt entries are moved to quarantine/ (never deleted,
 // never served) and the job transparently re-runs.
+//
+// One process owns a store directory: the journal is parsed once, by
+// OpenDirStore, and JournalKeys answers from memory from then on, so
+// lines another process (or another DirStore on the same directory)
+// appends are not seen until the next open.
 type DirStore struct {
 	dir string
 
 	mu sync.Mutex
 	// quarantined counts objects moved aside by this process.
 	quarantined int
+	// journaled holds the keys of journal.jsonl's whole lines: those
+	// found at open plus every AppendJournal since.
+	journaled map[string]bool
 }
 
 // envelope is the on-disk object framing: the Result payload plus the
@@ -228,12 +233,30 @@ func OpenDirStore(dir string) (*DirStore, error) {
 			return nil, err
 		}
 	default:
-		return &DirStore{dir: dir}, nil
+		return loadJournal(&DirStore{dir: dir})
 	}
 	if err := os.WriteFile(vfile, []byte(storeVersion+"\n"), 0o644); err != nil {
 		return nil, err
 	}
-	return &DirStore{dir: dir}, nil
+	return loadJournal(&DirStore{dir: dir})
+}
+
+// loadJournal reads the journal, if there is one, into d. Unparsable
+// lines (a torn append from an interrupted run; the empty tail) are
+// skipped, which is exactly the resume semantics: the job re-runs.
+func loadJournal(d *DirStore) (*DirStore, error) {
+	d.journaled = map[string]bool{}
+	data, err := os.ReadFile(d.JournalPath())
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
+	}
+	for _, raw := range strings.Split(string(data), "\n") {
+		var line JournalLine
+		if json.Unmarshal([]byte(raw), &line) == nil {
+			d.journaled[line.Key] = true
+		}
+	}
+	return d, nil
 }
 
 // Dir returns the store's root directory.
@@ -249,10 +272,10 @@ func (d *DirStore) JournalPath() string {
 	return filepath.Join(d.dir, "journal.jsonl")
 }
 
-// Get implements Store. An entry that fails to parse or whose payload
-// bytes don't match the recorded SHA-256 is quarantined and reported as
-// a miss — a corrupt cache entry is never silently loaded.
-func (d *DirStore) Get(key string) (*Result, bool, error) {
+// readVerified returns key's payload bytes once they match the
+// envelope's SHA-256. An entry that fails either check is quarantined and
+// reported as a miss — a corrupt cache entry is never silently loaded.
+func (d *DirStore) readVerified(key string) ([]byte, bool, error) {
 	data, err := os.ReadFile(d.objectPath(key))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, false, nil
@@ -270,8 +293,18 @@ func (d *DirStore) Get(key string) (*Result, bool, error) {
 		// Bit rot or tampering: the payload no longer matches its hash.
 		return nil, false, d.quarantine(key)
 	}
+	return env.Result, true, nil
+}
+
+// Get implements Store, with readVerified's quarantine-on-corruption
+// semantics; a verified payload that is not a Result is quarantined too.
+func (d *DirStore) Get(key string) (*Result, bool, error) {
+	payload, ok, err := d.readVerified(key)
+	if !ok || err != nil {
+		return nil, false, err
+	}
 	var res Result
-	if err := json.Unmarshal(env.Result, &res); err != nil {
+	if err := json.Unmarshal(payload, &res); err != nil {
 		return nil, false, d.quarantine(key)
 	}
 	return &res, true, nil
@@ -314,22 +347,7 @@ func (d *DirStore) Put(res *Result) error {
 // GetRaw implements RawStore: the checksum-verified payload bytes, with
 // the same quarantine-on-corruption semantics as Get.
 func (d *DirStore) GetRaw(key string) ([]byte, bool, error) {
-	data, err := os.ReadFile(d.objectPath(key))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, false, d.quarantine(key)
-	}
-	sum := sha256.Sum256(env.Result)
-	if hex.EncodeToString(sum[:]) != env.SHA256 {
-		return nil, false, d.quarantine(key)
-	}
-	return []byte(env.Result), true, nil
+	return d.readVerified(key)
 }
 
 // PutRaw implements RawStore. The temp file gets a unique name
@@ -363,32 +381,16 @@ func (d *DirStore) PutRaw(key string, payload []byte) error {
 	return os.Rename(tmp, d.objectPath(key))
 }
 
-// JournalKeys implements Store. Unparsable lines (a torn append from an
-// interrupted run) are skipped, which is exactly the resume semantics:
-// the job re-runs.
+// JournalKeys implements Store: a copy, the caller's to keep, of the
+// keys the journal held at open and has gained since.
 func (d *DirStore) JournalKeys() (map[string]bool, error) {
-	done := map[string]bool{}
-	data, err := os.ReadFile(d.JournalPath())
-	if errors.Is(err, fs.ErrNotExist) {
-		return done, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	for _, raw := range strings.Split(string(data), "\n") {
-		if strings.TrimSpace(raw) == "" {
-			continue
-		}
-		var line JournalLine
-		if err := json.Unmarshal([]byte(raw), &line); err != nil {
-			continue
-		}
-		done[line.Key] = true
-	}
-	return done, nil
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return maps.Clone(d.journaled), nil
 }
 
-// AppendJournal implements Store.
+// AppendJournal implements Store. The key counts as journaled only once
+// its line is synced.
 func (d *DirStore) AppendJournal(line JournalLine) error {
 	data, err := json.Marshal(line)
 	if err != nil {
@@ -402,5 +404,11 @@ func (d *DirStore) AppendJournal(line JournalLine) error {
 	if _, err := f.Write(append(data, '\n')); err != nil {
 		return err
 	}
-	return f.Sync()
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	d.mu.Lock()
+	d.journaled[line.Key] = true
+	d.mu.Unlock()
+	return nil
 }

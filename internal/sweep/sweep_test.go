@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -177,6 +178,74 @@ func TestWarmCacheExecutesNothing(t *testing.T) {
 	}
 }
 
+// TestLookupIsAnAllHitRun: on a full store Lookup returns what a warm
+// one-worker Run returns (tables, per-spec stats, events with the walls
+// masked) and leaves the journal alone; one object short, it reports a
+// miss, emits nothing and runs nothing.
+func TestLookupIsAnAllHitRun(t *testing.T) {
+	specs := fakeSpecs([]uint64{1, 2, 3})
+	store := NewMemStore()
+	if _, err := New(Options{Store: store, Runner: fakeRunner}).Run(context.Background(), specs); err != nil {
+		t.Fatal(err)
+	}
+	masked := func(h *Hub) []Event {
+		evs := h.Snapshot()
+		for i := range evs {
+			evs[i].WallMS = 0
+		}
+		return evs
+	}
+	runHub, lookHub := NewHub(), NewHub()
+	ran, err := New(Options{Workers: 1, Store: store, Runner: fakeRunner, Sink: runHub}).Run(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := store.JournalBytes()
+	var n atomic.Int64
+	eng := New(Options{Store: store, Runner: countingRunner(fakeRunner, &n), Sink: lookHub})
+	looked, ok, err := eng.Lookup(specs)
+	if err != nil || !ok {
+		t.Fatalf("Lookup on a full store: ok=%v err=%v", ok, err)
+	}
+	if !bytes.Equal(renderAll(ran), renderAll(looked)) {
+		t.Error("Lookup's merged report differs from a warm Run's")
+	}
+	if looked.Executed != 0 || looked.CacheHits != len(ran.Jobs) || len(looked.Jobs) != len(ran.Jobs) {
+		t.Errorf("Lookup: executed %d cached %d of %d jobs", looked.Executed, looked.CacheHits, len(looked.Jobs))
+	}
+	for i, st := range looked.Stats {
+		st.Wall, ran.Stats[i].Wall = 0, 0
+		if st != ran.Stats[i] {
+			t.Errorf("spec %d stats: Lookup %+v, Run %+v", i, st, ran.Stats[i])
+		}
+	}
+	want, got := masked(runHub), masked(lookHub)
+	if len(got) != len(want) {
+		t.Fatalf("Lookup emitted %d events, a warm Run %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("event %d: Lookup %+v, Run %+v", i, got[i], want[i])
+		}
+	}
+	if !bytes.Equal(store.JournalBytes(), journal) {
+		t.Error("Lookup wrote to the journal")
+	}
+
+	store.mu.Lock()
+	delete(store.objects, ran.Jobs[len(ran.Jobs)-1].Job.Key)
+	store.mu.Unlock()
+	if out, ok, err := eng.Lookup(specs); out != nil || ok || err != nil {
+		t.Fatalf("Lookup one object short: out=%v ok=%v err=%v", out, ok, err)
+	}
+	if len(lookHub.Snapshot()) != len(want) {
+		t.Error("a missed Lookup emitted events")
+	}
+	if n.Load() != 0 {
+		t.Errorf("Lookup invoked the runner %d times", n.Load())
+	}
+}
+
 // TestKillAndResume interrupts a sweep by cancelling the context after k
 // jobs, then verifies the resumed sweep executes exactly the missing jobs
 // and produces the same bytes as an uninterrupted run.
@@ -238,8 +307,9 @@ func TestKillAndResume(t *testing.T) {
 
 // TestJournalTruncationResume simulates a hard kill against the on-disk
 // store: the journal is truncated to a prefix (including a torn final
-// line) and the un-journaled objects are deleted; the resumed sweep must
-// execute exactly the missing jobs.
+// line) and the un-journaled objects are deleted; the next process opens
+// the store again, and its resumed sweep must execute exactly the
+// missing jobs.
 func TestJournalTruncationResume(t *testing.T) {
 	specs := fakeSpecs([]uint64{1, 2, 3, 4})
 	dir := t.TempDir()
@@ -269,6 +339,9 @@ func TestJournalTruncationResume(t *testing.T) {
 	if err := os.WriteFile(store.JournalPath(), []byte(truncated), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if store, err = OpenDirStore(dir); err != nil {
+		t.Fatal(err)
+	}
 	kept, err := store.JournalKeys()
 	if err != nil {
 		t.Fatal(err)
@@ -295,6 +368,78 @@ func TestJournalTruncationResume(t *testing.T) {
 	}
 	if !bytes.Equal(renderAll(full), renderAll(out)) {
 		t.Error("resumed merged report differs from the original run")
+	}
+}
+
+// TestReopenOnTornJournal: a store opened on a journal that ends in a
+// torn line remembers exactly the whole lines, hands each caller its own
+// copy of them, and a sweep over the same (still stored) jobs gives no
+// remembered key a second line.
+func TestReopenOnTornJournal(t *testing.T) {
+	specs := fakeSpecs([]uint64{1, 2})
+	dir := t.TempDir()
+	store, err := OpenDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Options{Store: store, Runner: fakeRunner}).Run(context.Background(), specs); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(store.JournalPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := strings.SplitAfter(string(data), "\n")
+	whole = whole[:len(whole)-2] // SplitAfter's empty tail, then the line to tear
+	torn := strings.Join(whole, "") + `{"key":"torn`
+	if err := os.WriteFile(store.JournalPath(), []byte(torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if store, err = OpenDirStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	kept, err := store.JournalKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != len(whole) {
+		t.Fatalf("reopened store remembers %d keys, want the %d whole lines", len(kept), len(whole))
+	}
+	for _, raw := range whole {
+		var line JournalLine
+		if err := json.Unmarshal([]byte(raw), &line); err != nil || !kept[line.Key] {
+			t.Fatalf("whole line %q not remembered (err %v)", raw, err)
+		}
+	}
+	kept["scribble"] = true
+	if again, _ := store.JournalKeys(); again["scribble"] {
+		t.Fatal("JournalKeys handed out its own map, not a copy")
+	}
+	delete(kept, "scribble")
+
+	var n atomic.Int64
+	if _, err := New(Options{Store: store, Runner: countingRunner(fakeRunner, &n)}).Run(context.Background(), specs); err != nil {
+		t.Fatal(err)
+	}
+	if n.Load() != 0 {
+		t.Errorf("every object survived, yet %d jobs re-ran", n.Load())
+	}
+	data, err = os.ReadFile(store.JournalPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := map[string]int{}
+	for _, raw := range strings.Split(string(data), "\n") {
+		var line JournalLine
+		if json.Unmarshal([]byte(raw), &line) == nil {
+			lines[line.Key]++
+		}
+	}
+	for key := range kept {
+		if lines[key] != 1 {
+			t.Errorf("key %s has %d journal lines, want 1", key, lines[key])
+		}
 	}
 }
 
