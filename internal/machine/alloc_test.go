@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/workload"
@@ -59,6 +60,46 @@ func TestSteadyStateAllocFree(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestConstructionBytesFollowTheRun pins what building a machine and its
+// agents allocates (runtime.MemStats.TotalAlloc across the MustApp calls
+// and New): 32 RB PEs with 2048-line caches. Bounded agents reserve LRU
+// history for their own reference budget, so a 2500-reference run (the
+// Section 7 sweeps' shape) builds in about 2 MB, stacks 0.3 MB of it;
+// unbounded agents keep their MaxDepth-sized stacks, 7.7 MB of 9.5. Like
+// the alloc pins it runs without the race detector, which allocates too.
+func TestConstructionBytesFollowTheRun(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates; run without -race")
+	}
+	// unbounded is what the refs = 0 case read before bounded agents
+	// sized their stacks (when the 2500-reference case read the same).
+	const mb, unbounded = 1e6, 9.49
+	for _, tc := range []struct {
+		refs     int
+		min, max float64 // MB
+	}{
+		{refs: 2500, max: 2.5},
+		{refs: 0, min: unbounded * 0.99, max: unbounded * 1.01},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		layout := workload.DefaultLayout()
+		agents := make([]workload.Agent, 32)
+		for i := range agents {
+			agents[i] = workload.MustApp(workload.PDEProfile(), layout, i, 1, tc.refs)
+		}
+		if _, err := New(Config{Protocol: protoOrDie(t, "rb"), CacheLines: 2048}, agents); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		got := float64(after.TotalAlloc-before.TotalAlloc) / mb
+		t.Logf("refs %d: construction allocated %.2f MB", tc.refs, got)
+		if got < tc.min || got > tc.max {
+			t.Errorf("refs %d: construction allocated %.2f MB, want %.2f..%.2f", tc.refs, got, tc.min, tc.max)
 		}
 	}
 }

@@ -51,8 +51,9 @@ type Stats struct {
 	Retired       uint64 // total memory operations completed
 }
 
-// Retirement describes one completed memory operation, as delivered to the
-// machine's consistency oracle. The pointer returned by CPUPhase/Deliver
+// Retirement describes one completed memory operation. No driver reads it
+// (the consistency oracle hooks cache.OnResolve); its deletion waits on the
+// benchmark harness, see ROADMAP. The pointer returned by CPUPhase/Deliver
 // aliases a per-PE record that is overwritten by that PE's next
 // retirement; consumers copy what they need immediately.
 type Retirement struct {

@@ -196,6 +196,9 @@ type DirStore struct {
 	// journaled holds the keys of journal.jsonl's whole lines: those
 	// found at open plus every AppendJournal since.
 	journaled map[string]bool
+	// tornTail: the journal ended mid-line at open and no append since
+	// has terminated the fragment.
+	tornTail bool
 }
 
 // envelope is the on-disk object framing: the Result payload plus the
@@ -256,6 +259,7 @@ func loadJournal(d *DirStore) (*DirStore, error) {
 			d.journaled[line.Key] = true
 		}
 	}
+	d.tornTail = len(data) > 0 && data[len(data)-1] != '\n'
 	return d, nil
 }
 
@@ -390,12 +394,18 @@ func (d *DirStore) JournalKeys() (map[string]bool, error) {
 }
 
 // AppendJournal implements Store. The key counts as journaled only once
-// its line is synced.
+// its line is synced. The first append after an open that found a torn
+// tail ends the fragment first, so the new line is not glued onto it.
 func (d *DirStore) AppendJournal(line JournalLine) error {
 	data, err := json.Marshal(line)
 	if err != nil {
 		return err
 	}
+	d.mu.Lock()
+	if d.tornTail {
+		data = append([]byte{'\n'}, data...)
+	}
+	d.mu.Unlock()
 	f, err := os.OpenFile(d.JournalPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
@@ -409,6 +419,7 @@ func (d *DirStore) AppendJournal(line JournalLine) error {
 	}
 	d.mu.Lock()
 	d.journaled[line.Key] = true
+	d.tornTail = false
 	d.mu.Unlock()
 	return nil
 }

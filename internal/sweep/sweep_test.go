@@ -374,7 +374,9 @@ func TestJournalTruncationResume(t *testing.T) {
 // TestReopenOnTornJournal: a store opened on a journal that ends in a
 // torn line remembers exactly the whole lines, hands each caller its own
 // copy of them, and a sweep over the same (still stored) jobs gives no
-// remembered key a second line.
+// remembered key a second line. The first append after the reopen ends
+// the fragment, so a never-seen job run there is journaled and the
+// fragment stays the file's only unparsable line.
 func TestReopenOnTornJournal(t *testing.T) {
 	specs := fakeSpecs([]uint64{1, 2})
 	dir := t.TempDir()
@@ -418,6 +420,19 @@ func TestReopenOnTornJournal(t *testing.T) {
 	}
 	delete(kept, "scribble")
 
+	// The first append after a torn tail starts a line of its own: a
+	// never-seen job run now is journaled for the next open.
+	fresh := []Spec{{Experiment: "fake-new", Version: 1}}
+	if _, err := New(Options{Store: store, Runner: fakeRunner}).Run(context.Background(), fresh); err != nil {
+		t.Fatal(err)
+	}
+	if store, err = OpenDirStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	if keys, _ := store.JournalKeys(); !keys[Expand(fresh)[0].Key] {
+		t.Fatal("the job run on a torn journal is not journaled: its line was glued onto the fragment")
+	}
+
 	var n atomic.Int64
 	if _, err := New(Options{Store: store, Runner: countingRunner(fakeRunner, &n)}).Run(context.Background(), specs); err != nil {
 		t.Fatal(err)
@@ -434,6 +449,8 @@ func TestReopenOnTornJournal(t *testing.T) {
 		var line JournalLine
 		if json.Unmarshal([]byte(raw), &line) == nil {
 			lines[line.Key]++
+		} else if raw != "" && raw != `{"key":"torn` {
+			t.Errorf("journal line %q does not parse and is not the torn fragment", raw)
 		}
 	}
 	for key := range kept {

@@ -138,8 +138,8 @@ type stackModel struct {
 	size int
 	// stack holds segment offsets (address minus base), most recently used
 	// first. Two bytes an entry (NewApp bounds a segment at 64K words)
-	// halve the MaxDepth-sized backing, the workload layer's dominant
-	// allocation, and the bytes promote moves per reference.
+	// halve the backing (MaxDepth-sized and the workload layer's dominant
+	// allocation when the stream is unbounded) and the bytes promote moves.
 	stack    []uint16
 	nextNew  int // allocation cursor within the segment
 	hotFrac  float64
@@ -149,7 +149,8 @@ type stackModel struct {
 	logMax   float64
 }
 
-func newStackModel(rng *RNG, base bus.Addr, size int, p AppProfile) *stackModel {
+// newStackModel: maxRefs bounds the stream's references (0 = unbounded).
+func newStackModel(rng *RNG, base bus.Addr, size int, p AppProfile, maxRefs int) *stackModel {
 	m := &stackModel{
 		rng: rng, base: base, size: size,
 		hotFrac: p.HotFrac, hotSet: p.HotSet,
@@ -161,15 +162,21 @@ func newStackModel(rng *RNG, base bus.Addr, size int, p AppProfile) *stackModel 
 	// current length, and every sampled depth is below MaxDepth (plus a
 	// float-rounding margin), so this capacity makes promote append-safe
 	// without ever reallocating mid-run — the reference stream must not
-	// be the simulator's steady-state allocation source.
-	m.stack = make([]uint16, 0, p.MaxDepth+2)
+	// be the simulator's steady-state allocation source. It also gains at
+	// most one entry per reference and App.Next halts after maxRefs, so a
+	// bounded stream reserves only the history it can reach.
+	capacity := p.MaxDepth + 2
+	if maxRefs > 0 {
+		capacity = min(capacity, maxRefs+1)
+	}
+	m.stack = make([]uint16, 0, capacity)
 	return m
 }
 
 // reset empties the LRU history and rewinds the allocation cursor,
-// reusing the preallocated stack backing — this is the batch runner's
-// whole win: the MaxDepth-sized backing array is the workload layer's
-// dominant allocation, and reset never touches it.
+// reusing the preallocated stack backing: the workload layer's dominant
+// allocation for an unbounded stream, maxRefs+1 entries (so little saved)
+// for a bounded one, which every sweep job is.
 func (m *stackModel) reset() {
 	m.stack = m.stack[:0]
 	m.nextNew = 0
@@ -254,8 +261,8 @@ func NewApp(profile AppProfile, layout Layout, pe int, seed uint64, maxRefs int)
 		layout:  layout,
 		pe:      pe,
 		rng:     rng,
-		code:    newStackModel(rng, layout.CodeBase(pe), layout.CodeWords, profile),
-		local:   newStackModel(rng, layout.LocalBase(pe), layout.LocalWords, profile),
+		code:    newStackModel(rng, layout.CodeBase(pe), layout.CodeWords, profile, maxRefs),
+		local:   newStackModel(rng, layout.LocalBase(pe), layout.LocalWords, profile, maxRefs),
 		maxRefs: maxRefs,
 	}, nil
 }

@@ -252,12 +252,47 @@ func TestAppDeterministic(t *testing.T) {
 	}
 }
 
+// TestBoundedAppReservesItsReach: an App bounded at maxRefs reserves
+// min(MaxDepth+2, maxRefs+1) stack entries per model, never reallocates
+// them, and emits exactly the first maxRefs ops of an unbounded App with
+// the same seed, fresh and after Reseed: capacity is not state.
+func TestBoundedAppReservesItsReach(t *testing.T) {
+	profile, layout := PDEProfile(), DefaultLayout()
+	for _, maxRefs := range []int{1, 100, 2500, 60000, 70000} {
+		bounded := MustApp(profile, layout, 3, 7, maxRefs)
+		capCode, capLocal := cap(bounded.code.stack), cap(bounded.local.stack)
+		want := min(profile.MaxDepth+2, maxRefs+1)
+		if capCode != want || capLocal != want {
+			t.Fatalf("maxRefs %d: stack capacities %d/%d, want %d", maxRefs, capCode, capLocal, want)
+		}
+		for i, seed := range []uint64{7, 11} {
+			if i > 0 {
+				bounded.Reseed(seed)
+			}
+			unbounded := MustApp(profile, layout, 3, seed, 0)
+			n := 0
+			for op := bounded.Next(Result{}); op.Kind != OpHalt; op = bounded.Next(Result{}) {
+				if ref := unbounded.Next(Result{}); op != ref {
+					t.Fatalf("maxRefs %d seed %d: op %d = %+v, unbounded stream has %+v", maxRefs, seed, n, op, ref)
+				}
+				n++
+				if cap(bounded.code.stack) != capCode || cap(bounded.local.stack) != capLocal {
+					t.Fatalf("maxRefs %d seed %d: a stack was reallocated at op %d", maxRefs, seed, n)
+				}
+			}
+			if n != maxRefs {
+				t.Fatalf("maxRefs %d seed %d: emitted %d ops", maxRefs, seed, n)
+			}
+		}
+	}
+}
+
 // TestStackModelLocality: the read stream must be markedly more local than
 // uniform — the top-of-stack re-reference rate should be high, and deeper
 // reuse must still occur.
 func TestStackModelLocality(t *testing.T) {
 	rng := NewRNG(3)
-	m := newStackModel(rng, 0, 4096, AppProfile{HotFrac: 0.6, HotSet: 16, MaxDepth: 4096})
+	m := newStackModel(rng, 0, 4096, AppProfile{HotFrac: 0.6, HotSet: 16, MaxDepth: 4096}, 0)
 	seen := make(map[bus.Addr]int)
 	const n = 50000
 	for i := 0; i < n; i++ {

@@ -10,11 +10,13 @@
 # follow: run length from BENCHMARK.json, the pair's number as the seed
 # of both its runs, odd pairs running the parent first and even pairs the
 # change. Per end-to-end metric it prints each side's quartiles and
-# median and how many pairs the change won (ties count for neither);
-# then the operations attempted and failed. A gain may be claimed when
-# the change wins at least nine tenths of the pairs and the medians
-# differ by more than the parent's own q1..q3 distance. It reads
-# benchmark/ and BENCHMARK.json and edits nothing.
+# median, how many pairs the change won (ties count for neither) and a
+# verdict; then the operations attempted and failed. The verdict is
+# `gain` when the change wins at least nine tenths of the pairs and the
+# medians differ by more than the parent's own q1..q3 distance, `worse`
+# for the mirror of that (the parent wins nine tenths), `flat` otherwise:
+# only `gain` may be claimed, and "no metric got worse" is no `worse`
+# row. It reads benchmark/ and BENCHMARK.json and edits nothing.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -72,16 +74,22 @@ FNR == NR {
 	for (k = 1; k <= m; k++) val[side, k, pair] = num($0, name[k])
 }
 END {
-	printf "%-12s %-7s %-32s %-32s %s\n", "metric", "better", "parent q1 / median / q3", "change q1 / median / q3", "change wins"
+	printf "%-12s %-7s %-32s %-32s %-12s %s\n", "metric", "better", "parent q1 / median / q3", "change q1 / median / q3", "change wins", "verdict"
 	for (k = 1; k <= m; k++) {
-		wins = 0
+		wins = losses = 0
 		for (p = 1; p <= pairs; p++) {
 			a[p] = val["parent", k, p]; b[p] = val["change", k, p]
 			if (higher[k] ? b[p] > a[p] : b[p] < a[p]) wins++
+			else if (a[p] != b[p]) losses++
 		}
-		printf "%-12s %-7s %-32s %-32s %d/%d\n", name[k], higher[k] ? "higher" : "lower",
-			sprintf("%.4g / %.4g / %.4g", quantile(a, .25), quantile(a, .5), quantile(a, .75)),
-			sprintf("%.4g / %.4g / %.4g", quantile(b, .25), quantile(b, .5), quantile(b, .75)), wins, pairs
+		a1 = quantile(a, .25); a2 = quantile(a, .5); a3 = quantile(a, .75); b2 = quantile(b, .5)
+		better = higher[k] ? b2 - a2 : a2 - b2
+		verdict = "flat"
+		if (10 * wins >= 9 * pairs && better > a3 - a1) verdict = "gain"
+		else if (10 * losses >= 9 * pairs && -better > a3 - a1) verdict = "worse"
+		printf "%-12s %-7s %-32s %-32s %-12s %s\n", name[k], higher[k] ? "higher" : "lower",
+			sprintf("%.4g / %.4g / %.4g", a1, a2, a3),
+			sprintf("%.4g / %.4g / %.4g", quantile(b, .25), b2, quantile(b, .75)), wins "/" pairs, verdict
 	}
 	printf "failed: parent %d of %d, change %d of %d; runs not correct: parent %d, change %d\n",
 		failed["parent"], attempted["parent"], failed["change"], attempted["change"], wrong["parent"], wrong["change"]
