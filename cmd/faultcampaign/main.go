@@ -12,6 +12,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -25,22 +26,38 @@ import (
 	"repro/internal/sweep"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit code made explicit: 0 the
+// campaign ran and no detectable class diverged silently, 1 it failed or
+// one did, 2 the command line was unusable (130 on SIGINT).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("faultcampaign", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		protocols = flag.String("protocols", "", "comma-separated protocol names (default rb,rwb,goodman,illinois)")
-		classes   = flag.String("classes", "", "comma-separated fault classes (default all); see -list-classes")
-		seedList  = flag.String("seeds", "1", "comma-separated campaign seeds; each is its own reference run and trial set")
-		trials    = flag.Int("trials", 4, "fault trials per (protocol, class, seed) cell")
-		refs      = flag.Int("refs", 300, "memory references per PE in each trial workload")
-		pes       = flag.Int("pes", 4, "processing elements per trial machine")
-		workers   = flag.Int("j", runtime.NumCPU(), "worker pool size")
-		cacheDir  = flag.String("cache-dir", "", "memoize cell results in this sweep store directory")
-		format    = flag.String("format", "plain", "output format: plain, markdown, csv")
-		outPath   = flag.String("o", "", "write the report here instead of stdout")
-		events    = flag.String("events", "", "write JSONL progress events to this file (\"-\" = stderr)")
-		listCls   = flag.Bool("list-classes", false, "list fault classes and exit")
+		protocols = fs.String("protocols", "", "comma-separated protocol names (default rb,rwb,goodman,illinois)")
+		classes   = fs.String("classes", "", "comma-separated fault classes (default all); see -list-classes")
+		seedList  = fs.String("seeds", "1", "comma-separated campaign seeds; each is its own reference run and trial set")
+		trials    = fs.Int("trials", 4, "fault trials per (protocol, class, seed) cell")
+		refs      = fs.Int("refs", 300, "memory references per PE in each trial workload")
+		pes       = fs.Int("pes", 4, "processing elements per trial machine")
+		workers   = fs.Int("j", runtime.NumCPU(), "worker pool size")
+		cacheDir  = fs.String("cache-dir", "", "memoize cell results in this sweep store directory")
+		format    = fs.String("format", "plain", "output format: plain, markdown, csv")
+		outPath   = fs.String("o", "", "write the report here instead of stdout")
+		events    = fs.String("events", "", "write JSONL progress events to this file (\"-\" = stderr)")
+		listCls   = fs.Bool("list-classes", false, "list fault classes and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "faultcampaign:", err)
+		return 1
+	}
 
 	if *listCls {
 		for _, c := range fault.Classes() {
@@ -48,31 +65,31 @@ func main() {
 			if !c.Detectable() {
 				det = "may be silent (oracle blind spot)"
 			}
-			fmt.Printf("%-20s %s\n", c, det)
+			fmt.Fprintf(stdout, "%-20s %s\n", c, det)
 		}
-		return
+		return 0
 	}
 
 	cfg, err := buildConfig(*protocols, *classes, *seedList, *trials, *refs, *pes)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	var store sweep.Store
 	if *cacheDir != "" {
 		ds, err := sweep.OpenDirStore(*cacheDir)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		store = ds
 	}
 	var eventsW io.Writer
 	if *events == "-" {
-		eventsW = os.Stderr
+		eventsW = stderr
 	} else if *events != "" {
 		f, err := os.Create(*events)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		eventsW = f
@@ -90,38 +107,34 @@ func main() {
 		Runner: fault.NewCellRunner(cfg), BatchRunner: fault.NewBatchCellRunner(cfg),
 	})
 	out, err := eng.Run(ctx, cfg.Specs())
-	if code := sweep.ReportRunError(os.Stderr, "faultcampaign", out, err); code != 0 {
-		os.Exit(code)
+	if code := sweep.ReportRunError(stderr, "faultcampaign", out, err); code != 0 {
+		return code
 	}
 
 	report, err := fault.RenderReport(cfg, out, *format)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if *outPath != "" {
 		if err := os.WriteFile(*outPath, []byte(report), 0o644); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	} else {
-		fmt.Print(report)
+		fmt.Fprint(stdout, report)
 	}
 
 	// A silent divergence in a detectable class is an oracle hole: always
 	// surface it and fail the run.
 	bad, err := fault.SilentViolations(out)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if len(bad) > 0 {
-		fmt.Fprintf(os.Stderr, "faultcampaign: %d silent divergence(s) in detectable classes:\n  %s\n",
+		fmt.Fprintf(stderr, "faultcampaign: %d silent divergence(s) in detectable classes:\n  %s\n",
 			len(bad), strings.Join(bad, "\n  "))
-		os.Exit(1)
+		return 1
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "faultcampaign:", err)
-	os.Exit(1)
+	return 0
 }
 
 // buildConfig assembles the flags into a fault.CampaignSpec — the same

@@ -2,9 +2,8 @@
 // a configuration *shape* and differ only in seed — the dominant cost of
 // multi-seed statistics: every Section 7 curve is a mean over seeds of
 // the same machine, yet building that machine (page directories, cache
-// line arenas, bus registries, and for unbounded agents above all the
-// workload models' LRU backing arrays; a bounded App reserves only its
-// own reference budget) dwarfs the cost of simulating the smaller shapes.
+// line arenas, bus registries, the workload models' LRU stacks) dwarfs
+// the cost of simulating the smaller shapes.
 //
 // An Arena owns one recyclable machine per shape. The first trial of a
 // shape constructs the machine; every later trial rolls it back with

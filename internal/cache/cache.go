@@ -49,26 +49,25 @@ func (c Config) validate() error {
 	return nil
 }
 
-// line is one tag-store entry. State, aux, dirty, data and the LRU stamp
-// mutate from every phase (CPU hits, own bus completions, snoop
-// reactions), so they are //phase:any; valid only flips on bus-phase
-// events (write-back evictions, RMW copy drops). addr changes only
-// through install's whole-struct store, which phaseaudit does not track
-// field-by-field, so it carries no annotation.
+// line is one tag-store entry, 12 bytes with no padding; its LRU stamp,
+// if any, is in Cache.stamps. Data, state, aux and dirty mutate from
+// every phase (CPU hits, own bus completions, snoop reactions), so they
+// are //phase:any; valid only flips on bus-phase events (write-back
+// evictions, RMW copy drops). addr changes only through install's
+// whole-struct store, which phaseaudit does not track field-by-field, so
+// it carries no annotation.
 type line struct {
+	addr bus.Addr
+	//phase:any
+	data bus.Word
 	//phase:bus
 	valid bool
-	addr  bus.Addr
 	//phase:any
 	state coherence.State
 	//phase:any
 	aux uint8
 	//phase:any
 	dirty bool
-	//phase:any
-	data bus.Word
-	//phase:any
-	lastUse uint64
 }
 
 // ClassStats breaks processor accesses down by reference class — the
@@ -185,6 +184,10 @@ type Cache struct {
 	lines []line
 	nsets int
 
+	// stamps[i] is lines[i]'s last use on useClock, for victim to compare
+	// within a set; nil when direct-mapped, where there is no choice.
+	//phase:any
+	stamps []uint64
 	//phase:any
 	useClock uint64
 	// The single in-flight operation and its completion value are embedded
@@ -251,7 +254,11 @@ func New(id int, proto coherence.Protocol, cfg Config) (*Cache, error) {
 	if proto == nil {
 		return nil, fmt.Errorf("cache: nil protocol")
 	}
-	return &Cache{id: id, proto: proto, cfg: cfg, lines: make([]line, cfg.Lines), nsets: cfg.Lines / cfg.Ways}, nil
+	c := &Cache{id: id, proto: proto, cfg: cfg, lines: make([]line, cfg.Lines), nsets: cfg.Lines / cfg.Ways}
+	if cfg.Ways > 1 {
+		c.stamps = make([]uint64, cfg.Lines)
+	}
+	return c, nil
 }
 
 // Reset returns the cache to its freshly constructed state — every frame
@@ -264,6 +271,7 @@ func New(id int, proto coherence.Protocol, cfg Config) (*Cache, error) {
 // un-recording here.
 func (c *Cache) Reset() {
 	clear(c.lines)
+	clear(c.stamps)
 	c.useClock = 0
 	c.pend = pending{}
 	c.hasPend = false
@@ -329,11 +337,14 @@ func (c *Cache) Protocol() coherence.Protocol { return c.proto }
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
+// setBase returns the index of the first frame of the set a maps to.
+func (c *Cache) setBase(a bus.Addr) int { return (int(a) & (c.nsets - 1)) * c.cfg.Ways }
+
 // setOf returns the frames of the set an address maps to.
 //
 //hotpath:allocfree
 func (c *Cache) setOf(a bus.Addr) []line {
-	base := (int(a) & (c.nsets - 1)) * c.cfg.Ways
+	base := c.setBase(a)
 	return c.lines[base : base+c.cfg.Ways]
 }
 
@@ -384,12 +395,22 @@ func (c *Cache) setPend(p pending) {
 	c.mutated()
 }
 
-// touch updates the line's LRU stamp.
+// touch updates the line's LRU stamp, finding its frame within its set;
+// a direct-mapped cache keeps none.
 //
 //hotpath:allocfree
 func (c *Cache) touch(ln *line) {
-	c.useClock++
-	ln.lastUse = c.useClock
+	if c.stamps == nil {
+		return
+	}
+	base := c.setBase(ln.addr)
+	for i := base; i < base+c.cfg.Ways; i++ {
+		if &c.lines[i] == ln {
+			c.useClock++
+			c.stamps[i] = c.useClock
+			return
+		}
+	}
 }
 
 // applyDirty folds a DirtyEffect into a line.
@@ -779,24 +800,27 @@ func (c *Cache) completeLocally(ln *line, out coherence.ProcOutcome) {
 	c.resolve(p, v)
 }
 
-// victim returns the frame that would hold addr, choosing the
-// least-recently-used way. It never returns the frame of addr itself (the
-// caller checked the address is absent).
+// victim returns the frame that would hold addr: the only one when the
+// cache is direct-mapped, else an invalid way or the least-recently-used
+// one. It never returns the frame of addr itself (the caller checked the
+// address is absent).
 //
 //hotpath:allocfree
 func (c *Cache) victim(a bus.Addr) *line {
-	set := c.setOf(a)
-	best := &set[0]
-	for i := range set {
-		ln := &set[i]
-		if !ln.valid {
-			return ln
+	base := c.setBase(a)
+	if c.stamps == nil {
+		return &c.lines[base]
+	}
+	best := base
+	for i := base; i < base+c.cfg.Ways; i++ {
+		if !c.lines[i].valid {
+			return &c.lines[i]
 		}
-		if ln.lastUse < best.lastUse {
-			best = ln
+		if c.stamps[i] < c.stamps[best] {
+			best = i
 		}
 	}
-	return best
+	return &c.lines[best]
 }
 
 // install places addr into its set, evicting the LRU way. The victim was

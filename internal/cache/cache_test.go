@@ -2,6 +2,7 @@ package cache
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/bus"
 	"repro/internal/coherence"
@@ -530,6 +531,56 @@ func TestLRUWithTwoWays(t *testing.T) {
 	}
 	if r.state(0, 0) != coherence.Readable || r.state(0, 4) != coherence.Readable {
 		t.Fatal("wrong lines evicted")
+	}
+}
+
+// TestLRUEvictionOrder: at 2 and 4 ways, after a set is filled and then
+// re-read in a shuffled order, successive conflict misses evict its ways
+// in exactly that order, oldest first, and keep the rest.
+func TestLRUEvictionOrder(t *testing.T) {
+	for _, c := range []struct {
+		ways  int
+		touch []int // indices into the set's addresses, oldest use first
+	}{
+		{2, []int{1, 0}},
+		{4, []int{2, 0, 3, 1}},
+	} {
+		proto := coherence.New(coherence.KindRB)
+		mem := memory.New()
+		b := bus.New(mem)
+		cache := MustNew(0, proto, Config{Lines: 2 * c.ways, Ways: c.ways})
+		b.Attach(0, cache)
+		b.AttachRequester(0, cache)
+		r := &rig{t: t, mem: mem, bus: b, caches: []*Cache{cache}}
+		// Two sets: the even addresses share set 0.
+		set := make([]bus.Addr, c.ways)
+		for i := range set {
+			set[i] = bus.Addr(2 * i)
+			r.read(0, set[i])
+		}
+		for _, i := range c.touch {
+			r.read(0, set[i])
+		}
+		for n := range c.touch {
+			r.read(0, bus.Addr(2*(c.ways+n)))
+			for m, i := range c.touch {
+				if present := r.state(0, set[i]) != coherence.NotPresent; present != (m > n) {
+					t.Fatalf("%d ways, conflict miss %d: address %d present = %v", c.ways, n, set[i], present)
+				}
+			}
+		}
+	}
+}
+
+// TestLineIs12Bytes pins the frame layout: addr and data, then four
+// one-byte fields, no padding and no LRU stamp (Cache.stamps holds it,
+// for set-associative caches only).
+func TestLineIs12Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(line{}); size != 12 {
+		t.Fatalf("line is %d bytes, want 12", size)
+	}
+	if dm := MustNew(0, coherence.New(coherence.KindRB), Config{Lines: 8}); dm.stamps != nil {
+		t.Error("a direct-mapped cache allocated LRU stamps")
 	}
 }
 

@@ -51,17 +51,6 @@ type Stats struct {
 	Retired       uint64 // total memory operations completed
 }
 
-// Retirement describes one completed memory operation. No driver reads it
-// (the consistency oracle hooks cache.OnResolve); its deletion waits on the
-// benchmark harness, see ROADMAP. The pointer returned by CPUPhase/Deliver
-// aliases a per-PE record that is overwritten by that PE's next
-// retirement; consumers copy what they need immediately.
-type Retirement struct {
-	PE    int
-	Op    workload.Op
-	Value bus.Word // read value / Test-and-Set old value
-}
-
 // Processor is one PE.
 type Processor struct {
 	id     int
@@ -79,11 +68,6 @@ type Processor struct {
 	twoPhase bool
 	tsPhase  uint8 // 0 idle, 1 awaiting locked read, 2 awaiting unlock
 	tsOld    bus.Word
-
-	// lastRet is the reused retirement record; CPUPhase and Deliver return
-	// &lastRet, valid until the PE's next retirement, so retiring an
-	// operation every cycle allocates nothing.
-	lastRet Retirement
 }
 
 // SetTwoPhaseRMW selects the two-phase Test-and-Set realization: a locked
@@ -118,7 +102,6 @@ func (p *Processor) Reset(agent workload.Agent) {
 	p.twoPhase = false
 	p.tsPhase = 0
 	p.tsOld = 0
-	p.lastRet = Retirement{}
 }
 
 // ID returns the PE index.
@@ -140,34 +123,34 @@ func (p *Processor) Cache() *cache.Cache { return p.cache }
 // CPUPhase on a blocked PE instead of calling it to count each one.
 func (p *Processor) CreditStall(n uint64) { p.stats.StallCycles += n }
 
-// CPUPhase runs the PE for one cycle. If a memory operation completes
-// immediately (a cache hit), the retirement is returned for the oracle;
-// otherwise ret is nil.
+// CPUPhase runs the PE for one cycle: a ready PE issues its agent's next
+// operation, which retires at once on a cache hit and otherwise blocks the
+// PE until Deliver.
 //
 //hotpath:allocfree
-func (p *Processor) CPUPhase() (ret *Retirement) {
+func (p *Processor) CPUPhase() {
 	switch p.status {
 	case StatusReady:
 		// Fall past the switch and issue the next operation.
 	case StatusHalted:
-		return nil
+		return
 	case StatusBlocked:
 		p.stats.StallCycles++
-		return nil
+		return
 	case StatusComputing:
 		p.computing--
 		p.stats.ComputeCycles++
 		if p.computing <= 0 {
 			p.status = StatusReady
 		}
-		return nil
+		return
 	}
 	op := p.agent.Next(p.lastResult)
 	p.lastResult = workload.Result{}
 	switch op.Kind {
 	case workload.OpHalt:
 		p.status = StatusHalted
-		return nil
+		return
 	case workload.OpCompute:
 		if op.Cycles > 0 {
 			p.status = StatusComputing
@@ -178,49 +161,44 @@ func (p *Processor) CPUPhase() (ret *Retirement) {
 				p.status = StatusReady
 			}
 		}
-		return nil
+		return
 	case workload.OpRead, workload.OpWrite:
 		ev := coherence.EvRead
 		if op.Kind == workload.OpWrite {
 			ev = coherence.EvWrite
 		}
-		done, v := p.cache.Access(ev, op.Addr, op.Data, op.Class)
-		if done {
-			return p.retire(op, v)
+		if done, v := p.cache.Access(ev, op.Addr, op.Data, op.Class); done {
+			p.retire(op, v)
+			return
 		}
-		p.current = op
-		p.status = StatusBlocked
-		return nil
 	case workload.OpTestSet:
 		if p.twoPhase {
 			// The in-cache fast path still applies when the line is
 			// exclusive; otherwise start phase 1: the locked read.
 			if done, old := p.cache.TryLocalRMW(op.Addr, op.Data); done {
-				return p.retire(op, old)
+				p.retire(op, old)
+				return
 			}
 			p.cache.AccessLockedRead(op.Addr)
-			p.current = op
-			p.status = StatusBlocked
 			p.tsPhase = 1
-			return nil
+		} else if done, old := p.cache.AccessRMW(op.Addr, op.Data); done {
+			p.retire(op, old)
+			return
 		}
-		done, old := p.cache.AccessRMW(op.Addr, op.Data)
-		if done {
-			return p.retire(op, old)
-		}
-		p.current = op
-		p.status = StatusBlocked
-		return nil
+	default:
+		panic(fmt.Sprintf("processor %d: unknown op kind %v", p.id, op.Kind))
 	}
-	panic(fmt.Sprintf("processor %d: unknown op kind %v", p.id, op.Kind))
+	// The access went to the bus: the PE waits for the cache.
+	p.current = op
+	p.status = StatusBlocked
 }
 
 // Deliver completes the blocked operation with the value the cache
-// resolved, returning the retirement (nil while a two-phase Test-and-Set
-// is between its locked read and its unlocking write).
+// resolved; a two-phase Test-and-Set's locked read instead starts the
+// unlocking write, and the PE stays blocked on it.
 //
 //hotpath:allocfree
-func (p *Processor) Deliver(v bus.Word) *Retirement {
+func (p *Processor) Deliver(v bus.Word) {
 	if p.status != StatusBlocked {
 		panic(fmt.Sprintf("processor %d: Deliver while %v", p.id, p.status))
 	}
@@ -236,20 +214,17 @@ func (p *Processor) Deliver(v bus.Word) *Retirement {
 			p.cache.AccessUnlockWrite(p.current.Addr, v, false)
 		}
 		p.tsPhase = 2
-		return nil // still blocked on phase 2
+		return // still blocked on phase 2
 	case 2:
 		p.tsPhase = 0
-		op := p.current
-		p.status = StatusReady
-		return p.retire(op, p.tsOld)
+		v = p.tsOld
 	}
-	op := p.current
 	p.status = StatusReady
-	return p.retire(op, v)
+	p.retire(p.current, v)
 }
 
 //hotpath:allocfree
-func (p *Processor) retire(op workload.Op, v bus.Word) *Retirement {
+func (p *Processor) retire(op workload.Op, v bus.Word) {
 	p.stats.Retired++
 	switch op.Kind {
 	case workload.OpRead:
@@ -264,6 +239,4 @@ func (p *Processor) retire(op workload.Op, v bus.Word) *Retirement {
 		panic(fmt.Sprintf("processor %d: retiring non-memory op %v", p.id, op.Kind))
 	}
 	p.lastResult = workload.Result{Value: v}
-	p.lastRet = Retirement{PE: p.id, Op: op, Value: v}
-	return &p.lastRet
 }

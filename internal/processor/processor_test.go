@@ -56,7 +56,8 @@ func TestStatusStrings(t *testing.T) {
 
 func TestHaltImmediately(t *testing.T) {
 	p, _, _ := newPE(t, workload.Idle())
-	if ret := p.CPUPhase(); ret != nil {
+	p.CPUPhase()
+	if p.Stats().Retired != 0 {
 		t.Fatal("halting PE retired an op")
 	}
 	if !p.Halted() {
@@ -75,7 +76,8 @@ func TestMissBlocksAndDeliverResumes(t *testing.T) {
 		workload.Read(5, coherence.ClassShared), // hit after install
 	))
 	mem.Poke(5, 42)
-	if ret := p.CPUPhase(); ret != nil {
+	p.CPUPhase()
+	if p.Stats().Retired != 0 {
 		t.Fatal("miss retired synchronously")
 	}
 	if p.Status() != StatusBlocked {
@@ -87,10 +89,11 @@ func TestMissBlocksAndDeliverResumes(t *testing.T) {
 		t.Fatalf("stalls = %d", p.Stats().StallCycles)
 	}
 	spin(t, p, b)
-	// The agent sees the delivered value and retires the hit.
-	ret := p.CPUPhase()
-	if ret == nil || ret.Value != 42 {
-		t.Fatalf("hit retirement = %+v", ret)
+	// The agent sees the delivered value and retires the hit, whose value
+	// it receives next.
+	p.CPUPhase()
+	if p.lastResult.Value != 42 {
+		t.Fatalf("hit delivered %d to the agent, want 42", p.lastResult.Value)
 	}
 	st := p.Stats()
 	if st.Reads != 2 || st.Retired != 2 {
@@ -187,7 +190,8 @@ func TestTwoPhaseTestSetAtProcessorLevel(t *testing.T) {
 	}
 
 	// TS #1: phase 1 (locked read) blocks the PE.
-	if ret := p.CPUPhase(); ret != nil {
+	p.CPUPhase()
+	if p.Status() != StatusBlocked || p.Stats().Retired != 0 {
 		t.Fatal("two-phase TS retired synchronously")
 	}
 	drive := func() {
@@ -216,8 +220,9 @@ func TestTwoPhaseTestSetAtProcessorLevel(t *testing.T) {
 
 	// TS #2: the winner's line is Local now (RB write transition), so the
 	// in-cache fast path fires and the failure is observed.
-	if ret := p.CPUPhase(); ret == nil || ret.Value != 1 {
-		t.Fatalf("second TS should fail in-cache with old=1, got %+v", ret)
+	p.CPUPhase()
+	if p.Stats().Retired != 2 || p.lastResult.Value != 1 {
+		t.Fatalf("second TS should fail in-cache with old=1: retired %d, old %d", p.Stats().Retired, p.lastResult.Value)
 	}
 	p.CPUPhase() // halt
 	// Agent saw: initial zero, then old=0 (success), then old=1 (failure).

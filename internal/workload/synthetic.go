@@ -130,6 +130,11 @@ func QuicksortProfile() AppProfile {
 	}
 }
 
+// stackReserve is the LRU history a stackModel reserves up front: 8 KiB,
+// 7x the depth the hot and mid draws reach (HotSet 16, MidDepth 550), and
+// more than a core-saturated PE's stream reaches in its whole run.
+const stackReserve = 4096
+
 // stackModel generates a reference stream with an LRU-stack-distance
 // locality profile over a bounded segment.
 type stackModel struct {
@@ -138,8 +143,7 @@ type stackModel struct {
 	size int
 	// stack holds segment offsets (address minus base), most recently used
 	// first. Two bytes an entry (NewApp bounds a segment at 64K words)
-	// halve the backing (MaxDepth-sized and the workload layer's dominant
-	// allocation when the stream is unbounded) and the bytes promote moves.
+	// halve the bytes promote moves on every reference.
 	stack    []uint16
 	nextNew  int // allocation cursor within the segment
 	hotFrac  float64
@@ -158,14 +162,14 @@ func newStackModel(rng *RNG, base bus.Addr, size int, p AppProfile, maxRefs int)
 		logMax:  math.Log(float64(p.MaxDepth)),
 	}
 	m.midDepth = p.MidDepth
-	// The stack only gains an entry when the sampled depth reaches its
-	// current length, and every sampled depth is below MaxDepth (plus a
-	// float-rounding margin), so this capacity makes promote append-safe
-	// without ever reallocating mid-run — the reference stream must not
-	// be the simulator's steady-state allocation source. It also gains at
-	// most one entry per reference and App.Next halts after maxRefs, so a
-	// bounded stream reserves only the history it can reach.
-	capacity := p.MaxDepth + 2
+	// The stack gains at most one entry per reference, never past MaxDepth
+	// (plus a float-rounding margin), and App.Next halts after maxRefs. So
+	// a stream of up to stackReserve-1 references never reallocates, and a
+	// longer one starts at stackReserve and lets promote's append grow the
+	// backing, a few amortised reallocations in its life (4096 -> 24576
+	// entries over 5 M references). Reserving MaxDepth+2 up front instead
+	// cost a 64-PE machine 15 MB its run never touched.
+	capacity := min(p.MaxDepth+2, stackReserve)
 	if maxRefs > 0 {
 		capacity = min(capacity, maxRefs+1)
 	}
@@ -174,9 +178,7 @@ func newStackModel(rng *RNG, base bus.Addr, size int, p AppProfile, maxRefs int)
 }
 
 // reset empties the LRU history and rewinds the allocation cursor,
-// reusing the preallocated stack backing: the workload layer's dominant
-// allocation for an unbounded stream, maxRefs+1 entries (so little saved)
-// for a bounded one, which every sweep job is.
+// keeping the stack backing at whatever capacity the stream grew it to.
 func (m *stackModel) reset() {
 	m.stack = m.stack[:0]
 	m.nextNew = 0

@@ -253,18 +253,20 @@ func TestAppDeterministic(t *testing.T) {
 }
 
 // TestBoundedAppReservesItsReach: an App bounded at maxRefs reserves
-// min(MaxDepth+2, maxRefs+1) stack entries per model, never reallocates
-// them, and emits exactly the first maxRefs ops of an unbounded App with
-// the same seed, fresh and after Reseed: capacity is not state.
+// min(MaxDepth+2, stackReserve, maxRefs+1) stack entries per model, never
+// reallocates them when maxRefs < stackReserve, and emits exactly the
+// first maxRefs ops of an unbounded App with the same seed, fresh and
+// after Reseed: capacity is not state.
 func TestBoundedAppReservesItsReach(t *testing.T) {
 	profile, layout := PDEProfile(), DefaultLayout()
-	for _, maxRefs := range []int{1, 100, 2500, 60000, 70000} {
+	for _, maxRefs := range []int{1, 100, 2500, stackReserve - 1, 60000, 70000} {
 		bounded := MustApp(profile, layout, 3, 7, maxRefs)
 		capCode, capLocal := cap(bounded.code.stack), cap(bounded.local.stack)
-		want := min(profile.MaxDepth+2, maxRefs+1)
+		want := min(profile.MaxDepth+2, stackReserve, maxRefs+1)
 		if capCode != want || capLocal != want {
 			t.Fatalf("maxRefs %d: stack capacities %d/%d, want %d", maxRefs, capCode, capLocal, want)
 		}
+		fixed := maxRefs < stackReserve
 		for i, seed := range []uint64{7, 11} {
 			if i > 0 {
 				bounded.Reseed(seed)
@@ -276,7 +278,7 @@ func TestBoundedAppReservesItsReach(t *testing.T) {
 					t.Fatalf("maxRefs %d seed %d: op %d = %+v, unbounded stream has %+v", maxRefs, seed, n, op, ref)
 				}
 				n++
-				if cap(bounded.code.stack) != capCode || cap(bounded.local.stack) != capLocal {
+				if fixed && (cap(bounded.code.stack) != capCode || cap(bounded.local.stack) != capLocal) {
 					t.Fatalf("maxRefs %d seed %d: a stack was reallocated at op %d", maxRefs, seed, n)
 				}
 			}

@@ -16,10 +16,12 @@
 #                  whole tree (internal/lint's TestModuleIsClean and
 #                  TestAuditRegisteredProtocolsClean; `make lint` is the
 #                  same pass for people)
-#   5. allocs      the steady-state zero-allocation regressions and the
-#                  bytes one machine construction allocates (run without
-#                  the race detector, whose instrumentation allocates;
-#                  the -race pass above skips them)
+#   5. allocs      the steady-state zero-allocation regressions, the
+#                  bytes one machine construction allocates, and the
+#                  stream-identity golden over 5 M references of grown
+#                  LRU stacks (run without the race detector, whose
+#                  instrumentation allocates and is 10x slower; the -race
+#                  pass above skips them)
 #   6. benchmark   the measurement harness is a module of its own that
 #                  ./... never reaches: vet and test it, then run all
 #                  seven workloads at 1/200 size with every correctness
@@ -45,7 +47,7 @@ echo "==> go test -race ./..."
 go test -race ./...
 
 echo "==> allocs/cycle regression"
-go test -run 'SteadyState.*AllocFree|ConstructionBytes' -count=1 ./internal/machine ./internal/mrc ./internal/batch
+go test -run 'SteadyState.*AllocFree|ConstructionBytes|StreamIdentity' -count=1 ./internal/machine ./internal/mrc ./internal/batch ./internal/workload
 
 echo "==> benchmark harness"
 (cd benchmark && go vet . && go test .)
