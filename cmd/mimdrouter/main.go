@@ -28,8 +28,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -42,54 +44,61 @@ import (
 	"repro/internal/serve"
 )
 
-func main() {
-	var (
-		addr      = flag.String("addr", "127.0.0.1:8470", "listen address")
-		workers   = flag.String("workers", "", "declared fleet as id=url[,id=url...]")
-		spawn     = flag.Int("spawn", 0, "instead of -workers, start this many in-process workers on loopback ports")
-		shards    = flag.Int("shards", 0, "virtual shard space size; must match the workers'; 0 = default")
-		jobTO     = flag.Duration("job-timeout", 0, "per-job budget the workers run with (feeds the request id; must match)")
-		maxJobs   = flag.Int("max-jobs", 10000, "spec expansion limit the workers run with (must match)")
-		hotP99    = flag.Float64("hot-p99-ms", 250, "windowed p99 (ms) that trips a shard's read replica")
-		recover99 = flag.Float64("recover-p99-ms", 0, "p99 (ms) at or under which a replicated shard cools; 0 = hot/4")
-		minSamp   = flag.Int64("min-samples", 16, "smallest window that can trip a replica")
-		coolPolls = flag.Int("cool-polls", 3, "consecutive cool polls before a replica retires")
-		pollIvl   = flag.Duration("poll-interval", 2*time.Second, "rebalancer poll cadence")
-		probeIvl  = flag.Duration("probe-interval", time.Second, "health probe cadence")
-		journalP  = flag.String("journal", "", "flight journal path; submissions are journaled and resumed after a restart")
-		attemptTO = flag.Duration("attempt-timeout", 2*time.Second, "max wait for a worker's response headers before failing over; 0 disables")
-		drainTO   = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight streams on SIGINT before exiting anyway")
-	)
-	flag.Var(new(experiments.TraceFlag), "trace", "register a trace workload as name=path (repeatable) for -spawn workers; runnable as experiment \"trace-<name>\"")
-	flag.Parse()
+func main() { os.Exit(run(context.Background(), os.Args[1:], os.Stderr)) }
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+// run serves until SIGINT or ctx ends, then drains. Exit codes: 0 after
+// a drain, 1 when it could not start or serve, 2 for a bad command line.
+func run(ctx context.Context, args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mimdrouter", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr      = fs.String("addr", "127.0.0.1:8470", "listen address")
+		workers   = fs.String("workers", "", "declared fleet as id=url[,id=url...]")
+		spawn     = fs.Int("spawn", 0, "instead of -workers, start this many in-process workers on loopback ports")
+		shards    = fs.Int("shards", 0, "virtual shard space size; must match the workers'; 0 = default")
+		jobTO     = fs.Duration("job-timeout", 0, "per-job budget the workers run with (feeds the request id; must match)")
+		maxJobs   = fs.Int("max-jobs", 10000, "spec expansion limit the workers run with (must match)")
+		hotP99    = fs.Float64("hot-p99-ms", 250, "windowed p99 (ms) that trips a shard's read replica")
+		recover99 = fs.Float64("recover-p99-ms", 0, "p99 (ms) at or under which a replicated shard cools; 0 = hot/4")
+		minSamp   = fs.Int64("min-samples", 16, "smallest window that can trip a replica")
+		coolPolls = fs.Int("cool-polls", 3, "consecutive cool polls before a replica retires")
+		pollIvl   = fs.Duration("poll-interval", 2*time.Second, "rebalancer poll cadence")
+		probeIvl  = fs.Duration("probe-interval", time.Second, "health probe cadence")
+		journalP  = fs.String("journal", "", "flight journal path; submissions are journaled and resumed after a restart")
+		attemptTO = fs.Duration("attempt-timeout", 2*time.Second, "max wait for a worker's response headers before failing over; 0 disables")
+		drainTO   = fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight streams on SIGINT before exiting anyway")
+	)
+	fs.Var(new(experiments.TraceFlag), "trace", "register a trace workload as name=path (repeatable) for -spawn workers; runnable as experiment \"trace-<name>\"")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "mimdrouter:", err)
+		return 1
+	}
+
+	ctx, stop := signal.NotifyContext(ctx, os.Interrupt)
 	defer stop()
 
-	var fleet []cluster.Worker
-	switch {
-	case *spawn > 0 && *workers != "":
-		fatal(fmt.Errorf("use -workers or -spawn, not both"))
-	case *spawn > 0:
-		var err error
-		fleet, err = spawnWorkers(ctx, *spawn, *shards, *jobTO, *maxJobs)
-		if err != nil {
-			fatal(err)
-		}
-	default:
-		var err error
-		fleet, err = parseFleet(*workers)
-		if err != nil {
-			fatal(err)
-		}
+	if *spawn > 0 && *workers != "" {
+		return fail(fmt.Errorf("use -workers or -spawn, not both"))
+	}
+	fleet, err := parseFleet(*workers)
+	if *spawn > 0 {
+		fleet, err = spawnWorkers(ctx, stderr, *spawn, *shards, *jobTO, *maxJobs)
+	}
+	if err != nil {
+		return fail(err)
 	}
 
 	var journal *cluster.Journal
 	if *journalP != "" {
-		var err error
 		journal, err = cluster.OpenJournal(*journalP)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer journal.Close()
 	}
@@ -109,7 +118,7 @@ func main() {
 		Journal:        journal,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	router.Start(ctx)
 
@@ -118,44 +127,40 @@ func main() {
 		// traffic: content-hash ids make the replay idempotent.
 		n, err := router.ResumePending(ctx)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mimdrouter: journal resume:", err)
+			fmt.Fprintln(stderr, "mimdrouter: journal resume:", err)
 		} else if n > 0 {
-			fmt.Fprintf(os.Stderr, "mimdrouter: resumed %d pending flight(s) from %s\n", n, *journalP)
+			fmt.Fprintf(stderr, "mimdrouter: resumed %d pending flight(s) from %s\n", n, *journalP)
 		}
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	hs := &http.Server{Handler: router.Handler()}
 	errs := make(chan error, 1)
 	go func() { errs <- hs.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "mimdrouter: listening on http://%s (%d workers, %d shards)\n",
+	fmt.Fprintf(stderr, "mimdrouter: listening on http://%s (%d workers, %d shards)\n",
 		ln.Addr(), len(fleet), router.NumShards())
 
 	select {
 	case err := <-errs:
-		fatal(err)
+		return fail(err)
 	case <-ctx.Done():
 	}
 	stop()
 	// Graceful drain: new submissions shed with 503 + Retry-After while
 	// in-flight proxied requests — including live event streams — run to
 	// their terminal frame, bounded by -drain-timeout.
-	fmt.Fprintln(os.Stderr, "mimdrouter: draining")
+	fmt.Fprintln(stderr, "mimdrouter: draining")
 	dctx, dcancel := context.WithTimeout(context.Background(), *drainTO)
 	if err := router.Drain(dctx); err != nil {
-		fmt.Fprintln(os.Stderr, "mimdrouter: drain timed out; exiting with flights in the journal")
+		fmt.Fprintln(stderr, "mimdrouter: drain timed out; exiting with flights in the journal")
 	}
 	dcancel()
-	fmt.Fprintln(os.Stderr, "mimdrouter: stopping")
+	fmt.Fprintln(stderr, "mimdrouter: stopping")
 	hs.Shutdown(context.Background())
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mimdrouter:", err)
-	os.Exit(1)
+	return 0
 }
 
 // parseFleet decodes the -workers flag: id=url pairs, comma separated.
@@ -176,7 +181,7 @@ func parseFleet(s string) ([]cluster.Worker, error) {
 
 // spawnWorkers boots n in-process mimdserved workers on loopback ports —
 // the self-contained cluster used by `make cluster` and development.
-func spawnWorkers(ctx context.Context, n, shards int, jobTO time.Duration, maxJobs int) ([]cluster.Worker, error) {
+func spawnWorkers(ctx context.Context, stderr io.Writer, n, shards int, jobTO time.Duration, maxJobs int) ([]cluster.Worker, error) {
 	fleet := make([]cluster.Worker, 0, n)
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("w%d", i+1)
@@ -198,7 +203,7 @@ func spawnWorkers(ctx context.Context, n, shards int, jobTO time.Duration, maxJo
 			hs.Shutdown(context.Background())
 		}()
 		url := "http://" + ln.Addr().String()
-		fmt.Fprintf(os.Stderr, "mimdrouter: spawned worker %s at %s\n", id, url)
+		fmt.Fprintf(stderr, "mimdrouter: spawned worker %s at %s\n", id, url)
 		fleet = append(fleet, cluster.Worker{ID: id, URL: url})
 	}
 	return fleet, nil

@@ -8,20 +8,69 @@ import (
 	"repro/internal/machine"
 )
 
-// probe feeds one PE's references into its own profiler and the shared
-// machine-wide profiler. The CPU phase visits PEs in index order, so the
-// machine-wide stream is the deterministic in-order interleaving.
+// feedChunk is the references per hand-off to a drain: 16 KiB, small
+// enough to stay in cache, large enough to pay for starting a goroutine.
+const feedChunk = 2048
+
+// ref is one buffered reference: the issuing PE and its address.
+type ref struct {
+	pe int32
+	a  bus.Addr
+}
+
+// feed carries one machine's references from its probes to its
+// profilers (see Feeding in the package doc).
+type feed struct {
+	fill, full []ref
+	busy       sync.WaitGroup // the drain in flight, at most one
+	drain      func()         // applies full; built once, so ship spawns without allocating
+	perPE      []*Profiler
+	global     *Profiler
+}
+
+// apply touches each reference's PE profiler and the machine-wide one.
+func (f *feed) apply(refs []ref) {
+	for _, r := range refs {
+		f.perPE[r.pe].Touch(r.a)
+		f.global.Touch(r.a)
+	}
+}
+
+// ship hands the full fill buffer to a new drain once the previous drain
+// is done with the other buffer, so chunks are applied in stream order.
+func (f *feed) ship() {
+	f.busy.Wait()
+	f.fill, f.full = f.full[:0], f.fill
+	f.busy.Add(1)
+	go f.drain()
+}
+
+// settle brings every profiler of an attached profiler's feed up to date:
+// it waits for the drain in flight, then applies the partial fill buffer.
+func (p *Profiler) settle() {
+	if f := p.feed; f != nil {
+		f.busy.Wait()
+		f.apply(f.fill)
+		f.fill = f.fill[:0]
+	}
+}
+
+// probe buffers one PE's references into its machine's feed; the CPU
+// phase visits PEs in index order, so the stream is deterministic.
 type probe struct {
-	pe     *Profiler
-	global *Profiler
+	pe   int32
+	feed *feed
 }
 
 // OnRef implements cache.Probe.
 //
 //hotpath:allocfree
 func (p *probe) OnRef(a bus.Addr) {
-	p.pe.Touch(a)
-	p.global.Touch(a)
+	f := p.feed
+	f.fill = append(f.fill, ref{pe: p.pe, a: a})
+	if len(f.fill) == feedChunk {
+		f.ship()
+	}
 }
 
 // Set is one machine's attached profilers: one per PE plus the
@@ -32,22 +81,32 @@ type Set struct {
 	Global *Profiler
 }
 
-// Attach installs fresh profilers on every cache of m and returns them.
-// Probes are machine wiring (they survive Machine.Reset), so a recycled
-// machine must be re-attached per measured trial — which also gives each
-// trial its own zeroed histograms.
+// Attach installs fresh profilers on m, one feed per machine with at most
+// one drain in flight. Probes are machine wiring (they survive
+// Machine.Reset), so a recycled machine must be re-attached per measured
+// trial — which also gives each trial its own zeroed histograms.
 func Attach(m *machine.Machine) *Set {
-	n := m.Processors()
-	s := &Set{Global: New(), PerPE: make([]*Profiler, n)}
-	for i := 0; i < n; i++ {
-		s.PerPE[i] = New()
-		m.Cache(i).SetProbe(&probe{pe: s.PerPE[i], global: s.Global})
+	f := &feed{
+		fill:   make([]ref, 0, feedChunk),
+		full:   make([]ref, 0, feedChunk),
+		perPE:  make([]*Profiler, m.Processors()),
+		global: New(),
 	}
-	return s
+	f.drain = func() {
+		f.apply(f.full)
+		f.busy.Done()
+	}
+	f.global.feed = f
+	for i := range f.perPE {
+		f.perPE[i] = New()
+		f.perPE[i].feed = f
+		m.Cache(i).SetProbe(&probe{pe: int32(i), feed: f})
+	}
+	return &Set{PerPE: f.perPE, Global: f.global}
 }
 
 // Detach removes the probes from every cache of m, restoring the
-// zero-overhead unprofiled path.
+// zero-overhead unprofiled path; references already buffered still count.
 func Detach(m *machine.Machine) {
 	for i := 0; i < m.Processors(); i++ {
 		m.Cache(i).SetProbe(nil)

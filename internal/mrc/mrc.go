@@ -38,6 +38,15 @@
 // exist, with a sparse map fallback above the dense window. All growth
 // (arena, pages, map) happens on cold references only, so a warmed
 // steady state stays //hotpath:allocfree.
+//
+// # Feeding
+//
+// A standalone profiler (New) is fed by Touch. Attach gives a machine one
+// feed: its cache probes only buffer (PE, address) pairs, and each full
+// chunk is drained into the per-PE and machine-wide profilers on a second
+// goroutine, one chunk at a time in stream order. Every reader first
+// waits for the drain in flight and applies the partial buffer, so a read
+// mid-run is exact. The touching work is unchanged; it moves to another core.
 package mrc
 
 import (
@@ -76,9 +85,11 @@ type node struct {
 }
 
 // Profiler is one reference stream's online reuse-distance histogram.
-// It is not safe for concurrent use; the machine's CPU phase feeds it
-// single-threaded in deterministic PE order.
+// It is not safe for concurrent use. An attached profiler is fed only by
+// its machine, and its readers settle the feed first, so they run on the
+// goroutine that runs the machine or one that happens after it.
 type Profiler struct {
+	feed  *feed // nil unless attached
 	nodes []node
 
 	// pages is the dense addr -> node-index directory (value+1; 0 means
@@ -237,19 +248,20 @@ func (p *Profiler) setIndex(a bus.Addr, ni int32) {
 }
 
 // Refs returns the number of references recorded.
-func (p *Profiler) Refs() uint64 { return p.refs }
+func (p *Profiler) Refs() uint64 { p.settle(); return p.refs }
 
 // Colds returns the number of first-ever references (compulsory misses).
-func (p *Profiler) Colds() uint64 { return p.colds }
+func (p *Profiler) Colds() uint64 { p.settle(); return p.colds }
 
 // Footprint returns the number of distinct addresses seen.
-func (p *Profiler) Footprint() int { return p.length }
+func (p *Profiler) Footprint() int { p.settle(); return p.length }
 
 // Misses returns the exact miss count of a fully-associative LRU cache
 // with the given number of lines. lines must be zero (no cache: every
 // reference misses) or a power of two — the sizes the bucket boundaries
 // make exact.
 func (p *Profiler) Misses(lines int) uint64 {
+	p.settle()
 	if lines <= 0 {
 		return p.refs
 	}
@@ -266,6 +278,7 @@ func (p *Profiler) Misses(lines int) uint64 {
 
 // MissRatio returns Misses(lines)/Refs.
 func (p *Profiler) MissRatio(lines int) float64 {
+	p.settle()
 	if p.refs == 0 {
 		return 0
 	}
@@ -300,6 +313,7 @@ func (p *Profiler) Curve(sizes []int) []CurvePoint {
 // in Misses. Emission order is fixed by the array — never a map walk —
 // so serialized curves are deterministic.
 func (p *Profiler) Buckets() []CurvePoint {
+	p.settle()
 	out := make([]CurvePoint, 0, maxBuckets)
 	for b := 0; b < maxBuckets; b++ {
 		if p.counts[b] == 0 {

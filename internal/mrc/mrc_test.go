@@ -3,7 +3,9 @@ package mrc
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/bus"
 	"repro/internal/coherence"
@@ -242,9 +244,140 @@ func TestDocsShape(t *testing.T) {
 	}
 }
 
+// randomMachine builds an RB machine of pes endless random agents, each
+// over its own 512-word footprint with 64-line caches, so references
+// miss and stall often enough that a cycle issues anywhere from none to
+// pes of them.
+func randomMachine(t *testing.T, pes int) *machine.Machine {
+	t.Helper()
+	agents := make([]workload.Agent, pes)
+	for i := range agents {
+		agents[i] = workload.NewRandom(bus.Addr(i)<<12, 512, 1<<30, 0.3, 0.02, uint64(i+1))
+	}
+	m, err := machine.New(machine.Config{Protocol: coherence.New(coherence.KindRB), CacheLines: 64}, agents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestAttachSettlesAtEveryRead reads an attached Set with the feed in
+// each state it can be in — one reference buffered, one short of a
+// chunk, a chunk just shipped to a drain, one past it, several chunks
+// and a remainder — and again after Detach. Every read must equal a twin
+// machine whose probes touch inline (the teeProbe of
+// TestOnlineMatchesOffline).
+func TestAttachSettlesAtEveryRead(t *testing.T) {
+	const pes = 3
+	m, twin := randomMachine(t, pes), randomMachine(t, pes)
+	set := Attach(m)
+	inline := &Set{Global: New(), PerPE: make([]*Profiler, pes)}
+	var recs [pes][]bus.Addr
+	var all []bus.Addr
+	for i := range inline.PerPE {
+		inline.PerPE[i] = New()
+		twin.Cache(i).SetProbe(&teeProbe{pe: inline.PerPE[i], global: inline.Global, rec: &recs[i], all: &all})
+	}
+	same := func(label string) {
+		t.Helper()
+		if got, want := set.Docs(testSizes), inline.Docs(testSizes); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: attached read differs from inline touching\nattached: %+v\ninline:   %+v", label, got, want)
+		}
+	}
+
+	// Reads settle the feed, so a read's buffered count is the stream's
+	// growth since the previous read. advance steps the twin a cycle at a
+	// time until that growth reaches want, then runs m as many cycles.
+	read := uint64(0)
+	advance := func(want uint64) (buffered uint64) {
+		t.Helper()
+		cycles := uint64(0)
+		for inline.Global.Refs()-read < want {
+			if err := twin.RunFor(1); err != nil {
+				t.Fatal(err)
+			}
+			cycles++
+		}
+		if err := m.RunFor(cycles); err != nil {
+			t.Fatal(err)
+		}
+		return inline.Global.Refs() - read
+	}
+	// A cycle can add several references; when one steps past the
+	// target, that read is compared too and the target is tried again.
+	for _, want := range []uint64{1, feedChunk - 1, feedChunk, feedChunk + 1, 3*feedChunk + 100} {
+		for tries := 0; ; tries++ {
+			if tries == 50 {
+				t.Fatalf("no read landed on %d buffered references", want)
+			}
+			buffered := advance(want)
+			if got := uint64(len(set.Global.feed.fill)); got != buffered%feedChunk {
+				t.Fatalf("%d buffered: fill buffer holds %d", buffered, got)
+			}
+			same(fmt.Sprintf("%d buffered", buffered))
+			read = inline.Global.Refs()
+			if buffered == want {
+				break
+			}
+		}
+	}
+
+	// Detach with chunks shipped and a remainder buffered: everything
+	// buffered is still counted, and nothing after.
+	if buffered := advance(2*feedChunk + 100); buffered%feedChunk == 0 {
+		t.Fatalf("%d buffered at Detach: want a partial chunk", buffered)
+	}
+	Detach(m)
+	for i := 0; i < pes; i++ {
+		twin.Cache(i).SetProbe(nil)
+	}
+	for _, mm := range []*machine.Machine{m, twin} {
+		if err := mm.RunFor(feedChunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same("after Detach")
+}
+
+// TestAttachLeavesNoGoroutine: a drain goroutine lives only as long as
+// its chunk, whether the Set is read or dropped unread — a daemon that
+// profiles for as long as it runs accumulates none. The drain signals
+// its chunk done just before it returns, so the count is polled.
+func TestAttachLeavesNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	settled := func(label string) {
+		t.Helper()
+		for i := 0; runtime.NumGoroutine() > base; i++ {
+			if i == 1000 {
+				t.Fatalf("%s: %d goroutines, %d before", label, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	m := randomMachine(t, 4)
+	set := Attach(m)
+	if err := m.RunFor(20_000); err != nil {
+		t.Fatal(err)
+	}
+	if set.Global.Refs() <= 4*feedChunk {
+		t.Fatalf("run shipped too few chunks: %d references", set.Global.Refs())
+	}
+	settled("after a read")
+
+	dropped := randomMachine(t, 4)
+	Attach(dropped)
+	if err := dropped.RunFor(20_000); err != nil {
+		t.Fatal(err)
+	}
+	settled("Set dropped unread")
+}
+
 // TestProfilerSteadyStateAllocFree pins the tentpole's hot-path budget:
 // once the footprint's nodes and directory pages exist, a profiled
 // cycle loop allocates exactly as much as an unprofiled one — nothing.
+// A 2 000-cycle window carries about 1 840 references, so the five
+// measured windows span four or five hand-offs to a drain goroutine;
+// spawning one must not allocate either.
 func TestProfilerSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates; run without -race")
@@ -277,6 +410,30 @@ func TestProfilerSteadyStateAllocFree(t *testing.T) {
 		t.Errorf("profiled steady state allocates: %.6f allocs/cycle (%v allocs per %d cycles)",
 			perCycle, avg, chunk)
 	}
+}
+
+// BenchmarkProfiledCycle is one cycle of the benchmark harness's
+// core-profiled machine (RWB(2), two PDE PEs, 2 048-line caches) with
+// its profilers attached, the final read included. At -cpu 1 the drain
+// interleaves with the machine on one core.
+func BenchmarkProfiledCycle(b *testing.B) {
+	agents := make([]workload.Agent, 2)
+	for i := range agents {
+		agents[i] = workload.MustApp(workload.PDEProfile(), workload.DefaultLayout(), i, 1, 0)
+	}
+	m, err := machine.New(machine.Config{Protocol: coherence.NewRWB(2), CacheLines: 2048}, agents)
+	if err != nil {
+		b.Fatal(err)
+	}
+	set := Attach(m)
+	if err := m.RunFor(20_000); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	if err := m.RunFor(uint64(b.N)); err != nil {
+		b.Fatal(err)
+	}
+	set.Global.Refs()
 }
 
 // BenchmarkTouch measures the steady-state hot path: every address

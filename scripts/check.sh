@@ -21,7 +21,11 @@
 #                  stream-identity golden over 5 M references of grown
 #                  LRU stacks (run without the race detector, whose
 #                  instrumentation allocates and is 10x slower; the -race
-#                  pass above skips them)
+#                  pass above skips them). The profiler's alloc pin and
+#                  its feed tests (exact reads at every buffer state, no
+#                  drain goroutine outliving its chunk) run at -cpu 1,2,
+#                  so the drain both shares the machine's core and has
+#                  one of its own
 #   6. benchmark   the measurement harness is a module of its own that
 #                  ./... never reaches: vet and test it, then run all
 #                  seven workloads at 1/200 size with every correctness
@@ -47,7 +51,8 @@ echo "==> go test -race ./..."
 go test -race ./...
 
 echo "==> allocs/cycle regression"
-go test -run 'SteadyState.*AllocFree|ConstructionBytes|StreamIdentity' -count=1 ./internal/machine ./internal/mrc ./internal/batch ./internal/workload
+go test -run 'SteadyState.*AllocFree|ConstructionBytes|StreamIdentity' -count=1 ./internal/machine ./internal/batch ./internal/workload
+go test -run 'SteadyState.*AllocFree|AttachSettlesAtEveryRead|AttachLeavesNoGoroutine' -cpu 1,2 -count=1 ./internal/mrc
 
 echo "==> benchmark harness"
 (cd benchmark && go vet . && go test .)
