@@ -129,6 +129,14 @@ type CopyHolder interface {
 	HasCopy(a Addr) bool
 }
 
+// PresenceKeeper is an optional Snooper extension: a snooper that keeps
+// the bus's holder table exact (see Presence). Attach hands it the table,
+// and the bus then offers it only transactions on addresses it holds; a
+// snooper that keeps no table counts as a holder of every address.
+type PresenceKeeper interface {
+	SetPresence(p *Presence)
+}
+
 // Snooper is a device (a private cache) listening on the bus. The bus
 // never calls a snooper for transactions it sourced itself.
 type Snooper interface {
@@ -329,7 +337,8 @@ func (s *Stats) Add(other *Stats) {
 }
 
 // Bus is a single shared bus with a round-robin arbiter, driven one cycle
-// at a time via Tick.
+// at a time via Tick. It owns the holder table its transactions are
+// dispatched through, for any number of snoopers (see Presence).
 type Bus struct {
 	mem Memory
 	// stallMem and rmwMem cache the optional-extension views of mem,
@@ -337,25 +346,22 @@ type Bus struct {
 	stallMem StallableMemory
 	rmwMem   RMWMemory
 
+	// snoopers and reqs are the snooper and requester registries, indexed
+	// by source id (nil entries are unattached ids). Ids are the small
+	// dense PE/cluster indices, so dispatch is an index load and
+	// registration order cannot influence anything. holders caches each
+	// snooper's CopyHolder view (nil when it does not drive the shared
+	// line), resolved at Attach.
 	snoopers []Snooper
-	snoopIDs []int
-	// holders caches each snooper's CopyHolder view (nil when the
-	// snooper does not drive the shared line), resolved at Attach so the
-	// per-read snoop dispatch is pure index loads.
-	holders []CopyHolder
-	// reqs is the requester registry, indexed by source id (nil entries
-	// are unattached sources). Ids are the small dense PE/cluster
-	// indices, so a slice replaces the historical map: grant dispatch is
-	// an index load, and registration order cannot influence anything.
-	reqs []Requester
+	holders  []CopyHolder
+	reqs     []Requester
 
-	// pres, when non-nil, is the exact holder table (see Presence): snoop
-	// dispatch iterates only the caches recorded as holding a frame for
-	// the transaction's address, instead of offering the (no-op) snoop to
-	// every attached cache. idxByID maps a source id to its index in
-	// snoopers; targets is the per-transaction dispatch scratch.
-	pres    *Presence
-	idxByID []int
+	// pres is the exact holder table (see Presence) the bus offers each
+	// transaction from: the recorded holders of its address plus always,
+	// the snoopers that keep no table (a bit per id, one word per plane).
+	// targets is the per-transaction dispatch scratch.
+	pres   *Presence
+	always []uint64
 	//phase:bus
 	targets []int
 
@@ -411,12 +417,16 @@ type Bus struct {
 	Trace func(cycle uint64, r Request, res Result)
 }
 
-// New creates a bus over the given memory.
-func New(mem Memory) *Bus {
+// New creates a bus over the given memory, with a holder table of its own.
+func New(mem Memory) *Bus { return newBus(mem, &Presence{}) }
+
+// newBus creates a bus over mem that dispatches through the holder table
+// pres, which a Set shares across its banks.
+func newBus(mem Memory, pres *Presence) *Bus {
 	if mem == nil {
 		panic("bus: nil memory")
 	}
-	b := &Bus{mem: mem, priority: -1, lastWin: -1, Banks: 1, lockHolder: -1}
+	b := &Bus{mem: mem, pres: pres, priority: -1, lastWin: -1, Banks: 1, lockHolder: -1}
 	b.stallMem, _ = mem.(StallableMemory)
 	b.rmwMem, _ = mem.(RMWMemory)
 	return b
@@ -427,11 +437,14 @@ func (b *Bus) SetInjector(inj Injector) { b.inj = inj }
 
 // Reset returns the bus to its freshly constructed state — no asserted
 // request lines, free lock register, zero counters, no injector or trace
-// hook — while keeping every attachment (snoopers, requesters, presence
-// table, interleave identity, memory latency). The registries were
+// hook, an empty holder table — while keeping every attachment (snoopers,
+// requesters, interleave identity, memory latency). The registries were
 // resolved at Attach time and are part of the machine's shape, not its
 // run state, so a recycled bus re-runs a workload exactly as a new one.
+// The caller resets the attached caches too: their frames are what the
+// emptied table recorded.
 func (b *Bus) Reset() {
+	b.pres.reset()
 	clear(b.lines)
 	b.asserted = 0
 	b.stalled = b.stalled[:0]
@@ -478,77 +491,53 @@ func (b *Bus) blockedByLock(r *Request) bool {
 }
 
 // Attach registers a snooper under the given source id. Transactions with
-// Source == id are not offered to that snooper.
+// Source == id are not offered to that snooper. A PresenceKeeper is handed
+// the bus's holder table; any other snooper is offered every transaction.
 func (b *Bus) Attach(id int, s Snooper) {
 	if s == nil {
 		panic("bus: nil snooper")
 	}
-	for _, existing := range b.snoopIDs {
-		if existing == id {
-			panic(fmt.Sprintf("bus: duplicate snooper id %d", id))
-		}
+	if id < 0 {
+		panic(fmt.Sprintf("bus: negative snooper id %d", id))
 	}
-	if b.pres != nil && (id < 0 || id >= MaxPresenceIDs) {
-		panic(fmt.Sprintf("bus: snooper id %d out of presence-table range", id))
-	}
-	b.snoopers = append(b.snoopers, s)
-	b.snoopIDs = append(b.snoopIDs, id)
-	ch, _ := s.(CopyHolder)
-	b.holders = append(b.holders, ch)
-	if id >= 0 {
-		for len(b.idxByID) <= id {
-			b.idxByID = append(b.idxByID, -1)
+	if id >= len(b.snoopers) {
+		b.snoopers = append(b.snoopers, make([]Snooper, id+1-len(b.snoopers))...)
+		b.holders = append(b.holders, make([]CopyHolder, id+1-len(b.holders))...)
+		for len(b.always) <= id>>6 {
+			b.always = append(b.always, 0)
 		}
-		b.idxByID[id] = len(b.snoopers) - 1
+		b.pres.grow(id)
+	}
+	if b.snoopers[id] != nil {
+		panic(fmt.Sprintf("bus: duplicate snooper id %d", id))
+	}
+	b.snoopers[id] = s
+	b.holders[id], _ = s.(CopyHolder)
+	if k, ok := s.(PresenceKeeper); ok {
+		k.SetPresence(b.pres)
+	} else {
+		b.always[id>>6] |= 1 << (id & 63)
 	}
 }
 
-// SetPresence installs the holder table the bus consults to dispatch
-// snoops only to actual frame holders. The caches must share the same
-// table (and keep it exact); every snooper id must be below
-// MaxPresenceIDs. Passing nil restores the full broadcast.
-func (b *Bus) SetPresence(p *Presence) {
-	if p != nil {
-		for _, id := range b.snoopIDs {
-			if id < 0 || id >= MaxPresenceIDs {
-				panic(fmt.Sprintf("bus: snooper id %d out of presence-table range", id))
-			}
-		}
-	}
-	b.pres = p
-}
-
-// gatherTargets fills the dispatch scratch with the indices (into
-// b.snoopers) of the snoopers to offer a transaction on addr from source.
-// With a presence table that is the recorded holders in ascending id
-// order; without one it is every other snooper in attach order. The two
-// orders produce identical simulations — the skipped caches' callbacks
-// are no-ops, and no snoop outcome depends on visit order (at most one
-// owner can inhibit or flush).
+// gatherTargets fills the dispatch scratch with the ids of the snoopers to
+// offer a transaction on addr from source: the recorded holders of addr
+// and the snoopers that keep no table, never source itself, in ascending
+// id order. Skipping the other caches is exact — their callbacks would be
+// no-ops — and no snoop outcome depends on visit order (at most one owner
+// can inhibit or flush).
 //
 //hotpath:allocfree
 func (b *Bus) gatherTargets(addr Addr, source int) []int {
 	t := b.targets[:0]
-	if b.muteSnoops {
-		// VerdictMute: the transaction executes with snooping suppressed —
-		// no shared-line sample, no owner interrupt, no broadcasts.
-		b.targets = t
-		return t
-	}
-	if b.pres != nil {
-		for m := b.pres.Mask(addr) &^ (1 << uint(source)); m != 0; {
-			id := bits.TrailingZeros64(m)
-			m &^= 1 << uint(id)
-			if id < len(b.idxByID) {
-				if i := b.idxByID[id]; i >= 0 {
-					t = append(t, i)
-				}
+	if !b.muteSnoops { // VerdictMute suppresses every snoop reaction
+		for w, always := range b.always {
+			m := b.pres.Mask(addr, w) | always
+			if w == source>>6 {
+				m &^= 1 << (source & 63)
 			}
-		}
-	} else {
-		for i, id := range b.snoopIDs {
-			if id != source {
-				t = append(t, i)
+			for ; m != 0; m &= m - 1 {
+				t = append(t, w<<6+bits.TrailingZeros64(m))
 			}
 		}
 	}
@@ -861,15 +850,15 @@ func (b *Bus) executeRead(r *Request) Result {
 	// Shared-line sample: taken before any snoop reaction so it reflects
 	// the pre-transaction configuration.
 	shared := false
-	for _, i := range targets {
-		if ch := b.holders[i]; ch != nil && ch.HasCopy(r.Addr) {
+	for _, id := range targets {
+		if ch := b.holders[id]; ch != nil && ch.HasCopy(r.Addr) {
 			shared = true
 			break
 		}
 	}
 	// Snoop phase: a Local owner interrupts the read.
-	for _, i := range targets {
-		if inhibit, data := b.snoopers[i].SnoopRead(r.Addr, r.Source); inhibit {
+	for _, id := range targets {
+		if inhibit, data := b.snoopers[id].SnoopRead(r.Addr, r.Source); inhibit {
 			// The read is killed; its slot carries the owner's bus write,
 			// which updates memory and is observed by everyone else
 			// (including, harmlessly, the original requester's cache).
@@ -877,7 +866,7 @@ func (b *Bus) executeRead(r *Request) Result {
 			b.stats.KilledReads++
 			b.stats.FlushWrites++
 			b.stats.ByOp[OpWrite]++
-			b.broadcastWrite(OpWrite, r.Addr, data, b.snoopIDs[i])
+			b.broadcastWrite(OpWrite, r.Addr, data, id)
 			b.hold()
 			return Result{Killed: true, Data: data}
 		}
@@ -886,8 +875,8 @@ func (b *Bus) executeRead(r *Request) Result {
 	// (they, not the bus, decide whether to take it).
 	data := b.mem.ReadWord(r.Addr)
 	b.stats.ByOp[OpRead]++
-	for _, i := range targets {
-		b.snoopers[i].ObserveReadData(r.Addr, data, r.Source)
+	for _, id := range targets {
+		b.snoopers[id].ObserveReadData(r.Addr, data, r.Source)
 	}
 	b.hold()
 	return Result{Data: data, SharedLine: shared}
@@ -898,8 +887,8 @@ func (b *Bus) executeRMW(r *Request) Result {
 	// Locked read: non-cachable, so only a dirty Local owner flushes, and
 	// no read data is broadcast (Figures 6-1/6-2: spinning Test-and-Sets
 	// leave all cache states unchanged).
-	for _, i := range b.gatherTargets(r.Addr, r.Source) {
-		if flush, data := b.snoopers[i].SnoopRMWRead(r.Addr, r.Source); flush {
+	for _, id := range b.gatherTargets(r.Addr, r.Source) {
+		if flush, data := b.snoopers[id].SnoopRMWRead(r.Addr, r.Source); flush {
 			b.mem.WriteWord(r.Addr, data)
 			b.stats.RMWFlushes++
 			break // the lemma guarantees at most one Local owner
@@ -937,8 +926,8 @@ func (b *Bus) executeRMW(r *Request) Result {
 
 //hotpath:allocfree
 func (b *Bus) broadcastWrite(op Op, addr Addr, data Word, source int) {
-	for _, i := range b.gatherTargets(addr, source) {
-		b.snoopers[i].ObserveWrite(op, addr, data, source)
+	for _, id := range b.gatherTargets(addr, source) {
+		b.snoopers[id].ObserveWrite(op, addr, data, source)
 	}
 }
 

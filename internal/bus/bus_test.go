@@ -460,21 +460,31 @@ func TestBankEnforcement(t *testing.T) {
 func TestAttachValidation(t *testing.T) {
 	b := New(newFakeMem())
 	b.Attach(0, &recSnooper{})
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("duplicate snooper", func() { b.Attach(0, &recSnooper{}) })
-	mustPanic("nil snooper", func() { b.Attach(1, nil) })
-	mustPanic("nil requester", func() { b.AttachRequester(1, nil) })
+	b.Attach(129, &keeper{})
 	b.AttachRequester(1, &stubReq{})
-	mustPanic("duplicate requester", func() { b.AttachRequester(1, &stubReq{}) })
-	mustPanic("slot for unattached source", func() { b.RequestSlot(9) })
-	mustPanic("priority for unattached source", func() { b.PrioritySlot(9) })
+	for _, tc := range []struct {
+		name, want string
+		f          func()
+	}{
+		{"duplicate snooper", "bus: duplicate snooper id 0", func() { b.Attach(0, &recSnooper{}) }},
+		{"duplicate keeper", "bus: duplicate snooper id 129", func() { b.Attach(129, &recSnooper{}) }},
+		{"negative snooper id", "bus: negative snooper id -1", func() { b.Attach(-1, &recSnooper{}) }},
+		{"nil snooper", "bus: nil snooper", func() { b.Attach(1, nil) }},
+		{"nil requester", "bus: nil requester", func() { b.AttachRequester(2, nil) }},
+		{"negative requester id", "bus: negative requester id -1", func() { b.AttachRequester(-1, &stubReq{}) }},
+		{"duplicate requester", "bus: duplicate requester id 1", func() { b.AttachRequester(1, &stubReq{}) }},
+		{"slot for unattached source", "bus: slot requested for unattached source 9", func() { b.RequestSlot(9) }},
+		{"priority for unattached source", "bus: priority slot for unattached source 9", func() { b.PrioritySlot(9) }},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("%s: panic %v, want %q", tc.name, got, tc.want)
+				}
+			}()
+			tc.f()
+		}()
+	}
 }
 
 func TestStatsAccessors(t *testing.T) {

@@ -5,41 +5,46 @@ package bus
 // condition under which the cache's lookup succeeds). Every snoop
 // callback (SnoopRead, SnoopRMWRead, ObserveWrite, ObserveReadData) and
 // the shared-line probe (HasCopy) are no-ops for a cache whose lookup
-// misses, so a bus holding a Presence table dispatches snoops only to the
-// recorded holders instead of broadcasting to every attached snooper.
-// With many PEs the broadcast is the simulator's dominant cost — each
-// transaction would otherwise probe every cache's tag store — and the
-// masked dispatch is behavior-identical because skipped caches would have
-// done nothing.
+// misses, so the bus dispatches a transaction only to the recorded
+// holders instead of broadcasting it to every attached snooper. With many
+// PEs the broadcast would be the simulator's dominant cost — each
+// transaction would probe every cache's tag store — and the masked
+// dispatch is behavior-identical because skipped caches would have done
+// nothing.
 //
-// The table is an optimization contract, not a coherence directory: the
-// caches themselves must keep it exact by calling Add when a frame starts
-// holding an address (install) and Remove when it stops (eviction,
-// write-back invalidation, an RMW dropping its copy). The protocol state
-// of the frame is irrelevant — a valid frame in state Invalid is still
-// recorded, because its cache still reacts to snoops (if only by running
-// the protocol's identity transitions), exactly as lookup would find it.
+// The table is an optimization contract, not a coherence directory. Each
+// bus creates one (a Set shares one across its banks) and hands it at
+// Attach to every snooper that keeps it (PresenceKeeper); those snoopers
+// must keep it exact by calling Add when a frame starts holding an
+// address (install) and Remove when it stops (eviction, write-back
+// invalidation, an RMW dropping its copy). The protocol state of the
+// frame is irrelevant — a valid frame in state Invalid is still recorded,
+// because its cache still reacts to snoops (if only by running the
+// protocol's identity transitions), exactly as lookup would find it.
 //
-// Masks are one uint64 per address, so ids must be below MaxPresenceIDs;
-// machines with more snoopers simply run without a table (nil Presence =
-// full broadcast, the original behavior).
-// The caches maintain the table from whichever phase installs or evicts a
-// frame (bus completions, snoop reactions, CPU-phase evictions), so the
-// holder state is //phase:any.
+// A mask word covers 64 ids, and the table keeps one plane of words per
+// 64 ids (plane id>>6), grown by Attach, so a machine of up to 64 PEs
+// keeps exactly one. The caches maintain the table from whichever phase
+// installs or evicts a frame (bus completions, snoop reactions, CPU-phase
+// evictions), so the holder state is //phase:any.
 type Presence struct {
+	// planes is grown only by Attach, and gen, the table generation, is
+	// written only by Bus.Reset: both between runs, never from phase code, so
+	// they carry no phase annotation. Pages stamped with an older
+	// generation hold no ids (they are cleared and re-stamped on the next
+	// Add).
+	planes []presencePlane
+	gen    uint64
+}
+
+// presencePlane holds the mask words of 64 consecutive ids: dense pages
+// for the low address range, a sparse map above it.
+type presencePlane struct {
 	//phase:any
 	pages []*presencePage
-	// gen is the table generation; pages stamped with an older value hold
-	// no ids (they are cleared and re-stamped on the next Add). Written
-	// only by Reset, between runs — never from phase code — so it carries
-	// no phase annotation.
-	gen uint64
 	//phase:any
 	sparse map[Addr]uint64 // addresses >= presenceDenseLimit
 }
-
-// MaxPresenceIDs is the largest snooper population a Presence can track.
-const MaxPresenceIDs = 64
 
 const (
 	presencePageBits   = 12
@@ -55,17 +60,21 @@ type presencePage struct {
 	gen uint64 // Presence.gen value this page's masks belong to
 }
 
-// NewPresence returns an empty table.
-func NewPresence() *Presence {
-	return &Presence{}
+// grow makes room for snooper id's plane.
+func (p *Presence) grow(id int) {
+	for len(p.planes) <= id>>6 {
+		p.planes = append(p.planes, presencePlane{})
+	}
 }
 
-// Reset empties the table without releasing its pages: the generation
+// reset empties the table without releasing its pages: the generation
 // counter is bumped, so every dense page reads as holder-free and is
 // cleared in place the first time the new generation records a holder.
-func (p *Presence) Reset() {
+func (p *Presence) reset() {
 	p.gen++
-	clear(p.sparse)
+	for i := range p.planes {
+		clear(p.planes[i].sparse)
+	}
 }
 
 // Add records that snooper id holds a frame for a. The page-growth
@@ -74,33 +83,34 @@ func (p *Presence) Reset() {
 //phase:any
 //hotpath:allocfree
 func (p *Presence) Add(a Addr, id int) {
+	pl, bit := &p.planes[id>>6], uint64(1)<<(id&63)
 	if a < presenceDenseLimit {
 		pi := int(a >> presencePageBits)
-		if pi >= len(p.pages) {
+		if pi >= len(pl.pages) {
 			//lint:ignore allocaudit one-time growth of the dense page directory
 			grown := make([]*presencePage, pi+1)
-			copy(grown, p.pages)
-			p.pages = grown
+			copy(grown, pl.pages)
+			pl.pages = grown
 		}
-		pg := p.pages[pi]
+		pg := pl.pages[pi]
 		if pg == nil {
 			//lint:ignore allocaudit one-time allocation of a dense page
 			pg = &presencePage{gen: p.gen}
-			p.pages[pi] = pg
+			pl.pages[pi] = pg
 		} else if pg.gen != p.gen {
 			// Recycled from before the last Reset: clear in place, never
 			// reallocate — the whole point of the generation stamp.
 			pg.masks = [presencePageWords]uint64{}
 			pg.gen = p.gen
 		}
-		pg.masks[a&presencePageMask] |= 1 << uint(id)
+		pg.masks[a&presencePageMask] |= bit
 		return
 	}
-	if p.sparse == nil {
+	if pl.sparse == nil {
 		//lint:ignore allocaudit one-time lazy init of the sparse fallback map
-		p.sparse = make(map[Addr]uint64)
+		pl.sparse = make(map[Addr]uint64)
 	}
-	p.sparse[a] |= 1 << uint(id)
+	pl.sparse[a] |= bit
 }
 
 // Remove records that snooper id no longer holds a frame for a.
@@ -108,31 +118,34 @@ func (p *Presence) Add(a Addr, id int) {
 //phase:any
 //hotpath:allocfree
 func (p *Presence) Remove(a Addr, id int) {
+	pl, bit := &p.planes[id>>6], uint64(1)<<(id&63)
 	if a < presenceDenseLimit {
 		pi := int(a >> presencePageBits)
-		if pi < len(p.pages) && p.pages[pi] != nil && p.pages[pi].gen == p.gen {
-			p.pages[pi].masks[a&presencePageMask] &^= 1 << uint(id)
+		if pi < len(pl.pages) && pl.pages[pi] != nil && pl.pages[pi].gen == p.gen {
+			pl.pages[pi].masks[a&presencePageMask] &^= bit
 		}
 		return
 	}
-	if m, ok := p.sparse[a]; ok {
-		m &^= 1 << uint(id)
+	if m, ok := pl.sparse[a]; ok {
+		m &^= bit
 		if m == 0 {
-			delete(p.sparse, a)
+			delete(pl.sparse, a)
 		} else {
-			p.sparse[a] = m
+			pl.sparse[a] = m
 		}
 	}
 }
 
-// Mask returns the holder bitmask for a (bit id set = id holds a frame).
-func (p *Presence) Mask(a Addr) uint64 {
+// Mask returns mask word w of a's holders: bit i set means id 64*w+i
+// holds a frame for a.
+func (p *Presence) Mask(a Addr, w int) uint64 {
+	pl := &p.planes[w]
 	if a < presenceDenseLimit {
 		pi := int(a >> presencePageBits)
-		if pi < len(p.pages) && p.pages[pi] != nil && p.pages[pi].gen == p.gen {
-			return p.pages[pi].masks[a&presencePageMask]
+		if pi < len(pl.pages) && pl.pages[pi] != nil && pl.pages[pi].gen == p.gen {
+			return pl.pages[pi].masks[a&presencePageMask]
 		}
 		return 0
 	}
-	return p.sparse[a]
+	return pl.sparse[a]
 }

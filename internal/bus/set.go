@@ -9,7 +9,8 @@ import "fmt"
 // the divided cache will generate, on average, half of the traffic."
 //
 // The number of buses must be a power of two so the bank of an address is
-// addr & (n-1).
+// addr & (n-1). Every bank sees the same caches, so the banks share one
+// holder table (see Presence).
 type Set struct {
 	buses []*Bus
 	mask  Addr
@@ -24,8 +25,9 @@ func NewSet(mem Memory, n int) *Set {
 		panic(fmt.Sprintf("bus: set size %d is not a positive power of two", n))
 	}
 	s := &Set{mask: Addr(n - 1)}
+	pres := &Presence{}
 	for i := 0; i < n; i++ {
-		b := New(mem)
+		b := newBus(mem, pres)
 		b.Bank = i
 		b.Banks = n
 		s.buses = append(s.buses, b)
@@ -83,14 +85,6 @@ func (s *Set) PrioritySlot(addr Addr, id int) {
 func (s *Set) CancelSlot(id int) {
 	for _, b := range s.buses {
 		b.CancelSlot(id)
-	}
-}
-
-// SetPresence installs one shared holder table on every bus: all banks
-// see the same caches, so one table serves the whole set.
-func (s *Set) SetPresence(p *Presence) {
-	for _, b := range s.buses {
-		b.SetPresence(p)
 	}
 }
 

@@ -236,9 +236,9 @@ type Cache struct {
 	// Probe). Like OnResolve it is wiring, not run state: Reset keeps it.
 	probe Probe
 
-	// pres, when non-nil, is the machine-wide holder table the bus uses
-	// to dispatch snoops only to frame holders; the cache keeps it exact
-	// at the three points a frame's (valid, addr) binding changes.
+	// pres is the holder table of the bus the cache is attached to, which
+	// dispatches snoops only to frame holders; the cache keeps it exact
+	// wherever a frame's (valid, addr) binding changes.
 	pres *bus.Presence
 
 	//phase:any
@@ -264,10 +264,10 @@ func New(id int, proto coherence.Protocol, cfg Config) (*Cache, error) {
 // Reset returns the cache to its freshly constructed state — every frame
 // invalid, no in-flight operation, no memoized plan, zero counters —
 // without reallocating the line arena. Identity (id, protocol, geometry)
-// and wiring (OnResolve, probe, presence table, news bit) survive: they are
+// and wiring (OnResolve, probe, holder table, news bit) survive: they are
 // the machine's shape, re-applied by the machine when it differs. The
-// caller owns the presence table and the has-news set and resets them
-// separately; the cache starts with no valid frames, so it needs no
+// holder table is emptied by its bus's Reset and the has-news set by the
+// machine; the cache starts with no valid frames, so it needs no
 // un-recording here.
 func (c *Cache) Reset() {
 	clear(c.lines)
@@ -295,9 +295,10 @@ func MustNew(id int, proto coherence.Protocol, cfg Config) *Cache {
 // ID returns the PE/bus source id.
 func (c *Cache) ID() int { return c.id }
 
-// SetPresence registers the shared holder table this cache reports its
-// frame occupancy to (see bus.Presence). Must be set before any traffic;
-// the cache starts with no valid frames, so the table needs no seeding.
+// SetPresence implements bus.PresenceKeeper: Attach hands the cache the
+// holder table it reports its frame occupancy to. A cache takes no traffic
+// before it is attached and starts with no valid frames, so the table
+// needs no seeding.
 func (c *Cache) SetPresence(p *bus.Presence) { c.pres = p }
 
 // SetNews wires the cache to its bit (mask) of a has-news word: every
@@ -832,14 +833,10 @@ func (c *Cache) install(a bus.Addr, st coherence.State, aux uint8, dirty bool, d
 	ln := c.victim(a)
 	if ln.valid {
 		c.stats.Evictions++
-		if c.pres != nil {
-			c.pres.Remove(ln.addr, c.id)
-		}
+		c.pres.Remove(ln.addr, c.id)
 	}
 	*ln = line{valid: true, addr: a, state: st, aux: aux, dirty: dirty, data: data}
-	if c.pres != nil {
-		c.pres.Add(a, c.id)
-	}
+	c.pres.Add(a, c.id)
 	c.touch(ln)
 	return ln
 }
@@ -880,9 +877,7 @@ func (c *Cache) BusCompleted(req bus.Request, res bus.Result) Progress {
 			c.stats.Evictions++
 			ln.valid = false
 			ln.dirty = false
-			if c.pres != nil {
-				c.pres.Remove(req.Addr, c.id)
-			}
+			c.pres.Remove(req.Addr, c.id)
 		}
 		return ProgressMore
 	}
@@ -1020,9 +1015,7 @@ func (c *Cache) rmwCompleted(p *pending, req bus.Request, res bus.Result) Progre
 		} else if ln != nil {
 			// Protocols that do not retain RMW targets drop the copy.
 			ln.valid = false
-			if c.pres != nil {
-				c.pres.Remove(p.addr, c.id)
-			}
+			c.pres.Remove(p.addr, c.id)
 		}
 	}
 	c.resolve(p, old)
@@ -1158,9 +1151,7 @@ func (c *Cache) InjectInvalidate(a bus.Addr) bool {
 	c.mutated()
 	ln.valid = false
 	ln.dirty = false
-	if c.pres != nil {
-		c.pres.Remove(a, c.id)
-	}
+	c.pres.Remove(a, c.id)
 	c.stats.FaultInvalidates++
 	return true
 }

@@ -606,27 +606,24 @@ func TestEntriesListsValidLines(t *testing.T) {
 // write-back, and the holder table and the has-news bit follow.
 func TestRestoreIsTheInverseOfEntries(t *testing.T) {
 	r := newRig(t, "rwb", 2, 1)
-	pres := bus.NewPresence()
-	r.bus.SetPresence(pres)
 	var news uint64
 	c := r.caches[0]
-	c.SetPresence(pres)
 	c.SetNews(&news, 1)
-	r.caches[1].SetPresence(pres)
+	holders := func(a bus.Addr) uint64 { return c.pres.Mask(a, 0) } // the bus's table
 
 	want := Entry{Addr: 4, State: coherence.FirstWrite, Aux: 1, Dirty: true, Data: 9}
 	c.Restore(want)
 	if got := c.Entries(); len(got) != 1 || got[0] != want {
 		t.Fatalf("Entries() = %+v, want [%+v]", got, want)
 	}
-	if pres.Mask(4) != 1 || news != 1 {
-		t.Fatalf("after Restore: holders of 4 = %b, news = %b", pres.Mask(4), news)
+	if holders(4) != 1 || news != 1 {
+		t.Fatalf("after Restore: holders of 4 = %b, news = %b", holders(4), news)
 	}
 	// In place: same address, new contents.
 	want = Entry{Addr: 4, State: coherence.Local, Data: 7}
 	c.Restore(want)
-	if got := c.Entries(); len(got) != 1 || got[0] != want || pres.Mask(4) != 1 {
-		t.Fatalf("Entries() = %+v, holders %b", got, pres.Mask(4))
+	if got := c.Entries(); len(got) != 1 || got[0] != want || holders(4) != 1 {
+		t.Fatalf("Entries() = %+v, holders %b", got, holders(4))
 	}
 	// The restored line is the real thing: the other cache's read is
 	// interrupted by it and gets its word.
@@ -637,8 +634,8 @@ func TestRestoreIsTheInverseOfEntries(t *testing.T) {
 	// written back.
 	c.Restore(Entry{Addr: 5, State: coherence.Local, Dirty: true, Data: 3})
 	c.Restore(Entry{Addr: 6})
-	if got := c.Entries(); len(got) != 1 || got[0].Addr != 6 || pres.Mask(5) != 0 || pres.Mask(6) != 1 {
-		t.Fatalf("Entries() = %+v, holders of 5 = %b, of 6 = %b", got, pres.Mask(5), pres.Mask(6))
+	if got := c.Entries(); len(got) != 1 || got[0].Addr != 6 || holders(5) != 0 || holders(6) != 1 {
+		t.Fatalf("Entries() = %+v, holders of 5 = %b, of 6 = %b", got, holders(5), holders(6))
 	}
 	if r.mem.Peek(5) != 0 || c.Stats().Writebacks != 0 {
 		t.Fatalf("Restore wrote back: mem[5] = %d", r.mem.Peek(5))

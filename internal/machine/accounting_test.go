@@ -52,7 +52,7 @@ func TestEveryCycleAccountedFor(t *testing.T) {
 		agents []workload.Agent
 		steps  int
 	}{
-		// Two words of every bitmap, broadcast snooping, a saturated bus.
+		// Two words of every bitmap and holder mask, a saturated bus.
 		{"rb-65pe", Config{Protocol: coherence.New(coherence.KindRB), CacheLines: 64}, apps(65), 4000},
 		// Deliveries that leave the PE blocked (the unlock leg), think-time
 		// computes, and snoop-phase resolutions of the spin reads.

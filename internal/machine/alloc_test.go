@@ -12,8 +12,8 @@ import (
 // refactor: after warmup, the cycle loop must not allocate at all —
 // RB/RWB x 1/8/64/65/130 PEs x oracle on or off, one bus, 2048-line
 // direct-mapped caches, unbounded Table 1-1 application agents (65 and
-// 130 PEs: a second and third word of every per-PE bitmap, and broadcast
-// snooping in place of the presence table). The
+// 130 PEs: a second and third word of every per-PE bitmap and plane of
+// the holder table). The
 // assertion runs only without the race detector (raceEnabled), whose
 // instrumentation allocates on its own.
 func TestSteadyStateAllocFree(t *testing.T) {

@@ -142,7 +142,6 @@ type Machine struct {
 	cfg    Config
 	mem    *pristineMem
 	buses  *bus.Set
-	pres   *bus.Presence // nil above MaxPresenceIDs (broadcast fallback)
 	caches []*cache.Cache
 	procs  []*processor.Processor
 	agents []workload.Agent
@@ -209,15 +208,6 @@ func New(cfg Config, agents []workload.Agent) (*Machine, error) {
 	}
 	m.buses = bus.NewSet(m.mem, cfg.Buses)
 	m.buses.SetMemLatency(cfg.MemLatency)
-	// The holder table lets the buses snoop only actual frame holders — a
-	// pure optimization (skipped snoops are no-ops), available while PE
-	// ids fit one mask word; bigger machines fall back to full broadcast.
-	var pres *bus.Presence
-	if len(agents) <= bus.MaxPresenceIDs {
-		pres = bus.NewPresence()
-		m.buses.SetPresence(pres)
-		m.pres = pres
-	}
 	words := (len(agents) + 63) / 64
 	m.news, m.runnable, m.stallFrom = make([]uint64, words), make([]uint64, words), make([]uint64, len(agents))
 	for i, agent := range agents {
@@ -229,8 +219,9 @@ func New(cfg Config, agents []workload.Agent) (*Machine, error) {
 			pe := i
 			c.OnResolve = func(info cache.ResolveInfo) { m.checkResolve(pe, info) }
 		}
-		c.SetPresence(pres)
 		c.SetNews(&m.news[i>>6], 1<<(i&63))
+		// Attaching hands the cache the buses' shared holder table, so each
+		// transaction snoops only the caches holding its address.
 		m.buses.Attach(i, c)
 		m.buses.AttachRequester(i, c)
 		m.caches = append(m.caches, c)
@@ -247,7 +238,7 @@ func New(cfg Config, agents []workload.Agent) (*Machine, error) {
 // Reset returns the machine to the state New would have produced with the
 // same config and the agents re-seeded from seed, without reallocating
 // any arena: the dense page stores (shared memory, pristine record,
-// oracle) and the Presence table roll their generation counters, the
+// oracle) and the buses' holder table roll their generation counters, the
 // cache line arenas and bus registries clear in place, and every agent
 // re-derives its stream via workload.Reseeder. A reset machine's traces,
 // stats, and final images are byte-identical to a fresh one's — the
@@ -290,9 +281,6 @@ func (m *Machine) resetCore() {
 	m.oracle.Reset()
 	m.buses.Reset()
 	m.buses.SetMemLatency(m.cfg.MemLatency)
-	if m.pres != nil {
-		m.pres.Reset()
-	}
 	for i, c := range m.caches {
 		c.Reset()
 		m.procs[i].Reset(m.agents[i])

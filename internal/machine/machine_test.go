@@ -572,36 +572,6 @@ func TestAuditFinalCoherenceFaultFree(t *testing.T) {
 	}
 }
 
-// TestBroadcastFallbackAbove64PEs runs the one configuration no golden
-// reaches: more agents than bus.MaxPresenceIDs, where New leaves the
-// presence filter nil and every transaction is broadcast to all
-// snoopers. The oracle and the final-state audit must still hold.
-func TestBroadcastFallbackAbove64PEs(t *testing.T) {
-	const pes = bus.MaxPresenceIDs + 1
-	for _, proto := range []coherence.Protocol{coherence.New(coherence.KindRB), coherence.NewRWB(2)} {
-		t.Run(proto.Name(), func(t *testing.T) {
-			layout := workload.DefaultLayout()
-			agents := make([]workload.Agent, pes)
-			for i := range agents {
-				agents[i] = workload.MustApp(workload.PDEProfile(), layout, i, 1, 300)
-			}
-			m := MustNew(Config{Protocol: proto, CacheLines: 64, CheckConsistency: true}, agents)
-			if m.pres != nil {
-				t.Fatal("presence filter built above MaxPresenceIDs")
-			}
-			if _, err := m.Run(10_000_000); err != nil {
-				t.Fatal(err)
-			}
-			if !m.Done() {
-				t.Fatal("machine did not drain")
-			}
-			if err := m.AuditFinalCoherence(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 // TestPristineMemRMWSameCycle pins the oracle's pre-first-write record
 // under the hard case it exists for: an RMW's lock write lands in memory
 // within the same bus cycle that sampled the old value, so by the time
