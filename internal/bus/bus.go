@@ -188,9 +188,10 @@ const (
 	VerdictPass Verdict = iota
 	// VerdictDrop consumes the bus cycle but executes nothing: memory and
 	// the snoopers never see the transaction and the issuer receives no
-	// completion. A dropped transaction models a lost bus cycle; the
-	// issuer either re-derives and re-requests it (snooped traffic
-	// advances its state) or wedges until the watchdog names it.
+	// completion. A dropped transaction models a lost bus cycle: the bus
+	// re-asserts the issuer's request line (as for a stalled grant, and
+	// without any priority it held), and the issuer re-derives the
+	// transaction when it is next granted.
 	VerdictDrop
 	// VerdictDup executes the transaction twice back to back in the same
 	// grant; the issuer receives the first execution's result. Unlocking
@@ -668,9 +669,9 @@ func (b *Bus) Tick() (req Request, res Result, granted bool) {
 		return Request{}, Result{}, false
 	}
 	req, res, granted = b.arbitrate()
-	// Stalled sources keep their request lines asserted. The scratch
-	// slice is bus-owned and reused so a stall-heavy cycle allocates
-	// nothing in steady state.
+	// Stalled and dropped sources keep their request lines asserted. The
+	// scratch slice is bus-owned and reused so a stall-heavy cycle
+	// allocates nothing in steady state.
 	for _, s := range b.stalled {
 		b.RequestSlot(s)
 	}
@@ -681,7 +682,8 @@ func (b *Bus) Tick() (req Request, res Result, granted bool) {
 // arbitrate runs the grant loop of one non-held cycle: pick a source,
 // let it supply (or withdraw) its transaction, and execute the first one
 // that is not blocked by the lock register or a not-ready memory port.
-// Blocked sources are parked on b.stalled; Tick re-asserts their lines.
+// Blocked and dropped sources are parked on b.stalled; Tick re-asserts
+// their lines.
 //
 //hotpath:allocfree
 func (b *Bus) arbitrate() (Request, Result, bool) {
@@ -723,8 +725,10 @@ func (b *Bus) arbitrate() (Request, Result, bool) {
 		if verdict == VerdictDrop {
 			// The transaction vanishes mid-flight: the cycle is consumed
 			// but neither memory nor any snooper (nor the issuer) sees it.
+			// The issuer's line is re-asserted, as a stalled source's is.
 			b.stats.FaultDrops++
 			b.stats.BusyCycles++
+			b.stalled = append(b.stalled, source)
 			return Request{}, Result{}, false
 		}
 		b.stats.Grants++

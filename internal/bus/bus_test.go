@@ -604,6 +604,40 @@ func TestStallSkipsToReadyRequester(t *testing.T) {
 	}
 }
 
+// dropFirst is an Injector that drops the first granted transaction.
+type dropFirst struct{ dropped bool }
+
+func (d *dropFirst) WedgeArbitration(uint64) bool { return false }
+
+func (d *dropFirst) OnGrant(uint64, Request) Verdict {
+	if d.dropped {
+		return VerdictPass
+	}
+	d.dropped = true
+	return VerdictDrop
+}
+
+// TestDroppedGrantReasserts: a dropped transaction costs its issuer one
+// cycle, not its request line — the bus re-asserts the line as for a
+// stalled grant, and the next cycle grants the same source again.
+func TestDroppedGrantReasserts(t *testing.T) {
+	mem := newFakeMem()
+	b := New(mem)
+	b.SetInjector(&dropFirst{})
+	w := &Request{Op: OpWrite, Addr: 1, Data: 9}
+	r := attach(b, 0, w, w)
+	if _, _, granted := b.Tick(); granted || mem.writes != 0 || b.Stats().FaultDrops != 1 {
+		t.Fatalf("drop: granted = %v, memory writes %d, stats %+v", granted, mem.writes, b.Stats())
+	}
+	if !b.Slotted(0) {
+		t.Fatal("dropped source lost its request line")
+	}
+	req, _, granted := b.Tick()
+	if !granted || req.Source != 0 || mem.words[1] != 9 || r.grants != 2 {
+		t.Fatalf("after the drop: granted = %v, %+v, memory %d, %d grants", granted, req, mem.words[1], r.grants)
+	}
+}
+
 func (m *stallMem) RMW(a Addr, set Word) Word {
 	m.rmwCalls++
 	old := m.rmwOld

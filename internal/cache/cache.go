@@ -207,13 +207,13 @@ type Cache struct {
 	hasResolved bool
 
 	// plan memoization: the transaction a blocked cache needs is a pure
-	// function of its lines and pending op, so it is recomputed only after
-	// a mutation (processor access, own bus completion, snooped traffic
-	// that touched a line). With many PEs most caches are blocked most
-	// cycles, and without the memo every one of them re-derives the same
-	// plan every cycle. The memo is invalidated (planOK) from any phase
-	// but recomputed only where it is consulted: grant time (bus) and
-	// request-line management (snoop).
+	// function of its pending op and the frames (and LRU stamps) of that
+	// op's set, so it is recomputed only after one of them changes (a new
+	// op, an own bus completion, a snoop on that set; see mutated). With
+	// many PEs most caches are blocked most cycles, and without the memo
+	// every one of them re-derives the same plan every cycle. The memo is
+	// invalidated (planOK) from any phase but recomputed only where it is
+	// consulted: grant time (bus) and request-line management (snoop).
 	//phase:any
 	planOK bool
 	//phase:bus,snoop
@@ -302,12 +302,13 @@ func (c *Cache) ID() int { return c.id }
 func (c *Cache) SetPresence(p *bus.Presence) { c.pres = p }
 
 // SetNews wires the cache to its bit (mask) of a has-news word: every
-// change to a line or to the in-flight operation — processor accesses,
-// own bus completions, snooped traffic that touched a held line, local
-// resolutions — raises the bit. Whoever lowers it may then skip the cache
-// while it stays low: its bus needs, pending state and resolved value are
-// exactly as last observed. The machine's cycle loop uses this to poll
-// only caches something happened to.
+// change that can move the cache's bus needs — a new or finished
+// in-flight operation, an own bus completion, a local resolution, snooped
+// traffic on the set the pending operation maps to — raises the bit (see
+// mutated). Whoever lowers it may then skip the cache while it stays low:
+// its bus needs, pending state and resolved value are exactly as last
+// observed. The machine's cycle loop uses this to poll only caches
+// something happened to.
 func (c *Cache) SetNews(word *uint64, mask uint64) { c.news, c.newsBit = word, mask }
 
 // Probe is the cache's reference-stream observation port (internal/mrc
@@ -375,15 +376,27 @@ func (c *Cache) Lookup(a bus.Addr) (coherence.State, bus.Word, bool) {
 // Busy reports whether an operation is in flight.
 func (c *Cache) Busy() bool { return c.hasPend || c.hasResolved }
 
-// mutated discards the memoized plan and raises the has-news bit; every
-// path that changes a line or the pending op calls it before (or instead
-// of) the change.
+// mutated discards the memoized plan and raises the has-news bit. Every
+// change plan can see calls it first: a new or finished pending op, an own
+// bus completion, a restored or injected line, a snoop on the pending op's
+// set (snooped). An idle cache's hit need not: setPend discards the memo.
 //
 //hotpath:allocfree
 func (c *Cache) mutated() {
 	c.planOK = false
 	if c.news != nil {
 		*c.news |= c.newsBit
+	}
+}
+
+// snooped is mutated for a snoop on the frame holding a. plan reads only
+// the pending op and its set's frames and stamps, so a snoop elsewhere, or
+// while nothing is pending, is no news.
+//
+//hotpath:allocfree
+func (c *Cache) snooped(a bus.Addr) {
+	if c.hasPend && c.setBase(a) == c.setBase(c.pend.addr) {
+		c.mutated()
 	}
 }
 
@@ -457,7 +470,6 @@ func (c *Cache) Access(ev coherence.ProcEvent, a bus.Addr, data bus.Word, class 
 	if ln := c.lookup(a); ln != nil {
 		out := c.proto.OnProc(ln.state, ln.aux, ev)
 		if out.Action == coherence.ActNone {
-			c.mutated()
 			ln.state, ln.aux = out.Next, out.NextAux
 			applyDirty(ln, out.Dirty)
 			if ev == coherence.EvWrite {
@@ -522,7 +534,6 @@ func (c *Cache) AccessRMW(a bus.Addr, setVal bus.Word) (done bool, old bus.Word)
 	c.stats.RMWs++
 	if ln := c.lookup(a); ln != nil && c.proto.LocalRMW(ln.state) {
 		c.stats.LocalRMWs++
-		c.mutated()
 		old = ln.data
 		if old == 0 {
 			out := c.proto.OnProc(ln.state, ln.aux, coherence.EvWrite)
@@ -557,7 +568,6 @@ func (c *Cache) TryLocalRMW(a bus.Addr, setVal bus.Word) (done bool, old bus.Wor
 	}
 	c.stats.RMWs++
 	c.stats.LocalRMWs++
-	c.mutated()
 	old = ln.data
 	if old == 0 {
 		out := c.proto.OnProc(ln.state, ln.aux, coherence.EvWrite)
@@ -1057,7 +1067,7 @@ func (c *Cache) SnoopRead(a bus.Addr, source int) (bool, bus.Word) {
 	if ln == nil {
 		return false, 0
 	}
-	c.mutated()
+	c.snooped(a)
 	out := c.proto.OnSnoop(ln.state, ln.aux, ln.dirty, coherence.SnBusRead)
 	data := ln.data
 	ln.state, ln.aux = out.Next, out.NextAux
@@ -1082,7 +1092,7 @@ func (c *Cache) SnoopRMWRead(a bus.Addr, source int) (bool, bus.Word) {
 	if !flush {
 		return false, 0
 	}
-	c.mutated()
+	c.snooped(a)
 	data := ln.data
 	ln.state = next
 	applyDirty(ln, d)
@@ -1099,7 +1109,7 @@ func (c *Cache) ObserveWrite(op bus.Op, a bus.Addr, d bus.Word, source int) {
 	if ln == nil {
 		return
 	}
-	c.mutated()
+	c.snooped(a)
 	ev := coherence.SnBusWrite
 	if op == bus.OpInv {
 		ev = coherence.SnBusInv
@@ -1126,7 +1136,7 @@ func (c *Cache) ObserveReadData(a bus.Addr, d bus.Word, source int) {
 	if ln == nil {
 		return
 	}
-	c.mutated()
+	c.snooped(a)
 	out := c.proto.OnSnoop(ln.state, ln.aux, ln.dirty, coherence.SnReadData)
 	ln.state, ln.aux = out.Next, out.NextAux
 	applyDirty(ln, out.Dirty)

@@ -642,6 +642,84 @@ func TestRestoreIsTheInverseOfEntries(t *testing.T) {
 	}
 }
 
+// TestNewsFollowsThePlannedSet: a blocked cache's has-news bit rises only
+// for changes plan can see — its pending op and the frames of that op's
+// set. Snoops on another set and in-cache hits of an idle cache leave it
+// low and the memoized request standing; an invalidated victim and a
+// snarfed target raise it and change the plan.
+func TestNewsFollowsThePlannedSet(t *testing.T) {
+	const p, victim, q = bus.Addr(2), bus.Addr(6), bus.Addr(1) // 4 direct-mapped frames: p and victim share a set
+	for _, proto := range []string{"rb", "rwb"} {
+		t.Run(proto, func(t *testing.T) {
+			r := newRig(t, proto, 2, 4)
+			c := r.caches[0]
+			var news uint64
+			c.SetNews(&news, 1)
+			c.Restore(Entry{Addr: victim, State: coherence.Local, Dirty: true, Data: 11})
+			c.Restore(Entry{Addr: q, State: coherence.Readable, Data: 5})
+
+			news = 0
+			if done, _ := c.Access(coherence.EvRead, q, 0, coherence.ClassShared); !done {
+				t.Fatal("read of a Readable line missed")
+			}
+			if news != 0 {
+				t.Error("an idle cache's read hit is news")
+			}
+			if done, _ := c.Access(coherence.EvRead, p, 0, coherence.ClassShared); done {
+				t.Fatal("read of an absent address hit")
+			}
+			want, ok := c.BusGrant(0, 1)
+			if !ok || want.Op != bus.OpWrite || want.Addr != victim {
+				t.Fatalf("plan = %+v (%v), want the write-back of %d", want, ok, victim)
+			}
+			news = 0
+			for _, s := range []struct {
+				name  string
+				snoop func()
+			}{
+				{"SnoopRead", func() { c.SnoopRead(q, 1) }},
+				{"ObserveReadData", func() { c.ObserveReadData(q, 5, 1) }},
+				{"ObserveWrite", func() { c.ObserveWrite(bus.OpWrite, q, 7, 1) }},
+			} {
+				s.snoop()
+				if got, ok := c.BusGrant(0, 1); news != 0 || !ok || got != want {
+					t.Fatalf("%s on another set: news = %b, plan = %+v (%v), want %+v", s.name, news, got, ok, want)
+				}
+			}
+
+			c.ObserveWrite(bus.OpInv, victim, 0, 1)
+			if got, ok := c.BusGrant(0, 1); news != 1 || !ok || got.Op != bus.OpRead || got.Addr != p {
+				t.Fatalf("victim invalidated: news = %b, plan = %+v (%v), want a read of %d", news, got, ok, p)
+			}
+		})
+	}
+
+	t.Run("rwb-snarf", func(t *testing.T) {
+		r := newRig(t, "rwb", 2, 4)
+		c := r.caches[0]
+		var news uint64
+		c.SetNews(&news, 1)
+		c.Restore(Entry{Addr: p, State: coherence.Invalid})
+		if done, _ := c.Access(coherence.EvRead, p, 0, coherence.ClassShared); done {
+			t.Fatal("read of an Invalid copy hit")
+		}
+		if _, want := c.WantsBus(); !want {
+			t.Fatal("pending read wants no bus")
+		}
+		news = 0
+		c.ObserveWrite(bus.OpWrite, p, 42, 1)
+		if news != 1 {
+			t.Fatal("a snarf of the pending address is not news")
+		}
+		if _, want := c.WantsBus(); want {
+			t.Fatal("snarfed read still wants the bus")
+		}
+		if v, ok := c.TakeResolved(); !ok || v != 42 {
+			t.Fatalf("resolved = %d (%v), want 42", v, ok)
+		}
+	})
+}
+
 func TestMissRatio(t *testing.T) {
 	r := newRig(t, "rb", 1, 16)
 	r.read(0, 1) // miss

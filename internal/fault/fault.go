@@ -27,7 +27,9 @@
 // fault-free final image independent of transaction interleaving — a
 // purely timing-shifting fault (a delay, a retried transaction) converges
 // back to the reference image and is correctly classified as masked
-// rather than spuriously "divergent".
+// rather than spuriously "divergent". A dropped bus transaction is one:
+// the bus re-asserts its issuer's request line, and the issuer re-derives
+// and re-issues it when next granted.
 //
 // Everything is seeded: same seed + same campaign spec → byte-identical
 // report, across worker counts, because the fault plan, the workload, and
@@ -48,7 +50,9 @@ type Class uint8
 const (
 	// BusDrop suppresses one granted bus transaction: the cycle is
 	// consumed but neither memory nor any snooper (nor the issuer) sees
-	// the transaction.
+	// the transaction. The issuer's request line stays asserted, so the
+	// drop only shifts timing, and the campaign workload masks it
+	// (TestBusDropIsMasked).
 	BusDrop Class = iota
 	// BusDup executes one granted transaction twice back to back.
 	BusDup

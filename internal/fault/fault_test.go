@@ -264,6 +264,28 @@ func TestRunTrialKnownDetections(t *testing.T) {
 	}
 }
 
+// TestBusDropIsMasked: a dropped transaction is a lost bus cycle whose
+// issuer asks again, so every bus-drop trial of the default campaign
+// (4 PEs, 300 references) converges to the reference image. A dropped
+// issuer whose line were not re-asserted would wait for unrelated traffic
+// to make it news, and wedge until the watchdog when none came.
+func TestBusDropIsMasked(t *testing.T) {
+	cfg := CampaignConfig{Seeds: []uint64{1, 2, 3, 4}}
+	for _, proto := range []string{"rb", "rwb", "goodman", "illinois"} {
+		for _, seed := range cfg.Seeds {
+			cell, err := cfg.RunCell(nil, proto, BusDrop, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, res := range cell.Trials {
+				if res.Outcome != Masked {
+					t.Errorf("%s seed %d trial %d: %v: %s", proto, seed, i, res.Outcome, res.Detail)
+				}
+			}
+		}
+	}
+}
+
 // TestRunTrialFiredAndClassified asserts the bus one-shot injectors
 // actually fire (Fired=true with a populated detail), not just plan.
 func TestRunTrialFiredAndClassified(t *testing.T) {

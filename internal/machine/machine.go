@@ -172,9 +172,10 @@ type Machine struct {
 	missLat   stats.Histogram
 
 	// The active sets, one bit per PE, that keep a cycle's host cost
-	// proportional to what happened in it. news holds the caches mutated
-	// since their last request-line pass (Cache.mutated raises the bit
-	// through cache.SetNews, from any phase; snoopPhase lowers it).
+	// proportional to what happened in it. news holds the caches whose bus
+	// needs may have changed since their last request-line pass (the cache
+	// raises the bit through cache.SetNews, from any phase; snoopPhase
+	// lowers it).
 	// runnable holds the PEs the CPU phase must visit: a PE leaves when it
 	// blocks or halts and returns at delivery.
 	//phase:any
@@ -451,13 +452,14 @@ func (m *Machine) cpuPhase() {
 // such resolutions bind their value now and are delivered at the end of
 // the cycle.
 //
-// Only caches in the has-news set are visited. Nothing happened to the
-// others, so their bus needs are as last asserted (a stalled slot is kept
-// alive by the bus itself, and any grant, withdrawal or snoop hit is
-// news), they cannot have resolved anything, and an unchanged priority
-// claim needs no action — the skip is exactly the no-op the full pass
-// would have performed. With many PEs most caches are idle or blocked most
-// cycles, and the cycle loop touches only the ones with news.
+// Only caches in the has-news set are visited. Nothing their plans read
+// changed in the others (a snoop on another set, or an idle cache's hit,
+// is no news), so their bus needs are as last asserted (the bus itself
+// re-asserts a stalled or dropped grant's slot), they cannot have resolved
+// anything, and an unchanged priority claim needs no action — the skip is
+// exactly the no-op the full pass would have performed. With many PEs most
+// caches are idle or blocked most cycles, and the cycle loop touches only
+// the ones with news.
 //
 //phase:snoop
 //hotpath:allocfree

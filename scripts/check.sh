@@ -19,10 +19,12 @@
 #   5. allocs      the steady-state zero-allocation regressions, the
 #                  bytes one machine construction allocates, the
 #                  stream-identity golden over 5 M references of grown
-#                  LRU stacks and the bus-trace golden of 65-130 PE
-#                  machines (run without the race detector, whose
-#                  instrumentation allocates and is 10x slower; the -race
-#                  pass above skips them). The profiler's alloc pin and
+#                  LRU stacks, the bus-trace golden of 65-130 PE
+#                  machines and the request-line phase's exact visit
+#                  count on two core machines (run without the race
+#                  detector, whose instrumentation allocates and is 10x
+#                  slower; the -race pass above skips them). The
+#                  profiler's alloc pin and
 #                  its feed tests (exact reads at every buffer state, no
 #                  drain goroutine outliving its chunk) run at -cpu 1,2,
 #                  so the drain both shares the machine's core and has
@@ -52,7 +54,7 @@ echo "==> go test -race ./..."
 go test -race ./...
 
 echo "==> allocs/cycle regression"
-go test -run 'SteadyState.*AllocFree|ConstructionBytes|StreamIdentity|TraceGoldenAbove64PEs' -count=1 ./internal/machine ./internal/batch ./internal/workload
+go test -run 'SteadyState.*AllocFree|ConstructionBytes|StreamIdentity|TraceGoldenAbove64PEs|NewsVisitsPerCycle' -count=1 ./internal/machine ./internal/batch ./internal/workload
 go test -run 'SteadyState.*AllocFree|AttachSettlesAtEveryRead|AttachLeavesNoGoroutine' -cpu 1,2 -count=1 ./internal/mrc
 
 echo "==> benchmark harness"
