@@ -100,11 +100,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// With both runners set, the engine fuses same-cell job groups and
-	// hands each group a batch arena.
 	eng := sweep.New(sweep.Options{
 		Workers: *workers, Store: store, Sink: sweep.NewWriterSink(eventsW),
-		Runner: fault.NewCellRunner(cfg), BatchRunner: fault.NewBatchCellRunner(cfg),
+		Runner: fault.NewCellRunner(cfg),
 	})
 	out, err := eng.Run(ctx, cfg.Specs())
 	if code := sweep.ReportRunError(stderr, "faultcampaign", out, err); code != 0 {

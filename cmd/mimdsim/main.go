@@ -206,7 +206,7 @@ func runFaults(stdout io.Writer, protoName, classList string, pes, trials int, s
 		return err
 	}
 	for i, class := range cfg.WithDefaults().Classes {
-		cell, err := cfg.RunCell(nil, protoName, class, seed)
+		cell, err := cfg.RunCell(protoName, class, seed)
 		if err != nil {
 			return err
 		}

@@ -14,9 +14,11 @@
 // by TestResetEqualsFresh — is what lets callers fuse trials without
 // re-verifying outputs.
 //
-// Arenas are single-goroutine by design: the sweep engine gives each
-// fused job group (one worker) its own Arena, keeping the parallel
-// engine's scheduling freedom without locking.
+// Arenas are single-goroutine by design. The sweep engine no longer uses
+// them: it dispatches one job at a time and every job builds its own
+// machines, which measured faster than fusing a spec's seeds onto one
+// worker's arena. The package stays only while the frozen benchmark/
+// module imports it (ROADMAP direction 6).
 package batch
 
 import (

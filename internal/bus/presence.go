@@ -46,8 +46,10 @@ type presencePlane struct {
 	sparse map[Addr]uint64 // addresses >= presenceDenseLimit
 }
 
+// A dense page holds the mask words of 256 consecutive addresses (2 KiB),
+// the memory store's page size: short runs touch few words per region.
 const (
-	presencePageBits   = 12
+	presencePageBits   = 8
 	presencePageWords  = 1 << presencePageBits
 	presencePageMask   = presencePageWords - 1
 	presenceDenseLimit = Addr(1) << 24
@@ -78,7 +80,8 @@ func (p *Presence) reset() {
 }
 
 // Add records that snooper id holds a frame for a. The page-growth
-// allocations are one-time per page; the steady-state path is a mask OR.
+// allocations are one-time per page, and the directory grows through
+// append (amortised); the steady-state path is a mask OR.
 //
 //phase:any
 //hotpath:allocfree
@@ -87,10 +90,8 @@ func (p *Presence) Add(a Addr, id int) {
 	if a < presenceDenseLimit {
 		pi := int(a >> presencePageBits)
 		if pi >= len(pl.pages) {
-			//lint:ignore allocaudit one-time growth of the dense page directory
-			grown := make([]*presencePage, pi+1)
-			copy(grown, pl.pages)
-			pl.pages = grown
+			//lint:ignore allocaudit amortised growth of the dense page directory
+			pl.pages = append(pl.pages, make([]*presencePage, pi+1-len(pl.pages))...)
 		}
 		pg := pl.pages[pi]
 		if pg == nil {

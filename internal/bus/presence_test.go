@@ -99,14 +99,16 @@ func TestDispatchReachesHoldersAndNonKeepers(t *testing.T) {
 }
 
 // TestPresenceStaysExact: Add, Remove and Reset touch exactly the bit of
-// their id in the word of its plane, on dense and sparse addresses.
+// their id in the word of its plane, on dense addresses on both sides of
+// a page boundary and inside a later page, and on sparse ones.
 func TestPresenceStaysExact(t *testing.T) {
 	p := &Presence{}
 	p.grow(129)
 	masks := func(a Addr) []uint64 {
 		return []uint64{p.Mask(a, 0), p.Mask(a, 1), p.Mask(a, 2)}
 	}
-	for _, a := range []Addr{5, presenceDenseLimit + 5} {
+	const edge = presencePageWords
+	for _, a := range []Addr{5, edge - 1, edge, 3*edge + 5, presenceDenseLimit + 5} {
 		for _, id := range wideIDs {
 			p.Add(a, id)
 		}
@@ -134,13 +136,17 @@ func TestPresenceStaysExact(t *testing.T) {
 			t.Fatalf("plane %d keeps %d empty sparse entries", w, len(pl.sparse))
 		}
 	}
-	for _, a := range []Addr{5, 6, presenceDenseLimit + 5} {
+	for _, a := range []Addr{5, 6, edge - 1, edge, 3*edge + 5, presenceDenseLimit + 5} {
 		p.Add(a, 64)
 		p.Add(a, 129)
 	}
 	p.reset()
-	p.Add(6, 64) // revives the page: 5's stale bit must not come back
-	for a, want := range map[Addr][]uint64{5: {0, 0, 0}, 6: {0, 1, 0}, presenceDenseLimit + 5: {0, 0, 0}} {
+	p.Add(6, 64)       // revives the first page: 5's and edge-1's stale bits must not come back
+	p.Add(edge+1, 129) // revives the second: edge's must not either
+	for a, want := range map[Addr][]uint64{
+		5: {0, 0, 0}, 6: {0, 1, 0}, edge - 1: {0, 0, 0}, edge: {0, 0, 0}, edge + 1: {0, 0, 1 << 1},
+		3*edge + 5: {0, 0, 0}, presenceDenseLimit + 5: {0, 0, 0},
+	} {
 		if got := masks(a); !slices.Equal(got, want) {
 			t.Fatalf("addr %d after Reset: %x, want %x", a, got, want)
 		}

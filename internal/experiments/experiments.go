@@ -25,9 +25,11 @@ type Params struct {
 	Scale int
 	// Arena, when non-nil, recycles machines across same-shape trials
 	// (seed-only deltas) via generation reset instead of reconstruction.
-	// The sweep engine attaches one arena per fused job group; it is not
-	// an axis and never participates in cache keys. Experiments reach it
-	// through Params.Machine.
+	// No engine path sets it: the sweep engine runs every job on fresh
+	// machines. It stays for the frozen benchmark/ module's
+	// ExperimentBatchRunner (ROADMAP direction 6). It is not an axis and
+	// never participates in cache keys. Experiments reach it through
+	// Params.Machine.
 	Arena *batch.Arena
 	// Profile, when non-nil, collects online miss-ratio curves: every
 	// machine Params.Machine constructs gets a fresh mrc profiler set

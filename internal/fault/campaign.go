@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/batch"
 	"repro/internal/coherence"
 	"repro/internal/experiments"
 	"repro/internal/report"
@@ -129,10 +128,8 @@ type Cell struct {
 // RunCell executes the (protocol, class, seed) cell: a fault-free
 // reference run for the seed, then Trials planned faults of the class.
 // The sweep runners tabulate the result; cmd/mimdsim -faults prints it
-// trial by trial. With a non-nil arena the reference and every trial
-// recycle one machine per trial shape (protocol-major, since that is all
-// that varies within a campaign); the results are identical either way.
-func (c CampaignConfig) RunCell(arena *batch.Arena, protoName string, class Class, seed uint64) (*Cell, error) {
+// trial by trial.
+func (c CampaignConfig) RunCell(protoName string, class Class, seed uint64) (*Cell, error) {
 	cfg := c.withDefaults()
 	proto, err := coherence.ByName(protoName)
 	if err != nil {
@@ -141,7 +138,7 @@ func (c CampaignConfig) RunCell(arena *batch.Arena, protoName string, class Clas
 	id := CellID(protoName, class)
 	tcfg := cfg.Trial
 	tcfg.Protocol = proto
-	ref, err := tcfg.ReferenceIn(arena, seed)
+	ref, err := tcfg.ReferenceIn(seed)
 	if err != nil {
 		return nil, fmt.Errorf("%s seed %d: %w", id, seed, err)
 	}
@@ -150,7 +147,7 @@ func (c CampaignConfig) RunCell(arena *batch.Arena, protoName string, class Clas
 	// cell (proto, class, seed) is the same fault everywhere, forever.
 	trialRNG := workload.NewRNG(seed ^ 0xfa17fa17fa17fa17)
 	for t := 0; t < cfg.Trials; t++ {
-		res, err := RunTrialIn(arena, tcfg, ref, class, seed, trialRNG.Uint64())
+		res, err := RunTrialIn(tcfg, ref, class, seed, trialRNG.Uint64())
 		if err != nil {
 			return nil, fmt.Errorf("%s seed %d trial %d: %w", id, seed, t, err)
 		}
@@ -161,12 +158,12 @@ func (c CampaignConfig) RunCell(arena *batch.Arena, protoName string, class Clas
 
 // runCell executes one campaign cell and tallies it into a one-row
 // table.
-func runCell(cfg CampaignConfig, arena *batch.Arena, spec sweep.JobSpec) (*report.Table, error) {
+func runCell(cfg CampaignConfig, spec sweep.JobSpec) (*report.Table, error) {
 	protoName, class, err := ParseCellID(spec.Experiment)
 	if err != nil {
 		return nil, err
 	}
-	cell, err := cfg.RunCell(arena, protoName, class, spec.Seed)
+	cell, err := cfg.RunCell(protoName, class, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -193,18 +190,7 @@ func runCell(cfg CampaignConfig, arena *batch.Arena, spec sweep.JobSpec) (*repor
 func NewCellRunner(c CampaignConfig) sweep.Runner {
 	cfg := c.withDefaults()
 	return func(spec sweep.JobSpec) (*report.Table, error) {
-		return runCell(cfg, nil, spec)
-	}
-}
-
-// NewBatchCellRunner is NewCellRunner vectorized through the sweep
-// engine's fused job groups: every cell in a group shares one batch
-// arena, so the (Trials+1) machines a cell used to construct collapse to
-// one generation-reset machine per protocol shape.
-func NewBatchCellRunner(c CampaignConfig) sweep.BatchRunner {
-	cfg := c.withDefaults()
-	return func(spec sweep.JobSpec, arena *batch.Arena) (*report.Table, error) {
-		return runCell(cfg, arena, spec)
+		return runCell(cfg, spec)
 	}
 }
 

@@ -39,37 +39,27 @@ func runCampaign(t *testing.T, cfg CampaignConfig, workers int) *sweep.Outcome {
 
 // TestCampaignDeterministicAcrossWorkers is the acceptance criterion in the
 // flesh: same seed + same spec → byte-identical report, whether the cells
-// run on one worker, race across four, or — as cmd/faultcampaign and the
-// service run them — go through the engine's fused groups on arena-recycled
-// machines.
+// run on one worker or race across four.
 func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	cfg := testCampaign()
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	serial := runCampaign(t, cfg, 1)
-	batched, err := sweep.New(sweep.Options{
-		Workers: 4, Runner: NewCellRunner(cfg), BatchRunner: NewBatchCellRunner(cfg),
-	}).Run(context.Background(), cfg.Specs())
-	if err != nil {
-		t.Fatalf("batched campaign: %v", err)
-	}
-	for name, other := range map[string]*sweep.Outcome{"-j4": runCampaign(t, cfg, 4), "batched -j4": batched} {
-		for _, format := range []string{"plain", "csv"} {
-			a, err := RenderReport(cfg, serial, format)
-			if err != nil {
-				t.Fatalf("RenderReport(serial, %s): %v", format, err)
-			}
-			b, err := RenderReport(cfg, other, format)
-			if err != nil {
-				t.Fatalf("RenderReport(%s, %s): %v", name, format, err)
-			}
-			if a != b {
-				t.Errorf("%s report differs between -j1 and %s:\n--- j1 ---\n%s\n--- %s ---\n%s", format, name, a, name, b)
-			}
-			if a == "" {
-				t.Errorf("%s report is empty", format)
-			}
+	serial, parallel := runCampaign(t, cfg, 1), runCampaign(t, cfg, 4)
+	for _, format := range []string{"plain", "csv"} {
+		a, err := RenderReport(cfg, serial, format)
+		if err != nil {
+			t.Fatalf("RenderReport(-j1, %s): %v", format, err)
+		}
+		b, err := RenderReport(cfg, parallel, format)
+		if err != nil {
+			t.Fatalf("RenderReport(-j4, %s): %v", format, err)
+		}
+		if a != b {
+			t.Errorf("%s report differs between -j1 and -j4:\n--- j1 ---\n%s\n--- j4 ---\n%s", format, a, b)
+		}
+		if a == "" {
+			t.Errorf("%s report is empty", format)
 		}
 	}
 }
@@ -203,11 +193,11 @@ func TestPlanEventDeterministic(t *testing.T) {
 // oracles all pass with no fault installed.
 func TestReferenceDeterministic(t *testing.T) {
 	cfg := TrialConfig{PEs: 4, Refs: 200, AddrRange: 64}
-	a, err := cfg.ReferenceIn(nil, 7)
+	a, err := cfg.ReferenceIn(7)
 	if err != nil {
 		t.Fatalf("Reference: %v", err)
 	}
-	b, err := cfg.ReferenceIn(nil, 7)
+	b, err := cfg.ReferenceIn(7)
 	if err != nil {
 		t.Fatalf("Reference: %v", err)
 	}
@@ -228,7 +218,7 @@ func TestReferenceDeterministic(t *testing.T) {
 func TestRunTrialKnownDetections(t *testing.T) {
 	cfg := TrialConfig{PEs: 4, Refs: 300, AddrRange: 64}
 	cfg = cfg.withDefaults()
-	ref, err := cfg.ReferenceIn(nil, 3)
+	ref, err := cfg.ReferenceIn(3)
 	if err != nil {
 		t.Fatalf("Reference: %v", err)
 	}
@@ -237,7 +227,7 @@ func TestRunTrialKnownDetections(t *testing.T) {
 		t.Run(class.String(), func(t *testing.T) {
 			sawDetected := false
 			for trialSeed := uint64(0); trialSeed < 8; trialSeed++ {
-				res, err := RunTrialIn(nil, cfg, ref, class, 3, trialSeed)
+				res, err := RunTrialIn(cfg, ref, class, 3, trialSeed)
 				if err != nil {
 					t.Fatalf("RunTrial(seed %d): %v", trialSeed, err)
 				}
@@ -273,7 +263,7 @@ func TestBusDropIsMasked(t *testing.T) {
 	cfg := CampaignConfig{Seeds: []uint64{1, 2, 3, 4}}
 	for _, proto := range []string{"rb", "rwb", "goodman", "illinois"} {
 		for _, seed := range cfg.Seeds {
-			cell, err := cfg.RunCell(nil, proto, BusDrop, seed)
+			cell, err := cfg.RunCell(proto, BusDrop, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -291,12 +281,12 @@ func TestBusDropIsMasked(t *testing.T) {
 func TestRunTrialFiredAndClassified(t *testing.T) {
 	cfg := TrialConfig{PEs: 4, Refs: 300, AddrRange: 64}
 	cfg = cfg.withDefaults()
-	ref, err := cfg.ReferenceIn(nil, 5)
+	ref, err := cfg.ReferenceIn(5)
 	if err != nil {
 		t.Fatalf("Reference: %v", err)
 	}
 	for _, class := range []Class{BusDrop, BusDup, BusSnoopSuppress, MemLostWrite} {
-		res, err := RunTrialIn(nil, cfg, ref, class, 5, 11)
+		res, err := RunTrialIn(cfg, ref, class, 5, 11)
 		if err != nil {
 			t.Fatalf("RunTrial(%v): %v", class, err)
 		}

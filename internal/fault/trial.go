@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/batch"
 	"repro/internal/bus"
 	"repro/internal/coherence"
 	"repro/internal/machine"
@@ -62,20 +61,9 @@ func (c TrialConfig) withDefaults() TrialConfig {
 type agent struct {
 	pe, pes   int
 	addrRange int
-	refs      int // program length; Reseed restores remaining to this
 	remaining int
 	rng       *workload.RNG
 	written   uint32 // per-PE write counter, embedded in every value
-}
-
-// Reseed restores the agent to its freshly constructed state for the
-// given workload seed, deriving the per-PE stream exactly as build does.
-// It makes the campaign agent a workload.Reseeder, so trial machines can
-// be recycled through a batch arena by generation reset.
-func (a *agent) Reseed(seed uint64) {
-	a.remaining = a.refs
-	a.written = 0
-	a.rng.Reseed(seed + uint64(a.pe)*0x9e3779b97f4a7c15)
 }
 
 func (a *agent) Next(workload.Result) workload.Op {
@@ -100,7 +88,6 @@ func (c TrialConfig) agents(wlSeed uint64) []workload.Agent {
 		agents[i] = &agent{
 			pe: i, pes: c.PEs,
 			addrRange: c.AddrRange,
-			refs:      c.Refs,
 			remaining: c.Refs,
 			rng:       workload.NewRNG(wlSeed + uint64(i)*0x9e3779b97f4a7c15),
 		}
@@ -108,22 +95,10 @@ func (c TrialConfig) agents(wlSeed uint64) []workload.Agent {
 	return agents
 }
 
-// shape is the batch-arena key: every trial dimension that changes the
-// machine's construction. Seeds are deliberately absent — same shape,
-// different seed is exactly what generation reset recycles.
-func (c TrialConfig) shape() string {
-	return fmt.Sprintf("fault/%s/pes=%d/refs=%d/range=%d/lines=%d/stall=%d",
-		c.Protocol.Name(), c.PEs, c.Refs, c.AddrRange, c.CacheLines, c.StallCycles)
-}
-
-// build assembles the trial machine for one workload seed — recycled from
-// the arena when one is supplied, freshly constructed otherwise. The same
-// seed always yields the same program, so the reference run and every
-// fault trial execute identical per-PE instruction streams. Machine.Reset
-// clears every injection hook (bus injector, write interceptor) and every
-// perturbed word along with the rest of the machine, so a recycled
-// machine carries no fault residue from the previous trial.
-func (c TrialConfig) build(arena *batch.Arena, wlSeed uint64) (*machine.Machine, error) {
+// build constructs the trial machine for one workload seed. The same seed
+// always yields the same program, so the reference run and every fault
+// trial execute identical per-PE instruction streams.
+func (c TrialConfig) build(wlSeed uint64) (*machine.Machine, error) {
 	if c.AddrRange <= c.PEs {
 		return nil, fmt.Errorf("fault: AddrRange %d must exceed PEs %d", c.AddrRange, c.PEs)
 	}
@@ -132,9 +107,6 @@ func (c TrialConfig) build(arena *batch.Arena, wlSeed uint64) (*machine.Machine,
 		CacheLines:       c.CacheLines,
 		CheckConsistency: true,
 		StallCycles:      c.StallCycles,
-	}
-	if arena != nil {
-		return arena.Machine(c.shape(), mcfg, wlSeed, func() []workload.Agent { return c.agents(wlSeed) })
 	}
 	return machine.New(mcfg, c.agents(wlSeed))
 }
@@ -154,13 +126,13 @@ type Reference struct {
 	Image  map[bus.Addr]bus.Word // final memory image, dirty lines drained
 }
 
-// ReferenceIn runs the workload fault-free and records the baseline,
-// drawing its machine from a batch arena (nil constructs a fresh one). It
-// errors if the fault-free run trips any oracle — that would be a
-// simulator bug, and no classification built on it would mean anything.
-func (c TrialConfig) ReferenceIn(arena *batch.Arena, wlSeed uint64) (*Reference, error) {
+// ReferenceIn runs the workload fault-free on a fresh machine and records
+// the baseline. It errors if the fault-free run trips any oracle — that
+// would be a simulator bug, and no classification built on it would mean
+// anything.
+func (c TrialConfig) ReferenceIn(wlSeed uint64) (*Reference, error) {
 	c = c.withDefaults()
-	m, err := c.build(arena, wlSeed)
+	m, err := c.build(wlSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -328,15 +300,12 @@ type TrialResult struct {
 // RunTrialIn executes one fault trial: the workload of wlSeed (the same
 // program the Reference measured) with one fault of the given class,
 // planned from trialSeed, injected mid-run. The result is the trial's
-// masked/detected/silent classification. The machine is drawn from a
-// batch arena (nil constructs a fresh one); recycling is safe here
-// precisely because generation reset erases all injection state: the bus
-// injector, the memory write interceptor, corrupted memory words, and
-// perturbed cache lines all die with the old generation.
-func RunTrialIn(arena *batch.Arena, cfg TrialConfig, ref *Reference, class Class, wlSeed, trialSeed uint64) (TrialResult, error) {
+// masked/detected/silent classification. Every trial runs on a fresh
+// machine, so no injection state outlives it.
+func RunTrialIn(cfg TrialConfig, ref *Reference, class Class, wlSeed, trialSeed uint64) (TrialResult, error) {
 	cfg = cfg.withDefaults()
 	ev := PlanEvent(class, trialSeed, ref, cfg)
-	m, err := cfg.build(arena, wlSeed)
+	m, err := cfg.build(wlSeed)
 	if err != nil {
 		return TrialResult{}, err
 	}

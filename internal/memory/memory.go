@@ -28,13 +28,14 @@ import (
 )
 
 const (
-	// pageBits sizes a page at 4096 words (16 KiB of data); small enough
-	// that a sparse workload wastes little, large enough that the paper's
-	// working sets fit in a handful of pages.
-	pageBits  = 12
+	// pageBits sizes a page at 256 words (1 KiB of data): every job builds
+	// its own machines, and a short run touches only a few hundred words
+	// in each of a few regions, so a larger page is mostly zeroes it paid
+	// to allocate.
+	pageBits  = 8
 	pageWords = 1 << pageBits
 	pageMask  = pageWords - 1
-	// denseLimit bounds the dense page directory to 4096 page pointers
+	// denseLimit bounds the dense page directory to 65 536 page pointers
 	// (addresses below 16M words). Higher addresses take the sparse path.
 	denseLimit = bus.Addr(1) << 24
 )
@@ -150,13 +151,13 @@ func (m *Memory) pageFor(a bus.Addr) *page {
 
 // ensurePage returns the dense page of a, allocating it (and growing the
 // directory) on first touch. The allocation is one-time per page; the
-// steady-state store path never reaches it.
+// steady-state store path never reaches it. The directory grows through
+// append, so a run that keeps touching new highest pages copies it an
+// amortised constant number of times per entry.
 func (m *Memory) ensurePage(a bus.Addr) *page {
 	pi := int(a >> pageBits)
 	if pi >= len(m.pages) {
-		grown := make([]*page, pi+1)
-		copy(grown, m.pages)
-		m.pages = grown
+		m.pages = append(m.pages, make([]*page, pi+1-len(m.pages))...)
 	}
 	p := m.pages[pi]
 	if p == nil {

@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -76,6 +77,46 @@ func TestFootprintAndSnapshot(t *testing.T) {
 	snap[1] = 0
 	if m.Peek(1) != 11 {
 		t.Fatal("Snapshot aliases live storage")
+	}
+}
+
+// TestPageEdges: words on both sides of a page boundary, one inside a
+// later page and one on the sparse path enumerate in address order and
+// count once each; after Reset every revived page reads 0 except for the
+// new writes, whatever pageWords is.
+func TestPageEdges(t *testing.T) {
+	m := New()
+	addrs := []bus.Addr{pageWords - 1, pageWords, 3*pageWords + 5, denseLimit + 9}
+	for i, a := range addrs {
+		m.WriteWord(a, bus.Word(i+1))
+	}
+	var got []bus.Addr
+	m.Range(func(a bus.Addr, w bus.Word) bool {
+		got = append(got, a)
+		return true
+	})
+	if !slices.Equal(got, addrs) {
+		t.Fatalf("Range order = %v, want %v", got, addrs)
+	}
+	if m.Footprint() != len(addrs) || len(m.Snapshot()) != len(addrs) {
+		t.Fatalf("Footprint %d, Snapshot %d words, want %d", m.Footprint(), len(m.Snapshot()), len(addrs))
+	}
+
+	m.Reset()
+	if m.Footprint() != 0 {
+		t.Fatalf("Footprint after Reset = %d", m.Footprint())
+	}
+	m.WriteWord(pageWords+1, 7)   // revives the second page
+	m.WriteWord(3*pageWords+6, 8) // revives the fourth
+	for a, want := range map[bus.Addr]bus.Word{
+		pageWords - 1: 0, pageWords: 0, pageWords + 1: 7, 3*pageWords + 5: 0, 3*pageWords + 6: 8, denseLimit + 9: 0,
+	} {
+		if got := m.Peek(a); got != want {
+			t.Errorf("after Reset, word %d = %d, want %d", a, got, want)
+		}
+	}
+	if snap := m.Snapshot(); len(snap) != 2 || snap[pageWords+1] != 7 || snap[3*pageWords+6] != 8 {
+		t.Errorf("Snapshot after Reset = %v", snap)
 	}
 }
 

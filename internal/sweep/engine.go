@@ -17,17 +17,14 @@ import (
 // through the experiments registry; tests inject counters and fakes.
 type Runner func(spec JobSpec) (*report.Table, error)
 
-// BatchRunner executes one job with the batch arena its fused job group
-// shares: jobs differing only in seed recycle the group's machines by
-// generation reset instead of rebuilding them. The arena belongs to one
-// worker goroutine at a time (groups are dispatched whole), so runners
-// need no locking. Results must be byte-identical to the unbatched
-// path — Machine.Reset's contract, pinned by TestResetEqualsFresh and
-// the engine's fused-vs-unfused identity test.
+// BatchRunner executes one job with a batch arena.
+//
+// Deprecated: the engine never calls one. The type stays only because the
+// frozen benchmark/ module names it; ROADMAP direction 1 deletes it.
 type BatchRunner func(spec JobSpec, arena *batch.Arena) (*report.Table, error)
 
-// resolveExperiment is the registry + version-epoch lookup shared by both
-// production runners.
+// resolveExperiment is the registry + version-epoch lookup shared by
+// ExperimentRunner and ExperimentBatchRunner.
 func resolveExperiment(spec JobSpec) (experiments.Experiment, error) {
 	e, err := experiments.ByID(spec.Experiment)
 	if err != nil {
@@ -50,9 +47,12 @@ func ExperimentRunner(spec JobSpec) (*report.Table, error) {
 	return e.Run(spec.Params())
 }
 
-// ExperimentBatchRunner is ExperimentRunner with the fused group's arena
-// attached to the run's Params, so the experiment's machines are
-// recycled across the group's seeds.
+// ExperimentBatchRunner is ExperimentRunner with arena attached to the
+// run's Params.
+//
+// Deprecated: the engine never calls a BatchRunner. This stays only
+// because the frozen benchmark/ module names it; ROADMAP direction 1
+// deletes it.
 func ExperimentBatchRunner(spec JobSpec, arena *batch.Arena) (*report.Table, error) {
 	e, err := resolveExperiment(spec)
 	if err != nil {
@@ -78,16 +78,10 @@ type Options struct {
 	Sink EventSink
 	// Runner executes jobs; nil means ExperimentRunner.
 	Runner Runner
-	// BatchRunner, when non-nil, turns on same-shape job fusion: Expand's
-	// canonical job order is cut into maximal runs of jobs equal in
-	// everything but seed (experiment, version, scale), each run is
-	// dispatched to one worker as a unit, and its jobs execute through
-	// BatchRunner with a shared batch.Arena. Journal order, events, cache
-	// keys, and store envelopes are unchanged — fusion only changes which
-	// worker runs which job and how machines are allocated. When both
-	// Runner and BatchRunner are nil, the engine defaults to the batched
-	// experiment path (ExperimentRunner + ExperimentBatchRunner); set
-	// Runner alone to opt out of fusion.
+	// BatchRunner is ignored: every job runs through Runner.
+	//
+	// Deprecated: the field stays only because the frozen benchmark/
+	// module sets it; ROADMAP direction 1 deletes it.
 	BatchRunner BatchRunner
 	// JobTimeout, when positive, bounds each job's wall-clock time. A job
 	// that exceeds it is marked failed with a TimeoutError (its goroutine
@@ -109,12 +103,6 @@ func New(opts Options) *Engine {
 		opts.Store = NewMemStore()
 	}
 	if opts.Runner == nil {
-		// Batched by default: the CLIs and benchmark/ construct engines
-		// with both runners nil and get fusion. serve always passes a
-		// Runner, so the daemons never fuse.
-		if opts.BatchRunner == nil {
-			opts.BatchRunner = ExperimentBatchRunner
-		}
 		opts.Runner = ExperimentRunner
 	}
 	return &Engine{opts: opts}
@@ -271,18 +259,14 @@ func (e *Engine) Run(ctx context.Context, specs []Spec) (*Outcome, error) {
 		}
 	}
 
-	// The dispatch unit is a fused group: a maximal run of canonical-order
-	// jobs equal in everything but seed. Without a BatchRunner every group
-	// is a single job and dispatch degenerates to the historical per-job
-	// scheduling; with one, a group shares one arena on one worker.
-	groups := fuseGroups(jobs, e.opts.BatchRunner != nil)
-
+	// The dispatch unit is the job: workers take them one at a time in
+	// canonical order, so a spec's seed replicas spread over the pool.
 	idxCh := make(chan int)
 	go func() {
 		defer close(idxCh)
-		for gi := range groups {
+		for i := range jobs {
 			select {
-			case idxCh <- gi:
+			case idxCh <- i:
 			case <-ctx.Done():
 				return
 			}
@@ -294,30 +278,14 @@ func (e *Engine) Run(ctx context.Context, specs []Spec) (*Outcome, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for gi := range idxCh {
-				g := groups[gi]
-				var arena *batch.Arena
-				if e.opts.BatchRunner != nil {
-					arena = batch.New()
+			for i := range idxCh {
+				// The producer's select can hand out one more job after
+				// cancellation; re-check here so no job starts post-cancel.
+				if ctx.Err() != nil {
+					continue
 				}
-				for i := g.start; i < g.end; i++ {
-					// The producer's select can hand out one more group
-					// after cancellation; re-check here so no job starts
-					// post-cancel.
-					if ctx.Err() != nil {
-						continue
-					}
-					res, err := e.runJob(jobs[i], arena)
-					if err != nil && arena != nil {
-						// A panicked runner may have left the arena's
-						// machines mid-run, and a timed-out runner's
-						// abandoned goroutine may still be touching them:
-						// quarantine the arena, give the rest of the group
-						// a fresh one.
-						arena = batch.New()
-					}
-					finish(i, res, err)
-				}
+				res, err := e.runJob(jobs[i])
+				finish(i, res, err)
 			}
 		}()
 	}
@@ -381,35 +349,9 @@ func (e *Engine) Lookup(specs []Spec) (*Outcome, bool, error) {
 	return out, true, nil
 }
 
-// jobGroup is one fused dispatch unit: jobs[start:end] in canonical
-// order, all sharing a machine shape (equal experiment, version, scale).
-type jobGroup struct{ start, end int }
-
-// fuseGroups cuts the canonical job order into dispatch units. Expand is
-// spec-major with seeds innermost, so a spec's seed replicas are always
-// contiguous and fusion never reorders anything.
-func fuseGroups(jobs []Job, fuse bool) []jobGroup {
-	var groups []jobGroup
-	for i := 0; i < len(jobs); {
-		j := i + 1
-		for fuse && j < len(jobs) && sameJobShape(jobs[i].Spec, jobs[j].Spec) {
-			j++
-		}
-		groups = append(groups, jobGroup{i, j})
-		i = j
-	}
-	return groups
-}
-
-// sameJobShape reports whether two jobs differ only in seed — the fusion
-// criterion and exactly the deltas Machine.Reset can absorb.
-func sameJobShape(a, b JobSpec) bool {
-	return a.Experiment == b.Experiment && a.Version == b.Version && a.Scale == b.Scale
-}
-
 // runJob serves one job from the store or executes it and memoizes the
-// result. arena, when non-nil, is the fused group's machine arena.
-func (e *Engine) runJob(j Job, arena *batch.Arena) (JobResult, error) {
+// result.
+func (e *Engine) runJob(j Job) (JobResult, error) {
 	e.emitStart(j)
 	start := wallNow()
 	res, ok, err := e.opts.Store.Get(j.Key)
@@ -422,7 +364,7 @@ func (e *Engine) runJob(j Job, arena *batch.Arena) (JobResult, error) {
 		table = res.Table
 		cached = true
 	} else {
-		table, err = e.callRunner(j.Spec, arena)
+		table, err = e.callRunner(j.Spec)
 		if err != nil {
 			return JobResult{}, err
 		}
@@ -461,16 +403,13 @@ func (e *Engine) emitSweep(out *Outcome) {
 // comes back as a *PanicError carrying the stack; a budget overrun comes
 // back as a *TimeoutError (the runner goroutine is abandoned — Go cannot
 // kill it — and its eventual result is discarded).
-func (e *Engine) callRunner(spec JobSpec, arena *batch.Arena) (*report.Table, error) {
+func (e *Engine) callRunner(spec JobSpec) (*report.Table, error) {
 	run := func() (t *report.Table, err error) {
 		defer func() {
 			if v := recover(); v != nil {
 				err = &PanicError{Value: v, Stack: debug.Stack()}
 			}
 		}()
-		if arena != nil && e.opts.BatchRunner != nil {
-			return e.opts.BatchRunner(spec, arena)
-		}
 		return e.opts.Runner(spec)
 	}
 	if e.opts.JobTimeout <= 0 {

@@ -99,7 +99,7 @@ func TestExpandAxesAndOrder(t *testing.T) {
 // merged report and the journal are byte-identical whether the sweep ran
 // on one worker or many — with the fake runner, and with the registry's
 // parameter-free artifacts plus one real multi-seed simulation (fig7-1)
-// through the default batched runners.
+// through the default ExperimentRunner.
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	var real []Spec
 	for _, id := range []string{"fig3-1", "fig5-1", "fig6-1", "fig6-2", "fig6-3", "section7-sbb", "fig7-1"} {
@@ -146,9 +146,46 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// countingStore counts the engine's calls into a Store.
+type countingStore struct {
+	Store
+	gets, puts, journalKeys, appends atomic.Int64
+}
+
+func (c *countingStore) Get(key string) (*Result, bool, error) {
+	c.gets.Add(1)
+	return c.Store.Get(key)
+}
+
+func (c *countingStore) Put(res *Result) error {
+	c.puts.Add(1)
+	return c.Store.Put(res)
+}
+
+func (c *countingStore) JournalKeys() (map[string]bool, error) {
+	c.journalKeys.Add(1)
+	return c.Store.JournalKeys()
+}
+
+func (c *countingStore) AppendJournal(line JournalLine) error {
+	c.appends.Add(1)
+	return c.Store.AppendJournal(line)
+}
+
+// traffic reads and zeroes the counters: JournalKeys, Get, Put, AppendJournal.
+func (c *countingStore) traffic() [4]int64 {
+	return [4]int64{c.journalKeys.Swap(0), c.gets.Swap(0), c.puts.Swap(0), c.appends.Swap(0)}
+}
+
+// TestWarmCacheExecutesNothing: a warm pass runs no job and writes
+// nothing, and each pass's store traffic is exact. A cold pass reads the
+// journal once and Gets, Puts and journals every job once; a warm pass
+// reads the journal once and Gets every job once.
 func TestWarmCacheExecutesNothing(t *testing.T) {
 	specs := fakeSpecs([]uint64{1, 2, 3})
-	store := NewMemStore()
+	jobs := int64(len(Expand(specs)))
+	mem := NewMemStore()
+	store := &countingStore{Store: mem}
 	var n atomic.Int64
 	eng := New(Options{Workers: 4, Store: store, Runner: countingRunner(fakeRunner, &n)})
 	cold, err := eng.Run(context.Background(), specs)
@@ -157,6 +194,9 @@ func TestWarmCacheExecutesNothing(t *testing.T) {
 	}
 	if cold.Executed != len(cold.Jobs) || cold.CacheHits != 0 {
 		t.Fatalf("cold run: executed %d cached %d of %d", cold.Executed, cold.CacheHits, len(cold.Jobs))
+	}
+	if got, want := store.traffic(), [4]int64{1, jobs, jobs, jobs}; got != want {
+		t.Errorf("cold pass store traffic (journal reads, gets, puts, appends) = %v, want %v", got, want)
 	}
 	before := n.Load()
 	warm, err := eng.Run(context.Background(), specs)
@@ -169,11 +209,14 @@ func TestWarmCacheExecutesNothing(t *testing.T) {
 	if n.Load() != before {
 		t.Errorf("warm run invoked the runner %d times", n.Load()-before)
 	}
+	if got, want := store.traffic(), [4]int64{1, jobs, 0, 0}; got != want {
+		t.Errorf("warm pass store traffic (journal reads, gets, puts, appends) = %v, want %v", got, want)
+	}
 	if !bytes.Equal(renderAll(cold), renderAll(warm)) {
 		t.Error("warm merged report differs from cold")
 	}
 	// The journal gained nothing on the warm pass.
-	if got := bytes.Count(store.JournalBytes(), []byte("\n")); got != len(cold.Jobs) {
+	if got := bytes.Count(mem.JournalBytes(), []byte("\n")); got != len(cold.Jobs) {
 		t.Errorf("journal has %d lines, want %d", got, len(cold.Jobs))
 	}
 }

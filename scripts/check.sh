@@ -7,7 +7,7 @@
 #   3. go build    everything compiles
 #   4. go test     the full suite (fuzz seeds included) under the race
 #                  detector at GOMAXPROCS = NumCPU: the one behavioural
-#                  gate. Sweep, batch, fault-campaign, serve, router,
+#                  gate. Sweep, fault-campaign, serve, router,
 #                  chaos-campaign and profiler determinism are ordinary
 #                  tests in their packages, and so are the Section 4
 #                  product-machine proof over every protocol at n = 2..5
@@ -28,7 +28,8 @@
 #                  its feed tests (exact reads at every buffer state, no
 #                  drain goroutine outliving its chunk) run at -cpu 1,2,
 #                  so the drain both shares the machine's core and has
-#                  one of its own
+#                  one of its own; so does the sweep engine's dispatch
+#                  test, since two workers must overlap even on one core
 #   6. benchmark   the measurement harness is a module of its own that
 #                  ./... never reaches: vet and test it, then run all
 #                  seven workloads at 1/200 size with every correctness
@@ -56,6 +57,7 @@ go test -race ./...
 echo "==> allocs/cycle regression"
 go test -run 'SteadyState.*AllocFree|ConstructionBytes|StreamIdentity|TraceGoldenAbove64PEs|NewsVisitsPerCycle' -count=1 ./internal/machine ./internal/batch ./internal/workload
 go test -run 'SteadyState.*AllocFree|AttachSettlesAtEveryRead|AttachLeavesNoGoroutine' -cpu 1,2 -count=1 ./internal/mrc
+go test -run 'DispatchRunsJobsNotGroups' -cpu 1,2 -count=1 ./internal/sweep
 
 echo "==> benchmark harness"
 (cd benchmark && go vet . && go test .)
