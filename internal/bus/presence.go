@@ -84,18 +84,15 @@ func (p *Presence) reset() {
 // append (amortised); the steady-state path is a mask OR.
 //
 //phase:any
-//hotpath:allocfree
 func (p *Presence) Add(a Addr, id int) {
 	pl, bit := &p.planes[id>>6], uint64(1)<<(id&63)
 	if a < presenceDenseLimit {
 		pi := int(a >> presencePageBits)
 		if pi >= len(pl.pages) {
-			//lint:ignore allocaudit amortised growth of the dense page directory
 			pl.pages = append(pl.pages, make([]*presencePage, pi+1-len(pl.pages))...)
 		}
 		pg := pl.pages[pi]
 		if pg == nil {
-			//lint:ignore allocaudit one-time allocation of a dense page
 			pg = &presencePage{gen: p.gen}
 			pl.pages[pi] = pg
 		} else if pg.gen != p.gen {
@@ -108,7 +105,6 @@ func (p *Presence) Add(a Addr, id int) {
 		return
 	}
 	if pl.sparse == nil {
-		//lint:ignore allocaudit one-time lazy init of the sparse fallback map
 		pl.sparse = make(map[Addr]uint64)
 	}
 	pl.sparse[a] |= bit
@@ -117,7 +113,6 @@ func (p *Presence) Add(a Addr, id int) {
 // Remove records that snooper id no longer holds a frame for a.
 //
 //phase:any
-//hotpath:allocfree
 func (p *Presence) Remove(a Addr, id int) {
 	pl, bit := &p.planes[id>>6], uint64(1)<<(id&63)
 	if a < presenceDenseLimit {

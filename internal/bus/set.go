@@ -63,7 +63,6 @@ func (s *Set) AttachRequester(id int, r Requester) {
 // machine's request-line phase drives it.
 //
 //phase:snoop
-//hotpath:allocfree
 func (s *Set) RequestSlot(addr Addr, id int) {
 	s.buses[s.BankOf(addr)].RequestSlot(id)
 }
@@ -72,7 +71,6 @@ func (s *Set) RequestSlot(addr Addr, id int) {
 // the machine asserts it while completing a killed read in the bus phase.
 //
 //phase:bus
-//hotpath:allocfree
 func (s *Set) PrioritySlot(addr Addr, id int) {
 	s.buses[s.BankOf(addr)].PrioritySlot(id)
 }
@@ -81,7 +79,6 @@ func (s *Set) PrioritySlot(addr Addr, id int) {
 // request-line phase drives it.
 //
 //phase:snoop
-//hotpath:allocfree
 func (s *Set) CancelSlot(id int) {
 	for _, b := range s.buses {
 		b.CancelSlot(id)
@@ -129,7 +126,6 @@ type Grant struct {
 // retaining it.
 //
 //phase:bus
-//hotpath:allocfree
 func (s *Set) Tick() []Grant {
 	grants := s.grants[:0]
 	for i, b := range s.buses {

@@ -343,16 +343,12 @@ func (c *Cache) Stats() Stats { return c.stats }
 func (c *Cache) setBase(a bus.Addr) int { return (int(a) & (c.nsets - 1)) * c.cfg.Ways }
 
 // setOf returns the frames of the set an address maps to.
-//
-//hotpath:allocfree
 func (c *Cache) setOf(a bus.Addr) []line {
 	base := c.setBase(a)
 	return c.lines[base : base+c.cfg.Ways]
 }
 
 // lookup returns the line holding addr, or nil.
-//
-//hotpath:allocfree
 func (c *Cache) lookup(a bus.Addr) *line {
 	set := c.setOf(a)
 	for i := range set {
@@ -380,8 +376,6 @@ func (c *Cache) Busy() bool { return c.hasPend || c.hasResolved }
 // change plan can see calls it first: a new or finished pending op, an own
 // bus completion, a restored or injected line, a snoop on the pending op's
 // set (snooped). An idle cache's hit need not: setPend discards the memo.
-//
-//hotpath:allocfree
 func (c *Cache) mutated() {
 	c.planOK = false
 	if c.news != nil {
@@ -392,8 +386,6 @@ func (c *Cache) mutated() {
 // snooped is mutated for a snoop on the frame holding a. plan reads only
 // the pending op and its set's frames and stamps, so a snoop elsewhere, or
 // while nothing is pending, is no news.
-//
-//hotpath:allocfree
 func (c *Cache) snooped(a bus.Addr) {
 	if c.hasPend && c.setBase(a) == c.setBase(c.pend.addr) {
 		c.mutated()
@@ -401,8 +393,6 @@ func (c *Cache) snooped(a bus.Addr) {
 }
 
 // setPend records p as the in-flight operation.
-//
-//hotpath:allocfree
 func (c *Cache) setPend(p pending) {
 	c.pend = p
 	c.hasPend = true
@@ -411,8 +401,6 @@ func (c *Cache) setPend(p pending) {
 
 // touch updates the line's LRU stamp, finding its frame within its set;
 // a direct-mapped cache keeps none.
-//
-//hotpath:allocfree
 func (c *Cache) touch(ln *line) {
 	if c.stamps == nil {
 		return
@@ -445,7 +433,6 @@ func applyDirty(ln *line, d coherence.DirtyEffect) {
 // must assert a bus slot at WantsBusAddr and feed grants/completions back.
 //
 //phase:cpu
-//hotpath:allocfree
 func (c *Cache) Access(ev coherence.ProcEvent, a bus.Addr, data bus.Word, class coherence.Class) (done bool, value bus.Word) {
 	if c.Busy() {
 		panic(fmt.Sprintf("cache %d: Access while busy", c.id))
@@ -488,7 +475,6 @@ func (c *Cache) Access(ev coherence.ProcEvent, a bus.Addr, data bus.Word, class 
 	return false, 0
 }
 
-//hotpath:allocfree
 func (c *Cache) countMiss(cls *ClassStats, ev coherence.ProcEvent) {
 	if ev == coherence.EvRead {
 		cls.ReadMisses++
@@ -498,8 +484,6 @@ func (c *Cache) countMiss(cls *ClassStats, ev coherence.ProcEvent) {
 }
 
 // fire reports a bound result to the OnResolve hook.
-//
-//hotpath:allocfree
 func (c *Cache) fire(rmw bool, ev coherence.ProcEvent, a bus.Addr, data, value bus.Word) {
 	if c.OnResolve != nil {
 		c.OnResolve(ResolveInfo{RMW: rmw, Ev: ev, Addr: a, Data: data, Value: value})
@@ -507,8 +491,6 @@ func (c *Cache) fire(rmw bool, ev coherence.ProcEvent, a bus.Addr, data, value b
 }
 
 // resolve finishes the pending operation p, binding value as its result.
-//
-//hotpath:allocfree
 func (c *Cache) resolve(p *pending, value bus.Word) {
 	c.hasPend = false
 	c.resolved = value
@@ -523,7 +505,6 @@ func (c *Cache) resolve(p *pending, value bus.Word) {
 // delivered on completion is the *old* word (0 means the test succeeded).
 //
 //phase:cpu
-//hotpath:allocfree
 func (c *Cache) AccessRMW(a bus.Addr, setVal bus.Word) (done bool, old bus.Word) {
 	if c.Busy() {
 		panic(fmt.Sprintf("cache %d: AccessRMW while busy", c.id))
@@ -555,7 +536,6 @@ func (c *Cache) AccessRMW(a bus.Addr, setVal bus.Word) (done bool, old bus.Word)
 // a bus operation.
 //
 //phase:cpu
-//hotpath:allocfree
 func (c *Cache) TryLocalRMW(a bus.Addr, setVal bus.Word) (done bool, old bus.Word) {
 	ln := c.lookup(a)
 	if ln == nil || !c.proto.LocalRMW(ln.state) {
@@ -586,7 +566,6 @@ func (c *Cache) TryLocalRMW(a bus.Addr, setVal bus.Word) (done bool, old bus.Wor
 // AccessUnlockWrite.
 //
 //phase:cpu
-//hotpath:allocfree
 func (c *Cache) AccessLockedRead(a bus.Addr) {
 	if c.Busy() {
 		panic(fmt.Sprintf("cache %d: AccessLockedRead while busy", c.id))
@@ -610,7 +589,6 @@ func (c *Cache) AccessLockedRead(a bus.Addr) {
 // never in the CPU phase.
 //
 //phase:bus,snoop
-//hotpath:allocfree
 func (c *Cache) AccessUnlockWrite(a bus.Addr, v bus.Word, cached bool) {
 	if c.Busy() {
 		panic(fmt.Sprintf("cache %d: AccessUnlockWrite while busy", c.id))
@@ -624,7 +602,6 @@ func (c *Cache) AccessUnlockWrite(a bus.Addr, v bus.Word, cached bool) {
 // callers should re-check after every bus cycle.
 //
 //phase:snoop
-//hotpath:allocfree
 func (c *Cache) WantsBus() (bus.Addr, bool) {
 	if !c.hasPend {
 		return 0, false
@@ -638,8 +615,6 @@ func (c *Cache) WantsBus() (bus.Addr, bool) {
 
 // NeedsPriority reports whether the pending operation is an interrupted
 // read owed an immediate retry.
-//
-//hotpath:allocfree
 func (c *Cache) NeedsPriority() bool { return c.hasPend && c.pend.retry }
 
 // PendingString names the in-flight processor operation for diagnostics —
@@ -683,8 +658,6 @@ func (c *Cache) PendingString() string {
 // mutation. Safe because plan with unchanged state is deterministic, and
 // its only side effects (local resolution) would already have fired on
 // the call that populated the memo.
-//
-//hotpath:allocfree
 func (c *Cache) planCached() (bus.Request, bool) {
 	if !c.planOK {
 		c.planReq, c.planNeed, _ = c.plan()
@@ -697,8 +670,6 @@ func (c *Cache) planCached() (bus.Request, bool) {
 // need=false with resolvedLocally=true means the operation just completed
 // without the bus (state changed under us); need=false with
 // resolvedLocally=false cannot happen while pend is live.
-//
-//hotpath:allocfree
 func (c *Cache) plan() (req bus.Request, need bool, resolvedLocally bool) {
 	if !c.hasPend {
 		return bus.Request{}, false, false
@@ -753,7 +724,6 @@ func (c *Cache) plan() (req bus.Request, need bool, resolvedLocally bool) {
 	}
 }
 
-//hotpath:allocfree
 func (c *Cache) planRMW(p *pending) (bus.Request, bool, bool) {
 	ln := c.lookup(p.addr)
 	if ln != nil && c.proto.LocalRMW(ln.state) {
@@ -790,8 +760,6 @@ func (c *Cache) planRMW(p *pending) (bus.Request, bool, bool) {
 }
 
 // completeLocally finishes the pending op against a (possibly nil) line.
-//
-//hotpath:allocfree
 func (c *Cache) completeLocally(ln *line, out coherence.ProcOutcome) {
 	p := &c.pend
 	var v bus.Word
@@ -815,8 +783,6 @@ func (c *Cache) completeLocally(ln *line, out coherence.ProcOutcome) {
 // cache is direct-mapped, else an invalid way or the least-recently-used
 // one. It never returns the frame of addr itself (the caller checked the
 // address is absent).
-//
-//hotpath:allocfree
 func (c *Cache) victim(a bus.Addr) *line {
 	base := c.setBase(a)
 	if c.stamps == nil {
@@ -837,8 +803,6 @@ func (c *Cache) victim(a bus.Addr) *line {
 // install places addr into its set, evicting the LRU way. The victim was
 // already written back if the protocol required it (plan schedules the
 // write-back transaction before the installing one).
-//
-//hotpath:allocfree
 func (c *Cache) install(a bus.Addr, st coherence.State, aux uint8, dirty bool, data bus.Word) *line {
 	ln := c.victim(a)
 	if ln.valid {
@@ -855,7 +819,6 @@ func (c *Cache) install(a bus.Addr, st coherence.State, aux uint8, dirty bool, d
 // serving (bank, banks); supply the transaction or withdraw.
 //
 //phase:bus
-//hotpath:allocfree
 func (c *Cache) BusGrant(bank, banks int) (bus.Request, bool) {
 	req, need := c.planCached()
 	if !need {
@@ -872,7 +835,6 @@ func (c *Cache) BusGrant(bank, banks int) (bus.Request, bool) {
 // the cache and reports how the pending operation progressed.
 //
 //phase:bus
-//hotpath:allocfree
 func (c *Cache) BusCompleted(req bus.Request, res bus.Result) Progress {
 	if !c.hasPend {
 		panic(fmt.Sprintf("cache %d: BusCompleted with nothing pending", c.id))
@@ -913,7 +875,6 @@ func (c *Cache) BusCompleted(req bus.Request, res bus.Result) Progress {
 	}
 }
 
-//hotpath:allocfree
 func (c *Cache) readCompleted(p *pending, res bus.Result) Progress {
 	if p.bypass || !c.proto.Cachable(p.class, p.ev) {
 		// Uncached (or locked) read: deliver without installing.
@@ -953,7 +914,6 @@ func (c *Cache) readCompleted(p *pending, res bus.Result) Progress {
 	return ProgressDone
 }
 
-//hotpath:allocfree
 func (c *Cache) writeCompleted(p *pending) Progress {
 	if p.bypass || !c.proto.Cachable(p.class, p.ev) {
 		c.resolve(p, p.data)
@@ -986,7 +946,6 @@ func (c *Cache) writeCompleted(p *pending) Progress {
 	return ProgressDone
 }
 
-//hotpath:allocfree
 func (c *Cache) invCompleted(p *pending) Progress {
 	ln := c.lookup(p.addr)
 	if ln == nil {
@@ -1001,7 +960,6 @@ func (c *Cache) invCompleted(p *pending) Progress {
 	return ProgressDone
 }
 
-//hotpath:allocfree
 func (c *Cache) rmwCompleted(p *pending, req bus.Request, res bus.Result) Progress {
 	old := res.Data
 	if res.RMWSuccess {
@@ -1037,7 +995,6 @@ func (c *Cache) rmwCompleted(p *pending, req bus.Request, res bus.Result) Progre
 // phase, the two places a value can have bound.
 //
 //phase:bus,snoop
-//hotpath:allocfree
 func (c *Cache) TakeResolved() (bus.Word, bool) {
 	if !c.hasResolved {
 		return 0, false
@@ -1050,7 +1007,6 @@ func (c *Cache) TakeResolved() (bus.Word, bool) {
 // when it holds a valid copy.
 //
 //phase:bus
-//hotpath:allocfree
 func (c *Cache) HasCopy(a bus.Addr) bool {
 	ln := c.lookup(a)
 	return ln != nil && ln.state != coherence.Invalid
@@ -1061,7 +1017,6 @@ func (c *Cache) HasCopy(a bus.Addr) bool {
 // SnoopRead implements bus.Snooper.
 //
 //phase:bus
-//hotpath:allocfree
 func (c *Cache) SnoopRead(a bus.Addr, source int) (bool, bus.Word) {
 	ln := c.lookup(a)
 	if ln == nil {
@@ -1082,7 +1037,6 @@ func (c *Cache) SnoopRead(a bus.Addr, source int) (bool, bus.Word) {
 // SnoopRMWRead implements bus.Snooper.
 //
 //phase:bus
-//hotpath:allocfree
 func (c *Cache) SnoopRMWRead(a bus.Addr, source int) (bool, bus.Word) {
 	ln := c.lookup(a)
 	if ln == nil {
@@ -1103,7 +1057,6 @@ func (c *Cache) SnoopRMWRead(a bus.Addr, source int) (bool, bus.Word) {
 // ObserveWrite implements bus.Snooper.
 //
 //phase:bus
-//hotpath:allocfree
 func (c *Cache) ObserveWrite(op bus.Op, a bus.Addr, d bus.Word, source int) {
 	ln := c.lookup(a)
 	if ln == nil {
@@ -1130,7 +1083,6 @@ func (c *Cache) ObserveWrite(op bus.Op, a bus.Addr, d bus.Word, source int) {
 // ObserveReadData implements bus.Snooper.
 //
 //phase:bus
-//hotpath:allocfree
 func (c *Cache) ObserveReadData(a bus.Addr, d bus.Word, source int) {
 	ln := c.lookup(a)
 	if ln == nil {

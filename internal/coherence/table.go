@@ -198,8 +198,6 @@ func Build(t Table) *Table {
 
 // arc returns the arc a line in (s, aux) takes on the event in column col,
 // and the streak afterwards.
-//
-//hotpath:allocfree
 func (t *Table) arc(s State, aux uint8, col uint8) (*Arc, uint8) {
 	c := &t.cells[s][col]
 	a := &c[0]
@@ -226,7 +224,6 @@ func (t *Table) Name() string { return t.Scheme }
 // States returns the shared slice: do not modify it.
 func (t *Table) States() []State { return t.states }
 
-//hotpath:allocfree
 func (t *Table) OnProc(s State, aux uint8, e ProcEvent) ProcOutcome {
 	a, streak := t.arc(s, aux, uint8(e))
 	return ProcOutcome{Next: a.Next, NextAux: streak, Action: a.Action, Dirty: a.Dirty, NoAllocate: a.NoAllocate}
@@ -234,14 +231,11 @@ func (t *Table) OnProc(s State, aux uint8, e ProcEvent) ProcOutcome {
 
 // OnSnoop ignores dirty: no scheme's reaction depends on it, only the
 // Flush rule does.
-//
-//hotpath:allocfree
 func (t *Table) OnSnoop(s State, aux uint8, dirty bool, ev SnoopEvent) SnoopOutcome {
 	a, streak := t.arc(s, aux, colBR+uint8(ev))
 	return SnoopOutcome{Next: a.Next, NextAux: streak, Inhibit: a.Inhibit, TakeData: a.TakeData, Dirty: a.Dirty}
 }
 
-//hotpath:allocfree
 func (t *Table) RMWSuccess(s State, aux uint8) (State, uint8, Action) {
 	a, streak := t.arc(s, aux, colTS)
 	if a.Action == ActInv {
@@ -250,13 +244,11 @@ func (t *Table) RMWSuccess(s State, aux uint8) (State, uint8, Action) {
 	return a.Next, streak, ActWrite
 }
 
-//hotpath:allocfree
 func (t *Table) LocalRMW(s State) bool {
 	a := &t.cells[s][colTS][0]
 	return a.On != 0 && a.Action == ActNone
 }
 
-//hotpath:allocfree
 func (t *Table) RMWFlush(s State, dirty bool) (bool, State, DirtyEffect) {
 	if o := &t.owners[s]; o.Flush.holds(dirty) {
 		return true, o.FlushTo, DirtyClear
@@ -264,15 +256,11 @@ func (t *Table) RMWFlush(s State, dirty bool) (bool, State, DirtyEffect) {
 	return false, s, DirtyKeep
 }
 
-//hotpath:allocfree
 func (t *Table) WritebackOnEvict(s State, dirty bool) bool { return t.owners[s].Evict.holds(dirty) }
 
 // Cachable ignores e: no scheme's filter looks at the event.
-//
-//hotpath:allocfree
 func (t *Table) Cachable(c Class, e ProcEvent) bool { return !t.Uncached[c] }
 
-//hotpath:allocfree
 func (t *Table) ReadMissTarget(sharedLine bool) State {
 	if !sharedLine && t.QuietReadMiss != Invalid {
 		return t.QuietReadMiss

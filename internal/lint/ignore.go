@@ -9,12 +9,12 @@ import (
 //
 //	//lint:ignore reason for suppressing
 //	//lint:ignore phaseaudit reason for suppressing
-//	//lint:ignore phaseaudit,allocaudit reason for suppressing
+//	//lint:ignore phaseaudit,determinism reason for suppressing
 //
 // placed either on the flagged line itself (trailing comment) or on the
 // line directly above it. If the first word is a known analyzer name (or a
 // comma-separated list of them), the suppression is scoped to exactly those
-// analyzers — an ignored phaseaudit finding does not hide an allocaudit
+// analyzers — an ignored phaseaudit finding does not hide a determinism
 // finding on the same line. Otherwise the whole first word is part of the
 // reason and the directive suppresses every analyzer (the original
 // behavior). A reason is required; a bare "//lint:ignore" — or a scoped
@@ -28,7 +28,6 @@ var knownAnalyzers = map[string]bool{
 	"determinism": true,
 	"tableaudit":  true,
 	"phaseaudit":  true,
-	"allocaudit":  true,
 }
 
 // ignoreScope records which analyzers one source line's directives

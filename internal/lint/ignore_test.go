@@ -4,12 +4,11 @@ import "testing"
 
 func TestIgnoreScopeFixture(t *testing.T) {
 	// CPUStep's line carries both a phaseaudit finding (CPU phase writes
-	// a bus-owned field) and an allocaudit finding (make in a
-	// //hotpath:allocfree function). The scoped directive suppresses
-	// only the former. LegacyWaiver's unscoped directive suppresses
-	// both.
+	// a bus-owned field) and a determinism finding (time.Now). The scoped
+	// directive suppresses only the former. LegacyWaiver's unscoped
+	// directive suppresses both.
 	expectDiags(t, runOn(t, "testdata/ignorescope"), [][2]string{
-		{"allocaudit", "make in //hotpath:allocfree function Core.CPUStep"},
+		{"determinism", "time.Now: wall-clock input"},
 	})
 }
 
@@ -26,10 +25,10 @@ func TestIncludeSuppressed(t *testing.T) {
 		analyzer   string
 		suppressed bool
 	}{
-		{"phaseaudit", true},  // CPUStep: scoped waiver
-		{"allocaudit", false}, // CPUStep: not covered by the scoped waiver
-		{"phaseaudit", true},  // LegacyWaiver: unscoped waiver
-		{"allocaudit", true},  // LegacyWaiver: unscoped waiver
+		{"phaseaudit", true},   // CPUStep: scoped waiver
+		{"determinism", false}, // CPUStep: not covered by the scoped waiver
+		{"phaseaudit", true},   // LegacyWaiver: unscoped waiver
+		{"determinism", true},  // LegacyWaiver: unscoped waiver
 	}
 	if len(diags) != len(want) {
 		for _, d := range diags {

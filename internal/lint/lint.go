@@ -2,7 +2,7 @@
 // module built entirely on the standard library (go/parser, go/ast,
 // go/types, go/importer — no golang.org/x/tools). It complements the
 // dynamic verification layers (internal/check's product-machine
-// exploration, the race detector) with five analyzer families:
+// exploration, the race detector) with four analyzer families:
 //
 //   - exhaustive: every switch over a module-defined enum type (a named
 //     integer or string type with declared constants, e.g.
@@ -21,8 +21,10 @@
 //     cycle-loop phase owns each mutable simulator field; the analyzer
 //     walks the call graph from the annotated phase roots and flags every
 //     write reached from a phase that does not own it (phaseaudit.go).
-//   - allocaudit: functions marked "//hotpath:allocfree" may not contain
-//     heap-allocating constructs (allocaudit.go).
+//
+// Allocation freedom of the cycle loop is not a lint rule: the runtime
+// pin machine.TestSteadyStateAllocFree runs a table of machine shapes in
+// steady state and fails on any allocation.
 //
 // Findings can be suppressed with a "//lint:ignore reason" comment on the
 // offending line or the line directly above it; prefix the reason with an
@@ -46,7 +48,7 @@ import (
 // set.
 type Diagnostic struct {
 	Pos        token.Position
-	Analyzer   string // "exhaustive", "determinism", "tableaudit", "phaseaudit" or "allocaudit"
+	Analyzer   string // "exhaustive", "determinism", "tableaudit" or "phaseaudit"
 	Message    string
 	Suppressed bool // covered by a //lint:ignore directive
 }
@@ -75,7 +77,7 @@ type Config struct {
 
 // Run loads every package in cfg.Dirs, applies the AST analyzers, runs
 // the table audit, and returns all diagnostics sorted by position. The
-// per-package analyzers (exhaustive, determinism, allocaudit) see one
+// per-package analyzers (exhaustive, determinism) see one
 // package at a time; the whole-program analyzer (phaseaudit) sees every
 // loaded package at once, because phase ownership is a cross-package
 // property. The error is non-nil only for load
@@ -95,7 +97,6 @@ func Run(cfg Config) ([]Diagnostic, error) {
 		p.includeSuppressed = cfg.IncludeSuppressed
 		diags = append(diags, checkExhaustive(p)...)
 		diags = append(diags, checkDeterminism(p)...)
-		diags = append(diags, checkAllocFree(p)...)
 	}
 	diags = append(diags, checkPhases(all, "")...)
 	if !cfg.SkipTables {

@@ -120,7 +120,6 @@ type pristineMem struct {
 // WriteWord implements bus.Memory, recording the pristine value first.
 //
 //phase:bus
-//hotpath:allocfree
 func (p *pristineMem) WriteWord(a bus.Addr, w bus.Word) {
 	if !p.init.Written(a) {
 		p.init.Poke(a, p.Peek(a))
@@ -395,7 +394,6 @@ func (m *Machine) watchdog() {
 // here we only deliver bound values back to their processors.
 //
 //phase:bus
-//hotpath:allocfree
 func (m *Machine) busPhase() {
 	for _, g := range m.buses.Tick() {
 		if g.Req.Source >= len(m.caches) {
@@ -424,7 +422,6 @@ func (m *Machine) busPhase() {
 // until deliver brings it back.
 //
 //phase:cpu
-//hotpath:allocfree
 func (m *Machine) cpuPhase() {
 	for k, word := range m.runnable {
 		for ; word != 0; word &= word - 1 {
@@ -462,7 +459,6 @@ func (m *Machine) cpuPhase() {
 // the ones with news.
 //
 //phase:snoop
-//hotpath:allocfree
 func (m *Machine) snoopPhase() {
 	for k, word := range m.news {
 		for ; word != 0; word &= word - 1 {
@@ -526,7 +522,6 @@ func (m *Machine) busStateDump() string {
 // next CPU phase, which the PE sits out like any other.
 //
 //phase:bus,snoop
-//hotpath:allocfree
 func (m *Machine) deliver(i int, v bus.Word) {
 	if start := m.issueCycle[i]; start > 0 {
 		m.missLat.Observe(m.cycle - start + 1)
@@ -549,14 +544,12 @@ func (m *Machine) deliver(i int, v bus.Word) {
 // CPU-phase cache hits).
 //
 //phase:any
-//hotpath:allocfree
 func (m *Machine) checkResolve(pe int, info cache.ResolveInfo) {
 	a := info.Addr
 	switch {
 	case info.RMW:
 		op := workload.TestSet(a, info.Data)
 		if exp := m.latest(a); info.Value != exp && m.err == nil {
-			//lint:ignore allocaudit a violation ends the run; the error allocation is off the steady-state path
 			m.err = &ConsistencyError{Cycle: m.cycle, PE: pe, Op: op, Got: info.Value, Expected: exp}
 		}
 		if info.Value == 0 {
@@ -567,7 +560,6 @@ func (m *Machine) checkResolve(pe int, info cache.ResolveInfo) {
 	default:
 		op := workload.Read(a, coherence.ClassUnknown)
 		if exp := m.latest(a); info.Value != exp && m.err == nil {
-			//lint:ignore allocaudit a violation ends the run; the error allocation is off the steady-state path
 			m.err = &ConsistencyError{Cycle: m.cycle, PE: pe, Op: op, Got: info.Value, Expected: exp}
 		}
 	}

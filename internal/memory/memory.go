@@ -66,8 +66,6 @@ type page struct {
 // Only words recorded in the written bitmap can be nonzero (every store
 // path marks), so a sparse page is cleared bitmap-guided; a mostly-full
 // page takes one whole-array clear instead.
-//
-//hotpath:allocfree
 func (p *page) revive(gen uint64) {
 	if p.count >= pageWords/4 {
 		p.words = [pageWords]bus.Word{}
@@ -86,8 +84,6 @@ func (p *page) revive(gen uint64) {
 }
 
 // mark records that offset o has been stored to.
-//
-//hotpath:allocfree
 func (p *page) mark(o uint32) {
 	w, bit := o>>6, uint64(1)<<(o&63)
 	if p.written[w]&bit == 0 {
@@ -182,8 +178,6 @@ func (m *Memory) Reset() {
 }
 
 // load returns the stored word without touching the port counters.
-//
-//hotpath:allocfree
 func (m *Memory) load(a bus.Addr) bus.Word {
 	if a < denseLimit {
 		if p := m.pageFor(a); p != nil {
@@ -195,10 +189,8 @@ func (m *Memory) load(a bus.Addr) bus.Word {
 }
 
 // store writes the word without touching the port counters. The dense
-// path is allocation-free once a page exists; ensurePage (one-time per
-// page) is deliberately left out of the //hotpath:allocfree contract.
-//
-//hotpath:allocfree
+// path is allocation-free once a page exists; ensurePage allocates once
+// per page.
 func (m *Memory) store(a bus.Addr, w bus.Word) {
 	if a < denseLimit {
 		p := m.ensurePage(a)
@@ -207,7 +199,6 @@ func (m *Memory) store(a bus.Addr, w bus.Word) {
 		return
 	}
 	if m.sparse == nil {
-		//lint:ignore allocaudit one-time lazy init of the sparse fallback map
 		m.sparse = make(map[bus.Addr]bus.Word)
 	}
 	m.sparse[a] = w
@@ -216,7 +207,6 @@ func (m *Memory) store(a bus.Addr, w bus.Word) {
 // ReadWord implements bus.Memory; memory is reached only over the bus.
 //
 //phase:bus
-//hotpath:allocfree
 func (m *Memory) ReadWord(a bus.Addr) bus.Word {
 	m.stats.Reads++
 	return m.load(a)
@@ -225,7 +215,6 @@ func (m *Memory) ReadWord(a bus.Addr) bus.Word {
 // WriteWord implements bus.Memory; memory is reached only over the bus.
 //
 //phase:bus
-//hotpath:allocfree
 func (m *Memory) WriteWord(a bus.Addr, w bus.Word) {
 	m.stats.Writes++
 	if m.onWrite != nil && m.onWrite(a, w) {
@@ -251,7 +240,6 @@ func (m *Memory) Peek(a bus.Addr) bus.Word { return m.load(a) }
 // from every phase.
 //
 //phase:any
-//hotpath:allocfree
 func (m *Memory) Poke(a bus.Addr, w bus.Word) { m.store(a, w) }
 
 // Written reports whether the word was ever stored (written, poked or

@@ -63,8 +63,6 @@ type probe struct {
 }
 
 // OnRef implements cache.Probe.
-//
-//hotpath:allocfree
 func (p *probe) OnRef(a bus.Addr) {
 	f := p.feed
 	f.fill = append(f.fill, ref{pe: p.pe, a: a})

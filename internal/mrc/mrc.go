@@ -37,7 +37,7 @@
 // internal/memory: O(1), allocation-free once the footprint's pages
 // exist, with a sparse map fallback above the dense window. All growth
 // (arena, pages, map) happens on cold references only, so a warmed
-// steady state stays //hotpath:allocfree.
+// steady state stays allocation-free.
 //
 // # Feeding
 //
@@ -119,8 +119,6 @@ func New() *Profiler {
 }
 
 // find returns the node index holding addr, or none.
-//
-//hotpath:allocfree
 func (p *Profiler) find(a bus.Addr) int32 {
 	if a < denseLimit {
 		pg := int(a >> pageBits)
@@ -138,8 +136,6 @@ func (p *Profiler) find(a bus.Addr) int32 {
 // Touch records one reference. The steady state (every address already
 // seen) is allocation-free; first-ever references go through the cold
 // path, which may grow the arena or the directory.
-//
-//hotpath:allocfree
 func (p *Profiler) Touch(a bus.Addr) {
 	p.refs++
 	ni := p.find(a)

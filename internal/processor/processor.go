@@ -126,8 +126,6 @@ func (p *Processor) CreditStall(n uint64) { p.stats.StallCycles += n }
 // CPUPhase runs the PE for one cycle: a ready PE issues its agent's next
 // operation, which retires at once on a cache hit and otherwise blocks the
 // PE until Deliver.
-//
-//hotpath:allocfree
 func (p *Processor) CPUPhase() {
 	switch p.status {
 	case StatusReady:
@@ -196,8 +194,6 @@ func (p *Processor) CPUPhase() {
 // Deliver completes the blocked operation with the value the cache
 // resolved; a two-phase Test-and-Set's locked read instead starts the
 // unlocking write, and the PE stays blocked on it.
-//
-//hotpath:allocfree
 func (p *Processor) Deliver(v bus.Word) {
 	if p.status != StatusBlocked {
 		panic(fmt.Sprintf("processor %d: Deliver while %v", p.id, p.status))
@@ -223,7 +219,6 @@ func (p *Processor) Deliver(v bus.Word) {
 	p.retire(p.current, v)
 }
 
-//hotpath:allocfree
 func (p *Processor) retire(op workload.Op, v bus.Word) {
 	p.stats.Retired++
 	switch op.Kind {

@@ -33,8 +33,6 @@ type Histogram struct {
 }
 
 // bucketOf returns the bucket index of a value.
-//
-//hotpath:allocfree
 func bucketOf(v uint64) int {
 	if v == 0 {
 		return 0
@@ -43,8 +41,6 @@ func bucketOf(v uint64) int {
 }
 
 // Observe records one value.
-//
-//hotpath:allocfree
 func (h *Histogram) Observe(v uint64) {
 	h.buckets[bucketOf(v)]++
 	h.count++

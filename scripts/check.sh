@@ -17,8 +17,13 @@
 #                  TestAuditRegisteredProtocolsClean; `make lint` is the
 #                  same pass for people)
 #   5. allocs      the steady-state zero-allocation regressions, the
-#                  bytes one machine construction allocates, the
-#                  stream-identity golden over 5 M references of grown
+#                  repository's only alloc gate (the machine pin runs
+#                  RB/RWB at 1-130 PEs, the three core-* machines,
+#                  TS/TTS spin locks fused and two-phase on 2-way caches
+#                  and two buses, and 64 PEs on 4-way caches, four buses
+#                  and memory latency 3; batch and mrc pin their own
+#                  loops), the bytes one machine construction
+#                  allocates, the stream-identity golden over 5 M references of grown
 #                  LRU stacks, the bus-trace golden of 65-130 PE
 #                  machines and the request-line phase's exact visit
 #                  count on two core machines (run without the race
