@@ -18,7 +18,7 @@ race:
 	$(GO) test -race ./...
 
 # lint runs every repo-local analyzer (exhaustive, determinism,
-# tableaudit, phaseaudit, allocaudit). Exit 0 = clean, 1 = findings,
+# tableaudit, phaseaudit). Exit 0 = clean, 1 = findings,
 # 2 = the tool itself failed to load/type-check a package. The gate runs
 # the same whole-module pass as a test (lint.TestModuleIsClean), not this.
 lint:

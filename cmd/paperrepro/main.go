@@ -113,6 +113,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
+	if *scale < 0 {
+		return fail(fmt.Errorf("scale %d is negative", *scale))
+	}
 	specs := sweep.AllSpecs(seeds, *scale)
 	if *only != "" {
 		specs = nil

@@ -85,6 +85,7 @@ func TestBadArguments(t *testing.T) {
 		{"-seeds", "1,x"},
 		{"-seeds", ","},
 		{"-dot", "mesi"},
+		{"-scale", "-1"},
 	} {
 		if out, errs, code := repro(args...); code != 1 || out != "" || errs == "" {
 			t.Errorf("%v: exit %d, stdout %q, stderr %q", args, code, out, errs)

@@ -436,32 +436,6 @@ func newBus(mem Memory, pres *Presence) *Bus {
 // SetInjector installs (or, with nil, removes) the fault injector.
 func (b *Bus) SetInjector(inj Injector) { b.inj = inj }
 
-// Reset returns the bus to its freshly constructed state — no asserted
-// request lines, free lock register, zero counters, no injector or trace
-// hook, an empty holder table — while keeping every attachment (snoopers,
-// requesters, interleave identity, memory latency). The registries were
-// resolved at Attach time and are part of the machine's shape, not its
-// run state, so a recycled bus re-runs a workload exactly as a new one.
-// The caller resets the attached caches too: their frames are what the
-// emptied table recorded.
-func (b *Bus) Reset() {
-	b.pres.reset()
-	clear(b.lines)
-	b.asserted = 0
-	b.stalled = b.stalled[:0]
-	b.targets = b.targets[:0]
-	b.priority = -1
-	b.lastWin = -1
-	b.busyUntil = 0
-	b.cycle = 0
-	b.lockHolder = -1
-	b.lockAddr = 0
-	b.stats = Stats{}
-	b.inj = nil
-	b.muteSnoops = false
-	b.Trace = nil
-}
-
 // Locked reports the current lock register (holder -1 when free).
 func (b *Bus) Locked() (holder int, addr Addr) { return b.lockHolder, b.lockAddr }
 

@@ -28,13 +28,9 @@ package bus
 // installs or evicts a frame (bus completions, snoop reactions, CPU-phase
 // evictions), so the holder state is //phase:any.
 type Presence struct {
-	// planes is grown only by Attach, and gen, the table generation, is
-	// written only by Bus.Reset: both between runs, never from phase code, so
-	// they carry no phase annotation. Pages stamped with an older
-	// generation hold no ids (they are cleared and re-stamped on the next
-	// Add).
+	// planes is grown only by Attach, never from phase code, so it carries
+	// no phase annotation.
 	planes []presencePlane
-	gen    uint64
 }
 
 // presencePlane holds the mask words of 64 consecutive ids: dense pages
@@ -58,24 +54,12 @@ const (
 type presencePage struct {
 	//phase:any
 	masks [presencePageWords]uint64
-	//phase:any
-	gen uint64 // Presence.gen value this page's masks belong to
 }
 
 // grow makes room for snooper id's plane.
 func (p *Presence) grow(id int) {
 	for len(p.planes) <= id>>6 {
 		p.planes = append(p.planes, presencePlane{})
-	}
-}
-
-// reset empties the table without releasing its pages: the generation
-// counter is bumped, so every dense page reads as holder-free and is
-// cleared in place the first time the new generation records a holder.
-func (p *Presence) reset() {
-	p.gen++
-	for i := range p.planes {
-		clear(p.planes[i].sparse)
 	}
 }
 
@@ -93,13 +77,8 @@ func (p *Presence) Add(a Addr, id int) {
 		}
 		pg := pl.pages[pi]
 		if pg == nil {
-			pg = &presencePage{gen: p.gen}
+			pg = &presencePage{}
 			pl.pages[pi] = pg
-		} else if pg.gen != p.gen {
-			// Recycled from before the last Reset: clear in place, never
-			// reallocate — the whole point of the generation stamp.
-			pg.masks = [presencePageWords]uint64{}
-			pg.gen = p.gen
 		}
 		pg.masks[a&presencePageMask] |= bit
 		return
@@ -117,7 +96,7 @@ func (p *Presence) Remove(a Addr, id int) {
 	pl, bit := &p.planes[id>>6], uint64(1)<<(id&63)
 	if a < presenceDenseLimit {
 		pi := int(a >> presencePageBits)
-		if pi < len(pl.pages) && pl.pages[pi] != nil && pl.pages[pi].gen == p.gen {
+		if pi < len(pl.pages) && pl.pages[pi] != nil {
 			pl.pages[pi].masks[a&presencePageMask] &^= bit
 		}
 		return
@@ -138,7 +117,7 @@ func (p *Presence) Mask(a Addr, w int) uint64 {
 	pl := &p.planes[w]
 	if a < presenceDenseLimit {
 		pi := int(a >> presencePageBits)
-		if pi < len(pl.pages) && pl.pages[pi] != nil && pl.pages[pi].gen == p.gen {
+		if pi < len(pl.pages) && pl.pages[pi] != nil {
 			return pl.pages[pi].masks[a&presencePageMask]
 		}
 		return 0

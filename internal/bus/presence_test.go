@@ -98,9 +98,9 @@ func TestDispatchReachesHoldersAndNonKeepers(t *testing.T) {
 	}
 }
 
-// TestPresenceStaysExact: Add, Remove and Reset touch exactly the bit of
-// their id in the word of its plane, on dense addresses on both sides of
-// a page boundary and inside a later page, and on sparse ones.
+// TestPresenceStaysExact: Add and Remove touch exactly the bit of their
+// id in the word of its plane, on dense addresses on both sides of a page
+// boundary and inside a later page, and on sparse ones.
 func TestPresenceStaysExact(t *testing.T) {
 	p := &Presence{}
 	p.grow(129)
@@ -134,21 +134,6 @@ func TestPresenceStaysExact(t *testing.T) {
 	for w, pl := range p.planes {
 		if len(pl.sparse) != 0 {
 			t.Fatalf("plane %d keeps %d empty sparse entries", w, len(pl.sparse))
-		}
-	}
-	for _, a := range []Addr{5, 6, edge - 1, edge, 3*edge + 5, presenceDenseLimit + 5} {
-		p.Add(a, 64)
-		p.Add(a, 129)
-	}
-	p.reset()
-	p.Add(6, 64)       // revives the first page: 5's and edge-1's stale bits must not come back
-	p.Add(edge+1, 129) // revives the second: edge's must not either
-	for a, want := range map[Addr][]uint64{
-		5: {0, 0, 0}, 6: {0, 1, 0}, edge - 1: {0, 0, 0}, edge: {0, 0, 0}, edge + 1: {0, 0, 1 << 1},
-		3*edge + 5: {0, 0, 0}, presenceDenseLimit + 5: {0, 0, 0},
-	} {
-		if got := masks(a); !slices.Equal(got, want) {
-			t.Fatalf("addr %d after Reset: %x, want %x", a, got, want)
 		}
 	}
 }

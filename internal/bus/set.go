@@ -94,16 +94,6 @@ func (s *Set) SetInjector(inj Injector) {
 	}
 }
 
-// Reset returns every bus in the set to its freshly constructed state
-// (see Bus.Reset) and drops the per-Tick grant scratch. Attachments and
-// the interleave identity survive; run state does not.
-func (s *Set) Reset() {
-	for _, b := range s.buses {
-		b.Reset()
-	}
-	s.grants = s.grants[:0]
-}
-
 // SetMemLatency configures the memory hold time on every bus.
 func (s *Set) SetMemLatency(cycles int) {
 	for _, b := range s.buses {

@@ -233,7 +233,7 @@ type Cache struct {
 	OnResolve func(ResolveInfo)
 
 	// probe, when non-nil, observes the processor's reference stream (see
-	// Probe). Like OnResolve it is wiring, not run state: Reset keeps it.
+	// Probe).
 	probe Probe
 
 	// pres is the holder table of the bus the cache is attached to, which
@@ -259,28 +259,6 @@ func New(id int, proto coherence.Protocol, cfg Config) (*Cache, error) {
 		c.stamps = make([]uint64, cfg.Lines)
 	}
 	return c, nil
-}
-
-// Reset returns the cache to its freshly constructed state — every frame
-// invalid, no in-flight operation, no memoized plan, zero counters —
-// without reallocating the line arena. Identity (id, protocol, geometry)
-// and wiring (OnResolve, probe, holder table, news bit) survive: they are
-// the machine's shape, re-applied by the machine when it differs. The
-// holder table is emptied by its bus's Reset and the has-news set by the
-// machine; the cache starts with no valid frames, so it needs no
-// un-recording here.
-func (c *Cache) Reset() {
-	clear(c.lines)
-	clear(c.stamps)
-	c.useClock = 0
-	c.pend = pending{}
-	c.hasPend = false
-	c.resolved = 0
-	c.hasResolved = false
-	c.planOK = false
-	c.planReq = bus.Request{}
-	c.planNeed = false
-	c.stats = Stats{}
 }
 
 // MustNew is New panicking on error, for tests and fixed-config tools.
@@ -329,8 +307,6 @@ type Probe interface {
 }
 
 // SetProbe installs (or, with nil, removes) the reference-stream probe.
-// Like OnResolve it is machine wiring and survives Reset; callers attach
-// a fresh probe per measured run.
 func (c *Cache) SetProbe(p Probe) { c.probe = p }
 
 // Protocol returns the cache's coherence scheme.

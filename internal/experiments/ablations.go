@@ -86,9 +86,7 @@ func ArrayInitRows(p Params) ([]ArrayInitRow, error) {
 			Protocol:         proto,
 			CacheLines:       cacheLines,
 			CheckConsistency: true,
-		}, func() []workload.Agent {
-			return []workload.Agent{workload.NewArrayInit(0, elements)}
-		})
+		}, []workload.Agent{workload.NewArrayInit(0, elements)})
 		if err != nil {
 			return nil, err
 		}
@@ -157,37 +155,25 @@ func LockRows(p Params) ([]LockRow, error) {
 	for _, kind := range []coherence.Kind{coherence.KindRB, coherence.KindRWB, coherence.KindGoodman, coherence.KindIllinois, coherence.KindWriteThrough} {
 		proto := coherence.New(kind)
 		for _, strat := range []workload.Strategy{workload.StrategyTS, workload.StrategyTTS} {
-			// The agents are (re)built inside the closure so the locks
-			// slice always tracks the machine's live agents, fresh or
-			// recycled alike.
-			var locks []*workload.Spinlock
-			var buildErr error
+			locks := make([]*workload.Spinlock, pes)
+			agents := make([]workload.Agent, pes)
+			for i := range agents {
+				s, err := workload.NewSpinlock(workload.SpinlockConfig{
+					Lock: 100, Strategy: strat, Iterations: iters,
+					CriticalReads: 3, CriticalWrites: 3,
+					GuardedBase: 200, GuardedWords: 8,
+					Seed: p.Seed + uint64(i),
+				})
+				if err != nil {
+					return nil, err
+				}
+				locks[i], agents[i] = s, s
+			}
 			m, err := p.Machine(fmt.Sprintf("lock/%s/%s", proto.Name(), strat), machine.Config{
 				Protocol:         proto,
 				CacheLines:       64,
 				CheckConsistency: true,
-			}, func() []workload.Agent {
-				locks = locks[:0]
-				agents := make([]workload.Agent, pes)
-				for i := range agents {
-					s, err := workload.NewSpinlock(workload.SpinlockConfig{
-						Lock: 100, Strategy: strat, Iterations: iters,
-						CriticalReads: 3, CriticalWrites: 3,
-						GuardedBase: 200, GuardedWords: 8,
-						Seed: p.Seed + uint64(i),
-					})
-					if err != nil {
-						buildErr = err
-						return nil
-					}
-					locks = append(locks, s)
-					agents[i] = s
-				}
-				return agents
-			})
-			if buildErr != nil {
-				return nil, buildErr
-			}
+			}, agents)
 			if err != nil {
 				return nil, err
 			}
@@ -251,17 +237,15 @@ func MixRows(p Params) ([]MixRow, error) {
 	var rows []MixRow
 	for _, wf := range []float64{0.05, 0.1, 0.2, 0.35, 0.5} {
 		for _, k := range []coherence.Kind{coherence.KindRB, coherence.KindRWB, coherence.KindGoodman, coherence.KindIllinois, coherence.KindWriteThrough} {
+			agents := make([]workload.Agent, pes)
+			for i := range agents {
+				agents[i] = workload.NewRandom(0, 64, refs, wf, 0, p.Seed+uint64(i))
+			}
 			m, err := p.Machine(fmt.Sprintf("mix/%s/wf=%v", k, wf), machine.Config{
 				Protocol:         coherence.New(k),
 				CacheLines:       128,
 				CheckConsistency: true,
-			}, func() []workload.Agent {
-				agents := make([]workload.Agent, pes)
-				for i := range agents {
-					agents[i] = workload.NewRandom(0, 64, refs, wf, 0, p.Seed+uint64(i))
-				}
-				return agents
-			})
+			}, agents)
 			if err != nil {
 				return nil, err
 			}
@@ -318,25 +302,25 @@ func ThresholdRows(p Params) ([]ThresholdRow, error) {
 	var rows []ThresholdRow
 	for _, k := range []uint8{2, 3, 4} {
 		for _, kind := range []string{"private-writer", "ping-pong"} {
+			var agents []workload.Agent
+			switch kind {
+			case "private-writer":
+				// One PE hammers its own words; another idles on other data.
+				agents = []workload.Agent{
+					workload.NewRandom(0, 8, refs, 0.9, 0, p.Seed),
+					workload.NewRandom(1000, 8, refs, 0.9, 0, p.Seed+1),
+				}
+			default: // ping-pong: both PEs read and write the same small set.
+				agents = []workload.Agent{
+					workload.NewRandom(0, 8, refs, 0.5, 0, p.Seed),
+					workload.NewRandom(0, 8, refs, 0.5, 0, p.Seed+1),
+				}
+			}
 			m, err := p.Machine(fmt.Sprintf("threshold/k=%d/%s", k, kind), machine.Config{
 				Protocol:         coherence.NewRWB(k),
 				CacheLines:       32,
 				CheckConsistency: true,
-			}, func() []workload.Agent {
-				switch kind {
-				case "private-writer":
-					// One PE hammers its own words; another idles on other data.
-					return []workload.Agent{
-						workload.NewRandom(0, 8, refs, 0.9, 0, p.Seed),
-						workload.NewRandom(1000, 8, refs, 0.9, 0, p.Seed+1),
-					}
-				default: // ping-pong: both PEs read and write the same small set.
-					return []workload.Agent{
-						workload.NewRandom(0, 8, refs, 0.5, 0, p.Seed),
-						workload.NewRandom(0, 8, refs, 0.5, 0, p.Seed+1),
-					}
-				}
-			})
+			}, agents)
 			if err != nil {
 				return nil, err
 			}
@@ -391,19 +375,17 @@ func FaultRows(p Params) ([]FaultRow, error) {
 	var rows []FaultRow
 	for _, kind := range []coherence.Kind{coherence.KindRB, coherence.KindRWB, coherence.KindGoodman} {
 		proto := coherence.New(kind)
+		agents := make([]workload.Agent, pes)
+		for i := range agents {
+			// Write-heavy shared traffic: invalidation-based schemes leave
+			// fewer surviving replicas.
+			agents[i] = workload.NewRandom(0, words, refs, 0.5, 0, p.Seed+uint64(i))
+		}
 		m, err := p.Machine("faultrecovery/"+proto.Name(), machine.Config{
 			Protocol:         proto,
 			CacheLines:       64,
 			CheckConsistency: true,
-		}, func() []workload.Agent {
-			agents := make([]workload.Agent, pes)
-			for i := range agents {
-				// Write-heavy shared traffic: invalidation-based schemes
-				// leave fewer surviving replicas.
-				agents[i] = workload.NewRandom(0, words, refs, 0.5, 0, p.Seed+uint64(i))
-			}
-			return agents
-		})
+		}, agents)
 		if err != nil {
 			return nil, err
 		}
@@ -510,18 +492,16 @@ func PrivateRows(p Params) ([]PrivateRow, error) {
 	refs := 4000 * p.Scale
 	var rows []PrivateRow
 	for _, k := range []coherence.Kind{coherence.KindRB, coherence.KindRWB, coherence.KindGoodman, coherence.KindIllinois, coherence.KindWriteThrough} {
+		agents := make([]workload.Agent, pes)
+		for i := range agents {
+			// Disjoint 16-word working sets, half writes: pure private use.
+			agents[i] = workload.NewRandom(bus.Addr(1000*i), 16, refs, 0.5, 0, p.Seed+uint64(i))
+		}
 		m, err := p.Machine(fmt.Sprintf("private/%s", k), machine.Config{
 			Protocol:         coherence.New(k),
 			CacheLines:       64,
 			CheckConsistency: true,
-		}, func() []workload.Agent {
-			agents := make([]workload.Agent, pes)
-			for i := range agents {
-				// Disjoint 16-word working sets, half writes: pure private use.
-				agents[i] = workload.NewRandom(bus.Addr(1000*i), 16, refs, 0.5, 0, p.Seed+uint64(i))
-			}
-			return agents
-		})
+		}, agents)
 		if err != nil {
 			return nil, err
 		}

@@ -44,17 +44,15 @@ func AssocRows(p Params) ([]AssocRow, error) {
 	for _, size := range []int{512, 2048} {
 		for _, ways := range []int{1, 2, 4} {
 			layout := workload.DefaultLayout()
+			agents := make([]workload.Agent, pes)
+			for i := range agents {
+				agents[i] = workload.MustApp(workload.PDEProfile(), layout, i, p.Seed, refs)
+			}
 			m, err := p.Machine(fmt.Sprintf("assoc/size=%d/ways=%d", size, ways), machine.Config{
 				Protocol:   coherence.New(coherence.KindCmStar),
 				CacheLines: size,
 				CacheWays:  ways,
-			}, func() []workload.Agent {
-				agents := make([]workload.Agent, pes)
-				for i := range agents {
-					agents[i] = workload.MustApp(workload.PDEProfile(), layout, i, p.Seed, refs)
-				}
-				return agents
-			})
+			}, agents)
 			if err != nil {
 				return nil, err
 			}

@@ -46,34 +46,25 @@ func BarrierRows(p Params) ([]BarrierRow, error) {
 	var rows []BarrierRow
 	for _, kind := range []coherence.Kind{coherence.KindRB, coherence.KindRWB, coherence.KindGoodman, coherence.KindWriteThrough, coherence.KindNoCache} {
 		proto := coherence.New(kind)
-		var barriers []*workload.Barrier
-		var buildErr error
+		barriers := make([]*workload.Barrier, pes)
+		agents := make([]workload.Agent, pes)
+		for i := range agents {
+			b, err := workload.NewBarrier(workload.BarrierConfig{
+				Lock: 0, Counter: 1, Sense: 2, Progress: 16,
+				Participants: pes, Rounds: rounds,
+				WorkCycles: 1 + 15*i,
+				ID:         i,
+			})
+			if err != nil {
+				return nil, err
+			}
+			barriers[i], agents[i] = b, b
+		}
 		m, err := p.Machine("barrier/"+proto.Name(), machine.Config{
 			Protocol:         proto,
 			CacheLines:       64,
 			CheckConsistency: true,
-		}, func() []workload.Agent {
-			barriers = barriers[:0]
-			agents := make([]workload.Agent, 0, pes)
-			for i := 0; i < pes; i++ {
-				b, err := workload.NewBarrier(workload.BarrierConfig{
-					Lock: 0, Counter: 1, Sense: 2, Progress: 16,
-					Participants: pes, Rounds: rounds,
-					WorkCycles: 1 + 15*i,
-					ID:         i,
-				})
-				if err != nil {
-					buildErr = err
-					return nil
-				}
-				barriers = append(barriers, b)
-				agents = append(agents, b)
-			}
-			return agents
-		})
-		if buildErr != nil {
-			return nil, buildErr
-		}
+		}, agents)
 		if err != nil {
 			return nil, err
 		}

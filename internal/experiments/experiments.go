@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/batch"
 	"repro/internal/machine"
 	"repro/internal/mrc"
 	"repro/internal/workload"
@@ -23,37 +22,21 @@ type Params struct {
 	// by the tests, 10 the publication-quality one used by cmd/paperrepro
 	// -full.
 	Scale int
-	// Arena, when non-nil, recycles machines across same-shape trials
-	// (seed-only deltas) via generation reset instead of reconstruction.
-	// No engine path sets it: the sweep engine runs every job on fresh
-	// machines. It stays for the frozen benchmark/ module's
-	// ExperimentBatchRunner (ROADMAP direction 6). It is not an axis and
-	// never participates in cache keys. Experiments reach it through
-	// Params.Machine.
-	Arena *batch.Arena
 	// Profile, when non-nil, collects online miss-ratio curves: every
 	// machine Params.Machine constructs gets a fresh mrc profiler set
-	// attached (per PE plus machine-wide) under its shape name. Like
-	// Arena it is instrumentation, not an axis, and never participates
-	// in cache keys — the tables an experiment returns are identical
-	// with and without it.
+	// attached (per PE plus machine-wide) under its shape name. It is
+	// instrumentation, not an axis, and never participates in cache keys
+	// — the tables an experiment returns are identical with and without
+	// it.
 	Profile *mrc.Collector
 }
 
-// Machine builds (or, with an arena attached, recycles) a machine for
-// one trial. shape must uniquely name the configuration within the
-// experiment — protocol, PE count, cache geometry, anything that changes
-// cfg or the agents beyond the seed. agents() must construct the agents
-// for this trial's Params.Seed; with an arena, Reseeder agents are
-// re-seeded in place and others rebuilt on the recycled machine (see
-// batch.Arena.Machine).
-func (p Params) Machine(shape string, cfg machine.Config, agents func() []workload.Agent) (*machine.Machine, error) {
-	m, err := func() (*machine.Machine, error) {
-		if p.Arena != nil {
-			return p.Arena.Machine(shape, cfg, p.Seed, agents)
-		}
-		return machine.New(cfg, agents())
-	}()
+// Machine builds the machine for one trial. shape must uniquely name the
+// configuration within the experiment — protocol, PE count, cache
+// geometry, anything that changes cfg or the agents beyond the seed:
+// Params.Profile keys its captures by it.
+func (p Params) Machine(shape string, cfg machine.Config, agents []workload.Agent) (*machine.Machine, error) {
+	m, err := machine.New(cfg, agents)
 	if err == nil && p.Profile != nil {
 		p.Profile.Attach(shape, p.Seed, m)
 	}

@@ -45,36 +45,27 @@ func RMWStyleRows(p Params) ([]RMWStyleRow, error) {
 	var rows []RMWStyleRow
 	for _, twoPhase := range []bool{false, true} {
 		for _, strat := range []workload.Strategy{workload.StrategyTS, workload.StrategyTTS} {
-			var locks []*workload.Spinlock
-			var buildErr error
+			locks := make([]*workload.Spinlock, pes)
+			agents := make([]workload.Agent, pes)
+			for i := range agents {
+				s, err := workload.NewSpinlock(workload.SpinlockConfig{
+					Lock: 100, Strategy: strat, Iterations: iters,
+					CriticalReads: 3, CriticalWrites: 3,
+					GuardedBase: 200, GuardedWords: 8,
+					Seed: p.Seed + uint64(i),
+				})
+				if err != nil {
+					return nil, err
+				}
+				locks[i], agents[i] = s, s
+			}
 			m, err := p.Machine(fmt.Sprintf("rmwstyle/twoPhase=%v/%s", twoPhase, strat), machine.Config{
 				Protocol:         coherence.New(coherence.KindRB),
 				CacheLines:       64,
 				TwoPhaseRMW:      twoPhase,
 				CheckConsistency: true,
 				StallCycles:      1_000_000,
-			}, func() []workload.Agent {
-				locks = locks[:0]
-				agents := make([]workload.Agent, pes)
-				for i := range agents {
-					s, err := workload.NewSpinlock(workload.SpinlockConfig{
-						Lock: 100, Strategy: strat, Iterations: iters,
-						CriticalReads: 3, CriticalWrites: 3,
-						GuardedBase: 200, GuardedWords: 8,
-						Seed: p.Seed + uint64(i),
-					})
-					if err != nil {
-						buildErr = err
-						return nil
-					}
-					locks = append(locks, s)
-					agents[i] = s
-				}
-				return agents
-			})
-			if buildErr != nil {
-				return nil, buildErr
-			}
+			}, agents)
 			if err != nil {
 				return nil, err
 			}

@@ -79,18 +79,16 @@ func Figure71Rows(p Params) ([]Figure71Row, error) {
 	refs := 4000 * p.Scale
 	var rows []Figure71Row
 	for _, buses := range []int{1, 2, 4} {
+		agents := make([]workload.Agent, pes)
+		for i := range agents {
+			agents[i] = workload.NewRandom(0, 512, refs, 0.3, 0.02, p.Seed+uint64(i))
+		}
 		m, err := p.Machine(fmt.Sprintf("fig7-1/buses=%d", buses), machine.Config{
 			Protocol:         coherence.New(coherence.KindRB),
 			CacheLines:       64,
 			Buses:            buses,
 			CheckConsistency: true,
-		}, func() []workload.Agent {
-			agents := make([]workload.Agent, pes)
-			for i := range agents {
-				agents[i] = workload.NewRandom(0, 512, refs, 0.3, 0.02, p.Seed+uint64(i))
-			}
-			return agents
-		})
+		}, agents)
 		if err != nil {
 			return nil, err
 		}
@@ -157,17 +155,14 @@ func SaturationRows(p Params) ([]SaturationRow, error) {
 		for _, pes := range []int{2, 4, 8, 16, 32} {
 			layout := workload.DefaultLayout()
 			// Paper-scale caches (the largest Table 1-1 size). The shape
-			// key carries everything but the seed, so a batched sweep
-			// recycles one machine per (protocol, pes) point.
+			// key carries everything but the seed: one profile capture
+			// per (protocol, pes) point.
+			agents := make([]workload.Agent, pes)
+			for i := range agents {
+				agents[i] = workload.MustApp(workload.PDEProfile(), layout, i, p.Seed, refs)
+			}
 			m, err := p.Machine(fmt.Sprintf("section7/%s/pes=%d", proto.Name(), pes),
-				machine.Config{Protocol: proto, CacheLines: 2048},
-				func() []workload.Agent {
-					agents := make([]workload.Agent, pes)
-					for i := range agents {
-						agents[i] = workload.MustApp(workload.PDEProfile(), layout, i, p.Seed, refs)
-					}
-					return agents
-				})
+				machine.Config{Protocol: proto, CacheLines: 2048}, agents)
 			if err != nil {
 				return nil, err
 			}

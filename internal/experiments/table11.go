@@ -54,16 +54,14 @@ func Table11Rows(p Params) ([]Table11Row, error) {
 		for _, prof := range profiles {
 			prof := prof
 			layout := workload.DefaultLayout()
+			agents := make([]workload.Agent, pes)
+			for i := range agents {
+				agents[i] = workload.MustApp(prof, layout, i, p.Seed, refsPerPE)
+			}
 			m, err := p.Machine(fmt.Sprintf("table11/size=%d/%s", size, prof.Name), machine.Config{
 				Protocol:   coherence.New(coherence.KindCmStar),
 				CacheLines: size,
-			}, func() []workload.Agent {
-				agents := make([]workload.Agent, pes)
-				for i := range agents {
-					agents[i] = workload.MustApp(prof, layout, i, p.Seed, refsPerPE)
-				}
-				return agents
-			})
+			}, agents)
 			if err != nil {
 				return nil, err
 			}

@@ -2,8 +2,8 @@
 // registered as a first-class experiment. The registered experiment runs
 // the replay under every coherence protocol through the same
 // Params.Machine chokepoint as the synthetic experiments, so trace
-// workloads flow through sweeps, fault campaigns, batched arenas and
-// cluster routing unchanged — and a trace captured from a non-reactive
+// workloads flow through sweeps, fault campaigns and cluster routing
+// unchanged — and a trace captured from a non-reactive
 // synthetic run reproduces that run's table byte for byte.
 
 package experiments
@@ -43,7 +43,7 @@ func WorkloadMatrix(p Params, id, title, note string, cacheLines int, maxCycles 
 		m, err := p.Machine(fmt.Sprintf("%s/lines=%d/%s", id, cacheLines, k), machine.Config{
 			Protocol:   coherence.New(k),
 			CacheLines: cacheLines,
-		}, agents)
+		}, agents())
 		if err != nil {
 			return nil, err
 		}

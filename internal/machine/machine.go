@@ -196,24 +196,42 @@ type Machine struct {
 
 // New builds a machine running one agent per processing element.
 func New(cfg Config, agents []workload.Agent) (*Machine, error) {
+	m := &Machine{}
+	if err := m.build(cfg, agents); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// build assigns every field of m as a fresh machine for cfg and agents.
+// It is the machine's only constructor: the closures it wires into the
+// caches capture m itself, so a rebuilt machine reports to the same
+// receiver its callers hold.
+func (m *Machine) build(cfg Config, agents []workload.Agent) error {
 	cfg = cfg.withDefaults()
 	if len(agents) == 0 {
-		return nil, fmt.Errorf("machine: no agents")
+		return fmt.Errorf("machine: no agents")
 	}
-	m := &Machine{
-		cfg:    cfg,
-		mem:    &pristineMem{Memory: memory.New(), init: memory.New()},
-		agents: agents,
-		oracle: memory.New(),
+	words := (len(agents) + 63) / 64
+	*m = Machine{
+		cfg:        cfg,
+		mem:        &pristineMem{Memory: memory.New(), init: memory.New()},
+		agents:     agents,
+		oracle:     memory.New(),
+		caches:     make([]*cache.Cache, len(agents)),
+		procs:      make([]*processor.Processor, len(agents)),
+		slotBank:   make([]int, len(agents)),
+		issueCycle: make([]uint64, len(agents)),
+		news:       make([]uint64, words),
+		runnable:   make([]uint64, words),
+		stallFrom:  make([]uint64, len(agents)),
 	}
 	m.buses = bus.NewSet(m.mem, cfg.Buses)
 	m.buses.SetMemLatency(cfg.MemLatency)
-	words := (len(agents) + 63) / 64
-	m.news, m.runnable, m.stallFrom = make([]uint64, words), make([]uint64, words), make([]uint64, len(agents))
 	for i, agent := range agents {
 		c, err := cache.New(i, cfg.Protocol, cache.Config{Lines: cfg.CacheLines, Ways: cfg.CacheWays})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if cfg.CheckConsistency {
 			pe := i
@@ -224,28 +242,20 @@ func New(cfg Config, agents []workload.Agent) (*Machine, error) {
 		// transaction snoops only the caches holding its address.
 		m.buses.Attach(i, c)
 		m.buses.AttachRequester(i, c)
-		m.caches = append(m.caches, c)
-		proc := processor.New(i, agent, c)
-		proc.SetTwoPhaseRMW(cfg.TwoPhaseRMW)
-		m.procs = append(m.procs, proc)
-		m.slotBank = append(m.slotBank, -1)
-		m.issueCycle = append(m.issueCycle, 0)
+		m.caches[i] = c
+		m.procs[i] = processor.New(i, agent, c)
+		m.procs[i].SetTwoPhaseRMW(cfg.TwoPhaseRMW)
+		m.slotBank[i] = -1
 		m.runnable[i>>6] |= 1 << (i & 63)
 	}
-	return m, nil
+	return nil
 }
 
-// Reset returns the machine to the state New would have produced with the
-// same config and the agents re-seeded from seed, without reallocating
-// any arena: the dense page stores (shared memory, pristine record,
-// oracle) and the buses' holder table roll their generation counters, the
-// cache line arenas and bus registries clear in place, and every agent
-// re-derives its stream via workload.Reseeder. A reset machine's traces,
-// stats, and final images are byte-identical to a fresh one's — the
-// batch runner's correctness contract, pinned by TestResetEqualsFresh.
+// Reset rebuilds the machine in place with its agents re-seeded from
+// seed, which every agent must support (workload.Reseeder).
 //
-// Every agent must implement workload.Reseeder; agents that are cheaper
-// to rebuild than to reseed go through ResetWith instead.
+// Deprecated: use New. The method stays only because the frozen
+// benchmark/ module calls it; ROADMAP direction 1 deletes it.
 func (m *Machine) Reset(seed uint64) error {
 	for i, a := range m.agents {
 		if _, ok := a.(workload.Reseeder); !ok {
@@ -255,47 +265,18 @@ func (m *Machine) Reset(seed uint64) error {
 	for _, a := range m.agents {
 		a.(workload.Reseeder).Reseed(seed)
 	}
-	m.resetCore()
-	return nil
+	return m.build(m.cfg, m.agents)
 }
 
-// ResetWith is Reset for agents that are rebuilt rather than re-seeded:
-// the freshly constructed agents replace the old ones PE-for-PE (the
-// count must match the machine's shape) and all machine state resets as
-// in Reset.
+// ResetWith rebuilds the machine in place around agents, one per PE.
+//
+// Deprecated: use New. The method stays only because the frozen
+// benchmark/ module calls it; ROADMAP direction 1 deletes it.
 func (m *Machine) ResetWith(agents []workload.Agent) error {
 	if len(agents) != len(m.procs) {
 		return fmt.Errorf("machine: ResetWith got %d agents for a %d-PE machine", len(agents), len(m.procs))
 	}
-	m.agents = agents
-	m.resetCore()
-	return nil
-}
-
-// resetCore clears every piece of run state while keeping the machine's
-// shape: wiring, arenas, and config survive; traffic, counters, and
-// errors do not.
-func (m *Machine) resetCore() {
-	m.mem.Memory.Reset()
-	m.mem.init.Reset()
-	m.oracle.Reset()
-	m.buses.Reset()
-	m.buses.SetMemLatency(m.cfg.MemLatency)
-	for i, c := range m.caches {
-		c.Reset()
-		m.procs[i].Reset(m.agents[i])
-		m.procs[i].SetTwoPhaseRMW(m.cfg.TwoPhaseRMW)
-		m.slotBank[i] = -1
-		m.issueCycle[i] = 0
-		m.stallFrom[i] = 0
-		m.runnable[i>>6] |= 1 << (i & 63)
-	}
-	clear(m.news)
-	m.cpuDone = 0
-	m.nextWatch = 0
-	m.cycle = 0
-	m.err = nil
-	m.missLat.Reset()
+	return m.build(m.cfg, agents)
 }
 
 // MustNew is New panicking on error.

@@ -53,34 +53,6 @@ type page struct {
 	written [pageWords / 64]uint64
 	//phase:any
 	count int // set bits in written
-	// gen stamps the store generation (Memory.gen) this page belongs to.
-	// A page whose stamp trails the store's counter is logically absent:
-	// readers treat it as never touched and the first store of the new
-	// generation revives it in place. This is what makes Reset O(1).
-	//phase:any
-	gen uint64
-}
-
-// revive returns a recycled page from an earlier generation to its
-// freshly allocated state and stamps it with the current generation.
-// Only words recorded in the written bitmap can be nonzero (every store
-// path marks), so a sparse page is cleared bitmap-guided; a mostly-full
-// page takes one whole-array clear instead.
-func (p *page) revive(gen uint64) {
-	if p.count >= pageWords/4 {
-		p.words = [pageWords]bus.Word{}
-	} else {
-		for wi, mask := range p.written {
-			for mask != 0 {
-				bit := bits.TrailingZeros64(mask)
-				mask &^= 1 << bit
-				p.words[wi*64+bit] = 0
-			}
-		}
-	}
-	p.written = [pageWords / 64]uint64{}
-	p.count = 0
-	p.gen = gen
 }
 
 // mark records that offset o has been stored to.
@@ -108,10 +80,6 @@ type Stats struct {
 type Memory struct {
 	//phase:any
 	pages []*page // directory, indexed by addr >> pageBits
-	// gen is the store generation; pages stamped with an older value are
-	// logically absent (see page.gen). Written only by Reset, between
-	// runs — never from phase code — so it carries no phase annotation.
-	gen uint64
 	//phase:any
 	sparse map[bus.Addr]bus.Word // addresses >= denseLimit; nil until needed
 	// stats counts bus-port traffic only, so only bus-phase entry points
@@ -131,16 +99,10 @@ func New() *Memory {
 	return &Memory{}
 }
 
-// pageFor returns the dense page of a, or nil when never touched in the
-// current generation (a recycled page from before the last Reset is
-// indistinguishable from an absent one until a store revives it).
+// pageFor returns the dense page of a, or nil when never touched.
 func (m *Memory) pageFor(a bus.Addr) *page {
-	pi := int(a >> pageBits)
-	if pi >= len(m.pages) {
-		return nil
-	}
-	if p := m.pages[pi]; p != nil && p.gen == m.gen {
-		return p
+	if pi := int(a >> pageBits); pi < len(m.pages) {
+		return m.pages[pi]
 	}
 	return nil
 }
@@ -157,24 +119,10 @@ func (m *Memory) ensurePage(a bus.Addr) *page {
 	}
 	p := m.pages[pi]
 	if p == nil {
-		p = &page{gen: m.gen}
+		p = &page{}
 		m.pages[pi] = p
-	} else if p.gen != m.gen {
-		p.revive(m.gen)
 	}
 	return p
-}
-
-// Reset returns the memory to its freshly constructed state — all words
-// unwritten, counters zero, no write interceptor — without releasing the
-// dense pages. Stale pages are invalidated by bumping the generation
-// counter and lazily revived on their first store, so a reset is O(1)
-// in the footprint of the previous run.
-func (m *Memory) Reset() {
-	m.gen++
-	clear(m.sparse)
-	m.stats = Stats{}
-	m.onWrite = nil
 }
 
 // load returns the stored word without touching the port counters.
@@ -274,7 +222,7 @@ func (m *Memory) Stats() Stats { return m.stats }
 func (m *Memory) Footprint() int {
 	n := len(m.sparse)
 	for _, p := range m.pages {
-		if p != nil && p.gen == m.gen {
+		if p != nil {
 			n += p.count
 		}
 	}
@@ -287,7 +235,7 @@ func (m *Memory) Footprint() int {
 // consumers — final-memory verification, snapshot diffs — deterministic.
 func (m *Memory) Range(f func(a bus.Addr, w bus.Word) bool) {
 	for pi, p := range m.pages {
-		if p == nil || p.gen != m.gen {
+		if p == nil {
 			continue
 		}
 		base := bus.Addr(pi) << pageBits

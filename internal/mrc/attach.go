@@ -80,9 +80,7 @@ type Set struct {
 }
 
 // Attach installs fresh profilers on m, one feed per machine with at most
-// one drain in flight. Probes are machine wiring (they survive
-// Machine.Reset), so a recycled machine must be re-attached per measured
-// trial — which also gives each trial its own zeroed histograms.
+// one drain in flight.
 func Attach(m *machine.Machine) *Set {
 	f := &feed{
 		fill:   make([]ref, 0, feedChunk),
@@ -155,7 +153,7 @@ type Capture struct {
 
 // Collector accumulates captures across the machines an experiment
 // builds. Experiments reach it through Params.Profile: Params.Machine
-// attaches a fresh Set to every machine it constructs (or recycles), so
+// attaches a fresh Set to every machine it constructs, so
 // a multi-shape experiment yields one capture per shape. Append order is
 // the experiment's deterministic construction order; the mutex only
 // guards against engines running trials of one job concurrently.

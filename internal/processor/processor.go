@@ -84,26 +84,6 @@ func New(id int, agent workload.Agent, c *cache.Cache) *Processor {
 	return &Processor{id: id, agent: agent, cache: c}
 }
 
-// Reset rebinds the PE to an agent and returns it to its freshly
-// constructed state: ready, nothing in flight, zero counters. The cache
-// wiring survives (the machine resets the cache itself); the two-phase
-// RMW selection is cleared back to the constructor default and
-// re-applied by the machine from its config.
-func (p *Processor) Reset(agent workload.Agent) {
-	if agent == nil {
-		panic("processor: nil agent")
-	}
-	p.agent = agent
-	p.status = StatusReady
-	p.current = workload.Op{}
-	p.computing = 0
-	p.lastResult = workload.Result{}
-	p.stats = Stats{}
-	p.twoPhase = false
-	p.tsPhase = 0
-	p.tsOld = 0
-}
-
 // ID returns the PE index.
 func (p *Processor) ID() int { return p.id }
 

@@ -53,10 +53,6 @@ func (h *Histogram) Observe(v uint64) {
 	}
 }
 
-// Reset discards all observations, returning the histogram to its zero
-// value in place; recycled machines clear their latency records with it.
-func (h *Histogram) Reset() { *h = Histogram{} }
-
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count }
 

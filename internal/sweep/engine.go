@@ -23,44 +23,27 @@ type Runner func(spec JobSpec) (*report.Table, error)
 // frozen benchmark/ module names it; ROADMAP direction 1 deletes it.
 type BatchRunner func(spec JobSpec, arena *batch.Arena) (*report.Table, error)
 
-// resolveExperiment is the registry + version-epoch lookup shared by
-// ExperimentRunner and ExperimentBatchRunner.
-func resolveExperiment(spec JobSpec) (experiments.Experiment, error) {
+// ExperimentRunner is the production Runner: it resolves the job's
+// experiment in the registry, checks its version epoch, and executes it
+// with the job's parameters.
+func ExperimentRunner(spec JobSpec) (*report.Table, error) {
 	e, err := experiments.ByID(spec.Experiment)
 	if err != nil {
-		return experiments.Experiment{}, err
+		return nil, err
 	}
 	if e.Version != spec.Version {
-		return experiments.Experiment{}, fmt.Errorf("sweep: %s is at version %d but the job was expanded at version %d; rebuild the specs",
+		return nil, fmt.Errorf("sweep: %s is at version %d but the job was expanded at version %d; rebuild the specs",
 			e.ID, e.Version, spec.Version)
-	}
-	return e, nil
-}
-
-// ExperimentRunner is the production Runner: it resolves the job's
-// experiment in the registry and executes it with the job's parameters.
-func ExperimentRunner(spec JobSpec) (*report.Table, error) {
-	e, err := resolveExperiment(spec)
-	if err != nil {
-		return nil, err
 	}
 	return e.Run(spec.Params())
 }
 
-// ExperimentBatchRunner is ExperimentRunner with arena attached to the
-// run's Params.
+// ExperimentBatchRunner ignores arena and runs ExperimentRunner.
 //
-// Deprecated: the engine never calls a BatchRunner. This stays only
-// because the frozen benchmark/ module names it; ROADMAP direction 1
-// deletes it.
-func ExperimentBatchRunner(spec JobSpec, arena *batch.Arena) (*report.Table, error) {
-	e, err := resolveExperiment(spec)
-	if err != nil {
-		return nil, err
-	}
-	p := spec.Params()
-	p.Arena = arena
-	return e.Run(p)
+// Deprecated: use ExperimentRunner. The function stays only because the
+// frozen benchmark/ module names it; ROADMAP direction 1 deletes it.
+func ExperimentBatchRunner(spec JobSpec, _ *batch.Arena) (*report.Table, error) {
+	return ExperimentRunner(spec)
 }
 
 // Options configures an Engine.

@@ -100,8 +100,8 @@ func Expand(specs []Spec) []Job {
 		}
 		seen := make(map[uint64]bool, len(seeds))
 		for _, seed := range seeds {
-			if !sp.Axes.Seed {
-				seed = 1
+			if seed == 0 || !sp.Axes.Seed {
+				seed = 1 // Params runs seed 0 as 1: one replica, not two
 			}
 			if seen[seed] {
 				continue

@@ -64,27 +64,35 @@ func renderAll(out *Outcome) []byte {
 }
 
 func TestExpandAxesAndOrder(t *testing.T) {
-	jobs := Expand(fakeSpecs([]uint64{3, 1, 3}))
-	// fake-a: seeds 3,1 (dup dropped); fake-flat: collapsed to seed 1;
-	// fake-b: seeds 3,1.
-	wantSeeds := []uint64{3, 1, 1, 3, 1}
-	wantExp := []string{"fake-a", "fake-a", "fake-flat", "fake-b", "fake-b"}
-	if len(jobs) != len(wantSeeds) {
-		t.Fatalf("got %d jobs, want %d", len(jobs), len(wantSeeds))
-	}
-	keys := map[string]bool{}
-	for i, j := range jobs {
-		if j.Index != i {
-			t.Errorf("job %d has index %d", i, j.Index)
+	for _, tc := range []struct {
+		seeds     []uint64
+		wantSeeds []uint64
+		wantExp   []string
+	}{
+		// fake-a: seeds 3,1 (dup dropped); fake-flat: collapsed to seed 1;
+		// fake-b: seeds 3,1.
+		{[]uint64{3, 1, 3}, []uint64{3, 1, 1, 3, 1}, []string{"fake-a", "fake-a", "fake-flat", "fake-b", "fake-b"}},
+		// Seed 0 runs as seed 1, so it is the same replica, not a second.
+		{[]uint64{0, 1}, []uint64{1, 1, 1}, []string{"fake-a", "fake-flat", "fake-b"}},
+	} {
+		jobs := Expand(fakeSpecs(tc.seeds))
+		if len(jobs) != len(tc.wantSeeds) {
+			t.Fatalf("seeds %v: got %d jobs, want %d", tc.seeds, len(jobs), len(tc.wantSeeds))
 		}
-		if j.Spec.Seed != wantSeeds[i] || j.Spec.Experiment != wantExp[i] {
-			t.Errorf("job %d = %s seed %d, want %s seed %d",
-				i, j.Spec.Experiment, j.Spec.Seed, wantExp[i], wantSeeds[i])
+		keys := map[string]bool{}
+		for i, j := range jobs {
+			if j.Index != i {
+				t.Errorf("seeds %v: job %d has index %d", tc.seeds, i, j.Index)
+			}
+			if j.Spec.Seed != tc.wantSeeds[i] || j.Spec.Experiment != tc.wantExp[i] {
+				t.Errorf("seeds %v: job %d = %s seed %d, want %s seed %d",
+					tc.seeds, i, j.Spec.Experiment, j.Spec.Seed, tc.wantExp[i], tc.wantSeeds[i])
+			}
+			if keys[j.Key] {
+				t.Errorf("seeds %v: duplicate key %s", tc.seeds, j.Key)
+			}
+			keys[j.Key] = true
 		}
-		if keys[j.Key] {
-			t.Errorf("duplicate key %s", j.Key)
-		}
-		keys[j.Key] = true
 	}
 	// Keys are content hashes: version changes must change them.
 	a := JobSpec{Experiment: "x", Version: 1, Seed: 1, Scale: 1}

@@ -12,9 +12,7 @@ type RNG struct {
 // streams; generators derive per-PE seeds as seed + PE index.
 func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 
-// Reseed restores the generator to the state NewRNG(seed) would produce,
-// so a shared RNG can be recycled across batch trials without
-// reallocating it.
+// Reseed restores the generator to the state NewRNG(seed) would produce.
 func (r *RNG) Reseed(seed uint64) { r.state = seed }
 
 // Uint64 returns the next 64 random bits.

@@ -105,10 +105,8 @@ type Agent interface {
 
 // Reseeder is an Agent that can return to its freshly constructed state
 // for a new base seed, deriving any per-PE stream from it internally
-// exactly as its constructor would. Machine.Reset requires every agent
-// to implement it; agents that are cheap to rebuild (e.g. Random, whose
-// callers pre-derive the final seed) skip the interface and go through
-// Machine.ResetWith instead.
+// exactly as its constructor would. Its only user is the deprecated
+// Machine.Reset, which requires every agent to implement it.
 type Reseeder interface {
 	Agent
 	// Reseed discards all run state and re-derives the stream from the
@@ -118,8 +116,7 @@ type Reseeder interface {
 
 // Trace is an Agent replaying a fixed operation sequence, then halting.
 // It implements Reseeder — replay has no seed, so Reseed just rewinds —
-// which makes captured traces first-class workloads everywhere Reseeder
-// agents run (sweeps, batched arenas, Machine.Reset).
+// for the deprecated Machine.Reset, its only user.
 type Trace struct {
 	Ops []Op
 	pos int

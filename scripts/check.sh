@@ -21,8 +21,8 @@
 #                  RB/RWB at 1-130 PEs, the three core-* machines,
 #                  TS/TTS spin locks fused and two-phase on 2-way caches
 #                  and two buses, and 64 PEs on 4-way caches, four buses
-#                  and memory latency 3; batch and mrc pin their own
-#                  loops), the bytes one machine construction
+#                  and memory latency 3; only mrc pins its own loop),
+#                  the bytes one machine construction
 #                  allocates, the stream-identity golden over 5 M references of grown
 #                  LRU stacks, the bus-trace golden of 65-130 PE
 #                  machines and the request-line phase's exact visit
@@ -60,7 +60,7 @@ echo "==> go test -race ./..."
 go test -race ./...
 
 echo "==> allocs/cycle regression"
-go test -run 'SteadyState.*AllocFree|ConstructionBytes|StreamIdentity|TraceGoldenAbove64PEs|NewsVisitsPerCycle' -count=1 ./internal/machine ./internal/batch ./internal/workload
+go test -run 'SteadyState.*AllocFree|ConstructionBytes|StreamIdentity|TraceGoldenAbove64PEs|NewsVisitsPerCycle' -count=1 ./internal/machine ./internal/workload
 go test -run 'SteadyState.*AllocFree|AttachSettlesAtEveryRead|AttachLeavesNoGoroutine' -cpu 1,2 -count=1 ./internal/mrc
 go test -run 'DispatchRunsJobsNotGroups' -cpu 1,2 -count=1 ./internal/sweep
 
