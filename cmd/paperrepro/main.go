@@ -27,6 +27,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -120,7 +121,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *only != "" {
 		specs = nil
 		for _, id := range strings.Split(*only, ",") {
-			sp, err := sweep.SpecFor(strings.TrimSpace(id), seeds, *scale)
+			id = strings.TrimSpace(id)
+			if slices.ContainsFunc(specs, func(sp sweep.Spec) bool { return sp.Experiment == id }) {
+				continue // a repeated id runs once, at its first place
+			}
+			sp, err := sweep.SpecFor(id, seeds, *scale)
 			if err != nil {
 				return fail(err)
 			}

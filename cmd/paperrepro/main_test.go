@@ -78,6 +78,27 @@ func TestWorkerCountAndCacheDoNotChangeOutput(t *testing.T) {
 	}
 }
 
+// TestOnlyRepeatedID: an id named twice in -only runs and prints once.
+func TestOnlyRepeatedID(t *testing.T) {
+	out, summary, code := repro("-only", "fig7-1,fig7-1", "-seeds", "1,2")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, summary)
+	}
+	once, _, _ := repro("-only", "fig7-1", "-seeds", "1,2")
+	if out != once {
+		t.Errorf("-only fig7-1,fig7-1 printed\n%s---\nwant what -only fig7-1 prints\n%s", out, once)
+	}
+	rows := 0
+	for _, line := range strings.Split(summary, "\n") {
+		if strings.HasPrefix(line, "fig7-1 ") {
+			rows++
+		}
+	}
+	if rows != 1 {
+		t.Errorf("summary has %d fig7-1 rows, want 1:\n%s", rows, summary)
+	}
+}
+
 func TestBadArguments(t *testing.T) {
 	for _, args := range [][]string{
 		{"-only", "no-such-artifact"},

@@ -3,8 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/coherence"
-	"repro/internal/machine"
+	"repro/internal/cache"
 	"repro/internal/report"
 	"repro/internal/workload"
 )
@@ -21,9 +20,7 @@ func init() {
 		Title:   "Set associativity at fixed capacity (assumption 7)",
 		Axes:    Axes{Seed: true, Scale: true},
 		Version: 1,
-		Run: func(p Params) (*Table, error) {
-			return AssocAblation(p)
-		},
+		Run:     AssocAblation,
 	})
 }
 
@@ -34,57 +31,31 @@ type AssocRow struct {
 	ReadMissPct float64
 }
 
-// AssocRows sweeps ways in {1, 2, 4} at the Table 1-1 cache sizes under
-// the Cm*-style emulation.
-func AssocRows(p Params) ([]AssocRow, error) {
+// AssocRows sweeps ways in {1, 2, 4} at two of the Table 1-1 cache sizes
+// under the Cm*-style emulation, all six geometries from one stream pass
+// (see cmStarPass).
+func AssocRows(p Params) []AssocRow {
 	p = p.withDefaults()
-	const pes = 2
-	refs := 40000 * p.Scale
-	var rows []AssocRow
+	var geoms []cache.Config
 	for _, size := range []int{512, 2048} {
 		for _, ways := range []int{1, 2, 4} {
-			layout := workload.DefaultLayout()
-			agents := make([]workload.Agent, pes)
-			for i := range agents {
-				agents[i] = workload.MustApp(workload.PDEProfile(), layout, i, p.Seed, refs)
-			}
-			m, err := p.Machine(fmt.Sprintf("assoc/size=%d/ways=%d", size, ways), machine.Config{
-				Protocol:   coherence.New(coherence.KindCmStar),
-				CacheLines: size,
-				CacheWays:  ways,
-			}, agents)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := m.Run(uint64(refs) * 40); err != nil {
-				return nil, err
-			}
-			if !m.Done() {
-				return nil, fmt.Errorf("assoc: %d/%d did not drain", size, ways)
-			}
-			var total, miss uint64
-			for pe := 0; pe < pes; pe++ {
-				st := m.Cache(pe).Stats()
-				total += st.Reads + st.Writes
-				miss += st.ByClass[coherence.ClassCode].ReadMisses +
-					st.ByClass[coherence.ClassLocal].ReadMisses
-			}
-			rows = append(rows, AssocRow{
-				CacheSize:   size,
-				Ways:        ways,
-				ReadMissPct: 100 * float64(miss) / float64(total),
-			})
+			geoms = append(geoms, cache.Config{Lines: size, Ways: ways})
 		}
 	}
-	return rows, nil
+	c, set := cmStarPass(p, workload.PDEProfile(), 2, 40000*p.Scale, geoms)
+	rows := make([]AssocRow, len(geoms))
+	for i, g := range geoms {
+		rows[i] = AssocRow{CacheSize: g.Lines, Ways: g.Ways, ReadMissPct: 100 * float64(c.readMisses[i]) / float64(c.refs)}
+		if set != nil {
+			p.Profile.Add(fmt.Sprintf("assoc/size=%d/ways=%d", g.Lines, g.Ways), p.Seed, set)
+		}
+	}
+	return rows
 }
 
 // AssocAblation renders the sweep.
 func AssocAblation(p Params) (*report.Table, error) {
-	rows, err := AssocRows(p)
-	if err != nil {
-		return nil, err
-	}
+	rows := AssocRows(p)
 	t := &report.Table{
 		ID:      "ablation-assoc",
 		Title:   "Read-miss % vs. set associativity (Cm* emulation, pde workload)",

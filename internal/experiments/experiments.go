@@ -2,7 +2,8 @@
 // evaluation, plus the ablations DESIGN.md calls out. Each experiment is a
 // named constructor returning a report.Table whose rows mirror the paper's
 // artifact; cmd/paperrepro prints them all, the test suite asserts their
-// paper-shape properties, and bench_test.go wraps each in a benchmark.
+// paper-shape properties, and BENCHMARK.json's sweep-paper workload runs
+// every one through the sweep engine.
 package experiments
 
 import (
@@ -24,10 +25,11 @@ type Params struct {
 	Scale int
 	// Profile, when non-nil, collects online miss-ratio curves: every
 	// machine Params.Machine constructs gets a fresh mrc profiler set
-	// attached (per PE plus machine-wide) under its shape name. It is
-	// instrumentation, not an axis, and never participates in cache keys
-	// — the tables an experiment returns are identical with and without
-	// it.
+	// attached (per PE plus machine-wide) under its shape name, and the
+	// Cm* experiments, which run no machine, feed one from their stream
+	// pass (cmStarPass). It is instrumentation, not an axis, and never
+	// participates in cache keys — the tables an experiment returns are
+	// identical with and without it.
 	Profile *mrc.Collector
 }
 

@@ -14,10 +14,7 @@ import (
 // direction the curves bend. EXPERIMENTS.md documents the measured values.
 
 func TestTable11Shape(t *testing.T) {
-	rows, err := Table11Rows(Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := Table11Rows(Params{})
 	if len(rows) != 8 { // 4 sizes x 2 apps
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -348,10 +345,7 @@ func TestPrivateAblationShape(t *testing.T) {
 }
 
 func TestAssocShape(t *testing.T) {
-	rows, err := AssocRows(Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := AssocRows(Params{})
 	per := map[[2]int]float64{}
 	for _, r := range rows {
 		per[[2]int{r.CacheSize, r.Ways}] = r.ReadMissPct

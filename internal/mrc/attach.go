@@ -151,23 +151,28 @@ type Capture struct {
 	Set   *Set
 }
 
-// Collector accumulates captures across the machines an experiment
-// builds. Experiments reach it through Params.Profile: Params.Machine
-// attaches a fresh Set to every machine it constructs, so
+// Collector accumulates captures across the trials an experiment runs.
+// Experiments reach it through Params.Profile: Params.Machine attaches a
+// fresh Set to every machine it constructs, and an experiment that runs
+// a reference stream with no machine feeds a Set itself and adds it, so
 // a multi-shape experiment yields one capture per shape. Append order is
-// the experiment's deterministic construction order; the mutex only
-// guards against engines running trials of one job concurrently.
+// the experiment's deterministic trial order; the mutex only guards
+// against engines running trials of one job concurrently.
 type Collector struct {
 	mu   sync.Mutex
 	caps []Capture
 }
 
-// Attach profiles m and records the capture.
-func (c *Collector) Attach(shape string, seed uint64, m *machine.Machine) {
-	s := Attach(m)
+// Add records a capture.
+func (c *Collector) Add(shape string, seed uint64, s *Set) {
 	c.mu.Lock()
 	c.caps = append(c.caps, Capture{Shape: shape, Seed: seed, Set: s})
 	c.mu.Unlock()
+}
+
+// Attach profiles m and records the capture.
+func (c *Collector) Attach(shape string, seed uint64, m *machine.Machine) {
+	c.Add(shape, seed, Attach(m))
 }
 
 // Captures returns the recorded trials in capture order.

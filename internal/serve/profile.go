@@ -74,10 +74,13 @@ func (s *Server) storeHasProfile(requestID string) bool {
 
 // ensureProfile builds and memoizes the request's profile doc unless it
 // is already in the store. Curves come from re-running each job's
-// experiment with an mrc.Collector attached — the probe is proven
-// non-perturbing, so the extra pass reproduces exactly the simulations
-// whose tables the engine just produced (or served from cache), and the
-// doc is byte-deterministic for a given request.
+// experiment with an mrc.Collector in Params.Profile: the collector
+// attaches to every machine the experiment builds, and the Cm*
+// experiments (table1-1, ablation-assoc), which build none, add the
+// profilers their stream pass fed. The probe is proven non-perturbing,
+// so the extra pass reproduces exactly the runs whose tables the engine
+// just produced (or served from cache), and the doc is byte-deterministic
+// for a given request.
 func (s *Server) ensureProfile(req *request) error {
 	rs, ok := s.rawStore()
 	if !ok {

@@ -25,8 +25,9 @@
 #                  the bytes one machine construction
 #                  allocates, the stream-identity golden over 5 M references of grown
 #                  LRU stacks, the bus-trace golden of 65-130 PE
-#                  machines and the request-line phase's exact visit
-#                  count on two core machines (run without the race
+#                  machines, the request-line phase's exact visit
+#                  count on two core machines and the scale-10 machine
+#                  oracle of the Cm* stream pass (run without the race
 #                  detector, whose instrumentation allocates and is 10x
 #                  slower; the -race pass above skips them). The
 #                  profiler's alloc pin and
@@ -60,7 +61,7 @@ echo "==> go test -race ./..."
 go test -race ./...
 
 echo "==> allocs/cycle regression"
-go test -run 'SteadyState.*AllocFree|ConstructionBytes|StreamIdentity|TraceGoldenAbove64PEs|NewsVisitsPerCycle' -count=1 ./internal/machine ./internal/workload
+go test -run 'SteadyState.*AllocFree|ConstructionBytes|StreamIdentity|TraceGoldenAbove64PEs|NewsVisitsPerCycle|CmStarOracleScale10' -count=1 ./internal/machine ./internal/workload ./internal/experiments
 go test -run 'SteadyState.*AllocFree|AttachSettlesAtEveryRead|AttachLeavesNoGoroutine' -cpu 1,2 -count=1 ./internal/mrc
 go test -run 'DispatchRunsJobsNotGroups' -cpu 1,2 -count=1 ./internal/sweep
 
