@@ -26,7 +26,7 @@
 // Determinism: a cell's traffic is sequential, its faults are a pure
 // function of (seed, class, intensity, transport sequence number),
 // health probing is driven by the traffic loop (never a wall-clock
-// ticker), request hedging stays off, and classification reads only
+// ticker), and classification reads only
 // deterministic observables — statuses, retry counts, router counters,
 // and result bytes. The same seed therefore renders the same matrix at
 // any -j and on every rerun; TestCampaignSmoke pins exactly that.
@@ -395,7 +395,7 @@ func runCell(ctx context.Context, cfg config, class chaos.Class, in chaos.Intens
 	}()
 	for i := range workers {
 		id := fmt.Sprintf("w%d", i+1)
-		srv := serve.New(serve.Options{Worker: true, WorkerID: id})
+		srv := serve.New(serve.Options{})
 		gate := &crashGate{inner: srv.Handler()}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {

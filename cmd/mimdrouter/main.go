@@ -1,13 +1,11 @@
 // Command mimdrouter is the S25 shard-manager tier: an HTTP router in
 // front of N mimdserved workers. It partitions the content-hash
 // request-id space across the fleet with rendezvous hashing, proxies
-// submissions and event streams to each shard's owner, detects worker
-// failure (active probing plus passive proxy errors) and fails over,
-// and runs a p99-latency-driven rebalancer that grants hot shards a
-// read replica filled over the replication pull API — retiring it again
-// on sustained recovery. Results are byte-identical to a single-node
-// run: request ids are pure content hashes and replicas are filled with
-// raw store bytes.
+// submissions and event streams to each shard's owner, and detects
+// worker failure (active probing plus passive proxy errors) and fails
+// over to the shard's rendezvous successor. Results are byte-identical
+// to a single-node run: request ids are pure content hashes, so any
+// worker that runs a spec stores the same bytes.
 //
 // Self-healing controls: per-worker circuit breakers open after
 // consecutive proxy failures and re-admit traffic through a half-open
@@ -55,14 +53,8 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		addr      = fs.String("addr", "127.0.0.1:8470", "listen address")
 		workers   = fs.String("workers", "", "declared fleet as id=url[,id=url...]")
 		spawn     = fs.Int("spawn", 0, "instead of -workers, start this many in-process workers on loopback ports")
-		shards    = fs.Int("shards", 0, "virtual shard space size; must match the workers'; 0 = default")
 		jobTO     = fs.Duration("job-timeout", 0, "per-job budget the workers run with (feeds the request id; must match)")
 		maxJobs   = fs.Int("max-jobs", 10000, "spec expansion limit the workers run with (must match)")
-		hotP99    = fs.Float64("hot-p99-ms", 250, "windowed p99 (ms) that trips a shard's read replica")
-		recover99 = fs.Float64("recover-p99-ms", 0, "p99 (ms) at or under which a replicated shard cools; 0 = hot/4")
-		minSamp   = fs.Int64("min-samples", 16, "smallest window that can trip a replica")
-		coolPolls = fs.Int("cool-polls", 3, "consecutive cool polls before a replica retires")
-		pollIvl   = fs.Duration("poll-interval", 2*time.Second, "rebalancer poll cadence")
 		probeIvl  = fs.Duration("probe-interval", time.Second, "health probe cadence")
 		journalP  = fs.String("journal", "", "flight journal path; submissions are journaled and resumed after a restart")
 		attemptTO = fs.Duration("attempt-timeout", 2*time.Second, "max wait for a worker's response headers before failing over; 0 disables")
@@ -88,7 +80,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	}
 	fleet, err := parseFleet(*workers)
 	if *spawn > 0 {
-		fleet, err = spawnWorkers(ctx, stderr, *spawn, *shards, *jobTO, *maxJobs)
+		fleet, err = spawnWorkers(ctx, stderr, *spawn, *jobTO, *maxJobs)
 	}
 	if err != nil {
 		return fail(err)
@@ -106,13 +98,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	idOpts := serve.Options{JobTimeout: *jobTO, MaxJobs: *maxJobs}
 	router, err := cluster.New(cluster.Options{
 		Workers:        fleet,
-		NumShards:      *shards,
 		RequestID:      func(body []byte) (string, error) { return serve.ComputeRequestID(body, idOpts) },
-		HotP99MS:       *hotP99,
-		RecoverP99MS:   *recover99,
-		MinSamples:     *minSamp,
-		CoolPolls:      *coolPolls,
-		PollInterval:   *pollIvl,
 		ProbeInterval:  *probeIvl,
 		AttemptTimeout: *attemptTO,
 		Journal:        journal,
@@ -141,7 +127,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	errs := make(chan error, 1)
 	go func() { errs <- hs.Serve(ln) }()
 	fmt.Fprintf(stderr, "mimdrouter: listening on http://%s (%d workers, %d shards)\n",
-		ln.Addr(), len(fleet), router.NumShards())
+		ln.Addr(), len(fleet), cluster.DefaultNumShards)
 
 	select {
 	case err := <-errs:
@@ -181,17 +167,11 @@ func parseFleet(s string) ([]cluster.Worker, error) {
 
 // spawnWorkers boots n in-process mimdserved workers on loopback ports —
 // the self-contained cluster used by `make cluster` and development.
-func spawnWorkers(ctx context.Context, stderr io.Writer, n, shards int, jobTO time.Duration, maxJobs int) ([]cluster.Worker, error) {
+func spawnWorkers(ctx context.Context, stderr io.Writer, n int, jobTO time.Duration, maxJobs int) ([]cluster.Worker, error) {
 	fleet := make([]cluster.Worker, 0, n)
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("w%d", i+1)
-		srv := serve.New(serve.Options{
-			Worker:     true,
-			NumShards:  shards,
-			WorkerID:   id,
-			JobTimeout: jobTO,
-			MaxJobs:    maxJobs,
-		})
+		srv := serve.New(serve.Options{JobTimeout: jobTO, MaxJobs: maxJobs})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, err

@@ -55,9 +55,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		retryHint = fs.Duration("retry-after", time.Second, "Retry-After hint on 429/503 responses")
 		maxJobs   = fs.Int("max-jobs", 10000, "reject specs expanding past this many jobs")
 		drainTO   = fs.Duration("drain-timeout", 30*time.Second, "how long a SIGINT drain waits before cancelling running flights")
-		worker    = fs.Bool("worker", false, "run as a cluster worker: enable /shardstats and the /v1/replica pull API mimdrouter uses")
-		shards    = fs.Int("shards", 0, "virtual shard space size for latency digests; must match the router's; 0 = default")
-		workerID  = fs.String("worker-id", "", "this worker's id in cluster documents")
 	)
 	fs.Var(new(experiments.TraceFlag), "trace", "register a trace workload as name=path (repeatable); runnable as experiment \"trace-<name>\"")
 	fs.Parse(args)
@@ -69,9 +66,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		JobTimeout:  *jobTO,
 		RetryAfter:  *retryHint,
 		MaxJobs:     *maxJobs,
-		Worker:      *worker,
-		NumShards:   *shards,
-		WorkerID:    *workerID,
 	}
 	if *cacheDir != "" {
 		ds, err := sweep.OpenDirStore(*cacheDir)

@@ -30,8 +30,7 @@ const (
 	// exactly one proxy attempt — the transient network partition.
 	ConnRefuse Class = iota
 	// Latency delays the response by a plan-chosen amount — the slow
-	// replica / congested link that hedging and attempt timeouts exist
-	// for.
+	// worker / congested link that attempt timeouts exist for.
 	Latency
 	// Truncate cuts the response body short with a clean EOF —
 	// including mid-SSE-frame — exactly the failure a stream consumer

@@ -4,22 +4,19 @@
 // each shard is assigned to a worker by rendezvous (highest-random-
 // weight) hashing over a versioned membership table, so adding or losing
 // a worker remaps only that worker's shards and every result store stays
-// shard-local. Workers publish windowed per-shard latency digests
-// (tracked lock-free with an atomic-pointer snapshot swap) on
-// /shardstats; the router's rebalancer polls them and replicates hot
-// shards to their rendezvous successor when p99 crosses a threshold,
-// retiring the replica on sustained recovery — the paper's dynamic,
-// decentralized adaptation transplanted to the serving tier. Results
-// are content-addressed, so a cluster run is byte-identical to a
-// single-node run whatever the routing. See DESIGN.md §13.
+// shard-local. A health prober, passive failure detection and per-worker
+// circuit breakers move a dead worker's shards to their rendezvous
+// successor, and a journal lets a restarted router resume in-flight
+// submissions. Results are content-addressed, so a cluster run is
+// byte-identical to a single-node run whatever the routing. See
+// DESIGN.md §13.
 package cluster
 
 import "hash/fnv"
 
-// DefaultNumShards is the default size of the virtual shard space. It is
-// deliberately much larger than any realistic worker count so rendezvous
-// assignment stays balanced, while small enough that per-shard latency
-// windows fill quickly under load.
+// DefaultNumShards is the size of the virtual shard space every router
+// routes with. It is deliberately much larger than any realistic worker
+// count so rendezvous assignment stays balanced.
 const DefaultNumShards = 32
 
 // ShardOf maps a content-hash request id onto a virtual shard. The

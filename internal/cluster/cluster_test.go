@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"testing"
-	"time"
 )
 
 func TestShardOfIsStableAndBounded(t *testing.T) {
@@ -132,88 +131,5 @@ func TestMembershipTransitions(t *testing.T) {
 	}
 	if _, err := NewMembership([]Worker{{ID: "x", URL: "u"}, {ID: "x", URL: "v"}}); err == nil {
 		t.Fatal("duplicate ids accepted")
-	}
-}
-
-func TestTrackerDigestPercentiles(t *testing.T) {
-	tr := NewTracker(4)
-	for i := 1; i <= 100; i++ {
-		tr.Record(2, time.Duration(i)*time.Millisecond)
-	}
-	digests := tr.Snapshot()
-	d := digests[2]
-	if d.Count != 100 {
-		t.Fatalf("count = %d, want 100", d.Count)
-	}
-	if d.P50MS < 45 || d.P50MS > 55 {
-		t.Fatalf("p50 = %.1fms, want ~50ms", d.P50MS)
-	}
-	if d.P99MS < 95 || d.P99MS > 100 {
-		t.Fatalf("p99 = %.1fms, want ~99ms", d.P99MS)
-	}
-	if d.MaxMS != 100 {
-		t.Fatalf("max = %.1fms, want 100ms", d.MaxMS)
-	}
-	for i, other := range digests {
-		if i != 2 && other.Count != 0 {
-			t.Fatalf("shard %d counted %d samples without traffic", i, other.Count)
-		}
-	}
-
-	// The next snapshot sees an idle interval: zero samples, but the
-	// percentile shape persists so the rebalancer can distinguish
-	// "cooled" from "no traffic".
-	idle := tr.Snapshot()[2]
-	if idle.Count != 0 {
-		t.Fatalf("idle count = %d, want 0", idle.Count)
-	}
-	if idle.P99MS != d.P99MS {
-		t.Fatalf("idle p99 = %.1f, want previous %.1f", idle.P99MS, d.P99MS)
-	}
-}
-
-func TestTrackerWindowWraps(t *testing.T) {
-	tr := NewTracker(1)
-	for i := 0; i < windowCap*3; i++ {
-		tr.Record(0, time.Millisecond)
-	}
-	d := tr.Snapshot()[0]
-	if d.Count != int64(windowCap*3) {
-		t.Fatalf("count = %d, want %d", d.Count, windowCap*3)
-	}
-	if d.P99MS != 1 {
-		t.Fatalf("p99 = %.2fms, want 1ms", d.P99MS)
-	}
-}
-
-// TestTrackerConcurrent exercises the lock-free record/snapshot paths
-// under -race: many goroutines hammer Record while another rotates
-// windows with Snapshot and reads Last.
-func TestTrackerConcurrent(t *testing.T) {
-	tr := NewTracker(8)
-	done := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		go func(g int) {
-			for i := 0; ; i++ {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				tr.Record(i%8, time.Duration(g+1)*time.Millisecond)
-			}
-		}(g)
-	}
-	total := int64(0)
-	for i := 0; i < 200; i++ {
-		tr.Record(i%8, time.Millisecond) // guarantee traffic even if the goroutines lag
-		for _, d := range tr.Snapshot() {
-			total += d.Count
-		}
-		tr.Last(i % 8)
-	}
-	close(done)
-	if total == 0 {
-		t.Fatal("no samples observed across 200 snapshots")
 	}
 }

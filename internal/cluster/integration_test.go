@@ -2,7 +2,6 @@ package cluster_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -39,7 +38,7 @@ func startTestCluster(t *testing.T, n int, opts cluster.Options) *clusterUnderTe
 			t.Fatal(err)
 		}
 		c.stores = append(c.stores, ds)
-		srv := serve.New(serve.Options{Store: ds, Worker: true, WorkerID: id})
+		srv := serve.New(serve.Options{Store: ds})
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
 		fleet = append(fleet, cluster.Worker{ID: id, URL: ts.URL})
@@ -188,97 +187,67 @@ func getStatus(t *testing.T, url string) int {
 	return resp.StatusCode
 }
 
-// TestReplicaFillCopiesExactBytes walks a hot shard's life through the
-// router over two real workers: the rebalancer trips a replica, the fill
-// lands the owner's envelopes on it byte-for-byte, replica reads answer
-// as pure cache hits with identical tables, and follow-up GETs by id —
-// whose flight and profile doc live on one worker only — are answered
-// whichever worker the alternation picks first.
-func TestReplicaFillCopiesExactBytes(t *testing.T) {
+// TestFollowUpGetsFindFlightOnSuccessor: a submission made while its
+// shard's owner is down runs on the rendezvous successor, so once the
+// owner is back the router's first candidate for a GET by id is a real
+// worker that answers 404. The router must walk on to the successor for
+// the job status, its event stream and the profile doc, and a 404 from
+// a non-holder is no failover.
+func TestFollowUpGetsFindFlightOnSuccessor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real experiments")
 	}
-	// Hair-trigger rebalancer: one submission's latency makes its shard
-	// hot on the first poll.
-	clus := startTestCluster(t, 2, cluster.Options{HotP99MS: 0.000001, MinSamples: 1, HotPolls: 1})
+	clus := startTestCluster(t, 2, cluster.Options{})
+	members := clus.router.Members()
+	// submitWithOwnerDown marks the spec's shard owner down, calls
+	// submit, marks it up again and returns the owner's id.
+	submitWithOwnerDown := func(spec string, submit func()) string {
+		t.Helper()
+		id, err := serve.ComputeRequestID([]byte(spec), serve.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := cluster.Owner(members.AliveIDs(), cluster.ShardOf(id, cluster.DefaultNumShards))
+		members.MarkDown(owner)
+		submit()
+		members.MarkUp(owner)
+		return owner
+	}
 	const (
-		runSpec  = `{"kind":"experiment","experiment":"fig7-1","seeds":[1]}`
 		jobSpec  = `{"kind":"experiment","experiment":"fig6-1","seeds":[1]}`
 		profSpec = `{"kind":"experiment","experiment":"fig7-1","seeds":[2],"profile":true}`
 	)
 
-	// Three cold submissions, each seen by its shard's owner only.
-	cold := postJSON(t, clus.base, runSpec)
-	if cold.Cache != "miss" || cold.Executed == 0 {
-		t.Fatalf("cold run: cache=%s executed=%d, want a full miss", cold.Cache, cold.Executed)
-	}
-	jresp, err := http.Post(clus.base+"/v1/jobs", "application/json", strings.NewReader(jobSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var job serve.JobStatus
-	err = json.NewDecoder(jresp.Body).Decode(&job)
-	jresp.Body.Close()
-	if err != nil || job.ID == "" {
-		t.Fatalf("POST /v1/jobs: status %d, decode error %v", jresp.StatusCode, err)
-	}
-	if code := getStatus(t, clus.base+job.EventsURL); code != http.StatusOK { // runs to the terminal frame
-		t.Fatalf("GET %s: status %d", job.EventsURL, code)
-	}
-	prof := postJSON(t, clus.base, profSpec)
-
-	// One poll replicates every hot shard onto the other worker.
-	clus.router.RebalanceOnce(context.Background())
-	for _, id := range []string{cold.ID, job.ID, prof.ID} {
-		if clus.router.ReplicaFor(cluster.ShardOf(id, cluster.DefaultNumShards)) == "" {
-			t.Fatalf("rebalancer did not replicate the shard of %s", id)
-		}
-	}
-	if clus.router.Metrics().ReplicasAdded() == 0 {
-		t.Fatal("replica fill did not run")
-	}
-
-	// The fill copied the owner's envelopes exactly.
-	replica, owner := clus.stores[0], clus.stores[1]
-	if clus.router.ReplicaFor(cluster.ShardOf(cold.ID, cluster.DefaultNumShards)) == "w2" {
-		replica, owner = owner, replica
-	}
-	sp, err := sweep.SpecFor("fig7-1", []uint64{1}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range sweep.Expand([]sweep.Spec{sp}) {
-		want, err := os.ReadFile(objectPath(owner.Dir(), j.Key))
+	jobOwner := submitWithOwnerDown(jobSpec, func() {
+		resp, err := http.Post(clus.base+"/v1/jobs", "application/json", strings.NewReader(jobSpec))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(objectPath(replica.Dir(), j.Key))
-		if err != nil {
-			t.Fatalf("replica missing replicated key %s: %v", j.Key, err)
+		err = json.NewDecoder(resp.Body).Decode(&job)
+		resp.Body.Close()
+		if err != nil || job.ID == "" {
+			t.Fatalf("POST /v1/jobs: status %d, decode error %v", resp.StatusCode, err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("replicated envelope for %s is not byte-identical", j.Key)
+		if code := getStatus(t, clus.base+job.EventsURL); code != http.StatusOK { // runs to the terminal frame
+			t.Fatalf("GET %s: status %d", job.EventsURL, code)
 		}
+	})
+	var prof serve.Response
+	profOwner := submitWithOwnerDown(profSpec, func() { prof = postJSON(t, clus.base, profSpec) })
+	if prof.Profile == "" {
+		t.Fatal("profiled run returned no profile path")
 	}
 
-	// Resubmissions alternate owner and replica: within a few, one is a
-	// replica read, and every one is a pure hit with the owner's table.
-	for i := 0; i < 4 && clus.router.Metrics().ReplicaReads() == 0; i++ {
-		warm := postJSON(t, clus.base, runSpec)
-		if warm.Cache != "hit" || warm.Executed != 0 {
-			t.Fatalf("resubmission %d: cache=%s executed=%d, want a pure hit", i, warm.Cache, warm.Executed)
-		}
-		if warm.Tables[0] != cold.Tables[0] {
-			t.Fatal("replica-path table differs from the owner's")
-		}
+	// The owners are alive again and hold neither flight nor doc.
+	if code := getStatus(t, members.URL(jobOwner)+"/v1/jobs/"+job.ID); code != http.StatusNotFound {
+		t.Fatalf("owner %s answered the job status with %d, want 404", jobOwner, code)
 	}
-	if clus.router.Metrics().ReplicaReads() == 0 {
-		t.Fatal("no replica read after 4 resubmissions of a replicated shard")
+	if code := getStatus(t, members.URL(profOwner)+prof.Profile); code != http.StatusNotFound {
+		t.Fatalf("owner %s answered the profile doc with %d, want 404", profOwner, code)
 	}
 
-	// Follow-up GETs: the replica holds the shard's results but never saw
-	// the flight or the profile doc, so half of these reach a worker that
-	// answers 404; the router must move on to the one that holds them.
+	failovers := clus.router.Metrics().Failovers()
 	for i := 0; i < 8; i++ {
 		if code := getStatus(t, clus.base+job.EventsURL); code != http.StatusOK {
 			t.Fatalf("events GET %d: status %d", i, code)
@@ -290,7 +259,7 @@ func TestReplicaFillCopiesExactBytes(t *testing.T) {
 			t.Fatalf("profile GET %d: status %d", i, code)
 		}
 	}
-	if n := clus.router.Metrics().Failovers(); n != 0 {
+	if n := clus.router.Metrics().Failovers() - failovers; n != 0 {
 		t.Fatalf("a 404 from a non-holder counted as %d failover(s)", n)
 	}
 }

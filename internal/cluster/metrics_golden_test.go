@@ -18,7 +18,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestMetricsGolden pins the router's /metrics bytes — series names,
 // HELP text, order, label and number formatting — after one proxied
-// request, one failover and one replica read. Everything in the script
+// request and one failover. Everything in the script
 // is a pure function of worker ids and request bodies, and requests go
 // through Handler() synchronously, so the counts are exact.
 func TestMetricsGolden(t *testing.T) {
@@ -42,13 +42,12 @@ func TestMetricsGolden(t *testing.T) {
 	}
 	// bodyOwnedBy finds a submission whose shard's rendezvous owner is
 	// (or is not) the dead worker.
-	bodyOwnedBy := func(deadOwner bool) (string, int) {
+	bodyOwnedBy := func(deadOwner bool) string {
 		for i := 0; ; i++ {
 			body := fmt.Sprintf(`{"kind":"experiment","n":%d}`, i)
 			id, _ := contentID([]byte(body))
-			shard := ShardOf(id, DefaultNumShards)
-			if (Rank(ids, shard)[0] == dead) == deadOwner {
-				return body, shard
+			if (Rank(ids, ShardOf(id, DefaultNumShards))[0] == dead) == deadOwner {
+				return body
 			}
 		}
 	}
@@ -59,14 +58,8 @@ func TestMetricsGolden(t *testing.T) {
 		}
 	}
 
-	plain, shard := bodyOwnedBy(false)
-	submit("proxied request", plain)
-	orphan, _ := bodyOwnedBy(true)
-	submit("failover", orphan)
-	// Give the first shard a replica on its successor: its second pick
-	// is served by the replica.
-	r.shards[shard].replica = Rank(r.members.AliveIDs(), shard)[1]
-	submit("replica read", plain)
+	submit("proxied request", bodyOwnedBy(false))
+	submit("failover", bodyOwnedBy(true))
 
 	got := do(http.MethodGet, "/metrics", "").Body.String()
 	path := filepath.Join("testdata", "metrics.golden")

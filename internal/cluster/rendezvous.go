@@ -7,7 +7,7 @@ import (
 
 // hrwScore is the rendezvous weight of (worker, shard): a pure hash of
 // the worker id salted with the shard number. The worker with the
-// highest score owns the shard; the runner-up is its replication
+// highest score owns the shard; the runner-up is its failover
 // successor. Because each worker's score is independent of every other
 // worker's, removing a worker from the candidate set remaps only the
 // shards that worker owned — the property that keeps caches shard-local
@@ -51,8 +51,8 @@ func Owner(workerIDs []string, shard int) string {
 	return best
 }
 
-// Successor returns the second-ranked worker for the shard — the replica
-// target — or "" when fewer than two candidates exist.
+// Successor returns the second-ranked worker for the shard — where its
+// submissions fail over to — or "" when fewer than two candidates exist.
 func Successor(workerIDs []string, shard int) string {
 	if len(workerIDs) < 2 {
 		return ""

@@ -21,9 +21,6 @@ type Options struct {
 	// Workers declares the fleet. At least one worker is required; ids
 	// must be unique and stable (they feed the rendezvous hash).
 	Workers []Worker
-	// NumShards sizes the virtual shard space; 0 means DefaultNumShards.
-	// Every worker must be started with the same value.
-	NumShards int
 	// RequestID computes the content-hash request id for a submission
 	// body — injected (cmd/mimdrouter wires serve.ComputeRequestID) so
 	// this package never imports the serving layer.
@@ -35,26 +32,17 @@ type Options struct {
 	// available; 0 means 1s.
 	RetryAfter time.Duration
 
-	// HotP99MS trips a shard's replica when its windowed p99 crosses it;
-	// 0 means 250ms.
-	HotP99MS float64
-	// RecoverP99MS retires the replica once p99 stays at or under it;
-	// 0 means HotP99MS/4.
-	RecoverP99MS float64
-	// MinSamples is the smallest window that can trip a replica; 0
-	// means 16.
-	MinSamples int64
-	// HotPolls is how many consecutive hot polls trip a replica; 0
-	// means 1.
-	HotPolls int
-	// CoolPolls is how many consecutive cool polls retire one; 0 means 3
-	// (the "sustained recovery" hysteresis).
-	CoolPolls int
-	// PollInterval paces the rebalancer loop; 0 means 2s.
+	// HotP99MS, MinSamples and PollInterval are ignored.
+	//
+	// Deprecated: they tuned the p99 rebalancer, which is gone. The
+	// fields stay only because the frozen benchmark/ module sets them;
+	// ROADMAP direction 1 deletes them.
+	HotP99MS     float64
+	MinSamples   int64
 	PollInterval time.Duration
 	// ProbeInterval paces the health prober; 0 means 1s.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health or stats request; 0 means 500ms.
+	// ProbeTimeout bounds one health probe; 0 means 500ms.
 	ProbeTimeout time.Duration
 	// ProbeRetries is how many extra immediate attempts (with backoff)
 	// one probe round makes before counting a failure; 0 means 2.
@@ -83,32 +71,11 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.NumShards <= 0 {
-		o.NumShards = DefaultNumShards
-	}
 	if o.Client == nil {
 		o.Client = &http.Client{}
 	}
 	if o.RetryAfter <= 0 {
 		o.RetryAfter = time.Second
-	}
-	if o.HotP99MS <= 0 {
-		o.HotP99MS = 250
-	}
-	if o.RecoverP99MS <= 0 {
-		o.RecoverP99MS = o.HotP99MS / 4
-	}
-	if o.MinSamples <= 0 {
-		o.MinSamples = 16
-	}
-	if o.HotPolls <= 0 {
-		o.HotPolls = 1
-	}
-	if o.CoolPolls <= 0 {
-		o.CoolPolls = 3
-	}
-	if o.PollInterval <= 0 {
-		o.PollInterval = 2 * time.Second
 	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = time.Second
@@ -134,26 +101,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// shardSlot is one virtual shard's routing state: the active replica (if
-// any), the rebalancer's hysteresis streaks, and a pick counter that
-// alternates reads between owner and replica.
-type shardSlot struct {
-	mu         sync.Mutex
-	replica    string
-	hotStreak  int
-	coolStreak int
-	lastP99MS  float64
-	picks      uint64
-}
-
 // Router is the shard-manager tier: it owns the membership table,
 // proxies submissions to the rendezvous owner of each request's shard,
-// and runs the health prober and the p99 rebalancer.
+// and runs the health prober.
 type Router struct {
 	opts     Options
 	members  *Membership
 	metrics  *Metrics
-	shards   []shardSlot
 	probe    *http.Client
 	mux      *http.ServeMux
 	breakers *breakerSet
@@ -175,7 +129,6 @@ func New(opts Options) (*Router, error) {
 		opts:     opts,
 		members:  members,
 		metrics:  newMetrics(),
-		shards:   make([]shardSlot, opts.NumShards),
 		probe:    &http.Client{Timeout: opts.ProbeTimeout},
 		breakers: newBreakerSet(opts.BreakerThreshold, opts.BreakerCooldown),
 	}
@@ -201,9 +154,6 @@ func (r *Router) Members() *Membership { return r.members }
 // Metrics exposes the router's counters.
 func (r *Router) Metrics() *Metrics { return r.metrics }
 
-// NumShards returns the router's shard-space size.
-func (r *Router) NumShards() int { return r.opts.NumShards }
-
 // Handler returns the router's HTTP handler with response-code
 // accounting attached.
 func (r *Router) Handler() http.Handler {
@@ -214,19 +164,16 @@ func (r *Router) Handler() http.Handler {
 	})
 }
 
-// Start launches the health prober and the rebalancer; both stop when
-// ctx is cancelled.
+// Start launches the health prober; it stops when ctx is cancelled.
 func (r *Router) Start(ctx context.Context) {
 	go r.probeLoop(ctx)
-	go r.rebalanceLoop(ctx)
 }
 
 // maxBodyBytes bounds a submission body (a spec is a few hundred bytes).
 const maxBodyBytes = 1 << 20
 
 // handleSubmit routes POST /v1/run and POST /v1/jobs: compute the
-// content-hash id, map it to a shard, and proxy to the shard's owner
-// (or, for a replicated hot shard, alternate between owner and replica).
+// content-hash id, map it to a shard, and proxy to the shard's owner.
 func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	if r.draining.Load() {
 		r.writeError(w, http.StatusServiceUnavailable, "router draining")
@@ -242,7 +189,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		r.writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid spec: %v", err))
 		return
 	}
-	shard := ShardOf(id, r.opts.NumShards)
+	shard := ShardOf(id, DefaultNumShards)
 	if j := r.opts.Journal; j != nil {
 		// Journal before the first proxy byte moves: a crash anywhere
 		// past this point leaves a resumable begin record. Done is
@@ -258,46 +205,15 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 // handleByID routes GET /v1/jobs/{id} and GET /v1/jobs/{id}/events by
 // the id already embedded in the path — the same shard mapping the
 // submission used, so polls and event streams reach the worker that ran
-// the flight (proxyToShard walks past a replica that answers 404).
+// the flight (proxyToShard walks past a worker that answers 404, which
+// after a failover is the owner the flight never reached).
 func (r *Router) handleByID(w http.ResponseWriter, req *http.Request) {
-	r.proxyToShard(w, req, ShardOf(req.PathValue("id"), r.opts.NumShards), nil)
+	r.proxyToShard(w, req, ShardOf(req.PathValue("id"), DefaultNumShards), nil)
 }
 
 // handleExperiments proxies the registry listing to any alive worker.
 func (r *Router) handleExperiments(w http.ResponseWriter, req *http.Request) {
 	r.proxyToShard(w, req, 0, nil)
-}
-
-// candidates returns the failover-ordered worker ids for a shard. The
-// first entry is the preferred target: normally the rendezvous owner,
-// but when the shard has an alive replica every other pick is served by
-// it — the read-spreading that relieves a hot shard. replicaRead
-// reports whether the front candidate is the replica rather than the
-// owner.
-func (r *Router) candidates(shard int) (ids []string, replicaRead bool) {
-	alive := r.members.AliveIDs()
-	if len(alive) == 0 {
-		return nil, false
-	}
-	rank := Rank(alive, shard)
-	slot := &r.shards[shard]
-	slot.mu.Lock()
-	rep := slot.replica
-	pick := slot.picks
-	slot.picks++
-	slot.mu.Unlock()
-	if rep == "" || !r.members.Alive(rep) || rep == rank[0] || pick%2 == 0 {
-		return rank, false
-	}
-	// Move the replica to the front, keeping the rest as failovers.
-	out := make([]string, 0, len(rank))
-	out = append(out, rep)
-	for _, id := range rank {
-		if id != rep {
-			out = append(out, id)
-		}
-	}
-	return out, true
 }
 
 // gatewayStatus reports whether a worker response should be treated as
@@ -324,7 +240,7 @@ func gatewayStatus(code int) bool {
 func (r *Router) proxyToShard(w http.ResponseWriter, req *http.Request, shard int, body []byte) {
 	r.inflight.Add(1)
 	defer r.inflight.Done()
-	cands, replicaRead := r.candidates(shard)
+	cands := Rank(r.members.AliveIDs(), shard)
 	for i, id := range cands {
 		if !r.breakers.Allow(id) {
 			r.metrics.breakerSkips.Inc()
@@ -336,13 +252,6 @@ func (r *Router) proxyToShard(w http.ResponseWriter, req *http.Request, shard in
 			}
 			if i+1 < len(cands) {
 				r.metrics.failovers.Inc()
-			}
-			replicaRead = false
-		}
-		proxied := func() {
-			r.metrics.proxied.Inc(id)
-			if replicaRead && i == 0 {
-				r.metrics.replicaReads.Inc()
 			}
 		}
 		target := r.members.URL(id)
@@ -379,8 +288,8 @@ func (r *Router) proxyToShard(w http.ResponseWriter, req *http.Request, shard in
 		}
 		if body == nil && resp.StatusCode == http.StatusNotFound && i+1 < len(cands) {
 			// A by-id read: flights and profile docs live only on the worker
-			// that ran the submission, and a replicated shard alternates its
-			// front candidate. A 404 here means "not held by this worker" —
+			// that ran the submission, which after a failover is not the
+			// shard's owner. A 404 here means "not held by this worker" —
 			// a completed, healthy answer: it closes a half-open breaker's
 			// trial like any success, and counts no failover or down. The
 			// 404 is relayed only from the last candidate; if the rest are
@@ -407,14 +316,14 @@ func (r *Router) proxyToShard(w http.ResponseWriter, req *http.Request, shard in
 				continue
 			}
 			r.breakers.OnSuccess(id)
-			proxied()
+			r.metrics.proxied.Inc(id)
 			copyHeader(w.Header(), resp.Header, "Content-Type", "Retry-After", "Cache-Control")
 			w.WriteHeader(resp.StatusCode)
 			w.Write(data)
 			return
 		}
 		r.breakers.OnSuccess(id)
-		proxied()
+		r.metrics.proxied.Inc(id)
 		r.relay(w, resp)
 		return
 	}
@@ -585,8 +494,8 @@ func (r *Router) relay(w http.ResponseWriter, resp *http.Response) {
 	scan := NewTerminalScanner(ct)
 	errorFrame := func(msg string) {
 		// Clients distinguish this frame from the worker's own terminal
-		// "end" frame and resubmit; the resubmission routes to the next
-		// candidate (or the shard's replica).
+		// "end" frame and resubmit; the resubmission fails over to the
+		// next candidate if the worker is gone.
 		switch {
 		case strings.Contains(ct, "text/event-stream"):
 			fmt.Fprintf(w, "event: error\ndata: {\"error\":%q}\n\n", msg)
@@ -636,30 +545,6 @@ func (r *Router) writeError(w http.ResponseWriter, code int, msg string) {
 	WriteError(w, code, r.opts.RetryAfter, msg)
 }
 
-// ActiveReplicas counts shards currently routing through a replica.
-func (r *Router) ActiveReplicas() int {
-	n := 0
-	for i := range r.shards {
-		r.shards[i].mu.Lock()
-		if r.shards[i].replica != "" {
-			n++
-		}
-		r.shards[i].mu.Unlock()
-	}
-	return n
-}
-
-// ReplicaFor returns the shard's active replica id ("" when none) —
-// observability for /v1/cluster and tests.
-func (r *Router) ReplicaFor(shard int) string {
-	if shard < 0 || shard >= len(r.shards) {
-		return ""
-	}
-	r.shards[shard].mu.Lock()
-	defer r.shards[shard].mu.Unlock()
-	return r.shards[shard].replica
-}
-
 func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	alive := r.members.AliveCount()
 	total := len(r.members.Workers())
@@ -678,7 +563,7 @@ func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (r *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	fmt.Fprint(w, r.metrics.Render(r.members.AliveCount(), r.members.Version(), r.ActiveReplicas()))
+	fmt.Fprint(w, r.metrics.Render(r.members.AliveCount(), r.members.Version(), 0))
 }
 
 // clusterWorker is one row of the /v1/cluster worker listing.
@@ -688,34 +573,16 @@ type clusterWorker struct {
 	Alive bool   `json:"alive"`
 }
 
-// clusterReplica is one row of the /v1/cluster replica listing.
-type clusterReplica struct {
-	Shard   int     `json:"shard"`
-	Replica string  `json:"replica"`
-	P99MS   float64 `json:"p99_ms"`
-}
-
 func (r *Router) handleCluster(w http.ResponseWriter, _ *http.Request) {
 	workers := make([]clusterWorker, 0, len(r.members.Workers()))
 	for _, wk := range r.members.Workers() {
 		workers = append(workers, clusterWorker{ID: wk.ID, URL: wk.URL, Alive: r.members.Alive(wk.ID)})
 	}
-	var replicas []clusterReplica
-	for i := range r.shards {
-		r.shards[i].mu.Lock()
-		if r.shards[i].replica != "" {
-			replicas = append(replicas, clusterReplica{
-				Shard: i, Replica: r.shards[i].replica, P99MS: r.shards[i].lastP99MS,
-			})
-		}
-		r.shards[i].mu.Unlock()
-	}
 	doc := struct {
-		MembershipVersion uint64           `json:"membership_version"`
-		NumShards         int              `json:"num_shards"`
-		Workers           []clusterWorker  `json:"workers"`
-		Replicas          []clusterReplica `json:"replicas,omitempty"`
-	}{r.members.Version(), r.opts.NumShards, workers, replicas}
+		MembershipVersion uint64          `json:"membership_version"`
+		NumShards         int             `json:"num_shards"`
+		Workers           []clusterWorker `json:"workers"`
+	}{r.members.Version(), DefaultNumShards, workers}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"hash/fnv"
 	"sync"
 
@@ -120,6 +121,10 @@ func (g *storeGuard) GetRaw(key string) ([]byte, bool, error) {
 	defer lock.Unlock()
 	return rs.GetRaw(key)
 }
+
+// errNoRawStore is PutRaw's answer when the inner store has no raw
+// payload access.
+var errNoRawStore = errors.New("serve: store does not support raw payload access")
 
 // PutRaw implements sweep.RawStore when the inner store does.
 func (g *storeGuard) PutRaw(key string, payload []byte) error {

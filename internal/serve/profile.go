@@ -54,7 +54,7 @@ type ProfileDoc struct {
 	Entries []ProfileEntry `json:"entries"`
 }
 
-// rawStore returns the store's replication surface, which profile docs
+// rawStore returns the store's raw-payload surface, which profile docs
 // ride on; the guard passes it through to MemStore and DirStore.
 func (s *Server) rawStore() (sweep.RawStore, bool) {
 	rs, ok := s.opts.Store.(sweep.RawStore)
@@ -222,7 +222,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Serve the stored bytes verbatim: byte-identical from every worker
-	// holding the doc, so router hedging and replica reads stay safe.
+	// holding the doc, so a read is the same whichever worker answers.
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
 	w.WriteHeader(http.StatusOK)

@@ -55,16 +55,13 @@ type Options struct {
 	// FaultRunner overrides the fault-campaign cell runner (tests); nil
 	// means fault.NewCellRunner.
 	FaultRunner func(fault.CampaignConfig) sweep.Runner
-	// Worker enables the cluster worker surface: /shardstats latency
-	// digests plus the /v1/replica pull API the router's rebalancer uses
-	// to fill read replicas (DESIGN.md S25).
-	Worker bool
-	// NumShards sizes the virtual shard space the latency digests are
-	// bucketed by; it must match the router's. 0 means
-	// cluster.DefaultNumShards.
-	NumShards int
-	// WorkerID names this worker in cluster documents (manifest,
-	// shardstats); defaults to empty.
+	// Worker and WorkerID are ignored: a server behind cluster.Router
+	// needs no surface of its own.
+	//
+	// Deprecated: they enabled the p99 rebalancer's worker API, which is
+	// gone. The fields stay only because the frozen benchmark/ module
+	// sets them; ROADMAP direction 1 deletes them.
+	Worker   bool
 	WorkerID string
 }
 
@@ -142,12 +139,6 @@ type Server struct {
 	stop    context.CancelFunc
 	wg      sync.WaitGroup
 
-	// tracker holds the per-shard latency windows behind /shardstats
-	// (nil unless Worker is set).
-	tracker *cluster.Tracker
-	// replicaClient performs replica-fill pulls against peer workers.
-	replicaClient *http.Client
-
 	mu        sync.Mutex
 	draining  bool
 	flights   map[string]*flight // active, by request id
@@ -183,14 +174,11 @@ func New(opts Options) *Server {
 	if opts.Store == nil {
 		opts.Store = sweep.NewMemStore()
 	}
-	// Every store access — fast-path probes, engine flights, replica
-	// fills — goes through the quarantine guard so a probe's
+	// Every store access — fast-path probes, engine flights, profile
+	// docs — goes through the quarantine guard so a probe's
 	// read-validate-quarantine can never race a concurrent Put of the
 	// same key (see guard.go).
 	opts.Store = newStoreGuard(opts.Store)
-	if opts.NumShards <= 0 {
-		opts.NumShards = cluster.DefaultNumShards
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:    opts,
@@ -210,14 +198,6 @@ func New(opts Options) *Server {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobStatus)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
 	mux.HandleFunc("GET /v1/profile/{id}", s.handleProfile)
-	if opts.Worker {
-		s.tracker = cluster.NewTracker(opts.NumShards)
-		mux.HandleFunc("GET /shardstats", s.handleShardStats)
-		s.replicaClient = &http.Client{Timeout: 30 * time.Second}
-		mux.HandleFunc("GET /v1/replica/manifest", s.handleReplicaManifest)
-		mux.HandleFunc("GET /v1/replica/objects/{key}", s.handleReplicaObject)
-		mux.HandleFunc("POST /v1/replica/fill", s.handleReplicaFill)
-	}
 	s.mux = mux
 	return s
 }
@@ -344,7 +324,6 @@ var errDraining = errors.New("serve: shutting down")
 func (s *Server) runFlight(f *flight) {
 	defer s.wg.Done()
 	f.resp, f.code = s.execute(f)
-	s.recordShardLatency(f.id, time.Duration(f.resp.WallMS*float64(time.Millisecond)))
 	s.mu.Lock()
 	delete(s.flights, f.id)
 	s.done[f.id] = f

@@ -55,10 +55,11 @@ type Store interface {
 	AppendJournal(line JournalLine) error
 }
 
-// RawStore is the optional replication surface of a Store: access to a
-// result's exact payload bytes. Replica fills copy payloads verbatim so
-// a replica's envelopes are byte-identical to the owner's — re-encoding
-// a decoded Result could never guarantee that. Both MemStore and
+// RawStore is the optional raw-payload surface of a Store: access to an
+// object's exact payload bytes under a key. Its user is the serving
+// layer's profile documents (serve's GET /v1/profile/{id}), which are
+// not sweep Results: they are stored as given and served verbatim, so
+// every read returns the bytes that were built. Both MemStore and
 // DirStore implement it.
 type RawStore interface {
 	// GetRaw returns the verified payload bytes for key, if present.
