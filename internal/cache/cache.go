@@ -76,9 +76,10 @@ type line struct {
 // every uncached shared reference, exactly as Raskin's experiment counted
 // them.
 // Only the CPU phase classifies accesses, so the per-class counters are
-// cpu-owned.
+// cpu-owned, but for Reads: the repeats of a parked read are credited
+// (CreditReadHits) in whichever phase wakes its PE.
 type ClassStats struct {
-	//phase:cpu
+	//phase:any
 	Reads uint64
 	//phase:cpu
 	ReadMisses uint64
@@ -243,6 +244,24 @@ type Cache struct {
 
 	//phase:any
 	stats Stats
+
+	// The parked read (see Park), after the fields the hit and snoop paths
+	// use: spinning is set while the PE re-reads spinAddr, which sits in
+	// frame spinFrame holding spinData; a change to that line raises the
+	// wake bit (see SetWake).
+	//phase:any
+	spinning bool
+	//phase:cpu
+	spinAddr bus.Addr
+	//phase:cpu
+	spinClass coherence.Class
+	//phase:cpu
+	spinFrame int
+	//phase:cpu
+	spinData bus.Word
+	//phase:any
+	wake    *uint64
+	wakeBit uint64
 }
 
 // New creates a cache for PE id using the given protocol.
@@ -289,6 +308,83 @@ func (c *Cache) SetPresence(p *bus.Presence) { c.pres = p }
 // something happened to.
 func (c *Cache) SetNews(word *uint64, mask uint64) { c.news, c.newsBit = word, mask }
 
+// SetWake wires the cache to its bit (mask) of a wake word, which it
+// raises when the line of a parked read changes (see Park). A cache
+// without one never parks.
+func (c *Cache) SetWake(word *uint64, mask uint64) { c.wake, c.wakeBit = word, mask }
+
+// Park reports whether another read of a, of class, would hit and change
+// nothing but the counters and the LRU clock, as the read that just hit
+// did: the fixed point of a PE spinning on a line until it changes. If so
+// the cache records the read, for CreditReadHits, and raises its wake bit
+// when a snoop, an injected fault, a Restore or a new probe changes what
+// that read would do. A cache with a probe never parks: the probe must
+// see every reference.
+//
+//phase:cpu
+func (c *Cache) Park(a bus.Addr, class coherence.Class) bool {
+	if c.wake == nil || c.probe != nil || c.Busy() || !c.proto.Cachable(class, coherence.EvRead) {
+		return false
+	}
+	base := c.setBase(a)
+	for i := base; i < base+c.cfg.Ways; i++ {
+		ln := &c.lines[i]
+		if !ln.valid || ln.addr != a {
+			continue
+		}
+		out := c.proto.OnProc(ln.state, ln.aux, coherence.EvRead)
+		after := *ln
+		after.state, after.aux = out.Next, out.NextAux
+		applyDirty(&after, out.Dirty)
+		if out.Action != coherence.ActNone || after != *ln {
+			return false
+		}
+		c.spinning, c.spinAddr, c.spinClass, c.spinFrame, c.spinData = true, a, class, i, ln.data
+		return true
+	}
+	return false
+}
+
+// Parked returns the address of the read the last Park recorded.
+func (c *Cache) Parked() bus.Addr { return c.spinAddr }
+
+// Unpark forgets the parked read.
+func (c *Cache) Unpark() { c.spinning = false }
+
+// CreditReadHits makes n repeats of the parked read at once, as n calls
+// of Access would have made them before its line changed: the counters,
+// the LRU clock, and OnResolve for each.
+func (c *Cache) CreditReadHits(n uint64) {
+	c.stats.Reads += n
+	c.stats.ByClass[int(c.spinClass)&3].Reads += n
+	c.stats.ReadHits += n
+	if c.stamps != nil {
+		c.useClock += n
+		c.stamps[c.spinFrame] = c.useClock
+	}
+	if c.OnResolve != nil {
+		for range n {
+			c.fire(false, coherence.EvRead, c.spinAddr, 0, c.spinData)
+		}
+	}
+}
+
+// changed raises the wake bit if the snooped line at a is the parked
+// read's and no longer equals old, its value before the snoop.
+func (c *Cache) changed(a bus.Addr, old line, ln *line) {
+	if c.spinning && a == c.spinAddr && *ln != old {
+		*c.wake |= c.wakeBit
+	}
+}
+
+// wakeIfParked raises the wake bit of a parked cache, for a change its
+// parked read may see.
+func (c *Cache) wakeIfParked() {
+	if c.spinning {
+		*c.wake |= c.wakeBit
+	}
+}
+
 // Probe is the cache's reference-stream observation port (internal/mrc
 // plugs an online reuse-distance profiler into it). It fires once per
 // processor memory reference — reads, writes, and Test-and-Sets — at the
@@ -307,7 +403,10 @@ type Probe interface {
 }
 
 // SetProbe installs (or, with nil, removes) the reference-stream probe.
-func (c *Cache) SetProbe(p Probe) { c.probe = p }
+func (c *Cache) SetProbe(p Probe) {
+	c.probe = p
+	c.wakeIfParked()
+}
 
 // Protocol returns the cache's coherence scheme.
 func (c *Cache) Protocol() coherence.Protocol { return c.proto }
@@ -999,10 +1098,12 @@ func (c *Cache) SnoopRead(a bus.Addr, source int) (bool, bus.Word) {
 		return false, 0
 	}
 	c.snooped(a)
+	old := *ln
 	out := c.proto.OnSnoop(ln.state, ln.aux, ln.dirty, coherence.SnBusRead)
 	data := ln.data
 	ln.state, ln.aux = out.Next, out.NextAux
 	applyDirty(ln, out.Dirty)
+	c.changed(a, old, ln)
 	if out.Inhibit {
 		c.stats.FlushSupplied++
 		return true, data
@@ -1023,9 +1124,11 @@ func (c *Cache) SnoopRMWRead(a bus.Addr, source int) (bool, bus.Word) {
 		return false, 0
 	}
 	c.snooped(a)
+	old := *ln
 	data := ln.data
 	ln.state = next
 	applyDirty(ln, d)
+	c.changed(a, old, ln)
 	c.stats.RMWFlushes++
 	return true, data
 }
@@ -1043,7 +1146,7 @@ func (c *Cache) ObserveWrite(op bus.Op, a bus.Addr, d bus.Word, source int) {
 	if op == bus.OpInv {
 		ev = coherence.SnBusInv
 	}
-	wasUsable := ln.state != coherence.Invalid
+	old := *ln
 	out := c.proto.OnSnoop(ln.state, ln.aux, ln.dirty, ev)
 	ln.state, ln.aux = out.Next, out.NextAux
 	applyDirty(ln, out.Dirty)
@@ -1051,7 +1154,8 @@ func (c *Cache) ObserveWrite(op bus.Op, a bus.Addr, d bus.Word, source int) {
 		ln.data = d
 		c.stats.Snarfs++
 	}
-	if wasUsable && ln.state == coherence.Invalid {
+	c.changed(a, old, ln)
+	if old.state != coherence.Invalid && ln.state == coherence.Invalid {
 		c.stats.InvalidatedBy++
 	}
 }
@@ -1065,6 +1169,7 @@ func (c *Cache) ObserveReadData(a bus.Addr, d bus.Word, source int) {
 		return
 	}
 	c.snooped(a)
+	old := *ln
 	out := c.proto.OnSnoop(ln.state, ln.aux, ln.dirty, coherence.SnReadData)
 	ln.state, ln.aux = out.Next, out.NextAux
 	applyDirty(ln, out.Dirty)
@@ -1072,6 +1177,7 @@ func (c *Cache) ObserveReadData(a bus.Addr, d bus.Word, source int) {
 		ln.data = d
 		c.stats.Snarfs++
 	}
+	c.changed(a, old, ln)
 }
 
 // --- fault-injection port (driven by internal/fault) ---
@@ -1087,6 +1193,7 @@ func (c *Cache) InjectInvalidate(a bus.Addr) bool {
 		return false
 	}
 	c.mutated()
+	c.wakeIfParked()
 	ln.valid = false
 	ln.dirty = false
 	c.pres.Remove(a, c.id)
@@ -1104,6 +1211,7 @@ func (c *Cache) InjectStale(a bus.Addr, mask bus.Word) bool {
 		return false
 	}
 	c.mutated()
+	c.wakeIfParked()
 	ln.data ^= mask
 	c.stats.FaultStaleFlips++
 	return true
@@ -1142,6 +1250,7 @@ func (c *Cache) Restore(e Entry) {
 		panic(fmt.Sprintf("cache %d: Restore while busy", c.id))
 	}
 	c.mutated()
+	c.wakeIfParked()
 	if ln := c.lookup(e.Addr); ln != nil {
 		ln.state, ln.aux, ln.dirty, ln.data = e.State, e.Aux, e.Dirty, e.Data
 		return

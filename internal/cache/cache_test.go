@@ -926,3 +926,63 @@ func TestWriteThroughRMWKeepsNoLine(t *testing.T) {
 		t.Fatal("writethrough RMW installed a line")
 	}
 }
+
+// TestCreditReadHitsEqualsAccesses: a parked read credited n times leaves
+// the cache exactly as n more read hits would have — counters, LRU clock
+// and stamps, OnResolve calls — and its wake bit rises only when a snoop
+// changes the line.
+func TestCreditReadHitsEqualsAccesses(t *testing.T) {
+	for _, proto := range []string{"rb", "rwb", "goodman", "illinois", "writethrough"} {
+		t.Run(proto, func(t *testing.T) {
+			build := func() (*rig, *int) {
+				r := newRig(t, proto, 1, 4)
+				c := MustNew(0, r.caches[0].Protocol(), Config{Lines: 4, Ways: 2})
+				r.bus = bus.New(r.mem)
+				r.bus.Attach(0, c)
+				r.bus.AttachRequester(0, c)
+				r.caches[0] = c
+				fired := new(int)
+				c.OnResolve = func(ResolveInfo) { *fired++ }
+				r.mem.Poke(0, 7)
+				r.read(0, 0)
+				r.read(0, 2) // fills set 0
+				r.read(0, 0) // a hit
+				return r, fired
+			}
+			hits, hitsFired := build()
+			for range 5 {
+				if v := hits.read(0, 0); v != 7 {
+					t.Fatalf("read %d", v)
+				}
+			}
+			parked, parkedFired := build()
+			c := parked.caches[0]
+			if c.Park(0, coherence.ClassShared) {
+				t.Fatal("parked without a wake bit")
+			}
+			var wake uint64
+			c.SetWake(&wake, 1)
+			if !c.Park(0, coherence.ClassShared) {
+				t.Fatal("a read hit that changes nothing did not park")
+			}
+			c.CreditReadHits(5)
+			h := hits.caches[0]
+			if c.Stats() != h.Stats() || c.useClock != h.useClock || *parkedFired != *hitsFired {
+				t.Fatalf("credited: %+v clock %d, %d resolves; hits: %+v clock %d, %d resolves",
+					c.Stats(), c.useClock, *parkedFired, h.Stats(), h.useClock, *hitsFired)
+			}
+			for i := range c.stamps {
+				if c.stamps[i] != h.stamps[i] {
+					t.Fatalf("stamps %v, want %v", c.stamps, h.stamps)
+				}
+			}
+			if wake != 0 {
+				t.Fatal("woken without a change")
+			}
+			c.ObserveWrite(bus.OpWrite, 0, 8, 1)
+			if wake != 1 {
+				t.Fatal("a snooped write to the parked line did not wake it")
+			}
+		})
+	}
+}

@@ -10,10 +10,13 @@ import (
 
 // allocShape is one machine TestSteadyStateAllocFree runs. warm is the
 // cycles it runs before the measurement (20 000 when zero): long enough
-// that its memory and holder-table pages are all in place.
+// that its memory and holder-table pages are all in place. parks marks a
+// shape whose spinners must be parked at some point of the measurement,
+// so the pin covers the parked path.
 type allocShape struct {
 	name  string
 	warm  uint64
+	parks bool
 	build func(t *testing.T) *Machine
 }
 
@@ -44,7 +47,7 @@ func spinShape(proto string, strat workload.Strategy, twoPhase bool) allocShape 
 	if twoPhase {
 		name += "-2phase"
 	}
-	return allocShape{name: name, build: func(t *testing.T) *Machine {
+	return allocShape{name: name, parks: strat == workload.StrategyTTS, build: func(t *testing.T) *Machine {
 		agents := make([]workload.Agent, 8)
 		for i := range agents {
 			agents[i] = workload.MustSpinlock(workload.SpinlockConfig{
@@ -76,7 +79,9 @@ func spinShape(proto string, strat workload.Strategy, twoPhase bool) allocShape 
 //   - the benchmark harness's core-saturated, core-private and core-sync
 //     machines (coreMachine);
 //   - RB/RWB x TS/TTS x fused or two-phase Test-and-Set: the Section 6
-//     lock paths (Figures 6-1 to 6-3) on 2-way caches and two buses;
+//     lock paths (Figures 6-1 to 6-3) on 2-way caches and two buses, the
+//     TTS spinners parked in their caches (a TS lock issues no test read,
+//     so it never parks);
 //   - RB/RWB with 64 PDE PEs on 4-way caches, four buses and a memory
 //     latency of 3, oracle on.
 func allocShapes() []allocShape {
@@ -93,7 +98,7 @@ func allocShapes() []allocShape {
 		}
 	}
 	for _, core := range []string{"saturated", "private", "sync"} {
-		s := allocShape{name: "core-" + core, build: func(t *testing.T) *Machine { return coreMachine(t, core) }}
+		s := allocShape{name: "core-" + core, parks: core == "sync", build: func(t *testing.T) *Machine { return coreMachine(t, core) }}
 		if core == "private" {
 			s.warm = 100_000 // two PEs still touch new pages at 20 000
 		}
@@ -137,11 +142,18 @@ func TestSteadyStateAllocFree(t *testing.T) {
 				t.Fatal(err)
 			}
 			const chunk = 2_000
+			parked := false
 			avg := testing.AllocsPerRun(5, func() {
 				if err := m.RunFor(chunk); err != nil {
 					t.Fatal(err)
 				}
+				for _, w := range m.parked {
+					parked = parked || w != 0
+				}
 			})
+			if s.parks && !parked {
+				t.Errorf("no PE was parked at the end of any measured chunk: the pin does not cover parking")
+			}
 			if perCycle := avg / chunk; perCycle != 0 {
 				t.Errorf("steady state allocates: %.6f allocs/cycle (%v allocs per %d cycles); to find the line, run\n"+
 					"\tgo test ./internal/machine -run 'TestSteadyStateAllocFree/^%s$' -memprofile m.out -memprofilerate 1\n"+

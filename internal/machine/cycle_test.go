@@ -14,8 +14,16 @@ import (
 // spinning TTS on one lock through 64-line caches.
 func coreMachine(tb testing.TB, shape string) *Machine {
 	tb.Helper()
-	var cfg Config
-	var agents []workload.Agent
+	m, err := New(coreShape(tb, shape))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+// coreShape returns coreMachine's configuration and agents.
+func coreShape(tb testing.TB, shape string) (cfg Config, agents []workload.Agent) {
+	tb.Helper()
 	switch shape {
 	case "saturated", "private":
 		cfg = Config{Protocol: coherence.New(coherence.KindRB), CacheLines: 2048}
@@ -40,11 +48,7 @@ func coreMachine(tb testing.TB, shape string) *Machine {
 	default:
 		tb.Fatalf("unknown shape %q", shape)
 	}
-	m, err := New(cfg, agents)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return m
+	return cfg, agents
 }
 
 // TestNewsVisitsPerCycle pins the request-line phase's work: the caches in
@@ -87,6 +91,49 @@ func TestNewsVisitsPerCycle(t *testing.T) {
 			t.Logf("%d news visits, %.2f a cycle", visits, float64(visits)/20_000)
 			if visits != tc.visits {
 				t.Errorf("%d news visits in 20 000 cycles, want %d", visits, tc.visits)
+			}
+		})
+	}
+}
+
+// TestNextCallsPerCycle pins the CPU phase's work the way
+// TestNewsVisitsPerCycle pins the request-line phase's: the agents' Next
+// calls over the same 20 000-cycle window, counted by a wrapper that
+// leaves every Spinner parkable, so a skipped spin is not a call. It reads
+// 2.42 calls a cycle on core-sync, which made 182 223 (9.11 a cycle)
+// before its spinners parked; core-saturated's PDE agents never park.
+func TestNextCallsPerCycle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("slow under the race detector; run without -race")
+	}
+	for _, tc := range []struct {
+		shape string
+		calls uint64
+	}{
+		{"saturated", 129_791},
+		{"sync", 48_394},
+	} {
+		t.Run(tc.shape, func(t *testing.T) {
+			cfg, agents := coreShape(t, tc.shape)
+			agents, counted := countAgents(agents, true)
+			m := MustNew(cfg, agents)
+			calls := func() (n uint64) {
+				for _, a := range counted {
+					n += a.nextCalls - a.skipped
+				}
+				return n
+			}
+			if err := m.RunFor(100_000); err != nil {
+				t.Fatal(err)
+			}
+			before := calls()
+			if err := m.RunFor(20_000); err != nil {
+				t.Fatal(err)
+			}
+			got := calls() - before
+			t.Logf("%d Next calls, %.2f a cycle", got, float64(got)/20_000)
+			if got != tc.calls {
+				t.Errorf("%d Next calls in 20 000 cycles, want %d", got, tc.calls)
 			}
 		})
 	}

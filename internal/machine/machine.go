@@ -191,6 +191,22 @@ type Machine struct {
 	//phase:any
 	stallFrom []uint64
 
+	// A PE whose agent re-reads a line the read cannot change is parked:
+	// it leaves runnable until the line changes, and the spins it skips are
+	// credited the same way, stallFrom[i] marking the first uncredited one.
+	// spinners holds each PE's workload.Spinner, nil for a PE whose agent
+	// is none and as a whole when no agent is one; parked holds the parked
+	// PEs; wake the caches whose parked line changed (raised
+	// through cache.SetWake, taken at the start of the CPU phase). inCPU
+	// orders a wake by another PE's CPU-phase write (see wakeOn).
+	spinners []workload.Spinner
+	//phase:any
+	parked []uint64
+	//phase:any
+	wake []uint64
+	//phase:cpu
+	inCPU bool
+
 	dirtyOwners map[bus.Addr]int // VerifyFinalMemory scratch, reused across calls
 }
 
@@ -225,6 +241,8 @@ func (m *Machine) build(cfg Config, agents []workload.Agent) error {
 		news:       make([]uint64, words),
 		runnable:   make([]uint64, words),
 		stallFrom:  make([]uint64, len(agents)),
+		parked:     make([]uint64, words),
+		wake:       make([]uint64, words),
 	}
 	m.buses = bus.NewSet(m.mem, cfg.Buses)
 	m.buses.SetMemLatency(cfg.MemLatency)
@@ -238,6 +256,13 @@ func (m *Machine) build(cfg Config, agents []workload.Agent) error {
 			c.OnResolve = func(info cache.ResolveInfo) { m.checkResolve(pe, info) }
 		}
 		c.SetNews(&m.news[i>>6], 1<<(i&63))
+		if sp, ok := agent.(workload.Spinner); ok {
+			if m.spinners == nil {
+				m.spinners = make([]workload.Spinner, len(agents))
+			}
+			m.spinners[i] = sp
+			c.SetWake(&m.wake[i>>6], 1<<(i&63))
+		}
 		// Attaching hands the cache the buses' shared holder table, so each
 		// transaction snoops only the caches holding its address.
 		m.buses.Attach(i, c)
@@ -329,6 +354,12 @@ func (m *Machine) Done() bool {
 // different bus banks concurrently. The watchdog stays here: it runs
 // between cycles, outside any phase.
 func (m *Machine) Step() error {
+	defer m.settle()
+	return m.step()
+}
+
+// step is Step without settling the parked PEs' spins.
+func (m *Machine) step() error {
 	if m.err != nil {
 		return m.err
 	}
@@ -399,29 +430,134 @@ func (m *Machine) busPhase() {
 // cpuPhase is phase 2 of the cycle: every runnable PE issues one operation
 // (or burns a compute cycle); in-cache hits bind (and are oracle-checked
 // via OnResolve) here, after this cycle's bus transactions. A PE that
-// blocks or halts leaves the runnable set: there is nothing to do for it
-// until deliver brings it back.
+// blocks, halts or parks leaves the runnable set: there is nothing to do
+// for it until deliver or a wake brings it back.
 //
 //phase:cpu
 func (m *Machine) cpuPhase() {
-	for k, word := range m.runnable {
-		for ; word != 0; word &= word - 1 {
-			i := k<<6 + bits.TrailingZeros64(word)
+	spin := m.spinners != nil
+	if spin {
+		m.takeWakes()
+		m.inCPU = true
+	}
+	for k := range m.runnable {
+		for word := m.runnable[k]; word != 0; {
+			b := bits.TrailingZeros64(word)
+			i := k<<6 + b
 			p := m.procs[i]
 			p.CPUPhase()
 			switch p.Status() {
 			case processor.StatusBlocked:
-				m.runnable[k] &^= 1 << (i & 63)
+				m.runnable[k] &^= 1 << b
 				m.issueCycle[i] = m.cycle
 				m.stallFrom[i] = m.cycle
 			case processor.StatusHalted:
-				m.runnable[k] &^= 1 << (i & 63)
-			case processor.StatusReady, processor.StatusComputing:
+				m.runnable[k] &^= 1 << b
+			case processor.StatusReady:
+				if spin && m.park(i) {
+					m.runnable[k] &^= 1 << b
+				}
+			case processor.StatusComputing:
 				// Still runnable next cycle.
+			}
+			if spin {
+				// Re-read the word: a write in this phase may have woken
+				// a parked PE above i (wakeOn).
+				word = m.runnable[k] & (^uint64(1) << b)
+			} else {
+				word &= word - 1
 			}
 		}
 	}
+	m.inCPU = false
 	m.cpuDone++
+}
+
+// park takes PE i, whose read just hit, out of the runnable set if its
+// agent would re-issue the read for as long as it reads the same value
+// and its cache says the read changes nothing: until the line changes,
+// every cycle would repeat this one. The first repeat is in the next CPU
+// phase; settle credits them.
+func (m *Machine) park(i int) bool {
+	sp := m.spinners[i]
+	if sp == nil {
+		return false
+	}
+	a, class, ok := sp.Spinning(m.procs[i].LastResult().Value)
+	if !ok || !m.caches[i].Park(a, class) {
+		return false
+	}
+	m.parked[i>>6] |= 1 << (i & 63)
+	m.stallFrom[i] = m.cpuDone + 1
+	return true
+}
+
+// takeWakes unparks the PEs whose parked line changed since the last CPU
+// phase: in a bus phase, or between Steps.
+//
+//phase:cpu
+func (m *Machine) takeWakes() {
+	for k, word := range m.wake {
+		m.wake[k] = 0
+		for word &= m.parked[k]; word != 0; word &= word - 1 {
+			m.unpark(k<<6+bits.TrailingZeros64(word), m.cpuDone)
+		}
+	}
+}
+
+// wakeOn unparks the PEs parked on a, to which PE pe's write has just
+// bound (checkResolve): the oracle must see their next read, which the
+// write may have left stale, in the same cycle the per-cycle loop would
+// have made it. A write in the CPU phase comes after the reads of the
+// PEs below pe, so theirs counts as skipped, and before those above pe,
+// which the CPU phase's loop still visits.
+func (m *Machine) wakeOn(pe int, a bus.Addr) {
+	for k, word := range m.parked {
+		for ; word != 0; word &= word - 1 {
+			i := k<<6 + bits.TrailingZeros64(word)
+			if m.caches[i].Parked() != a {
+				continue
+			}
+			upto := m.cpuDone
+			if m.inCPU && i < pe {
+				upto++
+			}
+			m.unpark(i, upto)
+		}
+	}
+}
+
+// unpark credits PE i's spins up to upto completed CPU phases and makes
+// it runnable.
+func (m *Machine) unpark(i int, upto uint64) {
+	m.credit(i, upto)
+	m.parked[i>>6] &^= 1 << (i & 63)
+	m.caches[i].Unpark()
+	m.runnable[i>>6] |= 1 << (i & 63)
+}
+
+// credit makes parked PE i's spins up to upto completed CPU phases at
+// once: n skipped cycles are n calls of its agent's Next, n read hits and
+// n retired reads, each the same as the one it parked on.
+func (m *Machine) credit(i int, upto uint64) {
+	n := upto - m.stallFrom[i]
+	if n == 0 {
+		return
+	}
+	m.stallFrom[i] = upto
+	m.spinners[i].SkipSpins(n)
+	m.procs[i].CreditReads(n)
+	m.caches[i].CreditReadHits(n)
+}
+
+// settle credits every parked PE's spins so far, so that counters read
+// between cycles are exact. Step, Run, RunFor and Metrics call it.
+func (m *Machine) settle() {
+	for k, word := range m.parked {
+		for ; word != 0; word &= word - 1 {
+			m.credit(k<<6+bits.TrailingZeros64(word), m.cpuDone)
+		}
+	}
 }
 
 // snoopPhase is phase 3 of the cycle — request-line management: assert or
@@ -534,9 +670,11 @@ func (m *Machine) checkResolve(pe int, info cache.ResolveInfo) {
 			m.err = &ConsistencyError{Cycle: m.cycle, PE: pe, Op: op, Got: info.Value, Expected: exp}
 		}
 		if info.Value == 0 {
+			m.wakeOn(pe, a)
 			m.oracle.Poke(a, info.Data)
 		}
 	case info.Ev == coherence.EvWrite:
+		m.wakeOn(pe, a)
 		m.oracle.Poke(a, info.Data)
 	default:
 		op := workload.Read(a, coherence.ClassUnknown)
@@ -561,9 +699,10 @@ func (m *Machine) latest(a bus.Addr) bus.Word {
 // elapse. It returns the number of cycles executed and the first
 // consistency violation, if any.
 func (m *Machine) Run(maxCycles uint64) (uint64, error) {
+	defer m.settle()
 	start := m.cycle
 	for m.cycle-start < maxCycles && !m.Done() {
-		if err := m.Step(); err != nil {
+		if err := m.step(); err != nil {
 			return m.cycle - start, err
 		}
 	}
@@ -572,8 +711,9 @@ func (m *Machine) Run(maxCycles uint64) (uint64, error) {
 
 // RunFor executes exactly n cycles (unless a violation aborts the run).
 func (m *Machine) RunFor(n uint64) error {
+	defer m.settle()
 	for i := uint64(0); i < n; i++ {
-		if err := m.Step(); err != nil {
+		if err := m.step(); err != nil {
 			return err
 		}
 	}
@@ -677,6 +817,7 @@ type Metrics struct {
 
 // Metrics returns the current counters.
 func (m *Machine) Metrics() Metrics {
+	m.settle()
 	mt := Metrics{
 		Cycles:             m.cycle,
 		Bus:                m.buses.Stats(),

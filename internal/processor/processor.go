@@ -103,6 +103,17 @@ func (p *Processor) Cache() *cache.Cache { return p.cache }
 // CPUPhase on a blocked PE instead of calling it to count each one.
 func (p *Processor) CreditStall(n uint64) { p.stats.StallCycles += n }
 
+// CreditReads adds n retired reads at once, for a driver that skips the
+// CPUPhase calls of a PE re-reading a line that cannot change: each would
+// have retired a read hit and left LastResult as it is.
+func (p *Processor) CreditReads(n uint64) {
+	p.stats.Reads += n
+	p.stats.Retired += n
+}
+
+// LastResult returns the result the agent is fed at the PE's next issue.
+func (p *Processor) LastResult() workload.Result { return p.lastResult }
+
 // CPUPhase runs the PE for one cycle: a ready PE issues its agent's next
 // operation, which retires at once on a cache hit and otherwise blocks the
 // PE until Deliver.

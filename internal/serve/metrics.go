@@ -55,6 +55,10 @@ func (m *Metrics) observeOutcome(executed, cacheHits, failed int, jobWalls []tim
 // ProfilesBuilt returns how many curve docs this server has built.
 func (m *Metrics) ProfilesBuilt() int64 { return m.profilesBuilt.Value() }
 
+// ProfilesServed returns how many /v1/profile requests this server has
+// answered 200 from the store.
+func (m *Metrics) ProfilesServed() int64 { return m.profilesServed.Value() }
+
 // EngineRuns returns the number of admitted engine executions.
 func (m *Metrics) EngineRuns() int64 { return m.engineRuns.Value() }
 

@@ -206,7 +206,6 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 			"no profile for "+id+` (submit the spec with "profile": true first)`)
 		return
 	}
-	s.metrics.profilesServed.Inc()
 	if q := r.URL.Query().Get("lines"); q != "" {
 		lines, err := strconv.Atoi(q)
 		if err != nil || lines <= 0 {
@@ -218,11 +217,13 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, http.StatusInternalServerError, "corrupt profile doc: "+err.Error())
 			return
 		}
+		s.metrics.profilesServed.Inc()
 		s.writeJSON(w, http.StatusOK, whatIf(&doc, lines))
 		return
 	}
 	// Serve the stored bytes verbatim: byte-identical from every worker
 	// holding the doc, so a read is the same whichever worker answers.
+	s.metrics.profilesServed.Inc()
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
 	w.WriteHeader(http.StatusOK)

@@ -159,9 +159,13 @@ func TestProfileEndToEnd(t *testing.T) {
 	if _, code := getBody(t, ts.URL+"/v1/profile/req-doesnotexist"); code != http.StatusNotFound {
 		t.Fatalf("missing doc status %d, want 404", code)
 	}
-	// Bad lines parameter.
+	// Bad lines parameter: a 400, not an answer served.
+	served := s.Metrics().ProfilesServed()
 	if _, code := getBody(t, ts.URL+cold.Profile+"?lines=-3"); code != http.StatusBadRequest {
 		t.Fatalf("bad lines status %d, want 400", code)
+	}
+	if got := s.Metrics().ProfilesServed(); got != served {
+		t.Fatalf("a 400 counted as a profile served (%d -> %d)", served, got)
 	}
 }
 

@@ -72,7 +72,9 @@ const (
 // Barrier is one participant of a sense-reversing centralized barrier.
 // Arrival is counted under a TTS-acquired lock; the last arriver resets
 // the counter and flips the sense word, which everyone else spins on — in
-// their caches, under the paper's schemes.
+// their caches, under the paper's schemes. Both waits are Spinner spins:
+// the lock test while the lock reads held, the sense spin until the sense
+// word flips.
 type Barrier struct {
 	cfg   BarrierConfig
 	phase barrierPhase
@@ -114,6 +116,21 @@ func (b *Barrier) Err() error { return b.verifyErr }
 // the sense word starts at 0 and the last arriver of round r writes
 // (r+1) & 1.
 func (b *Barrier) targetSense() bus.Word { return bus.Word((b.round + 1) & 1) }
+
+// Spinning implements Spinner.
+func (b *Barrier) Spinning(v bus.Word) (bus.Addr, coherence.Class, bool) {
+	switch {
+	case b.phase == bTestedLock && v != 0:
+		return b.cfg.Lock, coherence.ClassShared, true
+	case b.phase == bSpinningSense && v != b.targetSense():
+		return b.cfg.Sense, coherence.ClassShared, true
+	}
+	return 0, 0, false
+}
+
+// SkipSpins implements Spinner: a spin changes none of the barrier's
+// state, so there is nothing to count.
+func (b *Barrier) SkipSpins(uint64) {}
 
 // Next implements Agent.
 func (b *Barrier) Next(prev Result) Op {

@@ -105,8 +105,19 @@ func (s *Spinlock) Acquisitions() int { return s.acquisitions }
 // Attempts returns the number of Test-and-Set operations issued.
 func (s *Spinlock) Attempts() int { return s.attempts }
 
-// Spins returns the number of in-cache test reads that saw the lock held.
+// Spins returns the number of in-cache test reads that saw the lock held,
+// the ones a machine skipped while the PE was parked included (it credits
+// them through SkipSpins before Step, Run or RunFor returns).
 func (s *Spinlock) Spins() int { return s.spins }
+
+// Spinning implements Spinner: a TTS test read that found the lock held
+// is re-issued, and counted as a spin, until it reads 0.
+func (s *Spinlock) Spinning(v bus.Word) (bus.Addr, coherence.Class, bool) {
+	return s.cfg.Lock, coherence.ClassShared, s.phase == spinAfterTest && v != 0
+}
+
+// SkipSpins implements Spinner.
+func (s *Spinlock) SkipSpins(n uint64) { s.spins += int(n) }
 
 // Next implements Agent.
 func (s *Spinlock) Next(prev Result) Op {

@@ -103,6 +103,19 @@ type Agent interface {
 	Next(prev Result) Op
 }
 
+// Spinner is an Agent whose busy-wait a driver may skip. Its contract:
+// when Spinning(v) reports (a, class, true), the last Next returned
+// Read(a, class); fed the value v that read returned, Next returns it
+// again, and keeps returning it while the value read is v; SkipSpins(n)
+// accounts for n such calls. The machine parks a PE whose cache would
+// keep answering v, and makes the skipped calls in one SkipSpins when
+// the line changes or its counts are read.
+type Spinner interface {
+	Agent
+	Spinning(v bus.Word) (a bus.Addr, class coherence.Class, ok bool)
+	SkipSpins(n uint64)
+}
+
 // Reseeder is an Agent that can return to its freshly constructed state
 // for a new base seed, deriving any per-PE stream from it internally
 // exactly as its constructor would. Its only user is the deprecated

@@ -20,13 +20,16 @@
 #                  repository's only alloc gate (the machine pin runs
 #                  RB/RWB at 1-130 PEs, the three core-* machines,
 #                  TS/TTS spin locks fused and two-phase on 2-way caches
-#                  and two buses, and 64 PEs on 4-way caches, four buses
+#                  and two buses, the TTS ones and core-sync with a PE
+#                  parked, and 64 PEs on 4-way caches, four buses
 #                  and memory latency 3; only mrc pins its own loop),
 #                  the bytes one machine construction
 #                  allocates, the stream-identity golden over 5 M references of grown
 #                  LRU stacks, the bus-trace golden of 65-130 PE
 #                  machines, the request-line phase's exact visit
-#                  count on two core machines and the scale-10 machine
+#                  count and the CPU phase's exact agent Next calls
+#                  (parked spinners make none) on two core machines,
+#                  and the scale-10 machine
 #                  oracle of the Cm* stream pass (run without the race
 #                  detector, whose instrumentation allocates and is 10x
 #                  slower; the -race pass above skips them). The
@@ -61,7 +64,7 @@ echo "==> go test -race ./..."
 go test -race ./...
 
 echo "==> allocs/cycle regression"
-go test -run 'SteadyState.*AllocFree|ConstructionBytes|StreamIdentity|TraceGoldenAbove64PEs|NewsVisitsPerCycle|CmStarOracleScale10' -count=1 ./internal/machine ./internal/workload ./internal/experiments
+go test -run 'SteadyState.*AllocFree|ConstructionBytes|StreamIdentity|TraceGoldenAbove64PEs|NewsVisitsPerCycle|NextCallsPerCycle|CmStarOracleScale10' -count=1 ./internal/machine ./internal/workload ./internal/experiments
 go test -run 'SteadyState.*AllocFree|AttachSettlesAtEveryRead|AttachLeavesNoGoroutine' -cpu 1,2 -count=1 ./internal/mrc
 go test -run 'DispatchRunsJobsNotGroups' -cpu 1,2 -count=1 ./internal/sweep
 
