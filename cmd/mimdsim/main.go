@@ -22,6 +22,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/coherence"
 	"repro/internal/config"
 	"repro/internal/fault"
 	"repro/internal/machine"
@@ -40,7 +41,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	fs := flag.NewFlagSet("mimdsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.StringVar(&spec.Protocol, "protocol", spec.Protocol, "coherence protocol (rb, rwb, goodman, writethrough, cmstar, nocache)")
+	var protocols []string
+	for _, k := range coherence.Kinds() {
+		protocols = append(protocols, k.String())
+	}
+	fs.StringVar(&spec.Protocol, "protocol", spec.Protocol, "coherence protocol ("+strings.Join(protocols, ", ")+")")
 	fs.IntVar(&spec.PEs, "pes", spec.PEs, "number of processing elements")
 	fs.IntVar(&spec.CacheLines, "lines", spec.CacheLines, "cache lines per PE (power of two)")
 	fs.IntVar(&spec.CacheWays, "ways", spec.CacheWays, "cache associativity (1 = direct-mapped)")

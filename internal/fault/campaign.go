@@ -52,13 +52,17 @@ func (c CampaignConfig) withDefaults() CampaignConfig {
 	return c
 }
 
-// Validate resolves every protocol and class name before any job runs.
+// Validate resolves every protocol and class name and rejects a negative
+// trial count or shape before any job runs.
 func (c CampaignConfig) Validate() error {
 	cfg := c.withDefaults()
 	for _, name := range cfg.Protocols {
 		if _, err := coherence.ByName(name); err != nil {
 			return err
 		}
+	}
+	if cfg.Trials < 0 || cfg.Trial.Refs < 0 || cfg.Trial.PEs < 0 {
+		return fmt.Errorf("fault: Trials %d, Refs %d and PEs %d must not be negative", cfg.Trials, cfg.Trial.Refs, cfg.Trial.PEs)
 	}
 	if cfg.Trial.AddrRange <= cfg.Trial.PEs {
 		return fmt.Errorf("fault: AddrRange %d must exceed PEs %d", cfg.Trial.AddrRange, cfg.Trial.PEs)

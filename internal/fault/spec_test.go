@@ -35,6 +35,11 @@ func TestCampaignSpecConfig(t *testing.T) {
 	if _, err := (CampaignSpec{PEs: 64}).Config(); err == nil {
 		t.Fatal("PEs >= AddrRange accepted")
 	}
+	for _, bad := range []CampaignSpec{{Trials: -1}, {Refs: -5}, {PEs: -2}} {
+		if _, err := bad.Config(); err == nil {
+			t.Errorf("%+v accepted", bad)
+		}
+	}
 }
 
 // TestConfigVersionSaltsTrialShape is the cache-soundness property: two

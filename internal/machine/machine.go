@@ -228,6 +228,12 @@ func (m *Machine) build(cfg Config, agents []workload.Agent) error {
 	if len(agents) == 0 {
 		return fmt.Errorf("machine: no agents")
 	}
+	if cfg.Buses < 1 || cfg.Buses&(cfg.Buses-1) != 0 {
+		return fmt.Errorf("machine: Buses %d is not a positive power of two", cfg.Buses)
+	}
+	if cfg.MemLatency < 0 {
+		return fmt.Errorf("machine: MemLatency %d is negative", cfg.MemLatency)
+	}
 	words := (len(agents) + 63) / 64
 	*m = Machine{
 		cfg:        cfg,

@@ -24,8 +24,10 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}, nil); err == nil {
 		t.Error("no agents accepted")
 	}
-	if _, err := New(Config{CacheLines: 3}, []workload.Agent{workload.Idle()}); err == nil {
-		t.Error("bad cache size accepted")
+	for _, bad := range []Config{{CacheLines: 3}, {Buses: 3}, {Buses: -2}, {MemLatency: -1}} {
+		if _, err := New(bad, []workload.Agent{workload.Idle()}); err == nil {
+			t.Errorf("%+v accepted", bad)
+		}
 	}
 	func() {
 		defer func() {

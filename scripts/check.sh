@@ -16,20 +16,21 @@
 #                  whole tree (internal/lint's TestModuleIsClean and
 #                  TestAuditRegisteredProtocolsClean; `make lint` is the
 #                  same pass for people)
-#   5. allocs      the steady-state zero-allocation regressions, the
+#   5. work        the steady-state zero-allocation regressions, the
 #                  repository's only alloc gate (the machine pin runs
 #                  RB/RWB at 1-130 PEs, the three core-* machines,
 #                  TS/TTS spin locks fused and two-phase on 2-way caches
 #                  and two buses, the TTS ones and core-sync with a PE
 #                  parked, and 64 PEs on 4-way caches, four buses
-#                  and memory latency 3; only mrc pins its own loop),
-#                  the bytes one machine construction
-#                  allocates, the stream-identity golden over 5 M references of grown
-#                  LRU stacks, the bus-trace golden of 65-130 PE
-#                  machines, the request-line phase's exact visit
-#                  count and the CPU phase's exact agent Next calls
-#                  (parked spinners make none) on two core machines,
-#                  and the scale-10 machine
+#                  and memory latency 3; only mrc pins its own loop);
+#                  the work ledger (machine.TestLedger against
+#                  internal/machine/testdata/ledger.golden: bus, news and
+#                  agent Next counts of the four core-* machines, the
+#                  bytes one machine construction allocates, and the
+#                  store and engine traffic of a sweep and of a serve
+#                  request, cold and warm); the stream-identity golden
+#                  over 5 M references of grown LRU stacks, the bus-trace
+#                  golden of 65-130 PE machines, and the scale-10
 #                  oracle of the Cm* stream pass (run without the race
 #                  detector, whose instrumentation allocates and is 10x
 #                  slower; the -race pass above skips them). The
@@ -38,13 +39,28 @@
 #                  drain goroutine outliving its chunk) run at -cpu 1,2,
 #                  so the drain both shares the machine's core and has
 #                  one of its own; so does the sweep engine's dispatch
-#                  test, since two workers must overlap even on one core
+#                  test, since two workers must overlap even on one core.
+#                  A package that matches no test fails the stage: go
+#                  test passes a -run pattern that names nothing, so a
+#                  renamed pin would otherwise leave the gate silently.
 #   6. benchmark   the measurement harness is a module of its own that
 #                  ./... never reaches: vet and test it, then run all
 #                  seven workloads at 1/200 size with every correctness
 #                  check on (checks, not measurements)
 set -eu
 cd "$(dirname "$0")/.."
+
+# pins runs go test and fails if any package it runs reports
+# "[no tests to run]".
+pins() {
+	out=$(go test "$@" 2>&1) && rc=0 || rc=$?
+	echo "$out"
+	[ "$rc" -eq 0 ] || exit "$rc"
+	if echo "$out" | grep -q 'no tests to run'; then
+		echo "check.sh: a package above matched no test of -run; a pin was renamed or deleted" >&2
+		exit 1
+	fi
+}
 
 echo "==> gofmt"
 fmt=$(gofmt -l .)
@@ -63,10 +79,10 @@ go build ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> allocs/cycle regression"
-go test -run 'SteadyState.*AllocFree|ConstructionBytes|StreamIdentity|TraceGoldenAbove64PEs|NewsVisitsPerCycle|NextCallsPerCycle|CmStarOracleScale10' -count=1 ./internal/machine ./internal/workload ./internal/experiments
-go test -run 'SteadyState.*AllocFree|AttachSettlesAtEveryRead|AttachLeavesNoGoroutine' -cpu 1,2 -count=1 ./internal/mrc
-go test -run 'DispatchRunsJobsNotGroups' -cpu 1,2 -count=1 ./internal/sweep
+echo "==> allocs/cycle and work ledger"
+pins -run 'SteadyState.*AllocFree|Ledger|StreamIdentity|TraceGoldenAbove64PEs|CmStarOracleScale10' -count=1 ./internal/machine ./internal/workload ./internal/experiments
+pins -run 'SteadyState.*AllocFree|AttachSettlesAtEveryRead|AttachLeavesNoGoroutine' -cpu 1,2 -count=1 ./internal/mrc
+pins -run 'DispatchRunsJobsNotGroups' -cpu 1,2 -count=1 ./internal/sweep
 
 echo "==> benchmark harness"
 (cd benchmark && go vet . && go test .)
