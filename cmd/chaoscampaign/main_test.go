@@ -1,51 +1,38 @@
 package main
 
 import (
-	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/chaos"
 )
 
-// TestCampaignSmoke runs 2 workers under the two purely transport-level
-// classes at default intensity, a short sequential run per cell. The
-// matrix must be byte-identical between -j1 and -j2 and across a
-// same-seed rerun, every cell must have actually drawn faults, and no
-// cell may break the contract or the oracle byte-identity. Process
-// classes are pinned by the cluster package's own tests; keeping this to
-// transport classes bounds its wall time by work, not by pause windows.
-func TestCampaignSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("boots embedded fleets and runs real experiments")
+// TestBuildConfig: the class and intensity lists resolve in the order
+// given, empty lists mean every class at default intensity, and an
+// unknown name is an error. The campaign itself is tested in
+// internal/chaos (TestCampaignSmoke).
+func TestBuildConfig(t *testing.T) {
+	cfg, err := buildConfig("", "", 7, 48, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cfg := config{
-		classes:     []chaos.Class{chaos.ConnRefuse, chaos.Truncate},
-		intensities: []chaos.Intensity{chaos.Default},
-		seed:        1,
-		requests:    24,
-		workers:     2,
+	if !slices.Equal(cfg.Classes, chaos.Classes()) || !slices.Equal(cfg.Intensities, []chaos.Intensity{chaos.Default}) {
+		t.Fatalf("defaults = %v x %v, want every class at default", cfg.Classes, cfg.Intensities)
 	}
-	run := func(jobs int) (string, []cellResult) {
-		t.Helper()
-		res, err := runCampaign(context.Background(), cfg, jobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return renderMatrix(res), res
+	if cfg.Seed != 7 || cfg.Requests != 48 || cfg.Workers != 3 {
+		t.Fatalf("sizes not carried: %+v", cfg)
 	}
-	serial, cells := run(1)
-	if parallel, _ := run(2); parallel != serial {
-		t.Fatalf("-j2 matrix differs from -j1:\n--- j1 ---\n%s--- j2 ---\n%s", serial, parallel)
+	cfg, err = buildConfig(" burst-5xx,,conn-refuse", "high,low", 1, 8, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rerun, _ := run(2); rerun != serial {
-		t.Fatalf("same-seed rerun rendered a different matrix:\n--- first ---\n%s--- rerun ---\n%s", serial, rerun)
+	if !slices.Equal(cfg.Classes, []chaos.Class{chaos.Burst5xx, chaos.ConnRefuse}) ||
+		!slices.Equal(cfg.Intensities, []chaos.Intensity{chaos.High, chaos.Low}) {
+		t.Fatalf("lists = %v x %v", cfg.Classes, cfg.Intensities)
 	}
-	for _, c := range cells {
-		if c.outcome() == outcomeFailed {
-			t.Errorf("cell %s/%s failed:\n%s", c.class, c.intensity, renderMatrix([]cellResult{c}))
-		}
-		if c.injected == 0 {
-			t.Errorf("cell %s/%s drew no faults; the test would be vacuous", c.class, c.intensity)
+	for _, bad := range [][2]string{{"cosmic-ray", ""}, {"", "extreme"}} {
+		if _, err := buildConfig(bad[0], bad[1], 1, 48, 3); err == nil {
+			t.Errorf("buildConfig(%q, %q) accepted an unknown name", bad[0], bad[1])
 		}
 	}
 }

@@ -1,19 +1,18 @@
 // Command mimdrouter is the S25 shard-manager tier: an HTTP router in
-// front of N mimdserved workers. It partitions the content-hash
-// request-id space across the fleet with rendezvous hashing, proxies
-// submissions and event streams to each shard's owner, and detects
-// worker failure (active probing plus passive proxy errors) and fails
-// over to the shard's rendezvous successor. Results are byte-identical
-// to a single-node run: request ids are pure content hashes, so any
-// worker that runs a spec stores the same bytes.
+// front of a static fleet of mimdserved workers. It partitions the
+// content-hash request-id space across the fleet with rendezvous
+// hashing and proxies submissions and event streams to each shard's
+// owner. It keeps no state about workers: a request that finds a worker
+// dead, silent or shedding walks on to the shard's next rendezvous
+// candidate, and gets the router's own 503 + Retry-After when every
+// candidate failed. Results are byte-identical to a single-node run:
+// request ids are pure content hashes, so any worker that runs a spec
+// stores the same bytes.
 //
-// Self-healing controls: per-worker circuit breakers open after
-// consecutive proxy failures and re-admit traffic through a half-open
-// trial; -attempt-timeout bounds the wait for a worker's response
-// headers before failing over; -journal makes submissions durable — a
-// restarted router replays unfinished flights before taking traffic,
-// and SIGINT drains in-flight streams to their terminal frame before
-// exiting.
+// -attempt-timeout bounds the wait for a worker's response headers
+// before failing over; -journal makes submissions durable — a restarted
+// router replays unfinished flights before taking traffic, and SIGINT
+// drains in-flight streams to their terminal frame before exiting.
 //
 // Usage:
 //
@@ -55,7 +54,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		spawn     = fs.Int("spawn", 0, "instead of -workers, start this many in-process workers on loopback ports")
 		jobTO     = fs.Duration("job-timeout", 0, "per-job budget the workers run with (feeds the request id; must match)")
 		maxJobs   = fs.Int("max-jobs", 10000, "spec expansion limit the workers run with (must match)")
-		probeIvl  = fs.Duration("probe-interval", time.Second, "health probe cadence")
 		journalP  = fs.String("journal", "", "flight journal path; submissions are journaled and resumed after a restart")
 		attemptTO = fs.Duration("attempt-timeout", 2*time.Second, "max wait for a worker's response headers before failing over; 0 disables")
 		drainTO   = fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight streams on SIGINT before exiting anyway")
@@ -99,14 +97,12 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	router, err := cluster.New(cluster.Options{
 		Workers:        fleet,
 		RequestID:      func(body []byte) (string, error) { return serve.ComputeRequestID(body, idOpts) },
-		ProbeInterval:  *probeIvl,
 		AttemptTimeout: *attemptTO,
 		Journal:        journal,
 	})
 	if err != nil {
 		return fail(err)
 	}
-	router.Start(ctx)
 
 	if journal != nil {
 		// Replay flights left pending by a previous run before taking new

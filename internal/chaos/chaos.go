@@ -4,17 +4,18 @@
 // simulator and classifies each trial against a byte-identity oracle,
 // this layer perturbs the *distributed* machine — connections refused,
 // latency spikes, responses truncated mid-frame, 5xx bursts, workers
-// paused or crashed — and the chaos campaign (cmd/chaoscampaign)
-// classifies whole traffic runs masked/degraded/failed against the
-// fault-free single-node oracle.
+// paused or crashed — and the campaign (Run, campaign.go) drives
+// concurrent clients through a fleet under each plan and classifies
+// whole traffic runs masked/degraded/failed against the fault-free
+// single-node oracle.
 //
-// Everything is a pure function of (seed, class, intensity, sequence
-// number): the same plan replays the same faults at the same points in
-// the request stream forever, so a campaign cell is as reproducible as
-// a fault-injection trial. No math/rand, no wall clock — the
-// determinism analyzer holds this package to the same standard as the
-// simulator, and the protolint fixture pair (seed-derived plan vs
-// time-seeded plan) pins the idiom.
+// Every fault is a pure function of (seed, class, intensity, request
+// index, round trip within the request): the same plan replays the same
+// faults on the same requests forever, however the concurrent clients
+// interleave, so a campaign cell is as reproducible as a fault-injection
+// trial. No math/rand, no wall clock — the determinism analyzer holds
+// this package to the same standard as the simulator, and the protolint
+// fixture pair (seed-derived plan vs time-seeded plan) pins the idiom.
 package chaos
 
 import (
@@ -30,7 +31,7 @@ const (
 	// exactly one proxy attempt — the transient network partition.
 	ConnRefuse Class = iota
 	// Latency delays the response by a plan-chosen amount — the slow
-	// worker / congested link that attempt timeouts exist for.
+	// worker / congested link, kept far under the attempt timeout.
 	Latency
 	// Truncate cuts the response body short with a clean EOF —
 	// including mid-SSE-frame — exactly the failure a stream consumer
@@ -39,7 +40,7 @@ const (
 	Truncate
 	// Burst5xx replaces runs of consecutive responses with gateway-ish
 	// 5xx statuses (503 with Retry-After, bare 502) — the overloaded or
-	// misbehaving worker the breaker and 5xx failover absorb.
+	// misbehaving worker the router's 5xx failover absorbs.
 	Burst5xx
 	// WorkerPause freezes a worker process for a stretch of the request
 	// stream: connections are accepted but nothing answers (the SIGSTOP
@@ -103,7 +104,7 @@ const (
 	// Low injects rarely — the background-noise regime.
 	Low Intensity = iota
 	// Default is the campaign's standard regime: frequent enough that
-	// every run sees faults, sparse enough that a self-healing fleet
+	// every run sees faults, sparse enough that a fleet that fails over
 	// keeps its contract.
 	Default
 	// High injects aggressively — the regime where degradation (shed
@@ -159,7 +160,7 @@ func (i Intensity) rate() uint64 {
 
 // Plan is one cell's fault schedule, keyed by (seed, class,
 // intensity). It carries no mutable state: every decision is computed
-// on demand from the key and a sequence number.
+// on demand from the key and a position in the traffic.
 type Plan struct {
 	Seed      uint64
 	Class     Class
@@ -194,22 +195,26 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// draw derives the n-th 64-bit value of the plan's stream for seq: a
-// pure function of (seed, class, intensity, seq, n).
-func (p Plan) draw(seq, n uint64) uint64 {
+// draw derives the n-th 64-bit value of the plan's stream at position
+// (a, b): a pure function of (seed, class, intensity, a, b, n).
+func (p Plan) draw(a, b, n uint64) uint64 {
 	key := p.Seed
 	key = mix64(key ^ uint64(p.Class)<<8 ^ uint64(p.Intensity))
-	key = mix64(key ^ seq*0xbf58476d1ce4e5b9)
+	key = mix64(key ^ a*0x9e3779b97f4a7c15)
+	key = mix64(key ^ b*0xbf58476d1ce4e5b9)
 	return mix64(key ^ n*0x94d049bb133111eb)
 }
 
-// burstLen is how many consecutive requests one Burst5xx granule spans.
+// burstLen is how many consecutive round trips one Burst5xx granule
+// spans.
 const burstLen = 3
 
-// Decide returns the injection for transport request seq. Process-level
-// classes (WorkerPause, WorkerCrash) never inject at the transport;
-// their schedule comes from ProcSchedule.
-func (p Plan) Decide(seq uint64) Decision {
+// Decide returns the injection for round trip call of traffic request
+// request (both counted from 0; call counts every round trip made for
+// the request, across its client retries). Process-level classes
+// (WorkerPause, WorkerCrash) never inject at the transport; their
+// schedule comes from ProcSchedule.
+func (p Plan) Decide(request, call uint64) Decision {
 	var d Decision
 	if p.Class.Process() {
 		return d
@@ -217,17 +222,17 @@ func (p Plan) Decide(seq uint64) Decision {
 	switch p.Class {
 	case Burst5xx:
 		// Burst membership is decided per granule of burstLen
-		// consecutive requests, so injected 5xxes arrive in runs.
-		granule := seq / burstLen
-		if p.draw(granule, 0)%1024 < p.Intensity.rate() {
-			if p.draw(granule, 1)%4 == 0 {
+		// consecutive round trips, so injected 5xxes arrive in runs.
+		granule := call / burstLen
+		if p.draw(request, granule, 0)%1024 < p.Intensity.rate() {
+			if p.draw(request, granule, 1)%4 == 0 {
 				d.Code = 502
 			} else {
 				d.Code = 503
 			}
 		}
 	default:
-		if p.draw(seq, 0)%1024 >= p.Intensity.rate() {
+		if p.draw(request, call, 0)%1024 >= p.Intensity.rate() {
 			return d
 		}
 		switch p.Class {
@@ -238,21 +243,20 @@ func (p Plan) Decide(seq uint64) Decision {
 		case Latency:
 			// 20..120ms spike: visible next to a warm store hit, far
 			// under any attempt timeout.
-			d.Delay = time.Duration(20+p.draw(seq, 1)%100) * time.Millisecond
+			d.Delay = time.Duration(20+p.draw(request, call, 1)%100) * time.Millisecond
 		case Truncate:
 			// Cut 16..271 bytes in: with SSE frames ~40-80 bytes this
 			// lands mid-frame as often as between frames, and always
 			// before a long stream's terminal end frame.
-			d.TruncateAfter = int(16 + p.draw(seq, 1)%256)
+			d.TruncateAfter = int(16 + p.draw(request, call, 1)%256)
 		}
 	}
 	return d
 }
 
-// ProcEvent is one scheduled process-level fault: when the traffic
-// sequence counter reaches At, the campaign pauses or crashes worker
-// index Worker, undoing it (resume / restart) when the counter reaches
-// Until.
+// ProcEvent is one scheduled process-level fault: worker index Worker
+// is paused or crashed for traffic requests At up to Until (exclusive),
+// and resumed or restarted before request Until.
 type ProcEvent struct {
 	// At is the request index the fault fires before.
 	At uint64
@@ -291,8 +295,8 @@ func (p Plan) ProcSchedule(total uint64, workers int) []ProcEvent {
 	}
 	var events []ProcEvent
 	for n, start := uint64(0), uint64(0); start+period <= total; n, start = n+1, start+period {
-		at := start + 1 + p.draw(n, 0)%(period/2)
-		dur := 2 + p.draw(n, 1)%(period/4+1)
+		at := start + 1 + p.draw(0, n, 0)%(period/2)
+		dur := 2 + p.draw(0, n, 1)%(period/4+1)
 		until := at + dur
 		if until >= total {
 			until = total - 1
@@ -303,7 +307,7 @@ func (p Plan) ProcSchedule(total uint64, workers int) []ProcEvent {
 		events = append(events, ProcEvent{
 			At:     at,
 			Until:  until,
-			Worker: int(p.draw(n, 2) % uint64(workers)),
+			Worker: int(p.draw(0, n, 2) % uint64(workers)),
 			Pause:  p.Class == WorkerPause,
 		})
 	}

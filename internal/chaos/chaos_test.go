@@ -8,13 +8,14 @@ import (
 	"testing"
 )
 
-// seedWhere finds a seed whose plan satisfies pred at seq 0 — letting a
-// test pin a specific injection on its first request without hardcoding
-// magic constants that silently rot if the mixing changes.
+// seedWhere finds a seed whose plan satisfies pred at request 0, call 0
+// — letting a test pin a specific injection on its first round trip
+// without hardcoding magic constants that silently rot if the mixing
+// changes.
 func seedWhere(t *testing.T, class Class, in Intensity, pred func(Decision) bool) uint64 {
 	t.Helper()
 	for seed := uint64(1); seed < 10_000; seed++ {
-		if pred(Plan{Seed: seed, Class: class, Intensity: in}.Decide(0)) {
+		if pred(Plan{Seed: seed, Class: class, Intensity: in}.Decide(0, 0)) {
 			return seed
 		}
 	}
@@ -23,13 +24,13 @@ func seedWhere(t *testing.T, class Class, in Intensity, pred func(Decision) bool
 }
 
 // TestPlanDeterministic: Decide is a pure function of (seed, class,
-// intensity, seq) — replaying a plan yields identical decisions, and
-// changing any key component changes the stream.
+// intensity, request, call) — replaying a plan yields identical
+// decisions, and changing any key component changes the stream.
 func TestPlanDeterministic(t *testing.T) {
 	const n = 512
 	base := Plan{Seed: 42, Class: ConnRefuse, Intensity: Default}
 	for seq := uint64(0); seq < n; seq++ {
-		if base.Decide(seq) != base.Decide(seq) {
+		if base.Decide(seq, 1) != base.Decide(seq, 1) || base.Decide(1, seq) != base.Decide(1, seq) {
 			t.Fatalf("Decide(%d) not stable across calls", seq)
 		}
 	}
@@ -41,7 +42,7 @@ func TestPlanDeterministic(t *testing.T) {
 	for _, v := range variants {
 		same := true
 		for seq := uint64(0); seq < n; seq++ {
-			if base.Decide(seq) != v.Decide(seq) {
+			if base.Decide(seq, 0) != v.Decide(seq, 0) {
 				same = false
 				break
 			}
@@ -60,7 +61,7 @@ func TestPlanInjectsAtDefaultIntensity(t *testing.T) {
 	count := func(p Plan) int {
 		c := 0
 		for seq := uint64(0); seq < n; seq++ {
-			if p.Decide(seq).Faulty() {
+			if p.Decide(seq/4, seq%4).Faulty() {
 				c++
 			}
 		}
@@ -85,7 +86,7 @@ func TestProcessClassesSilentAtTransport(t *testing.T) {
 	for _, class := range []Class{WorkerPause, WorkerCrash} {
 		p := Plan{Seed: 9, Class: class, Intensity: High}
 		for seq := uint64(0); seq < 256; seq++ {
-			if d := p.Decide(seq); d.Faulty() {
+			if d := p.Decide(seq, seq%3); d.Faulty() {
 				t.Fatalf("%v injected %+v at transport seq %d", class, d, seq)
 			}
 		}
@@ -99,14 +100,14 @@ func TestBurstCodesAndRuns(t *testing.T) {
 	p := Plan{Seed: 11, Class: Burst5xx, Intensity: High}
 	sawRun := false
 	for seq := uint64(0); seq < 1024; seq++ {
-		d := p.Decide(seq)
+		d := p.Decide(7, seq)
 		if d.Code != 0 && d.Code != 502 && d.Code != 503 {
 			t.Fatalf("Burst5xx injected %d at seq %d; only 502/503 are contract-preservable", d.Code, seq)
 		}
 		if d.Code != 0 && seq%burstLen == 0 {
 			run := true
 			for k := uint64(1); k < burstLen; k++ {
-				if p.Decide(seq+k).Code != d.Code {
+				if p.Decide(7, seq+k).Code != d.Code {
 					run = false
 				}
 			}
@@ -178,7 +179,7 @@ func TestTransportTruncatesMidStream(t *testing.T) {
 	defer srv.Close()
 	seed := seedWhere(t, Truncate, High, func(d Decision) bool { return d.TruncateAfter > 0 })
 	plan := Plan{Seed: seed, Class: Truncate, Intensity: High}
-	cut := plan.Decide(0).TruncateAfter
+	cut := plan.Decide(0, 0).TruncateAfter
 	tr := &Transport{Plan: plan}
 	resp, err := (&http.Client{Transport: tr}).Get(srv.URL)
 	if err != nil {

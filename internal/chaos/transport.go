@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -24,11 +25,29 @@ type Stats struct {
 // Faults is the total number of injected faults.
 func (s Stats) Faults() uint64 { return s.Refused + s.Delayed + s.Truncated + s.Coded }
 
-// Transport wraps an http.RoundTripper with a Plan: each request
-// consumes one sequence number and suffers whatever the plan decided
-// for it. The fleet under test never knows — refusals look like dial
-// errors, injected 5xxes look like gateway responses, truncations look
-// like clean short bodies.
+// trafficRequest numbers one campaign request for the Transport: every
+// round trip made under a context carrying it is the next call of
+// request index. A request's round trips are sequential (the router
+// walks its candidates one at a time, and a client retries only after
+// the previous attempt answered), so the numbering is exact however
+// other requests interleave.
+type trafficRequest struct {
+	index uint64
+	calls atomic.Uint64
+}
+
+type trafficKey struct{}
+
+func withTrafficRequest(ctx context.Context, r *trafficRequest) context.Context {
+	return context.WithValue(ctx, trafficKey{}, r)
+}
+
+// Transport wraps an http.RoundTripper with a Plan: each round trip
+// suffers whatever the plan decided for its (request, call) position —
+// taken from the campaign's tag on the request context; an untagged
+// round trip is call 0 of request 0. The fleet under test never knows —
+// refusals look like dial errors, injected 5xxes look like gateway
+// responses, truncations look like clean short bodies.
 type Transport struct {
 	// Base performs the real round trip; nil means
 	// http.DefaultTransport.
@@ -36,7 +55,6 @@ type Transport struct {
 	// Plan is the fault schedule.
 	Plan Plan
 
-	seq       atomic.Uint64
 	requests  atomic.Uint64
 	refused   atomic.Uint64
 	delayed   atomic.Uint64
@@ -57,13 +75,16 @@ func (t *Transport) Stats() Stats {
 
 // RoundTrip implements http.RoundTripper.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	seq := t.seq.Add(1) - 1
+	var request, call uint64
+	if tr, ok := req.Context().Value(trafficKey{}).(*trafficRequest); ok {
+		request, call = tr.index, tr.calls.Add(1)-1
+	}
 	t.requests.Add(1)
-	d := t.Plan.Decide(seq)
+	d := t.Plan.Decide(request, call)
 
 	if d.Refuse {
 		t.refused.Add(1)
-		return nil, fmt.Errorf("chaos: connect %s: connection refused (plan seq %d)", req.URL.Host, seq)
+		return nil, fmt.Errorf("chaos: connect %s: connection refused (plan request %d call %d)", req.URL.Host, request, call)
 	}
 	if d.Code != 0 {
 		// The request never reaches the worker: a synthesized gateway
@@ -78,7 +99,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		if d.Code == http.StatusServiceUnavailable {
 			h.Set("Retry-After", strconv.Itoa(1))
 		}
-		body := fmt.Sprintf("chaos: injected %d (plan seq %d)\n", d.Code, seq)
+		body := fmt.Sprintf("chaos: injected %d (plan request %d call %d)\n", d.Code, request, call)
 		return &http.Response{
 			Status:        fmt.Sprintf("%d %s", d.Code, http.StatusText(d.Code)),
 			StatusCode:    d.Code,

@@ -1,18 +1,25 @@
 // Package cluster is the S25 distributed sweep fabric: a shard-routed
-// router tier in front of N mimdserved workers. The content-hash
-// request-id space is partitioned into a fixed number of virtual shards;
-// each shard is assigned to a worker by rendezvous (highest-random-
-// weight) hashing over a versioned membership table, so adding or losing
-// a worker remaps only that worker's shards and every result store stays
-// shard-local. A health prober, passive failure detection and per-worker
-// circuit breakers move a dead worker's shards to their rendezvous
-// successor, and a journal lets a restarted router resume in-flight
-// submissions. Results are content-addressed, so a cluster run is
-// byte-identical to a single-node run whatever the routing. See
-// DESIGN.md §13.
+// router tier in front of a static fleet of mimdserved workers. The
+// content-hash request-id space is partitioned into a fixed number of
+// virtual shards, and each shard ranks the fleet by rendezvous (highest-
+// random-weight) hashing. The router keeps no state about workers
+// between requests: every request walks its shard's ranking and moves on
+// past a worker that fails it, so a dead worker's shards land on their
+// rendezvous successor request by request, and a journal lets a
+// restarted router resume in-flight submissions. Results are
+// content-addressed, so a cluster run is byte-identical to a single-node
+// run whatever the routing. See DESIGN.md §13.
 package cluster
 
 import "hash/fnv"
+
+// Worker identifies one mimdserved worker in the fleet. The ID feeds the
+// rendezvous hash (it must be stable across restarts for the shard map
+// to be stable); the URL is where the router proxies to.
+type Worker struct {
+	ID  string `json:"id"`
+	URL string `json:"url"`
+}
 
 // DefaultNumShards is the size of the virtual shard space every router
 // routes with. It is deliberately much larger than any realistic worker

@@ -51,17 +51,17 @@ func TestRankIsDeterministicAndComplete(t *testing.T) {
 	}
 }
 
-// TestRankMinimalDisruption is the rendezvous property that makes the
-// membership table safe to change mid-flight: removing one worker only
-// moves the shards that worker owned — every other shard keeps its
+// TestRankMinimalDisruption is the rendezvous property that keeps a
+// dead worker's failover local: dropping one worker from the ranking
+// only moves the shards that worker owned — every other shard keeps its
 // owner.
 func TestRankMinimalDisruption(t *testing.T) {
 	all := []string{"w1", "w2", "w3", "w4"}
 	without := []string{"w1", "w2", "w4"}
 	moved := 0
 	for shard := 0; shard < 256; shard++ {
-		before := Owner(all, shard)
-		after := Owner(without, shard)
+		before := Rank(all, shard)[0]
+		after := Rank(without, shard)[0]
 		if before != "w3" && before != after {
 			t.Fatalf("shard %d: owner moved %s -> %s though w3 was not the owner", shard, before, after)
 		}
@@ -74,62 +74,21 @@ func TestRankMinimalDisruption(t *testing.T) {
 	}
 }
 
-func TestOwnerAndSuccessorDiffer(t *testing.T) {
-	ids := []string{"w1", "w2", "w3"}
-	for shard := 0; shard < DefaultNumShards; shard++ {
-		if Owner(ids, shard) == Successor(ids, shard) {
-			t.Fatalf("shard %d: owner == successor", shard)
+// TestFleetValidation: the static fleet is checked once, in New — an
+// empty fleet, a worker missing its id or URL, and a duplicate id are
+// refused.
+func TestFleetValidation(t *testing.T) {
+	for _, fleet := range [][]Worker{
+		nil,
+		{{ID: "w1"}},
+		{{URL: "http://a"}},
+		{{ID: "x", URL: "http://a"}, {ID: "x", URL: "http://b"}},
+	} {
+		if _, err := New(Options{Workers: fleet, RequestID: contentID}); err == nil {
+			t.Errorf("fleet %+v accepted", fleet)
 		}
 	}
-	if Successor([]string{"only"}, 0) != "" {
-		t.Fatal("single-worker fleet should have no successor")
-	}
-}
-
-func TestMembershipTransitions(t *testing.T) {
-	m, err := NewMembership([]Worker{{ID: "w1", URL: "http://a"}, {ID: "w2", URL: "http://b"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.AliveCount(); got != 2 {
-		t.Fatalf("fresh membership: %d alive, want 2", got)
-	}
-	v0 := m.Version()
-
-	m.MarkDown("w1")
-	if m.Alive("w1") {
-		t.Fatal("w1 still alive after MarkDown")
-	}
-	if m.Version() == v0 {
-		t.Fatal("version did not bump on MarkDown")
-	}
-	if ids := m.AliveIDs(); len(ids) != 1 || ids[0] != "w2" {
-		t.Fatalf("alive ids = %v, want [w2]", ids)
-	}
-
-	v1 := m.Version()
-	m.MarkDown("w1") // idempotent: no bump for a no-op transition
-	if m.Version() != v1 {
-		t.Fatal("version bumped on a no-op MarkDown")
-	}
-
-	m.MarkUp("w1")
-	if !m.Alive("w1") || m.Version() == v1 {
-		t.Fatal("MarkUp did not revive w1 with a version bump")
-	}
-
-	if m.Fail("w2") != 1 || m.Fail("w2") != 2 {
-		t.Fatal("Fail streak did not count 1, 2")
-	}
-	m.MarkUp("w2")
-	if m.Fail("w2") != 1 {
-		t.Fatal("MarkUp did not reset the fail streak")
-	}
-
-	if _, err := NewMembership(nil); err == nil {
-		t.Fatal("empty fleet accepted")
-	}
-	if _, err := NewMembership([]Worker{{ID: "x", URL: "u"}, {ID: "x", URL: "v"}}); err == nil {
-		t.Fatal("duplicate ids accepted")
+	if _, err := New(Options{Workers: []Worker{{ID: "w1", URL: "http://a"}, {ID: "w2", URL: "http://b"}}, RequestID: contentID}); err != nil {
+		t.Fatalf("valid fleet refused: %v", err)
 	}
 }

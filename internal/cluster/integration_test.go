@@ -18,18 +18,22 @@ import (
 )
 
 // clusterUnderTest is a router over N real serve workers, each with its
-// own DirStore (stores[i] belongs to worker "w<i+1>").
+// own DirStore behind a crash gate (stores[i] belongs to worker
+// "w<i+1>"; gates and urls are by worker id).
 type clusterUnderTest struct {
 	base   string
 	router *cluster.Router
 	stores []*sweep.DirStore
+	gates  map[string]*cluster.CrashGate
+	urls   map[string]string
+	ids    []string
 }
 
 // startTestCluster boots the fleet; opts carries the router tuning, its
 // Workers and RequestID are filled in here.
 func startTestCluster(t *testing.T, n int, opts cluster.Options) *clusterUnderTest {
 	t.Helper()
-	c := &clusterUnderTest{}
+	c := &clusterUnderTest{gates: map[string]*cluster.CrashGate{}, urls: map[string]string{}}
 	var fleet []cluster.Worker
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("w%d", i+1)
@@ -38,9 +42,11 @@ func startTestCluster(t *testing.T, n int, opts cluster.Options) *clusterUnderTe
 			t.Fatal(err)
 		}
 		c.stores = append(c.stores, ds)
-		srv := serve.New(serve.Options{Store: ds})
-		ts := httptest.NewServer(srv.Handler())
+		c.gates[id] = &cluster.CrashGate{Inner: serve.New(serve.Options{Store: ds}).Handler()}
+		ts := httptest.NewServer(c.gates[id])
 		t.Cleanup(ts.Close)
+		c.urls[id] = ts.URL
+		c.ids = append(c.ids, id)
 		fleet = append(fleet, cluster.Worker{ID: id, URL: ts.URL})
 	}
 	idOpts := serve.Options{}
@@ -188,7 +194,7 @@ func getStatus(t *testing.T, url string) int {
 }
 
 // TestFollowUpGetsFindFlightOnSuccessor: a submission made while its
-// shard's owner is down runs on the rendezvous successor, so once the
+// shard's owner is crashed runs on the rendezvous successor, so once the
 // owner is back the router's first candidate for a GET by id is a real
 // worker that answers 404. The router must walk on to the successor for
 // the job status, its event stream and the profile doc, and a 404 from
@@ -198,19 +204,18 @@ func TestFollowUpGetsFindFlightOnSuccessor(t *testing.T) {
 		t.Skip("runs real experiments")
 	}
 	clus := startTestCluster(t, 2, cluster.Options{})
-	members := clus.router.Members()
-	// submitWithOwnerDown marks the spec's shard owner down, calls
-	// submit, marks it up again and returns the owner's id.
+	// submitWithOwnerDown crashes the spec's shard owner, calls submit,
+	// restarts the owner and returns its id.
 	submitWithOwnerDown := func(spec string, submit func()) string {
 		t.Helper()
 		id, err := serve.ComputeRequestID([]byte(spec), serve.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		owner := cluster.Owner(members.AliveIDs(), cluster.ShardOf(id, cluster.DefaultNumShards))
-		members.MarkDown(owner)
+		owner := cluster.Rank(clus.ids, cluster.ShardOf(id, cluster.DefaultNumShards))[0]
+		clus.gates[owner].Crashed.Store(true)
 		submit()
-		members.MarkUp(owner)
+		clus.gates[owner].Crashed.Store(false)
 		return owner
 	}
 	const (
@@ -240,10 +245,10 @@ func TestFollowUpGetsFindFlightOnSuccessor(t *testing.T) {
 	}
 
 	// The owners are alive again and hold neither flight nor doc.
-	if code := getStatus(t, members.URL(jobOwner)+"/v1/jobs/"+job.ID); code != http.StatusNotFound {
+	if code := getStatus(t, clus.urls[jobOwner]+"/v1/jobs/"+job.ID); code != http.StatusNotFound {
 		t.Fatalf("owner %s answered the job status with %d, want 404", jobOwner, code)
 	}
-	if code := getStatus(t, members.URL(profOwner)+prof.Profile); code != http.StatusNotFound {
+	if code := getStatus(t, clus.urls[profOwner]+prof.Profile); code != http.StatusNotFound {
 		t.Fatalf("owner %s answered the profile doc with %d, want 404", profOwner, code)
 	}
 

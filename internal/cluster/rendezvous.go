@@ -9,9 +9,9 @@ import (
 // the worker id salted with the shard number. The worker with the
 // highest score owns the shard; the runner-up is its failover
 // successor. Because each worker's score is independent of every other
-// worker's, removing a worker from the candidate set remaps only the
-// shards that worker owned — the property that keeps caches shard-local
-// across membership changes.
+// worker's, a dead worker's requests move only to the next worker of
+// each shard it owned — the property that keeps caches shard-local
+// while a worker is down.
 func hrwScore(workerID string, shard int) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(workerID))
@@ -33,29 +33,4 @@ func Rank(workerIDs []string, shard int) []string {
 		return out[i] < out[j]
 	})
 	return out
-}
-
-// Owner returns the rendezvous owner of the shard among the candidate
-// workers, or "" when there are no candidates.
-func Owner(workerIDs []string, shard int) string {
-	if len(workerIDs) == 0 {
-		return ""
-	}
-	best, bestScore := "", uint64(0)
-	for _, id := range workerIDs {
-		s := hrwScore(id, shard)
-		if best == "" || s > bestScore || (s == bestScore && id < best) {
-			best, bestScore = id, s
-		}
-	}
-	return best
-}
-
-// Successor returns the second-ranked worker for the shard — where its
-// submissions fail over to — or "" when fewer than two candidates exist.
-func Successor(workerIDs []string, shard int) string {
-	if len(workerIDs) < 2 {
-		return ""
-	}
-	return Rank(workerIDs, shard)[1]
 }

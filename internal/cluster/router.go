@@ -18,8 +18,9 @@ import (
 
 // Options configures a Router.
 type Options struct {
-	// Workers declares the fleet. At least one worker is required; ids
-	// must be unique and stable (they feed the rendezvous hash).
+	// Workers declares the fleet, which is fixed for the router's life.
+	// At least one worker is required; ids must be unique and stable
+	// (they feed the rendezvous hash).
 	Workers []Worker
 	// RequestID computes the content-hash request id for a submission
 	// body — injected (cmd/mimdrouter wires serve.ComputeRequestID) so
@@ -28,8 +29,8 @@ type Options struct {
 	// Client proxies requests; nil means a client with no overall
 	// timeout (SSE streams are long-lived).
 	Client *http.Client
-	// RetryAfter is the hint returned with 503 when no worker is
-	// available; 0 means 1s.
+	// RetryAfter is the hint returned with 503 when every candidate
+	// failed; 0 means 1s.
 	RetryAfter time.Duration
 
 	// HotP99MS, MinSamples and PollInterval are ignored.
@@ -40,31 +41,12 @@ type Options struct {
 	HotP99MS     float64
 	MinSamples   int64
 	PollInterval time.Duration
-	// ProbeInterval paces the health prober; 0 means 1s.
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health probe; 0 means 500ms.
-	ProbeTimeout time.Duration
-	// ProbeRetries is how many extra immediate attempts (with backoff)
-	// one probe round makes before counting a failure; 0 means 2.
-	ProbeRetries int
-	// ProbeBackoff is the base delay between those attempts, doubled
-	// each retry; 0 means 50ms.
-	ProbeBackoff time.Duration
-	// FailThreshold is how many consecutive failed probe rounds mark a
-	// worker dead; 0 means 2.
-	FailThreshold int
 
 	// AttemptTimeout bounds how long one proxy attempt may wait for
 	// response *headers* before the router cancels it and fails over —
 	// the defense against a paused (accepted-but-silent) worker. It
 	// never cuts a stream that has started answering. 0 disables.
 	AttemptTimeout time.Duration
-	// BreakerThreshold is how many consecutive failed requests open a
-	// worker's circuit; 0 means 3.
-	BreakerThreshold int
-	// BreakerCooldown is how many prober rounds an open circuit waits
-	// before admitting a half-open trial; 0 means 2.
-	BreakerCooldown int
 	// Journal, when set, records begin/done per submission so a router
 	// restart resumes in-flight work (see ResumePending).
 	Journal *Journal
@@ -77,40 +59,19 @@ func (o Options) withDefaults() Options {
 	if o.RetryAfter <= 0 {
 		o.RetryAfter = time.Second
 	}
-	if o.ProbeInterval <= 0 {
-		o.ProbeInterval = time.Second
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 500 * time.Millisecond
-	}
-	if o.ProbeRetries <= 0 {
-		o.ProbeRetries = 2
-	}
-	if o.ProbeBackoff <= 0 {
-		o.ProbeBackoff = 50 * time.Millisecond
-	}
-	if o.FailThreshold <= 0 {
-		o.FailThreshold = 2
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 3
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 2
-	}
 	return o
 }
 
-// Router is the shard-manager tier: it owns the membership table,
-// proxies submissions to the rendezvous owner of each request's shard,
-// and runs the health prober.
+// Router is the shard-manager tier: it proxies each request down its
+// shard's rendezvous ranking of the fleet. It keeps no state about
+// workers between requests, so a request's route depends only on its
+// shard and on what the workers answer it.
 type Router struct {
 	opts     Options
-	members  *Membership
+	ids      []string          // the fleet's ids, in declaration order
+	urls     map[string]string // worker id -> URL
 	metrics  *Metrics
-	probe    *http.Client
 	mux      *http.ServeMux
-	breakers *breakerSet
 	draining atomic.Bool
 	inflight sync.WaitGroup
 }
@@ -121,16 +82,19 @@ func New(opts Options) (*Router, error) {
 	if opts.RequestID == nil {
 		return nil, fmt.Errorf("cluster: Options.RequestID is required")
 	}
-	members, err := NewMembership(opts.Workers)
-	if err != nil {
-		return nil, err
+	if len(opts.Workers) == 0 {
+		return nil, fmt.Errorf("cluster: the fleet needs at least one worker")
 	}
-	r := &Router{
-		opts:     opts,
-		members:  members,
-		metrics:  newMetrics(),
-		probe:    &http.Client{Timeout: opts.ProbeTimeout},
-		breakers: newBreakerSet(opts.BreakerThreshold, opts.BreakerCooldown),
+	r := &Router{opts: opts, urls: make(map[string]string, len(opts.Workers)), metrics: newMetrics()}
+	for _, w := range opts.Workers {
+		if w.ID == "" || w.URL == "" {
+			return nil, fmt.Errorf("cluster: worker needs both id and url, got %+v", w)
+		}
+		if _, dup := r.urls[w.ID]; dup {
+			return nil, fmt.Errorf("cluster: duplicate worker id %q", w.ID)
+		}
+		r.ids = append(r.ids, w.ID)
+		r.urls[w.ID] = w.URL
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", r.handleHealthz)
@@ -148,9 +112,6 @@ func New(opts Options) (*Router, error) {
 	return r, nil
 }
 
-// Members exposes the membership table (tests and cmd/mimdrouter).
-func (r *Router) Members() *Membership { return r.members }
-
 // Metrics exposes the router's counters.
 func (r *Router) Metrics() *Metrics { return r.metrics }
 
@@ -164,10 +125,11 @@ func (r *Router) Handler() http.Handler {
 	})
 }
 
-// Start launches the health prober; it stops when ctx is cancelled.
-func (r *Router) Start(ctx context.Context) {
-	go r.probeLoop(ctx)
-}
+// Start does nothing: the router runs no background work.
+//
+// Deprecated: the health prober is gone. The method stays only because
+// the frozen benchmark/ module calls it; ROADMAP direction 1 deletes it.
+func (r *Router) Start(context.Context) {}
 
 // maxBodyBytes bounds a submission body (a spec is a few hundred bytes).
 const maxBodyBytes = 1 << 20
@@ -195,8 +157,12 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		// past this point leaves a resumable begin record. Done is
 		// written once the client has a definitive answer — including a
 		// shed or an explicit error frame, after which the client owns
-		// the retry.
-		j.Begin(id, shard, body)
+		// the retry. A submission that cannot be journaled is shed: it
+		// would run with no durable record.
+		if err := j.Begin(id, shard, body); err != nil {
+			r.writeError(w, http.StatusServiceUnavailable, "journal: "+err.Error())
+			return
+		}
 		defer j.Done(id)
 	}
 	r.proxyToShard(w, req, shard, body)
@@ -211,7 +177,7 @@ func (r *Router) handleByID(w http.ResponseWriter, req *http.Request) {
 	r.proxyToShard(w, req, ShardOf(req.PathValue("id"), DefaultNumShards), nil)
 }
 
-// handleExperiments proxies the registry listing to any alive worker.
+// handleExperiments proxies the registry listing to shard 0's ranking.
 func (r *Router) handleExperiments(w http.ResponseWriter, req *http.Request) {
 	r.proxyToShard(w, req, 0, nil)
 }
@@ -228,33 +194,26 @@ func gatewayStatus(code int) bool {
 		code == http.StatusGatewayTimeout
 }
 
-// proxyToShard forwards the request to the shard's candidates in order,
-// failing over (and passively marking workers down) on connection
-// errors, attempt timeouts, and gateway-class 5xx responses — each of
-// which also feeds the worker's circuit breaker, and open circuits are
-// skipped up front. Non-streaming responses are fully buffered before
-// the first byte reaches the client, so even a mid-body failure can
-// still fail over; a stream that has started relaying cannot, and gets
-// an explicit terminal error frame instead. A body-less read by id also
-// moves on past a candidate that answers 404 (see below).
+// proxyToShard walks the shard's rendezvous ranking of the whole fleet,
+// moving to the next candidate on a connection error, an attempt
+// timeout, a gateway-class 5xx or a short body. Non-streaming responses
+// are fully buffered before the first byte reaches the client, so even a
+// mid-body failure can still fail over; a stream that has started
+// relaying cannot, and gets an explicit terminal error frame instead. A
+// body-less read by id also moves on past a candidate that answers 404
+// (see below). When every candidate fails, the router sheds with its
+// own 503 + Retry-After.
 func (r *Router) proxyToShard(w http.ResponseWriter, req *http.Request, shard int, body []byte) {
 	r.inflight.Add(1)
 	defer r.inflight.Done()
-	cands := Rank(r.members.AliveIDs(), shard)
+	cands := Rank(r.ids, shard)
 	for i, id := range cands {
-		if !r.breakers.Allow(id) {
-			r.metrics.breakerSkips.Inc()
-			continue
-		}
 		fail := func() {
-			if r.breakers.OnFailure(id) {
-				r.metrics.breakerOpens.Inc()
-			}
 			if i+1 < len(cands) {
 				r.metrics.failovers.Inc()
 			}
 		}
-		target := r.members.URL(id)
+		target := r.urls[id]
 		out, err := http.NewRequestWithContext(req.Context(), req.Method,
 			target+req.URL.Path, bodyReader(body))
 		if err != nil {
@@ -269,10 +228,8 @@ func (r *Router) proxyToShard(w http.ResponseWriter, req *http.Request, shard in
 				// The client went away; nothing to answer.
 				return
 			}
-			// The worker is unreachable (or silent past the attempt
-			// timeout): passive failure detection. The prober notices
-			// recovery.
-			r.members.MarkDown(id)
+			// The worker is unreachable, or silent past the attempt
+			// timeout.
 			fail()
 			continue
 		}
@@ -290,12 +247,10 @@ func (r *Router) proxyToShard(w http.ResponseWriter, req *http.Request, shard in
 			// A by-id read: flights and profile docs live only on the worker
 			// that ran the submission, which after a failover is not the
 			// shard's owner. A 404 here means "not held by this worker" —
-			// a completed, healthy answer: it closes a half-open breaker's
-			// trial like any success, and counts no failover or down. The
-			// 404 is relayed only from the last candidate; if the rest are
-			// skipped or fail, the holder may be among them and the client
-			// gets the retryable 503 instead.
-			r.breakers.OnSuccess(id)
+			// a completed, healthy answer that counts no failover. The 404
+			// is relayed only from the last candidate; if the rest fail,
+			// the holder may be among them and the client gets the
+			// retryable 503 instead.
 			resp.Body.Close()
 			continue
 		}
@@ -315,20 +270,18 @@ func (r *Router) proxyToShard(w http.ResponseWriter, req *http.Request, shard in
 				fail()
 				continue
 			}
-			r.breakers.OnSuccess(id)
 			r.metrics.proxied.Inc(id)
 			copyHeader(w.Header(), resp.Header, "Content-Type", "Retry-After", "Cache-Control")
 			w.WriteHeader(resp.StatusCode)
 			w.Write(data)
 			return
 		}
-		r.breakers.OnSuccess(id)
 		r.metrics.proxied.Inc(id)
 		r.relay(w, resp)
 		return
 	}
 	r.metrics.noWorker.Inc()
-	r.writeError(w, http.StatusServiceUnavailable, "no worker available for shard "+strconv.Itoa(shard))
+	r.writeError(w, http.StatusServiceUnavailable, "every worker failed for shard "+strconv.Itoa(shard))
 }
 
 // doAttempt performs one proxy attempt, bounding the wait for response
@@ -546,45 +499,22 @@ func (r *Router) writeError(w http.ResponseWriter, code int, msg string) {
 }
 
 func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	alive := r.members.AliveCount()
-	total := len(r.members.Workers())
-	status, code := "ok", http.StatusOK
-	switch {
-	case alive == 0:
-		status, code = "down", http.StatusServiceUnavailable
-	case alive < total:
-		status = "degraded"
-	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	fmt.Fprintf(w, "{\"status\":%q,\"alive\":%d,\"workers\":%d,\"membership_version\":%d}\n",
-		status, alive, total, r.members.Version())
+	fmt.Fprintf(w, "{\"status\":\"ok\",\"workers\":%d}\n", len(r.ids))
 }
 
 func (r *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	fmt.Fprint(w, r.metrics.Render(r.members.AliveCount(), r.members.Version(), 0))
+	fmt.Fprint(w, r.metrics.Render(0, 0, 0))
 }
 
-// clusterWorker is one row of the /v1/cluster worker listing.
-type clusterWorker struct {
-	ID    string `json:"id"`
-	URL   string `json:"url"`
-	Alive bool   `json:"alive"`
-}
-
+// handleCluster lists the static fleet and the shard space.
 func (r *Router) handleCluster(w http.ResponseWriter, _ *http.Request) {
-	workers := make([]clusterWorker, 0, len(r.members.Workers()))
-	for _, wk := range r.members.Workers() {
-		workers = append(workers, clusterWorker{ID: wk.ID, URL: wk.URL, Alive: r.members.Alive(wk.ID)})
-	}
 	doc := struct {
-		MembershipVersion uint64          `json:"membership_version"`
-		NumShards         int             `json:"num_shards"`
-		Workers           []clusterWorker `json:"workers"`
-	}{r.members.Version(), DefaultNumShards, workers}
+		NumShards int      `json:"num_shards"`
+		Workers   []Worker `json:"workers"`
+	}{DefaultNumShards, r.opts.Workers}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(doc)

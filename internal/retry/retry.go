@@ -1,9 +1,7 @@
 // Package retry is the repository's single retry policy: capped
-// exponential backoff with seeded, deterministic jitter. Before it
-// existed the tree had divergent hand-rolled loops (the cluster health
-// prober's doubling backoff and a client's Retry-After honoring); they
-// all run through Policy now, so "how we retry" is one audited decision
-// instead of several accidents.
+// exponential backoff with seeded, deterministic jitter. The chaos
+// campaign's clients and the benchmark harness retry through it, so "how
+// we retry" is one audited decision instead of several accidents.
 //
 // Determinism: the delay for attempt k is a pure function of
 // (Policy, Seed, k) — the jitter stream is a splitmix64 mix of the

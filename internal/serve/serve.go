@@ -211,7 +211,7 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // /healthz — so a paused worker presents the SIGSTOP profile: the
 // listener accepts, then nothing answers until Resume (or the client
 // gives up). That is exactly the silence the router's attempt timeout
-// and the prober's failure threshold are built to survive.
+// is built to survive.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if ch := s.pauseGate(); ch != nil {

@@ -15,7 +15,9 @@
 #                  internal/check) and the module's own analyzers over the
 #                  whole tree (internal/lint's TestModuleIsClean and
 #                  TestAuditRegisteredProtocolsClean; `make lint` is the
-#                  same pass for people)
+#                  same pass for people); the chaos matrix (one cell per
+#                  class, two concurrent clients) runs again at -cpu 1,2,
+#                  so its byte-identity bar holds on one core and on two
 #   5. work        the steady-state zero-allocation regressions, the
 #                  repository's only alloc gate (the machine pin runs
 #                  RB/RWB at 1-130 PEs, the three core-* machines,
@@ -78,6 +80,7 @@ go build ./...
 
 echo "==> go test -race ./..."
 go test -race ./...
+pins -race -run 'CampaignSmoke' -cpu 1,2 -count=1 ./internal/chaos
 
 echo "==> allocs/cycle and work ledger"
 pins -run 'SteadyState.*AllocFree|Ledger|StreamIdentity|TraceGoldenAbove64PEs|CmStarOracleScale10' -count=1 ./internal/machine ./internal/workload ./internal/experiments
