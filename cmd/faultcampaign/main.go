@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"repro/internal/fault"
+	"repro/internal/report"
 	"repro/internal/sweep"
 )
 
@@ -70,6 +71,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	if err := report.CheckFormat(*format); err != nil {
+		return fail(err)
+	}
 	cfg, err := buildConfig(*protocols, *classes, *seedList, *trials, *refs, *pes)
 	if err != nil {
 		return fail(err)

@@ -38,6 +38,7 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-nosuchflag"}, 2},
 		{[]string{"-seeds", "x"}, 1},
 		{[]string{"-protocols", "mesi"}, 1},
+		{[]string{"-format", "bogus"}, 1},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(c.args, &out, &errb); code != c.code || out.Len() != 0 || errb.Len() == 0 {

@@ -110,6 +110,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	if err := report.CheckFormat(*format); err != nil {
+		return fail(err)
+	}
 	seeds, err := parseSeeds(*seedList)
 	if err != nil {
 		return fail(err)

@@ -107,6 +107,7 @@ func TestBadArguments(t *testing.T) {
 		{"-seeds", ","},
 		{"-dot", "mesi"},
 		{"-scale", "-1"},
+		{"-format", "bogus"},
 	} {
 		if out, errs, code := repro(args...); code != 1 || out != "" || errs == "" {
 			t.Errorf("%v: exit %d, stdout %q, stderr %q", args, code, out, errs)

@@ -20,21 +20,22 @@ func init() {
 		Title:   "Set associativity at fixed capacity (assumption 7)",
 		Axes:    Axes{Seed: true, Scale: true},
 		Version: 1,
-		Run:     AssocAblation,
+		Run:     assocAblation,
 	})
 }
 
-// AssocRow is one (cache size, ways) measurement.
-type AssocRow struct {
+// assocRow is one (cache size, ways) measurement, typed so the machine
+// oracle (cmstar_test.go) compares it exactly.
+type assocRow struct {
 	CacheSize   int
 	Ways        int
 	ReadMissPct float64
 }
 
-// AssocRows sweeps ways in {1, 2, 4} at two of the Table 1-1 cache sizes
+// assocRows sweeps ways in {1, 2, 4} at two of the Table 1-1 cache sizes
 // under the Cm*-style emulation, all six geometries from one stream pass
 // (see cmStarPass).
-func AssocRows(p Params) []AssocRow {
+func assocRows(p Params) []assocRow {
 	p = p.withDefaults()
 	var geoms []cache.Config
 	for _, size := range []int{512, 2048} {
@@ -43,9 +44,9 @@ func AssocRows(p Params) []AssocRow {
 		}
 	}
 	c, set := cmStarPass(p, workload.PDEProfile(), 2, 40000*p.Scale, geoms)
-	rows := make([]AssocRow, len(geoms))
+	rows := make([]assocRow, len(geoms))
 	for i, g := range geoms {
-		rows[i] = AssocRow{CacheSize: g.Lines, Ways: g.Ways, ReadMissPct: 100 * float64(c.readMisses[i]) / float64(c.refs)}
+		rows[i] = assocRow{CacheSize: g.Lines, Ways: g.Ways, ReadMissPct: 100 * float64(c.readMisses[i]) / float64(c.refs)}
 		if set != nil {
 			p.Profile.Add(fmt.Sprintf("assoc/size=%d/ways=%d", g.Lines, g.Ways), p.Seed, set)
 		}
@@ -53,9 +54,9 @@ func AssocRows(p Params) []AssocRow {
 	return rows
 }
 
-// AssocAblation renders the sweep.
-func AssocAblation(p Params) (*report.Table, error) {
-	rows := AssocRows(p)
+// assocAblation renders the sweep.
+func assocAblation(p Params) (*Table, error) {
+	rows := assocRows(p)
 	t := &report.Table{
 		ID:      "ablation-assoc",
 		Title:   "Read-miss % vs. set associativity (Cm* emulation, pde workload)",

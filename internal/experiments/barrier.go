@@ -22,28 +22,22 @@ func init() {
 		Axes:    Axes{Scale: true}, // staggered arrivals are fixed, not seeded
 		Version: 1,
 		Chart:   &ChartSpec{Labels: []int{0}, Value: 3}, // txns/round
-		Run: func(p Params) (*Table, error) {
-			return BarrierAblation(p)
-		},
+		Run:     barrierAblation,
 	})
 }
 
-// BarrierRow is one protocol's barrier cost.
-type BarrierRow struct {
-	Protocol     string
-	Rounds       int
-	BusTxns      uint64
-	TxnsPerRound float64
-	Cycles       uint64
-}
-
-// BarrierRows measures bus transactions per completed barrier round with
-// staggered arrivals (so real spinning happens).
-func BarrierRows(p Params) ([]BarrierRow, error) {
+// barrierAblation measures bus transactions per completed barrier round
+// with staggered arrivals (so real spinning happens).
+func barrierAblation(p Params) (*Table, error) {
 	p = p.withDefaults()
 	const pes = 8
 	rounds := 10 * p.Scale
-	var rows []BarrierRow
+	t := &report.Table{
+		ID:      "ablation-barrier",
+		Title:   "8 PEs meeting at a sense-reversing barrier (staggered arrivals)",
+		Columns: []string{"Protocol", "Rounds", "Bus txns", "Txns/round", "Cycles"},
+		Note:    "the sense-word spin is cache-resident under the paper's schemes; without caches every spin iteration is a bus transaction",
+	}
 	for _, kind := range []coherence.Kind{coherence.KindRB, coherence.KindRWB, coherence.KindGoodman, coherence.KindWriteThrough, coherence.KindNoCache} {
 		proto := coherence.New(kind)
 		barriers := make([]*workload.Barrier, pes)
@@ -83,31 +77,8 @@ func BarrierRows(p Params) ([]BarrierRow, error) {
 			}
 		}
 		mt := m.Metrics()
-		rows = append(rows, BarrierRow{
-			Protocol:     proto.Name(),
-			Rounds:       rounds,
-			BusTxns:      mt.Bus.Transactions(),
-			TxnsPerRound: float64(mt.Bus.Transactions()) / float64(rounds),
-			Cycles:       mt.Cycles,
-		})
-	}
-	return rows, nil
-}
-
-// BarrierAblation renders the measurement.
-func BarrierAblation(p Params) (*report.Table, error) {
-	rows, err := BarrierRows(p)
-	if err != nil {
-		return nil, err
-	}
-	t := &report.Table{
-		ID:      "ablation-barrier",
-		Title:   "8 PEs meeting at a sense-reversing barrier (staggered arrivals)",
-		Columns: []string{"Protocol", "Rounds", "Bus txns", "Txns/round", "Cycles"},
-		Note:    "the sense-word spin is cache-resident under the paper's schemes; without caches every spin iteration is a bus transaction",
-	}
-	for _, r := range rows {
-		t.AddRowf(r.Protocol, r.Rounds, r.BusTxns, r.TxnsPerRound, r.Cycles)
+		txns := mt.Bus.Transactions()
+		t.AddRowf(proto.Name(), rounds, txns, float64(txns)/float64(rounds), mt.Cycles)
 	}
 	return t, nil
 }

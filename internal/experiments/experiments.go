@@ -1,9 +1,10 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation, plus the ablations DESIGN.md calls out. Each experiment is a
 // named constructor returning a report.Table whose rows mirror the paper's
-// artifact; cmd/paperrepro prints them all, the test suite asserts their
-// paper-shape properties, and BENCHMARK.json's sweep-paper workload runs
-// every one through the sweep engine.
+// artifact; cmd/paperrepro prints them all, the claim rows of
+// claims_test.go check the paper's claims against the rendered tables
+// (and EXPERIMENTS.md prints both), and BENCHMARK.json's sweep-paper
+// workload runs every one through the sweep engine.
 package experiments
 
 import (

@@ -95,14 +95,3 @@ func TransitionTable(p *coherence.Table, id, title string) *report.Table {
 	}
 	return t
 }
-
-// CountTransitions returns (states, arcs) for a protocol — the figures'
-// size, used by documentation and sanity tests.
-func CountTransitions(p *coherence.Table) (states, arcs int) {
-	t := TransitionTable(p, "tmp", "tmp")
-	set := map[string]bool{}
-	for _, row := range t.Rows {
-		set[row[0]] = true
-	}
-	return len(set), len(t.Rows)
-}

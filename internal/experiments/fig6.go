@@ -17,25 +17,19 @@ func init() {
 		ID:      "fig6-1",
 		Title:   "Synchronization with Test-and-Set for RB Scheme",
 		Version: 1, // scripted walkthrough: no parameter axes
-		Run: func(Params) (*Table, error) {
-			return figure61(), nil
-		},
+		Run:     figure61,
 	})
 	register(Experiment{
 		ID:      "fig6-2",
 		Title:   "Synchronization with Test-and-Test-and-Set for RB Scheme",
 		Version: 1,
-		Run: func(Params) (*Table, error) {
-			return figure62(), nil
-		},
+		Run:     figure62,
 	})
 	register(Experiment{
 		ID:      "fig6-3",
 		Title:   "Synchronization with Test-and-Test-and-Set for RWB Scheme",
 		Version: 1,
-		Run: func(Params) (*Table, error) {
-			return figure63(), nil
-		},
+		Run:     figure63,
 	})
 }
 
@@ -47,13 +41,9 @@ func prepareLock(s *scenario) {
 	}
 }
 
-// Figure61 reproduces Figure 6-1: plain Test-and-Set spinning under RB.
+// figure61 reproduces Figure 6-1: plain Test-and-Set spinning under RB.
 // Every unsuccessful attempt is a bus read-modify-write — the hot spot.
-func Figure61() *report.Table {
-	return figure61()
-}
-
-func figure61() *report.Table {
+func figure61(Params) (*Table, error) {
 	s := newScenario(coherence.New(coherence.KindRB), 3, 16)
 	t := &report.Table{
 		ID:      "fig6-1",
@@ -91,17 +81,13 @@ func figure61() *report.Table {
 		s.testSet(1, lockS, 1)
 	}
 	s.row(t, lockS, before, "Others try to get S")
-	return t
+	return t, nil
 }
 
-// Figure62 reproduces Figure 6-2: Test-and-Test-and-Set under RB. While
+// figure62 reproduces Figure 6-2: Test-and-Test-and-Set under RB. While
 // the lock is held the spinners loop in their caches with zero bus
 // traffic.
-func Figure62() *report.Table {
-	return figure62()
-}
-
-func figure62() *report.Table {
+func figure62(Params) (*Table, error) {
 	s := newScenario(coherence.New(coherence.KindRB), 3, 16)
 	t := &report.Table{
 		ID:      "fig6-2",
@@ -146,17 +132,13 @@ func figure62() *report.Table {
 	s.testTestSet(1, lockS, 1)
 	s.testTestSet(2, lockS, 1)
 	s.row(t, lockS, before, "Others try to get S")
-	return t
+	return t, nil
 }
 
-// Figure63 reproduces Figure 6-3: TTS under RWB. The acquisition leaves
+// figure63 reproduces Figure 6-3: TTS under RWB. The acquisition leaves
 // the caches in the intermediate F/R configuration (every copy holds the
 // new value), and the release needs only a bus invalidate.
-func Figure63() *report.Table {
-	return figure63()
-}
-
-func figure63() *report.Table {
+func figure63(Params) (*Table, error) {
 	s := newScenario(coherence.New(coherence.KindRWB), 3, 16)
 	t := &report.Table{
 		ID:      "fig6-3",
@@ -195,5 +177,5 @@ func figure63() *report.Table {
 	s.testTestSet(1, lockS, 1)
 	s.testTestSet(2, lockS, 1)
 	s.row(t, lockS, before, "Others try to get S")
-	return t
+	return t, nil
 }

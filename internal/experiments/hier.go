@@ -21,30 +21,22 @@ func init() {
 		Axes:    Axes{Seed: true, Scale: true},
 		Version: 1,
 		Chart:   &ChartSpec{Labels: []int{1}, Value: 3}, // global txns
-		Run: func(p Params) (*Table, error) {
-			return HierSweep(p)
-		},
+		Run:     hierSweep,
 	})
 }
 
-// HierRow is one configuration's measurements.
-type HierRow struct {
-	Clusters      int
-	PEsPerCluster int
-	TotalPEs      int
-	LocalTxns     uint64
-	GlobalTxns    uint64
-	FilterRatio   float64
-	GlobalUtil    float64
-	Cycles        uint64
-}
-
-// HierRows sweeps cluster counts at a fixed per-PE workload: mostly-read
+// hierSweep sweeps cluster counts at a fixed per-PE workload: mostly-read
 // shared traffic with small L1s, so the cluster caches do real work.
-func HierRows(p Params) ([]HierRow, error) {
+func hierSweep(p Params) (*Table, error) {
 	p = p.withDefaults()
 	refs := 1500 * p.Scale
-	var rows []HierRow
+	t := &report.Table{
+		ID:      "extension-hier",
+		Title:   "Two-level hierarchy: cluster caches filtering the global bus",
+		Columns: []string{"Clusters", "PEs", "Local txns", "Global txns", "Filter ratio", "Global util", "Cycles"},
+		Note: "write-through L1s under inclusive cluster caches (the Section 8 hierarchical " +
+			"direction); the filter ratio is the fraction of local transactions the cluster level absorbed",
+	}
 	for _, clusters := range []int{1, 2, 4} {
 		const pes = 4
 		agents := make([][]workload.Agent, clusters)
@@ -69,35 +61,8 @@ func HierRows(p Params) ([]HierRow, error) {
 			return nil, fmt.Errorf("hier: %d clusters did not drain", clusters)
 		}
 		mt := m.Metrics()
-		rows = append(rows, HierRow{
-			Clusters:      clusters,
-			PEsPerCluster: pes,
-			TotalPEs:      clusters * pes,
-			LocalTxns:     mt.LocalTransactions(),
-			GlobalTxns:    mt.Global.Transactions(),
-			FilterRatio:   mt.FilterRatio(),
-			GlobalUtil:    mt.Global.Utilization(),
-			Cycles:        mt.Cycles,
-		})
-	}
-	return rows, nil
-}
-
-// HierSweep renders the sweep.
-func HierSweep(p Params) (*report.Table, error) {
-	rows, err := HierRows(p)
-	if err != nil {
-		return nil, err
-	}
-	t := &report.Table{
-		ID:      "extension-hier",
-		Title:   "Two-level hierarchy: cluster caches filtering the global bus",
-		Columns: []string{"Clusters", "PEs", "Local txns", "Global txns", "Filter ratio", "Global util", "Cycles"},
-		Note: "write-through L1s under inclusive cluster caches (the Section 8 hierarchical " +
-			"direction); the filter ratio is the fraction of local transactions the cluster level absorbed",
-	}
-	for _, r := range rows {
-		t.AddRowf(r.Clusters, r.TotalPEs, r.LocalTxns, r.GlobalTxns, r.FilterRatio, r.GlobalUtil, r.Cycles)
+		t.AddRowf(clusters, clusters*pes, mt.LocalTransactions(), mt.Global.Transactions(),
+			mt.FilterRatio(), mt.Global.Utilization(), mt.Cycles)
 	}
 	return t, nil
 }

@@ -23,26 +23,23 @@ func init() {
 		Title:   "Fused vs. two-phase (locked-bus) Test-and-Set (Section 6 prose)",
 		Axes:    Axes{Seed: true, Scale: true},
 		Version: 1,
-		Run: func(p Params) (*Table, error) {
-			return RMWStyleAblation(p)
-		},
+		Run:     rmwStyleAblation,
 	})
 }
 
-// RMWStyleRow is one (style, strategy) measurement.
-type RMWStyleRow struct {
-	Style      string
-	Strategy   string
-	TxnsPerAcq float64
-	Cycles     uint64
-}
-
-// RMWStyleRows measures RB lock contention under both realizations.
-func RMWStyleRows(p Params) ([]RMWStyleRow, error) {
+// rmwStyleAblation measures RB lock contention under both realizations.
+func rmwStyleAblation(p Params) (*Table, error) {
 	p = p.withDefaults()
 	const pes = 8
 	iters := 20 * p.Scale
-	var rows []RMWStyleRow
+	t := &report.Table{
+		ID:      "ablation-rmwstyle",
+		Title:   "8 PEs, RB scheme: Test-and-Set realization vs. bus cost",
+		Columns: []string{"RMW style", "Strategy", "Txns/acquisition", "Cycles"},
+		Note: "each two-phase attempt costs two transactions, but the memory lock stalls the other " +
+			"spinners while an attempt is in flight — a built-in backoff that throttles the hot spot; " +
+			"under the fused RMW only TTS prevents the spinning storm",
+	}
 	for _, twoPhase := range []bool{false, true} {
 		for _, strat := range []workload.Strategy{workload.StrategyTS, workload.StrategyTTS} {
 			locks := make([]*workload.Spinlock, pes)
@@ -84,33 +81,8 @@ func RMWStyleRows(p Params) ([]RMWStyleRow, error) {
 				style = "two-phase"
 			}
 			mt := m.Metrics()
-			rows = append(rows, RMWStyleRow{
-				Style:      style,
-				Strategy:   strat.String(),
-				TxnsPerAcq: float64(mt.Bus.Transactions()) / float64(total),
-				Cycles:     mt.Cycles,
-			})
+			t.AddRowf(style, strat.String(), float64(mt.Bus.Transactions())/float64(total), mt.Cycles)
 		}
-	}
-	return rows, nil
-}
-
-// RMWStyleAblation renders the comparison.
-func RMWStyleAblation(p Params) (*report.Table, error) {
-	rows, err := RMWStyleRows(p)
-	if err != nil {
-		return nil, err
-	}
-	t := &report.Table{
-		ID:      "ablation-rmwstyle",
-		Title:   "8 PEs, RB scheme: Test-and-Set realization vs. bus cost",
-		Columns: []string{"RMW style", "Strategy", "Txns/acquisition", "Cycles"},
-		Note: "each two-phase attempt costs two transactions, but the memory lock stalls the other " +
-			"spinners while an attempt is in flight — a built-in backoff that throttles the hot spot; " +
-			"under the fused RMW only TTS prevents the spinning storm",
-	}
-	for _, r := range rows {
-		t.AddRowf(r.Style, r.Strategy, r.TxnsPerAcq, r.Cycles)
 	}
 	return t, nil
 }

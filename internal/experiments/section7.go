@@ -20,34 +20,28 @@ func init() {
 		ID:      "section7-sbb",
 		Title:   "Shared Bus Bandwidth: SBB >= m*x*(1/h)",
 		Version: 1, // analytic model: no parameter axes
-		Run: func(p Params) (*Table, error) {
-			return Section7Bandwidth(p)
-		},
+		Run:     section7Bandwidth,
 	})
 	register(Experiment{
 		ID:      "fig7-1",
 		Title:   "Multiple Shared Bus Cached Based Parallel Processor",
 		Axes:    Axes{Seed: true, Scale: true},
 		Version: 1,
-		Run: func(p Params) (*Table, error) {
-			return Figure71(p)
-		},
+		Run:     figure71,
 	})
 	register(Experiment{
 		ID:      "section7-saturation",
 		Title:   "Simulated bus utilization vs. processor count",
 		Axes:    Axes{Seed: true, Scale: true},
-		Version: 1,
+		Version: 2,
 		Chart:   &ChartSpec{Labels: []int{0, 1}, Value: 3}, // utilization
-		Run: func(p Params) (*Table, error) {
-			return SaturationSweep(p)
-		},
+		Run:     saturationSweep,
 	})
 }
 
-// Section7Bandwidth renders the analytic model: the paper's example plus
+// section7Bandwidth renders the analytic model: the paper's example plus
 // the surrounding design space (the conclusion's "32 to 256 processors").
-func Section7Bandwidth(Params) (*report.Table, error) {
+func section7Bandwidth(Params) (*Table, error) {
 	t := &report.Table{
 		ID:      "section7-sbb",
 		Title:   "Shared Bus Bandwidth requirement (Section 7)",
@@ -64,20 +58,18 @@ func Section7Bandwidth(Params) (*report.Table, error) {
 	return t, nil
 }
 
-// Figure71Row is one measured dual-bus data point.
-type Figure71Row struct {
-	Buses       int
-	Txns        []uint64 // per bus
-	Utilization float64  // max per-bus utilization
-	Cycles      uint64
-}
-
-// Figure71Rows runs the same workload on 1, 2 and 4 interleaved buses.
-func Figure71Rows(p Params) ([]Figure71Row, error) {
+// figure71 runs the same workload on 1, 2 and 4 interleaved buses and
+// tabulates the traffic split.
+func figure71(p Params) (*Table, error) {
 	p = p.withDefaults()
 	const pes = 8
 	refs := 4000 * p.Scale
-	var rows []Figure71Row
+	t := &report.Table{
+		ID:      "fig7-1",
+		Title:   "Multiple shared buses interleaved on low address bits (Figure 7-1)",
+		Columns: []string{"Buses", "Txns per bus", "Max bus utilization", "Cycles to finish"},
+		Note:    "per-bus transactions split evenly, so each bus needs ~1/n of the single-bus bandwidth",
+	}
 	for _, buses := range []int{1, 2, 4} {
 		agents := make([]workload.Agent, pes)
 		for i := range agents {
@@ -106,50 +98,24 @@ func Figure71Rows(p Params) ([]Figure71Row, error) {
 				maxUtil = u
 			}
 		}
-		rows = append(rows, Figure71Row{
-			Buses:       buses,
-			Txns:        mt.PerBusTransactions,
-			Utilization: maxUtil,
-			Cycles:      mt.Cycles,
-		})
-	}
-	return rows, nil
-}
-
-// Figure71 renders the dual-bus (and quad-bus) traffic split.
-func Figure71(p Params) (*report.Table, error) {
-	rows, err := Figure71Rows(p)
-	if err != nil {
-		return nil, err
-	}
-	t := &report.Table{
-		ID:      "fig7-1",
-		Title:   "Multiple shared buses interleaved on low address bits (Figure 7-1)",
-		Columns: []string{"Buses", "Txns per bus", "Max bus utilization", "Cycles to finish"},
-		Note:    "per-bus transactions split evenly, so each bus needs ~1/n of the single-bus bandwidth",
-	}
-	for _, r := range rows {
-		t.AddRowf(r.Buses, fmt.Sprint(r.Txns), r.Utilization, r.Cycles)
+		t.AddRowf(buses, fmt.Sprint(mt.PerBusTransactions), maxUtil, mt.Cycles)
 	}
 	return t, nil
 }
 
-// SaturationRow is one point of the utilization-vs-processors sweep.
-type SaturationRow struct {
-	Processors  int
-	Protocol    string
-	BusPerRef   float64
-	Utilization float64
-	Cycles      uint64
-}
-
-// SaturationRows sweeps the processor count under a fixed per-PE workload
-// for the paper's scheme and the no-cache baseline, showing where each
-// saturates the single shared bus.
-func SaturationRows(p Params) ([]SaturationRow, error) {
+// saturationSweep sweeps the processor count under a fixed per-PE
+// workload for the paper's scheme and the no-cache baseline, showing
+// where each saturates the single shared bus.
+func saturationSweep(p Params) (*Table, error) {
 	p = p.withDefaults()
 	refs := 2500 * p.Scale
-	var rows []SaturationRow
+	t := &report.Table{
+		ID:      "section7-saturation",
+		Title:   "Bus utilization vs. processor count (single shared bus)",
+		Columns: []string{"Protocol", "Processors", "Bus txns/ref", "Bus utilization", "Cycles"},
+		Note: "with caches (rb) a reference costs about a third of a bus transaction, against one without, " +
+			"so the bus saturates at about 8 PEs instead of 2; utilization 1.0 means every added PE only adds waiting",
+	}
 	for _, kind := range []coherence.Kind{coherence.KindRB, coherence.KindNoCache} {
 		proto := coherence.New(kind)
 		for _, pes := range []int{2, 4, 8, 16, 32} {
@@ -173,33 +139,8 @@ func SaturationRows(p Params) ([]SaturationRow, error) {
 				return nil, fmt.Errorf("saturation: %s with %d PEs did not drain", proto.Name(), pes)
 			}
 			mt := m.Metrics()
-			rows = append(rows, SaturationRow{
-				Processors:  pes,
-				Protocol:    proto.Name(),
-				BusPerRef:   mt.BusPerRef(),
-				Utilization: mt.Bus.Utilization(),
-				Cycles:      mt.Cycles,
-			})
+			t.AddRowf(proto.Name(), pes, mt.BusPerRef(), mt.Bus.Utilization(), mt.Cycles)
 		}
-	}
-	return rows, nil
-}
-
-// SaturationSweep renders the sweep.
-func SaturationSweep(p Params) (*report.Table, error) {
-	rows, err := SaturationRows(p)
-	if err != nil {
-		return nil, err
-	}
-	t := &report.Table{
-		ID:      "section7-saturation",
-		Title:   "Bus utilization vs. processor count (single shared bus)",
-		Columns: []string{"Protocol", "Processors", "Bus txns/ref", "Bus utilization", "Cycles"},
-		Note: "with caches (rb) the bus saturates an order of magnitude later than without; " +
-			"utilization 1.0 means every added PE only adds waiting",
-	}
-	for _, r := range rows {
-		t.AddRowf(r.Protocol, r.Processors, r.BusPerRef, r.Utilization, r.Cycles)
 	}
 	return t, nil
 }

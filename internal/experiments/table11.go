@@ -25,16 +25,16 @@ func init() {
 		Axes:    Axes{Seed: true, Scale: true},
 		Version: 1,
 		Chart:   &ChartSpec{Labels: []int{0, 1}, Value: 2}, // read miss %
-		Run:     Table11,
+		Run:     table11,
 	})
 }
 
-// Table11Sizes are the cache sizes of the paper's table, in words.
-var Table11Sizes = []int{256, 512, 1024, 2048}
+// table11Sizes are the cache sizes of the paper's table, in words.
+var table11Sizes = []int{256, 512, 1024, 2048}
 
-// Table11Row is one measured row, exported so tests can assert the
-// paper-shape properties numerically.
-type Table11Row struct {
+// cmStarRow is one measured Table 1-1 row, typed so the machine oracle
+// (cmstar_test.go) compares it exactly, not as rounded cells.
+type cmStarRow struct {
 	CacheSize     int
 	App           string
 	ReadMissPct   float64
@@ -43,13 +43,13 @@ type Table11Row struct {
 	TotalMissPct  float64
 }
 
-// Table11Rows runs the emulation and returns the raw measurements: one
+// table11Rows runs the emulation and returns the raw measurements: one
 // stream pass per application feeds all four cache sizes.
-func Table11Rows(p Params) []Table11Row {
+func table11Rows(p Params) []cmStarRow {
 	p = p.withDefaults()
 	profiles := []workload.AppProfile{workload.PDEProfile(), workload.QuicksortProfile()}
-	geoms := make([]cache.Config, len(Table11Sizes))
-	for i, size := range Table11Sizes {
+	geoms := make([]cache.Config, len(table11Sizes))
+	for i, size := range table11Sizes {
 		geoms[i] = cache.Config{Lines: size, Ways: 1}
 	}
 	passes := make([]cmStarCounts, len(profiles))
@@ -57,8 +57,8 @@ func Table11Rows(p Params) []Table11Row {
 	for a, prof := range profiles {
 		passes[a], sets[a] = cmStarPass(p, prof, 4, 60000*p.Scale, geoms)
 	}
-	var rows []Table11Row
-	for i, size := range Table11Sizes {
+	var rows []cmStarRow
+	for i, size := range table11Sizes {
 		for a, prof := range profiles {
 			c := passes[a]
 			rows = append(rows, table11Row(size, prof.Name, c.refs, c.readMisses[i], c.localWrites, c.shared))
@@ -73,9 +73,9 @@ func Table11Rows(p Params) []Table11Row {
 // table11Row turns one size's counts, summed over the PEs, into a row.
 // Every local write is external communication under write-through, and
 // every shared reference bypasses the cache.
-func table11Row(size int, app string, refs, readMiss, localWrite, shared uint64) Table11Row {
+func table11Row(size int, app string, refs, readMiss, localWrite, shared uint64) cmStarRow {
 	pct := func(n uint64) float64 { return 100 * float64(n) / float64(refs) }
-	return Table11Row{
+	return cmStarRow{
 		CacheSize:     size,
 		App:           app,
 		ReadMissPct:   pct(readMiss),
@@ -177,9 +177,9 @@ func (f *lruFrames) access(a bus.Addr, write bool, now uint64) {
 	}
 }
 
-// Table11 renders the measurements in the paper's layout.
-func Table11(p Params) (*report.Table, error) {
-	rows := Table11Rows(p)
+// table11 renders the measurements in the paper's layout.
+func table11(p Params) (*Table, error) {
+	rows := table11Rows(p)
 	t := &report.Table{
 		ID:      "table1-1",
 		Title:   "Cm* Emulated Cache Results (set size 1 word)",

@@ -152,6 +152,17 @@ func (t *Table) CSV() string {
 	return b.String()
 }
 
+// CheckFormat accepts exactly the format names Render renders: plain,
+// markdown (or md) and csv. Callers check a user's format with it, since
+// Render itself falls back to plain.
+func CheckFormat(format string) error {
+	switch format {
+	case "plain", "markdown", "md", "csv":
+		return nil
+	}
+	return fmt.Errorf("unknown format %q (want plain, markdown, or csv)", format)
+}
+
 // Render maps a format name ("plain", "markdown", "csv") to the matching
 // renderer; unknown names fall back to plain.
 func (t *Table) Render(format string) string {

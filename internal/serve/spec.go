@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/fault"
+	"repro/internal/report"
 	"repro/internal/sweep"
 )
 
@@ -84,12 +85,11 @@ func normalize(spec Spec, opts Options) (*request, error) {
 	if len(spec.Seeds) == 0 {
 		r.spec.Seeds = []uint64{1}
 	}
-	switch spec.Format {
-	case "":
+	if spec.Format == "" {
 		r.spec.Format = "plain"
-	case "plain", "markdown", "csv":
-	default:
-		return nil, fmt.Errorf("unknown format %q (want plain, markdown, or csv)", spec.Format)
+	}
+	if err := report.CheckFormat(r.spec.Format); err != nil {
+		return nil, err
 	}
 
 	r.timeout = opts.JobTimeout

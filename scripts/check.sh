@@ -15,7 +15,13 @@
 #                  internal/check) and the module's own analyzers over the
 #                  whole tree (internal/lint's TestModuleIsClean and
 #                  TestAuditRegisteredProtocolsClean; `make lint` is the
-#                  same pass for people); the chaos matrix (one cell per
+#                  same pass for people); so are the paper's claims
+#                  (internal/experiments' TestClaims: one data row per
+#                  claim, read off each experiment's rendered table in
+#                  one pass at seeds 1-4), EXPERIMENTS.md's generated
+#                  blocks (TestExperimentsDoc) and the test names the
+#                  docs cite (the root package's TestDocsCiteRealTests);
+#                  the chaos matrix (one cell per
 #                  class, two concurrent clients) runs again at -cpu 1,2,
 #                  so its byte-identity bar holds on one core and on two
 #   5. work        the steady-state zero-allocation regressions, the
