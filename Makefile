@@ -18,9 +18,9 @@ race:
 	$(GO) test -race ./...
 
 # lint runs every repo-local analyzer (exhaustive, determinism,
-# tableaudit, phaseaudit). Exit 0 = clean, 1 = findings,
-# 2 = the tool itself failed to load/type-check a package. The gate runs
-# the same whole-module pass as a test (lint.TestModuleIsClean), not this.
+# phaseaudit). Exit 0 = clean, 1 = findings, 2 = the tool itself failed
+# to load/type-check a package. The gate runs the same whole-module pass
+# as a test (lint.TestModuleIsClean), not this.
 lint:
 	$(GO) run ./cmd/protolint ./...
 

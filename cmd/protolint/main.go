@@ -1,6 +1,6 @@
 // Command protolint is the repo's static verification layer: a
-// standard-library-only analysis pass over protocol tables and simulator
-// code. It complements cmd/modelcheck (which proves the dynamic Section 4
+// standard-library-only analysis pass over the simulator's code. It
+// complements cmd/modelcheck (which proves the dynamic Section 4
 // consistency properties) with compile-time guarantees:
 //
 //   - exhaustive: switches over coherence.State, the event kinds, and
@@ -12,8 +12,6 @@
 //     consult time.Now, wall-clock timers or math/rand — BENCH
 //     comparisons and the Figure 6-x reproductions depend on
 //     bit-identical runs;
-//   - tableaudit: every protocol registered in coherence.Kinds() is
-//     checked for totality, reachability and outcome sanity;
 //   - phaseaudit: //phase:bus|snoop|cpu|any annotations declare which
 //     cycle-loop phase owns each mutable simulator field, and every
 //     write reached from a phase that does not own it is flagged — the
@@ -21,12 +19,13 @@
 //
 // Allocation freedom of the cycle loop is checked at run time, not here:
 // machine.TestSteadyStateAllocFree counts the steady state's allocations.
+// Nor are the protocol tables: they are data, and coherence's Table.Audit
+// checks their totality, closure, reachability and outcome sanity.
 //
 // Usage:
 //
 //	protolint ./...            # analyze the whole module (run from its root)
 //	protolint ./internal/cache # one package
-//	protolint -tables=false ./...
 //	protolint -format=json ./... # one JSON object per finding (JSON Lines)
 //
 // Diagnostics print in go vet's file:line:col format; -format=json emits
@@ -56,10 +55,9 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("protolint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	tables := fs.Bool("tables", true, "audit the transition tables of all registered protocols")
 	format := fs.String("format", "text", "output format: text or json (JSON Lines, includes suppressed findings)")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: protolint [-tables=false] [-format=text|json] <packages> (e.g. ./...)")
+		fmt.Fprintln(stderr, "usage: protolint [-format=text|json] <packages> (e.g. ./...)")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -81,7 +79,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	diags, err := lint.Run(lint.Config{
 		Dirs:              dirs,
-		SkipTables:        !*tables,
 		IncludeSuppressed: *format == "json",
 	})
 	if err != nil {

@@ -21,9 +21,9 @@ func TestExitCodes(t *testing.T) {
 		args []string
 		want int
 	}{
-		{"clean", []string{"-tables=false", filepath.Join(fixtures, "clean")}, 0},
-		{"findings", []string{"-tables=false", filepath.Join(fixtures, "exhaustive")}, 1},
-		{"load error", []string{"-tables=false", "testdata/broken"}, 2},
+		{"clean", []string{filepath.Join(fixtures, "clean")}, 0},
+		{"findings", []string{filepath.Join(fixtures, "exhaustive")}, 1},
+		{"load error", []string{"testdata/broken"}, 2},
 		{"bad flag", []string{"-nonsense"}, 2},
 		{"bad format", []string{"-format=yaml", filepath.Join(fixtures, "clean")}, 2},
 	}
@@ -43,7 +43,7 @@ func TestExitCodes(t *testing.T) {
 // the exit code).
 func TestJSONGolden(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	args := []string{"-tables=false", "-format=json", filepath.Join(fixtures, "ignorescope")}
+	args := []string{"-format=json", filepath.Join(fixtures, "ignorescope")}
 	if got := run(args, &stdout, &stderr); got != 1 {
 		t.Fatalf("run(%v) = %d, want 1 (one unsuppressed finding)\nstderr:\n%s", args, got, stderr.String())
 	}

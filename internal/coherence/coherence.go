@@ -11,7 +11,7 @@
 // outcome and never touches a cache. The same tables therefore drive the
 // cycle-level simulator (internal/cache, internal/machine), the transition
 // diagram renderings of Figures 3-1 and 5-1 (internal/experiments) and the
-// static table audit (internal/lint); the exhaustive product-machine
+// table audit (Table.Audit, audit.go); the exhaustive product-machine
 // consistency checker (internal/check) that mechanizes the Section 4 proof
 // reads no table itself, it drives that simulator.
 package coherence

@@ -1,15 +1,6 @@
-// Fuzzing lives in the external test package so it can borrow the
-// outcome-sanity rules from internal/lint (which imports coherence):
-// the fuzzer and the static table audit enforce the same invariants,
-// one over random probes, one over exhaustive enumeration.
-package coherence_test
+package coherence
 
-import (
-	"testing"
-
-	"repro/internal/coherence"
-	"repro/internal/lint"
-)
+import "testing"
 
 // FuzzProtocolStep steps the interpreter on a fuzzer-chosen cell of a
 // fuzzer-chosen table (RWB also at a fuzzer-chosen K) with a fuzzer-chosen
@@ -19,7 +10,7 @@ import (
 // sanity rules. The cell comes from Table.Cells, so every run lands on a
 // meaningful position rather than rejecting most inputs.
 func FuzzProtocolStep(f *testing.F) {
-	kinds := coherence.Kinds()
+	kinds := Kinds()
 	// Seed one probe per protocol plus the interesting corners: the RWB
 	// threshold region, a snooped write against a dirty line, and
 	// saturated aux.
@@ -32,9 +23,9 @@ func FuzzProtocolStep(f *testing.F) {
 	f.Add(uint8(6), uint8(24), uint8(0), uint8(255), true)
 
 	f.Fuzz(func(t *testing.T, kindSel, cellSel, k, aux uint8, dirty bool) {
-		tab := coherence.New(kinds[int(kindSel)%len(kinds)])
+		tab := New(kinds[int(kindSel)%len(kinds)])
 		if tab.K != 0 && k >= 2 {
-			tab = coherence.NewRWB(k)
+			tab = NewRWB(k)
 		}
 		cells := tab.Cells()
 		c := cells[int(cellSel)%len(cells)]
@@ -42,19 +33,19 @@ func FuzzProtocolStep(f *testing.F) {
 			t.Fatalf("%s (%v, %v): %s", tab.Name(), c.State, c.On, d)
 		}
 		want := c.Arms[0]
-		if want.Streak == coherence.StreakCount && aux+1 >= tab.K {
+		if want.Streak == StreakCount && aux+1 >= tab.K {
 			want = c.Arms[1]
 		}
 		s := c.State
 
-		var next coherence.State
+		var next State
 		if e, ok := c.On.Proc(); ok {
 			out := tab.OnProc(s, aux, e)
 			next = out.Next
 			if out.Action != want.Action || out.Dirty != want.Dirty || out.NoAllocate != want.NoAllocate {
 				t.Errorf("%s: OnProc(%v, aux=%d, %v) = %+v, table says %+v", tab.Name(), s, aux, e, out, want)
 			}
-			for _, v := range lint.CheckProcOutcome(s, e, out) {
+			for _, v := range CheckProcOutcome(s, e, out) {
 				t.Errorf("%s: OnProc(%v, aux=%d, %v): %s", tab.Name(), s, aux, e, v)
 			}
 		} else if ev, ok := c.On.Snoop(); ok {
@@ -63,15 +54,15 @@ func FuzzProtocolStep(f *testing.F) {
 			if out.Inhibit != want.Inhibit || out.TakeData != want.TakeData || out.Dirty != want.Dirty {
 				t.Errorf("%s: OnSnoop(%v, aux=%d, dirty=%v, %v) = %+v, table says %+v", tab.Name(), s, aux, dirty, ev, out, want)
 			}
-			for _, v := range lint.CheckSnoopOutcome(s, ev, out) {
+			for _, v := range CheckSnoopOutcome(s, ev, out) {
 				t.Errorf("%s: OnSnoop(%v, aux=%d, dirty=%v, %v): %s", tab.Name(), s, aux, dirty, ev, v)
 			}
 		} else {
-			var bcast coherence.Action
+			var bcast Action
 			next, _, bcast = tab.RMWSuccess(s, aux)
-			wantBcast := coherence.ActWrite // the locked write part is BW, or BI where the arc generates BI
-			if want.Action == coherence.ActInv {
-				wantBcast = coherence.ActInv
+			wantBcast := ActWrite // the locked write part is BW, or BI where the arc generates BI
+			if want.Action == ActInv {
+				wantBcast = ActInv
 			}
 			if bcast != wantBcast {
 				t.Errorf("%s: RMWSuccess(%v, aux=%d) broadcasts %v, want %v", tab.Name(), s, aux, bcast, wantBcast)
@@ -83,11 +74,11 @@ func FuzzProtocolStep(f *testing.F) {
 
 		// The rules that are not arcs, on the same state.
 		_, flushed, _ := tab.RMWFlush(s, dirty)
-		declared := map[coherence.State]bool{}
+		declared := map[State]bool{}
 		for _, d := range tab.States() {
 			declared[d] = true
 		}
-		for what, target := range map[string]coherence.State{
+		for what, target := range map[string]State{
 			"the arc": next, "RMWFlush": flushed, "ReadMissTarget": tab.ReadMissTarget(dirty),
 		} {
 			if !declared[target] {

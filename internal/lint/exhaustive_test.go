@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// runOn lints one fixture directory with the table audit off.
+// runOn lints one fixture directory.
 func runOn(t *testing.T, dir string) []Diagnostic {
 	t.Helper()
-	diags, err := Run(Config{Dirs: []string{dir}, SkipTables: true})
+	diags, err := Run(Config{Dirs: []string{dir}})
 	if err != nil {
 		t.Fatalf("Run(%s): %v", dir, err)
 	}

@@ -26,7 +26,6 @@ const ignoreDirective = "lint:ignore"
 var knownAnalyzers = map[string]bool{
 	"exhaustive":  true,
 	"determinism": true,
-	"tableaudit":  true,
 	"phaseaudit":  true,
 }
 

@@ -15,7 +15,6 @@ func TestIgnoreScopeFixture(t *testing.T) {
 func TestIncludeSuppressed(t *testing.T) {
 	diags, err := Run(Config{
 		Dirs:              []string{"testdata/ignorescope"},
-		SkipTables:        true,
 		IncludeSuppressed: true,
 	})
 	if err != nil {

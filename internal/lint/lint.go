@@ -2,7 +2,7 @@
 // module built entirely on the standard library (go/parser, go/ast,
 // go/types, go/importer — no golang.org/x/tools). It complements the
 // dynamic verification layers (internal/check's product-machine
-// exploration, the race detector) with four analyzer families:
+// exploration, the race detector) with three analyzer families:
 //
 //   - exhaustive: every switch over a module-defined enum type (a named
 //     integer or string type with declared constants, e.g.
@@ -14,9 +14,6 @@
 //     wall-clock timers, and math/rand in simulation packages — every
 //     BENCH comparison and Figure 6-x reproduction depends on runs being
 //     bit-identical.
-//   - tableaudit: every registered coherence.Protocol is audited for
-//     totality (state x event always has a defined outcome), reachability
-//     (no dead states), and outcome sanity (see tableaudit.go).
 //   - phaseaudit: "//phase:bus|snoop|cpu|any" annotations declare which
 //     cycle-loop phase owns each mutable simulator field; the analyzer
 //     walks the call graph from the annotated phase roots and flags every
@@ -24,7 +21,8 @@
 //
 // Allocation freedom of the cycle loop is not a lint rule: the runtime
 // pin machine.TestSteadyStateAllocFree runs a table of machine shapes in
-// steady state and fails on any allocation.
+// steady state and fails on any allocation. Nor are the protocol tables:
+// they are data, and coherence's Table.Audit checks them where they live.
 //
 // Findings can be suppressed with a "//lint:ignore reason" comment on the
 // offending line or the line directly above it; prefix the reason with an
@@ -42,22 +40,17 @@ import (
 	"strings"
 )
 
-// Diagnostic is one finding. Pos is zero-valued for findings that have no
-// source location (table-audit findings describe a protocol, not a file).
-// Suppressed findings are only present when Config.IncludeSuppressed is
-// set.
+// Diagnostic is one finding. Suppressed findings are only present when
+// Config.IncludeSuppressed is set.
 type Diagnostic struct {
 	Pos        token.Position
-	Analyzer   string // "exhaustive", "determinism", "tableaudit" or "phaseaudit"
+	Analyzer   string // "exhaustive", "determinism" or "phaseaudit"
 	Message    string
 	Suppressed bool // covered by a //lint:ignore directive
 }
 
 // String renders the diagnostic in go vet's file:line:col format.
 func (d Diagnostic) String() string {
-	if d.Pos.Filename == "" {
-		return fmt.Sprintf("protolint: %s (%s)", d.Message, d.Analyzer)
-	}
 	return fmt.Sprintf("%s:%d:%d: %s (%s)", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
 }
 
@@ -65,9 +58,6 @@ func (d Diagnostic) String() string {
 type Config struct {
 	// Dirs are package directories to analyze (see ExpandPatterns).
 	Dirs []string
-	// SkipTables disables the protocol table audit (it is package-level,
-	// not per-directory, so it runs once per Run).
-	SkipTables bool
 	// IncludeSuppressed keeps findings covered by //lint:ignore
 	// directives in the result, marked with Suppressed=true, instead of
 	// dropping them. The -format=json CLI output uses this so CI tooling
@@ -75,13 +65,12 @@ type Config struct {
 	IncludeSuppressed bool
 }
 
-// Run loads every package in cfg.Dirs, applies the AST analyzers, runs
-// the table audit, and returns all diagnostics sorted by position. The
-// per-package analyzers (exhaustive, determinism) see one
-// package at a time; the whole-program analyzer (phaseaudit) sees every
-// loaded package at once, because phase ownership is a cross-package
-// property. The error is non-nil only for load
-// failures (unparsable or untypeable code), not for findings.
+// Run loads every package in cfg.Dirs, applies the analyzers, and returns
+// all diagnostics sorted by position. The per-package analyzers
+// (exhaustive, determinism) see one package at a time; the whole-program
+// analyzer (phaseaudit) sees every loaded package at once, because phase
+// ownership is a cross-package property. The error is non-nil only for
+// load failures (unparsable or untypeable code), not for findings.
 func Run(cfg Config) ([]Diagnostic, error) {
 	l := newLoader()
 	var all []*Package
@@ -99,16 +88,6 @@ func Run(cfg Config) ([]Diagnostic, error) {
 		diags = append(diags, checkDeterminism(p)...)
 	}
 	diags = append(diags, checkPhases(all, "")...)
-	if !cfg.SkipTables {
-		for _, a := range AuditAll() {
-			for _, f := range a.Findings {
-				diags = append(diags, Diagnostic{
-					Analyzer: "tableaudit",
-					Message:  fmt.Sprintf("protocol %s: %s: %s", f.Protocol, f.Rule, f.Detail),
-				})
-			}
-		}
-	}
 	sortDiags(diags)
 	return diags, nil
 }

@@ -1,8 +1,8 @@
 // Package stats provides the measurement primitives the simulator's
 // instrumentation is built from: power-of-two-bucketed histograms (miss
-// and lock-acquisition latencies), running mean/variance accumulators, and
-// windowed rates. Everything is integer-exact where possible — simulation
-// results must be reproducible bit-for-bit.
+// and lock-acquisition latencies) and running mean/variance accumulators.
+// Everything is integer-exact where possible — simulation results must be
+// reproducible bit-for-bit.
 package stats
 
 import (
@@ -211,39 +211,3 @@ func (w *Welford) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Windowed tracks an event rate over a trailing window of fixed width in
-// cycles, used by long-running simulations to detect phase changes
-// (warmup ending, a lock convoy forming).
-type Windowed struct {
-	width   uint64
-	current uint64 // events in the open window
-	last    float64
-	start   uint64 // open window's first cycle
-	windows uint64
-}
-
-// NewWindowed creates a rate tracker with the given window width.
-func NewWindowed(width uint64) *Windowed {
-	if width == 0 {
-		panic("stats: zero window width")
-	}
-	return &Windowed{width: width}
-}
-
-// Record notes n events at the given cycle, closing windows as needed.
-func (w *Windowed) Record(cycle, n uint64) {
-	for cycle >= w.start+w.width {
-		w.last = float64(w.current) / float64(w.width)
-		w.current = 0
-		w.start += w.width
-		w.windows++
-	}
-	w.current += n
-}
-
-// Rate returns the most recently closed window's events-per-cycle rate.
-func (w *Windowed) Rate() float64 { return w.last }
-
-// Windows returns how many windows have closed.
-func (w *Windowed) Windows() uint64 { return w.windows }

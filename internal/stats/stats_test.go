@@ -208,36 +208,3 @@ func TestQuickWelfordMatchesTwoPass(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestWindowed(t *testing.T) {
-	w := NewWindowed(10)
-	if w.Rate() != 0 || w.Windows() != 0 {
-		t.Fatal("fresh window dirty")
-	}
-	// 5 events in cycles 0..9.
-	for c := uint64(0); c < 10; c += 2 {
-		w.Record(c, 1)
-	}
-	// First event of the next window closes the previous one.
-	w.Record(10, 1)
-	if w.Windows() != 1 || w.Rate() != 0.5 {
-		t.Fatalf("rate = %v after %d windows, want 0.5 after 1", w.Rate(), w.Windows())
-	}
-	// A long quiet gap closes several empty windows.
-	w.Record(45, 1)
-	if w.Windows() != 4 {
-		t.Fatalf("windows = %d, want 4", w.Windows())
-	}
-	if w.Rate() != 0 {
-		t.Fatalf("rate = %v after empty window, want 0", w.Rate())
-	}
-}
-
-func TestWindowedValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewWindowed(0) did not panic")
-		}
-	}()
-	NewWindowed(0)
-}

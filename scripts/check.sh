@@ -12,10 +12,12 @@
 #                  tests in their packages, and so are the Section 4
 #                  product-machine proof over every protocol at n = 2..5
 #                  caches with its reachable states pinned (cmd/modelcheck,
-#                  internal/check) and the module's own analyzers over the
-#                  whole tree (internal/lint's TestModuleIsClean and
-#                  TestAuditRegisteredProtocolsClean; `make lint` is the
-#                  same pass for people); so are the paper's claims
+#                  internal/check), the module's own analyzers over the
+#                  whole tree (internal/lint's TestModuleIsClean; `make
+#                  lint` is the same pass for people) and the audit of
+#                  every protocol table's arcs (internal/coherence's
+#                  TestAuditRegisteredProtocolsClean: every registered
+#                  table and RWB at k = 2-8); so are the paper's claims
 #                  (internal/experiments' TestClaims: one data row per
 #                  claim, read off each experiment's rendered table in
 #                  one pass at seeds 1-4), EXPERIMENTS.md's generated
