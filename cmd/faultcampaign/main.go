@@ -99,8 +99,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		eventsW = f
 	}
 
-	// SIGINT cancels dispatch; in-flight cells finish and are journaled,
-	// so re-running with the same -cache-dir resumes where this stopped.
+	// SIGINT cancels dispatch; in-flight cells finish and are stored, so
+	// re-running with the same -cache-dir resumes where this stopped.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 

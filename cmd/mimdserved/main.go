@@ -13,7 +13,7 @@
 //
 // SIGINT drains gracefully: new submissions are refused with 503,
 // running flights finish (or are cancelled at -drain-timeout with their
-// completed jobs journaled for resume), then the process exits.
+// completed jobs stored for resume), then the process exits.
 package main
 
 import (
@@ -102,7 +102,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTO)
 	defer cancel()
 	if err := srv.Shutdown(drainCtx); err != nil {
-		fmt.Fprintln(stderr, "mimdserved: drain deadline hit; running flights cancelled, completed jobs are journaled for resume")
+		fmt.Fprintln(stderr, "mimdserved: drain deadline hit; running flights cancelled, completed jobs are stored for resume")
 	}
 	hs.Shutdown(context.Background())
 	fmt.Fprintln(stderr, "mimdserved: stopped")

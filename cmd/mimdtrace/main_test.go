@@ -85,7 +85,10 @@ func TestFormatIsSniffed(t *testing.T) {
 	}
 }
 
-// TestSummaryGolden: the parent's `tracestat -perpe` output for this file.
+// TestSummaryGolden: the parent's `tracestat -perpe` output for this
+// file, and with -misscurve the per-PE and machine-wide curves
+// (testdata/random.misscurve.golden), whose machine-wide refs are every
+// read, write and test-set of the summary.
 func TestSummaryGolden(t *testing.T) {
 	out, _, code := tool("-perpe", filepath.Join("testdata", "random.mct"))
 	want := `records    402
@@ -104,6 +107,13 @@ class shared   400 (100.0%)
 `
 	if code != 0 || out != want {
 		t.Errorf("exit %d, summary:\n%s", code, out)
+	}
+	curves := golden(t, "random.misscurve.golden")
+	if !strings.HasPrefix(curves, want) || !strings.Contains(curves, "machine (all PEs): 400 refs,") { // 264 + 132 + 4
+		t.Fatal("random.misscurve.golden does not extend the summary or miscounts the references")
+	}
+	if out, _, code := tool("-perpe", "-misscurve", filepath.Join("testdata", "random.mct")); code != 0 || out != curves {
+		t.Errorf("-misscurve: exit %d, output:\n%s", code, out)
 	}
 }
 

@@ -156,8 +156,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		eventsW = f
 	}
 
-	// SIGINT cancels dispatch; in-flight jobs finish and are journaled,
-	// so a re-run with the same -cache-dir resumes instead of starting
+	// SIGINT cancels dispatch; in-flight jobs finish and are stored, so
+	// a re-run with the same -cache-dir resumes instead of starting
 	// over. A second ^C kills the process the usual way (stop() restores
 	// default handling once the run returns).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

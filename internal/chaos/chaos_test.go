@@ -238,9 +238,18 @@ func TestProcScheduleShape(t *testing.T) {
 	}
 }
 
-// TestParseRoundTrips: String/Parse agree for every class and
-// intensity, and unknown names error.
+// TestParseRoundTrips: every class has its CLI name, String/Parse agree
+// for every class and intensity, and unknown names error.
 func TestParseRoundTrips(t *testing.T) {
+	names := []string{"conn-refuse", "latency", "truncate", "burst-5xx", "worker-pause", "worker-crash"}
+	if len(Classes()) != len(names) {
+		t.Fatalf("%d classes, %d names", len(Classes()), len(names))
+	}
+	for i, c := range Classes() {
+		if c.String() != names[i] {
+			t.Errorf("class %d is %q, want %q", i, c.String(), names[i])
+		}
+	}
 	for _, c := range Classes() {
 		got, err := ParseClass(c.String())
 		if err != nil || got != c {

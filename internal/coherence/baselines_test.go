@@ -177,12 +177,16 @@ func TestStateStrings(t *testing.T) {
 		Invalid: "I", Readable: "R", Local: "L", FirstWrite: "F",
 		NotPresent: "NP", Valid: "V", Reserved: "Rv", DirtyState: "D",
 	}
+	names := map[State]string{
+		Invalid: "Invalid", Readable: "Readable", Local: "Local", FirstWrite: "FirstWrite",
+		NotPresent: "NotPresent", Valid: "Valid", Reserved: "Reserved", DirtyState: "Dirty",
+	}
 	for s, want := range letters {
 		if got := s.Letter(); got != want {
 			t.Errorf("%v.Letter() = %q, want %q", s, got, want)
 		}
-		if s.String() == "" {
-			t.Errorf("%v has empty String()", s)
+		if got := s.String(); got != names[s] {
+			t.Errorf("%s.String() = %q, want %q", want, got, names[s])
 		}
 	}
 	if State(200).Letter() == "" || State(200).String() == "" {

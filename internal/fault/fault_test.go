@@ -150,6 +150,12 @@ func TestClassRoundTrip(t *testing.T) {
 	if _, err := ParseClass("bus-typo"); err == nil {
 		t.Error("ParseClass(bus-typo) unexpectedly succeeded")
 	}
+	// The outcomes are the report's column headers.
+	for o, want := range map[Outcome]string{Masked: "masked", Detected: "detected", Silent: "silent"} {
+		if o.String() != want {
+			t.Errorf("outcome %d is %q, want %q", o, o.String(), want)
+		}
+	}
 	det := DetectableClasses()
 	if len(det) != len(Classes())-1 {
 		t.Errorf("DetectableClasses has %d entries, want %d", len(det), len(Classes())-1)

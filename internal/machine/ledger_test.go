@@ -243,22 +243,16 @@ func cellsHold(got, want string) bool {
 // tally counts the calls that reach a store, raw ones included.
 type tally struct {
 	s *sweep.MemStore
-	n [6]atomic.Int64 // Get, Put, JournalKeys, AppendJournal, GetRaw, PutRaw
+	n [4]atomic.Int64 // Get, Put, GetRaw, PutRaw
 }
 
 func (c *tally) Get(k string) (*sweep.Result, bool, error) { c.n[0].Add(1); return c.s.Get(k) }
 func (c *tally) Put(r *sweep.Result) error                 { c.n[1].Add(1); return c.s.Put(r) }
-func (c *tally) JournalKeys() (map[string]bool, error)     { c.n[2].Add(1); return c.s.JournalKeys() }
-func (c *tally) GetRaw(k string) ([]byte, bool, error)     { c.n[4].Add(1); return c.s.GetRaw(k) }
-func (c *tally) PutRaw(k string, p []byte) error           { c.n[5].Add(1); return c.s.PutRaw(k, p) }
-
-func (c *tally) AppendJournal(l sweep.JournalLine) error {
-	c.n[3].Add(1)
-	return c.s.AppendJournal(l)
-}
+func (c *tally) GetRaw(k string) ([]byte, bool, error)     { c.n[2].Add(1); return c.s.GetRaw(k) }
+func (c *tally) PutRaw(k string, p []byte) error           { c.n[3].Add(1); return c.s.PutRaw(k, p) }
 
 // take returns the counts as ledger cells and zeroes them.
 func (c *tally) take() string {
-	return fmt.Sprintf("gets=%d puts=%d journal_keys=%d appends=%d get_raws=%d put_raws=%d",
-		c.n[0].Swap(0), c.n[1].Swap(0), c.n[2].Swap(0), c.n[3].Swap(0), c.n[4].Swap(0), c.n[5].Swap(0))
+	return fmt.Sprintf("gets=%d puts=%d get_raws=%d put_raws=%d",
+		c.n[0].Swap(0), c.n[1].Swap(0), c.n[2].Swap(0), c.n[3].Swap(0))
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"hash/fnv"
 	"sync"
 
@@ -50,14 +49,25 @@ func (g *storeGuard) lockFor(key string) *sync.Mutex {
 	return &g.stripes[h.Sum32()%uint32(len(g.stripes))]
 }
 
-// Get implements sweep.Store. A key in the repair set is a miss by
-// definition — its corrupt entry is already gone and its re-run is in
-// flight.
-func (g *storeGuard) Get(key string) (*sweep.Result, bool, error) {
+// inRepair reports whether key is in the repair set: its corrupt entry
+// is already gone and its re-run is in flight.
+func (g *storeGuard) inRepair(key string) bool {
 	g.mu.Lock()
-	repairing := g.repairing[key]
+	defer g.mu.Unlock()
+	return g.repairing[key]
+}
+
+// landed clears key's repair mark: a write under it succeeded.
+func (g *storeGuard) landed(key string) {
+	g.mu.Lock()
+	delete(g.repairing, key)
 	g.mu.Unlock()
-	if repairing {
+}
+
+// Get implements sweep.Store. A key in the repair set is a miss by
+// definition.
+func (g *storeGuard) Get(key string) (*sweep.Result, bool, error) {
+	if g.inRepair(key) {
 		return nil, false, nil
 	}
 	lock := g.lockFor(key)
@@ -90,56 +100,32 @@ func (g *storeGuard) Put(res *sweep.Result) error {
 	err := g.inner.Put(res)
 	lock.Unlock()
 	if err == nil {
-		g.mu.Lock()
-		delete(g.repairing, res.Key)
-		g.mu.Unlock()
+		g.landed(res.Key)
 	}
 	return err
 }
 
-// JournalKeys implements sweep.Store.
-func (g *storeGuard) JournalKeys() (map[string]bool, error) { return g.inner.JournalKeys() }
-
-// AppendJournal implements sweep.Store.
-func (g *storeGuard) AppendJournal(line sweep.JournalLine) error { return g.inner.AppendJournal(line) }
-
-// GetRaw implements sweep.RawStore when the inner store does, with the
-// same per-key serialization and repair-set semantics as Get.
+// GetRaw implements sweep.Store, with the same per-key serialization and
+// repair-set semantics as Get.
 func (g *storeGuard) GetRaw(key string) ([]byte, bool, error) {
-	rs, ok := g.inner.(sweep.RawStore)
-	if !ok {
-		return nil, false, nil
-	}
-	g.mu.Lock()
-	repairing := g.repairing[key]
-	g.mu.Unlock()
-	if repairing {
+	if g.inRepair(key) {
 		return nil, false, nil
 	}
 	lock := g.lockFor(key)
 	lock.Lock()
 	defer lock.Unlock()
-	return rs.GetRaw(key)
+	return g.inner.GetRaw(key)
 }
 
-// errNoRawStore is PutRaw's answer when the inner store has no raw
-// payload access.
-var errNoRawStore = errors.New("serve: store does not support raw payload access")
-
-// PutRaw implements sweep.RawStore when the inner store does.
+// PutRaw implements sweep.Store and, like Put, clears the key's repair
+// mark.
 func (g *storeGuard) PutRaw(key string, payload []byte) error {
-	rs, ok := g.inner.(sweep.RawStore)
-	if !ok {
-		return errNoRawStore
-	}
 	lock := g.lockFor(key)
 	lock.Lock()
-	err := rs.PutRaw(key, payload)
+	err := g.inner.PutRaw(key, payload)
 	lock.Unlock()
 	if err == nil {
-		g.mu.Lock()
-		delete(g.repairing, key)
-		g.mu.Unlock()
+		g.landed(key)
 	}
 	return err
 }

@@ -12,11 +12,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"regexp"
 	"strconv"
 
 	"repro/internal/experiments"
 	"repro/internal/mrc"
-	"repro/internal/sweep"
 )
 
 // profileSchema versions the stored profile document.
@@ -54,21 +54,10 @@ type ProfileDoc struct {
 	Entries []ProfileEntry `json:"entries"`
 }
 
-// rawStore returns the store's raw-payload surface, which profile docs
-// ride on; the guard passes it through to MemStore and DirStore.
-func (s *Server) rawStore() (sweep.RawStore, bool) {
-	rs, ok := s.opts.Store.(sweep.RawStore)
-	return rs, ok
-}
-
 // storeHasProfile reports whether the request's profile doc is already
 // memoized, making the full store fast path valid for a profile request.
 func (s *Server) storeHasProfile(requestID string) bool {
-	rs, ok := s.rawStore()
-	if !ok {
-		return false
-	}
-	_, ok, err := rs.GetRaw(profileKey(requestID))
+	_, ok, err := s.opts.Store.GetRaw(profileKey(requestID))
 	return err == nil && ok
 }
 
@@ -82,12 +71,8 @@ func (s *Server) storeHasProfile(requestID string) bool {
 // just produced (or served from cache), and the doc is byte-deterministic
 // for a given request.
 func (s *Server) ensureProfile(req *request) error {
-	rs, ok := s.rawStore()
-	if !ok {
-		return fmt.Errorf("store does not support profile documents")
-	}
 	pkey := profileKey(req.id)
-	if _, ok, err := rs.GetRaw(pkey); err == nil && ok {
+	if _, ok, err := s.opts.Store.GetRaw(pkey); err == nil && ok {
 		return nil
 	}
 	sizes := mrc.DefaultSizes()
@@ -126,7 +111,7 @@ func (s *Server) ensureProfile(req *request) error {
 	if err != nil {
 		return err
 	}
-	if err := rs.PutRaw(pkey, payload); err != nil {
+	if err := s.opts.Store.PutRaw(pkey, payload); err != nil {
 		return err
 	}
 	s.metrics.profilesBuilt.Inc()
@@ -186,17 +171,22 @@ func whatIf(doc *ProfileDoc, lines int) WhatIfDoc {
 	return out
 }
 
+// requestIDForm is requestID's output: "req-" and 24 lowercase hex digits.
+var requestIDForm = regexp.MustCompile(`^req-[0-9a-f]{24}$`)
+
 // handleProfile serves GET /v1/profile/{id}: the stored doc verbatim,
 // or, with ?lines=N, a what-if answer computed from it. Either way the
-// answer comes from the store — no engine run, no admission slot.
+// answer comes from the store — no engine run, no admission slot. An id
+// that is not a request id (requestID's form) is a 404 that never
+// reaches the store: the mux unescapes %2F into the wildcard, so an
+// unchecked id could name a file outside it.
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	rs, ok := s.rawStore()
-	if !ok {
-		s.writeError(w, http.StatusNotFound, "store does not support profile documents")
+	if !requestIDForm.MatchString(id) {
+		s.writeError(w, http.StatusNotFound, "no profile for "+strconv.Quote(id)+": not a request id")
 		return
 	}
-	raw, ok, err := rs.GetRaw(profileKey(id))
+	raw, ok, err := s.opts.Store.GetRaw(profileKey(id))
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, err.Error())
 		return

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -176,5 +179,37 @@ func TestProfileRejectedForFaultCampaigns(t *testing.T) {
 		`{"kind":"fault","profile":true,"fault":{"protocols":["rb"],"trials":1,"refs":50}}`)
 	if code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", code)
+	}
+}
+
+// TestProfileIDCannotLeaveStore: the mux unescapes %2F into the id
+// wildcard, so a crafted id spells a path. It must get a 404 without the
+// store reading, moving or serving a file outside its directory.
+func TestProfileIDCannotLeaveStore(t *testing.T) {
+	valid := `{"sha256":"` + fmt.Sprintf("%x", sha256.Sum256([]byte(`{}`))) + `","result":{}}`
+	for name, content := range map[string]string{"envelope": valid, "junk": "not an envelope"} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			victim := filepath.Join(dir, "victim.json")
+			if err := os.WriteFile(victim, []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			store, err := sweep.OpenDirStore(filepath.Join(dir, "store"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(New(Options{Store: store}).Handler())
+			defer ts.Close()
+
+			if body, code := getBody(t, ts.URL+"/v1/profile/x%2F..%2F..%2F..%2Fvictim"); code != http.StatusNotFound {
+				t.Errorf("status %d, want 404: %s", code, body)
+			}
+			if data, err := os.ReadFile(victim); err != nil || string(data) != content {
+				t.Errorf("the file outside the store changed: %q, %v", data, err)
+			}
+			if n := store.Quarantined(); n != 0 {
+				t.Errorf("Quarantined() = %d, want 0", n)
+			}
+		})
 	}
 }

@@ -266,8 +266,8 @@ func (s *Server) pauseGate() chan struct{} {
 // Shutdown drains the server: new submissions are refused with 503,
 // queued and running flights are given until ctx expires to finish,
 // and past the deadline the engines are cancelled — dispatch stops,
-// in-flight jobs complete and land in the journal, so interrupted
-// sweeps resume from the store. It returns ctx.Err() when the deadline
+// in-flight jobs complete and land in the store, so interrupted sweeps
+// resume from it. It returns ctx.Err() when the deadline
 // forced a cancellation, nil on a clean drain.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
@@ -389,7 +389,7 @@ func (s *Server) execute(f *flight) (Response, int) {
 	var failures *sweep.FailureSummary
 	switch {
 	case errors.Is(err, context.Canceled):
-		resp.Error = "interrupted by shutdown; completed jobs are journaled and resume from the store"
+		resp.Error = "interrupted by shutdown; completed jobs are stored and a retry resumes from them"
 		return resp, http.StatusServiceUnavailable
 	case errors.As(err, &failures):
 		// Per-job failures: report them all; successful jobs are in the

@@ -14,7 +14,7 @@ import (
 //
 //	0    err was nil — nothing was written
 //	130  the run was interrupted (context.Canceled): completed jobs are
-//	     journaled, so re-running with the same cache directory resumes
+//	     stored, so re-running with the same cache directory resumes
 //	1    per-job failures (a *FailureSummary: panics, timeouts) — every
 //	     failure is listed and the completed/total tally printed — or
 //	     any other infrastructure error
@@ -25,7 +25,7 @@ func ReportRunError(w io.Writer, tool string, out *Outcome, err error) int {
 		return 0
 	}
 	if errors.Is(err, context.Canceled) {
-		fmt.Fprintf(w, "%s: interrupted; completed jobs are journaled — re-run with the same -cache-dir to resume\n", tool)
+		fmt.Fprintf(w, "%s: interrupted; completed jobs are stored — re-run with the same -cache-dir to resume\n", tool)
 		return 130
 	}
 	var failures *FailureSummary
@@ -35,7 +35,7 @@ func ReportRunError(w io.Writer, tool string, out *Outcome, err error) int {
 		// rather than presenting a partial result as complete.
 		fmt.Fprintf(w, "%s: %s\n", tool, failures.Error())
 		if out != nil {
-			fmt.Fprintf(w, "%s: %d of %d job(s) completed and are journaled; re-run to retry the failures\n",
+			fmt.Fprintf(w, "%s: %d of %d job(s) completed and are stored; re-run to retry the failures\n",
 				tool, len(out.Jobs)-len(out.Failed), len(out.Jobs))
 		}
 		return 1

@@ -168,32 +168,25 @@ func (e *Engine) emit(ev Event) {
 // merges the results in canonical order.
 //
 // Memoization: a job whose key is in the store is a cache hit and runs no
-// simulation. Checkpointing: as the completion frontier advances, jobs
-// are journaled in canonical order, so an interrupted sweep resumes by
-// re-running only jobs that never made it into the store. Cancelling ctx
-// stops dispatch; jobs already running complete (and are journaled)
-// before Run returns ctx's error.
+// simulation. Checkpointing: the store is the record of what is done —
+// every completed job's object lands there as it finishes, so an
+// interrupted sweep resumes by re-running only jobs whose objects are
+// missing or corrupt. Cancelling ctx stops dispatch; jobs already running
+// complete (and are stored) before Run returns ctx's error.
 func (e *Engine) Run(ctx context.Context, specs []Spec) (*Outcome, error) {
 	jobs := Expand(specs)
 	start := wallNow()
-	journaled, err := e.opts.Store.JournalKeys()
-	if err != nil {
-		return nil, err
-	}
 
 	results := make([]JobResult, len(jobs))
 	failed := make([]*JobFailure, len(jobs))
 	var (
 		mu       sync.Mutex
-		done     = make([]bool, len(jobs))
-		frontier int
 		firstErr error
 	)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// finish records one job's outcome and advances the journal frontier:
-	// lines land in canonical order no matter which worker finished when.
+	// finish records one job's outcome.
 	finish := func(i int, res JobResult, err error) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -210,36 +203,16 @@ func (e *Engine) Run(ctx context.Context, specs []Spec) (*Outcome, error) {
 		if err != nil {
 			// A panic or timeout poisons only its own job: record the
 			// failure, keep draining the queue, and surface everything in
-			// the FailureSummary at the end.
+			// the FailureSummary at the end. Nothing is stored for it, so
+			// a resume re-runs it.
 			failed[i] = &JobFailure{Job: jobs[i], Err: err}
 			results[i] = JobResult{Job: jobs[i]}
 			e.emit(Event{Event: "failed", Job: i, Key: jobs[i].Key,
 				Experiment: jobs[i].Spec.Experiment, Seed: jobs[i].Spec.Seed,
 				Scale: jobs[i].Spec.Scale, Error: err.Error()})
-		} else {
-			results[i] = res
+			return
 		}
-		done[i] = true
-		// Failed jobs advance the frontier but write no line — they are
-		// not done and must re-run on resume.
-		for frontier < len(jobs) && done[frontier] {
-			j := jobs[frontier]
-			if failed[frontier] == nil && !journaled[j.Key] {
-				line := JournalLine{
-					Key:        j.Key,
-					Experiment: j.Spec.Experiment,
-					Seed:       j.Spec.Seed,
-					Scale:      j.Spec.Scale,
-					Cached:     results[frontier].Cached,
-				}
-				if jerr := e.opts.Store.AppendJournal(line); jerr != nil && firstErr == nil {
-					firstErr = jerr
-					cancel()
-				}
-				journaled[j.Key] = true
-			}
-			frontier++
-		}
+		results[i] = res
 	}
 
 	// The dispatch unit is the job: workers take them one at a time in
@@ -307,7 +280,7 @@ func (e *Engine) Run(ctx context.Context, specs []Spec) (*Outcome, error) {
 // when every job is stored it returns the Outcome an all-hit Run would
 // have (same merge, same start, cached done and sweep events, in the
 // order a one-worker Run emits them). It runs no job, takes no worker and
-// neither reads nor writes the journal: journaling belongs to Run.
+// writes nothing.
 func (e *Engine) Lookup(specs []Spec) (*Outcome, bool, error) {
 	jobs := Expand(specs)
 	start := wallNow()

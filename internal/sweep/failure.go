@@ -10,7 +10,7 @@ import (
 // PanicError wraps a panic recovered inside a sweep worker. The job that
 // panicked is marked failed and the run keeps draining the queue — one
 // poisoned cell must not take down a long campaign — but the failure (with
-// the recovered value and stack) is journaled on the events stream and
+// the recovered value and stack) is emitted on the events stream and
 // surfaced in the run's FailureSummary.
 type PanicError struct {
 	// Value is the recovered panic value.
@@ -43,7 +43,7 @@ type JobFailure struct {
 
 // FailureSummary is the error Run returns when recoverable failures
 // (panics, timeouts) occurred: the returned Outcome still carries every
-// successful job's result (partial-result journaling), but the run as a
+// successful job's result (and those results are stored), but the run as a
 // whole is a failure and callers must exit non-zero.
 type FailureSummary struct {
 	// Failures lists the failed jobs in canonical job order.

@@ -82,18 +82,13 @@ func TestPanicRecoveryDrainsQueue(t *testing.T) {
 	if !sawFailed {
 		t.Error("events stream has no \"failed\" record")
 	}
-	// The panicking job must not be journaled as done: a resume re-runs
+	// The panicking job must not be stored as done: a resume re-runs
 	// exactly it.
-	done, err2 := eng.opts.Store.JournalKeys()
-	if err2 != nil {
-		t.Fatalf("JournalKeys: %v", err2)
+	if _, ok, _ := eng.opts.Store.Get(out.Failed[0].Job.Key); ok {
+		t.Error("failed job was stored as done")
 	}
-	failedKey := out.Failed[0].Job.Key
-	if done[failedKey] {
-		t.Error("failed job was journaled as done")
-	}
-	if len(done) != 3 {
-		t.Errorf("journal has %d keys, want 3 (the successful jobs)", len(done))
+	if got := bytes.Count(storeBytes(eng.opts.Store.(*MemStore)), []byte("\n")); got != 3 {
+		t.Errorf("store holds %d objects, want 3 (the successful jobs)", got)
 	}
 }
 
@@ -221,7 +216,7 @@ func TestDirStoreCorruptEntryQuarantined(t *testing.T) {
 			}
 			objPath := corruptOneObject(t, store, tc.mutate)
 
-			// Journal says done, object is corrupt: the job must re-run.
+			// The object is corrupt: the job must re-run.
 			out, err := New(Options{Workers: 1, Store: store, Runner: runner}).Run(context.Background(), specs)
 			if err != nil {
 				t.Fatalf("rerun: %v", err)

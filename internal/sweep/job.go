@@ -1,9 +1,9 @@
 // Package sweep is the experiment-orchestration engine (DESIGN.md S21).
 // It expands (experiment × seed replica) specifications into a
 // deterministic job set, runs the jobs on a bounded worker pool, memoizes
-// results in a content-addressed, versioned artifact store with a JSONL
-// journal (checkpoint/resume and incremental re-runs), and merges the
-// outputs in canonical job order — so a parallel sweep is byte-identical
+// results in a content-addressed, versioned artifact store that is also
+// the checkpoint (a resumed or incremental re-run executes only the jobs
+// it lacks), and merges the outputs in canonical job order — so a parallel sweep is byte-identical
 // to a serial one, and a warm re-run executes zero simulation jobs.
 package sweep
 

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,59 +28,34 @@ type Result struct {
 	Table *report.Table `json:"table"`
 }
 
-// JournalLine records one completed job. The engine appends lines in
-// canonical job order (a frontier), so for a given store state the
-// journal bytes are identical whatever the worker count, and a truncated
-// journal marks exactly a prefix of the sweep as done.
-type JournalLine struct {
-	Key        string `json:"key"`
-	Experiment string `json:"experiment"`
-	Seed       uint64 `json:"seed"`
-	Scale      int    `json:"scale"`
-	Cached     bool   `json:"cached"`
-}
-
-// Store memoizes job results and keeps the completion journal. Get and
-// Put may be called concurrently from workers; the engine serializes
-// AppendJournal calls itself (they must land in canonical order).
+// Store memoizes job results. It is the only completion record: a job
+// whose object is present and verifies is done, and a resumed sweep
+// re-runs exactly the jobs whose objects are missing or corrupt. Every
+// method may be called concurrently.
 type Store interface {
 	// Get returns the memoized result for key, if present.
 	Get(key string) (*Result, bool, error)
 	// Put memoizes a result under res.Key.
 	Put(res *Result) error
-	// JournalKeys returns the keys recorded as done by earlier runs.
-	JournalKeys() (map[string]bool, error)
-	// AppendJournal appends one completion record.
-	AppendJournal(line JournalLine) error
-}
-
-// RawStore is the optional raw-payload surface of a Store: access to an
-// object's exact payload bytes under a key. Its user is the serving
-// layer's profile documents (serve's GET /v1/profile/{id}), which are
-// not sweep Results: they are stored as given and served verbatim, so
-// every read returns the bytes that were built. Both MemStore and
-// DirStore implement it.
-type RawStore interface {
 	// GetRaw returns the verified payload bytes for key, if present.
 	GetRaw(key string) ([]byte, bool, error)
 	// PutRaw stores payload under key exactly as given (the DirStore
-	// wraps it in a fresh checksummed envelope).
+	// wraps it in a fresh checksummed envelope). Its user is the serving
+	// layer's profile documents, which are not Results: they are served
+	// verbatim, so every read returns the bytes that were built.
 	PutRaw(key string, payload []byte) error
 }
 
 // MemStore is an in-memory Store: the default when no cache directory is
-// configured, and the store the benchmarks use so every iteration is
-// cold.
+// configured, so nothing outlives the process.
 type MemStore struct {
 	mu      sync.Mutex
 	objects map[string][]byte
-	journal [][]byte
-	done    map[string]bool
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{objects: map[string][]byte{}, done: map[string]bool{}}
+	return &MemStore{objects: map[string][]byte{}}
 }
 
 // Get implements Store.
@@ -111,7 +85,7 @@ func (m *MemStore) Put(res *Result) error {
 	return nil
 }
 
-// GetRaw implements RawStore.
+// GetRaw implements Store.
 func (m *MemStore) GetRaw(key string) ([]byte, bool, error) {
 	m.mu.Lock()
 	data, ok := m.objects[key]
@@ -124,7 +98,7 @@ func (m *MemStore) GetRaw(key string) ([]byte, bool, error) {
 	return out, true, nil
 }
 
-// PutRaw implements RawStore.
+// PutRaw implements Store.
 func (m *MemStore) PutRaw(key string, payload []byte) error {
 	data := make([]byte, len(payload))
 	copy(data, payload)
@@ -134,49 +108,16 @@ func (m *MemStore) PutRaw(key string, payload []byte) error {
 	return nil
 }
 
-// JournalKeys implements Store.
-func (m *MemStore) JournalKeys() (map[string]bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return maps.Clone(m.done), nil
-}
-
-// AppendJournal implements Store.
-func (m *MemStore) AppendJournal(line JournalLine) error {
-	data, err := json.Marshal(line)
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	m.journal = append(m.journal, data)
-	m.done[line.Key] = true
-	m.mu.Unlock()
-	return nil
-}
-
-// JournalBytes renders the journal as it would appear on disk — the
-// determinism tests compare these across worker counts.
-func (m *MemStore) JournalBytes() []byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var b strings.Builder
-	for _, line := range m.journal {
-		b.Write(line)
-		b.WriteByte('\n')
-	}
-	return []byte(b.String())
-}
-
 // DirStore is the on-disk Store:
 //
 //	<dir>/VERSION          store-layout version stamp
 //	<dir>/objects/<key>.json   one checksummed Result envelope per job key
 //	<dir>/quarantine/      corrupt objects moved aside for post-mortem
-//	<dir>/journal.jsonl    completion journal, canonical order
 //
 // Objects are written atomically (temp file + rename), so an interrupted
-// sweep leaves only whole objects; the journal is append-only and a torn
-// final line is ignored on load.
+// sweep leaves only whole objects, and the objects present are the
+// sweep's checkpoint: nothing else records that a job is done. A
+// journal.jsonl left by an older layout is ignored.
 //
 // Every object is an envelope {sha256, result}: Get recomputes the
 // payload hash and refuses to serve an entry whose bytes don't verify —
@@ -184,22 +125,14 @@ func (m *MemStore) JournalBytes() []byte {
 // corruption. Corrupt entries are moved to quarantine/ (never deleted,
 // never served) and the job transparently re-runs.
 //
-// One process owns a store directory: the journal is parsed once, by
-// OpenDirStore, and JournalKeys answers from memory from then on, so
-// lines another process (or another DirStore on the same directory)
-// appends are not seen until the next open.
+// A key must be one plain file name: a key holding a path separator is
+// refused, never joined into a path outside objects/.
 type DirStore struct {
 	dir string
 
 	mu sync.Mutex
 	// quarantined counts objects moved aside by this process.
 	quarantined int
-	// journaled holds the keys of journal.jsonl's whole lines: those
-	// found at open plus every AppendJournal since.
-	journaled map[string]bool
-	// tornTail: the journal ended mid-line at open and no append since
-	// has terminated the fragment.
-	tornTail bool
 }
 
 // envelope is the on-disk object framing: the Result payload plus the
@@ -224,44 +157,21 @@ func OpenDirStore(dir string) (*DirStore, error) {
 		return nil, err
 	case strings.TrimSpace(string(data)) != storeVersion:
 		// Incompatible layout: drop the stale artifacts.
-		if err := os.RemoveAll(filepath.Join(dir, "objects")); err != nil {
-			return nil, err
-		}
-		if err := os.RemoveAll(filepath.Join(dir, "quarantine")); err != nil {
-			return nil, err
-		}
-		if err := os.Remove(filepath.Join(dir, "journal.jsonl")); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return nil, err
+		for _, sub := range []string{"objects", "quarantine"} {
+			if err := os.RemoveAll(filepath.Join(dir, sub)); err != nil {
+				return nil, err
+			}
 		}
 		if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
 			return nil, err
 		}
 	default:
-		return loadJournal(&DirStore{dir: dir})
+		return &DirStore{dir: dir}, nil
 	}
 	if err := os.WriteFile(vfile, []byte(storeVersion+"\n"), 0o644); err != nil {
 		return nil, err
 	}
-	return loadJournal(&DirStore{dir: dir})
-}
-
-// loadJournal reads the journal, if there is one, into d. Unparsable
-// lines (a torn append from an interrupted run; the empty tail) are
-// skipped, which is exactly the resume semantics: the job re-runs.
-func loadJournal(d *DirStore) (*DirStore, error) {
-	d.journaled = map[string]bool{}
-	data, err := os.ReadFile(d.JournalPath())
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, err
-	}
-	for _, raw := range strings.Split(string(data), "\n") {
-		var line JournalLine
-		if json.Unmarshal([]byte(raw), &line) == nil {
-			d.journaled[line.Key] = true
-		}
-	}
-	d.tornTail = len(data) > 0 && data[len(data)-1] != '\n'
-	return d, nil
+	return &DirStore{dir: dir}, nil
 }
 
 // Dir returns the store's root directory.
@@ -271,16 +181,22 @@ func (d *DirStore) objectPath(key string) string {
 	return filepath.Join(d.dir, "objects", key+".json")
 }
 
-// JournalPath returns the journal file location (the resume tests
-// truncate it to simulate an interruption).
-func (d *DirStore) JournalPath() string {
-	return filepath.Join(d.dir, "journal.jsonl")
+// checkKey refuses a key that is not one plain file name, so objectPath
+// can never name a file outside objects/.
+func checkKey(key string) error {
+	if key == "" || strings.ContainsAny(key, `/\`) {
+		return fmt.Errorf("sweep: store key %q is not a plain file name", key)
+	}
+	return nil
 }
 
 // readVerified returns key's payload bytes once they match the
 // envelope's SHA-256. An entry that fails either check is quarantined and
 // reported as a miss — a corrupt cache entry is never silently loaded.
 func (d *DirStore) readVerified(key string) ([]byte, bool, error) {
+	if err := checkKey(key); err != nil {
+		return nil, false, err
+	}
 	data, err := os.ReadFile(d.objectPath(key))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, false, nil
@@ -349,18 +265,21 @@ func (d *DirStore) Put(res *Result) error {
 	return d.PutRaw(res.Key, payload)
 }
 
-// GetRaw implements RawStore: the checksum-verified payload bytes, with
+// GetRaw implements Store: the checksum-verified payload bytes, with
 // the same quarantine-on-corruption semantics as Get.
 func (d *DirStore) GetRaw(key string) ([]byte, bool, error) {
 	return d.readVerified(key)
 }
 
-// PutRaw implements RawStore. The temp file gets a unique name
+// PutRaw implements Store. The temp file gets a unique name
 // (os.CreateTemp), so two concurrent writers of the same key can never
 // interleave into one torn temp file; the final rename is atomic and
 // last-writer-wins with byte-identical content for content-addressed
 // keys.
 func (d *DirStore) PutRaw(key string, payload []byte) error {
+	if err := checkKey(key); err != nil {
+		return err
+	}
 	sum := sha256.Sum256(payload)
 	data, err := json.Marshal(envelope{
 		SHA256: hex.EncodeToString(sum[:]),
@@ -386,41 +305,20 @@ func (d *DirStore) PutRaw(key string, payload []byte) error {
 	return os.Rename(tmp, d.objectPath(key))
 }
 
-// JournalKeys implements Store: a copy, the caller's to keep, of the
-// keys the journal held at open and has gained since.
-func (d *DirStore) JournalKeys() (map[string]bool, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return maps.Clone(d.journaled), nil
-}
+// JournalLine is what the deleted completion journal held.
+//
+// Deprecated: the store is the completion record. Kept only for the frozen
+// benchmark/ module; ROADMAP direction 1 deletes it.
+type JournalLine struct{ Key string }
 
-// AppendJournal implements Store. The key counts as journaled only once
-// its line is synced. The first append after an open that found a torn
-// tail ends the fragment first, so the new line is not glued onto it.
-func (d *DirStore) AppendJournal(line JournalLine) error {
-	data, err := json.Marshal(line)
-	if err != nil {
-		return err
-	}
-	d.mu.Lock()
-	if d.tornTail {
-		data = append([]byte{'\n'}, data...)
-	}
-	d.mu.Unlock()
-	f, err := os.OpenFile(d.JournalPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	d.journaled[line.Key] = true
-	d.tornTail = false
-	d.mu.Unlock()
-	return nil
-}
+// JournalKeys returns an empty map.
+//
+// Deprecated: nothing is journaled. Kept only for the frozen benchmark/
+// module; ROADMAP direction 1 deletes it.
+func (d *DirStore) JournalKeys() (map[string]bool, error) { return map[string]bool{}, nil }
+
+// AppendJournal does nothing.
+//
+// Deprecated: nothing is journaled. Kept only for the frozen benchmark/
+// module; ROADMAP direction 1 deletes it.
+func (d *DirStore) AppendJournal(JournalLine) error { return nil }

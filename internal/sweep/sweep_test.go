@@ -3,10 +3,11 @@ package sweep
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -51,6 +52,25 @@ func countingRunner(r Runner, n *atomic.Int64) Runner {
 		n.Add(1)
 		return r(spec)
 	}
+}
+
+// storeBytes renders a MemStore's objects in key order, one
+// "key payload" line each: the whole completion record.
+func storeBytes(m *MemStore) []byte {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	keys := make([]string, 0, len(m.objects))
+	for k := range m.objects {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b bytes.Buffer
+	for _, k := range keys {
+		b.WriteString(k + " ")
+		b.Write(m.objects[k])
+		b.WriteByte('\n')
+	}
+	return b.Bytes()
 }
 
 // renderAll flattens an outcome's merged tables to bytes.
@@ -104,7 +124,7 @@ func TestExpandAxesAndOrder(t *testing.T) {
 }
 
 // TestDeterministicAcrossWorkers is the engine's core contract: the
-// merged report and the journal are byte-identical whether the sweep ran
+// merged report and the store's objects are byte-identical whether the sweep ran
 // on one worker or many — with the fake runner, and with the registry's
 // parameter-free artifacts plus one real multi-seed simulation (fig7-1)
 // through the default ExperimentRunner.
@@ -145,9 +165,8 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 				if !bytes.Equal(renderAll(serial), renderAll(par)) {
 					t.Errorf("workers=%d: merged report differs from serial", workers)
 				}
-				if !bytes.Equal(serialStore.JournalBytes(), parStore.JournalBytes()) {
-					t.Errorf("workers=%d: journal differs from serial:\nserial:\n%s\nparallel:\n%s",
-						workers, serialStore.JournalBytes(), parStore.JournalBytes())
+				if !bytes.Equal(storeBytes(serialStore), storeBytes(parStore)) {
+					t.Errorf("workers=%d: stored objects differ from serial", workers)
 				}
 			}
 		})
@@ -169,7 +188,7 @@ func TestWarmCacheExecutesNothing(t *testing.T) {
 	if cold.Executed != len(cold.Jobs) || cold.CacheHits != 0 {
 		t.Fatalf("cold run: executed %d cached %d of %d", cold.Executed, cold.CacheHits, len(cold.Jobs))
 	}
-	before := n.Load()
+	before, stored := n.Load(), storeBytes(mem)
 	warm, err := eng.Run(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
@@ -183,15 +202,14 @@ func TestWarmCacheExecutesNothing(t *testing.T) {
 	if !bytes.Equal(renderAll(cold), renderAll(warm)) {
 		t.Error("warm merged report differs from cold")
 	}
-	// The journal gained nothing on the warm pass.
-	if got := bytes.Count(mem.JournalBytes(), []byte("\n")); got != len(cold.Jobs) {
-		t.Errorf("journal has %d lines, want %d", got, len(cold.Jobs))
+	if !bytes.Equal(storeBytes(mem), stored) {
+		t.Error("the warm pass changed the store")
 	}
 }
 
 // TestLookupIsAnAllHitRun: on a full store Lookup returns what a warm
 // one-worker Run returns (tables, per-spec stats, events with the walls
-// masked) and leaves the journal alone; one object short, it reports a
+// masked) and leaves the store alone; one object short, it reports a
 // miss, emits nothing and runs nothing.
 func TestLookupIsAnAllHitRun(t *testing.T) {
 	specs := fakeSpecs([]uint64{1, 2, 3})
@@ -211,7 +229,7 @@ func TestLookupIsAnAllHitRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	journal := store.JournalBytes()
+	stored := storeBytes(store)
 	var n atomic.Int64
 	eng := New(Options{Store: store, Runner: countingRunner(fakeRunner, &n), Sink: lookHub})
 	looked, ok, err := eng.Lookup(specs)
@@ -239,8 +257,8 @@ func TestLookupIsAnAllHitRun(t *testing.T) {
 			t.Errorf("event %d: Lookup %+v, Run %+v", i, got[i], want[i])
 		}
 	}
-	if !bytes.Equal(store.JournalBytes(), journal) {
-		t.Error("Lookup wrote to the journal")
+	if !bytes.Equal(storeBytes(store), stored) {
+		t.Error("Lookup wrote to the store")
 	}
 
 	store.mu.Lock()
@@ -292,8 +310,8 @@ func TestKillAndResume(t *testing.T) {
 	if n.Load() != k {
 		t.Fatalf("interrupted run executed %d jobs, want %d", n.Load(), k)
 	}
-	if got := bytes.Count(store.JournalBytes(), []byte("\n")); got != k {
-		t.Fatalf("interrupted journal has %d lines, want %d", got, k)
+	if got := bytes.Count(storeBytes(store), []byte("\n")); got != k {
+		t.Fatalf("interrupted store holds %d objects, want %d", got, k)
 	}
 
 	var resumed atomic.Int64
@@ -311,17 +329,17 @@ func TestKillAndResume(t *testing.T) {
 	if !bytes.Equal(renderAll(ref), renderAll(out)) {
 		t.Error("resumed merged report differs from uninterrupted run")
 	}
-	if got := bytes.Count(store.JournalBytes(), []byte("\n")); got != total {
-		t.Errorf("final journal has %d lines, want %d", got, total)
+	if got := bytes.Count(storeBytes(store), []byte("\n")); got != total {
+		t.Errorf("final store holds %d objects, want %d", got, total)
 	}
 }
 
-// TestJournalTruncationResume simulates a hard kill against the on-disk
-// store: the journal is truncated to a prefix (including a torn final
-// line) and the un-journaled objects are deleted; the next process opens
-// the store again, and its resumed sweep must execute exactly the
-// missing jobs.
-func TestJournalTruncationResume(t *testing.T) {
+// TestHardKillResume simulates a hard kill against the on-disk store:
+// some objects never landed and one was torn mid-write. The next process
+// opens the store again, and its resumed sweep must execute exactly the
+// missing and the torn jobs. A cold sweep writes no journal, and one
+// left in the directory by an older layout is not read.
+func TestHardKillResume(t *testing.T) {
 	specs := fakeSpecs([]uint64{1, 2, 3, 4})
 	dir := t.TempDir()
 	store, err := OpenDirStore(dir)
@@ -334,38 +352,39 @@ func TestJournalTruncationResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := len(full.Jobs)
+	journal := filepath.Join(dir, "journal.jsonl")
+	if _, err := os.Stat(journal); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a cold sweep left a journal: %v", err)
+	}
 
-	data, err := os.ReadFile(store.JournalPath())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-	if len(lines) != total {
-		t.Fatalf("journal has %d lines, want %d", len(lines), total)
-	}
+	// Keep the first `keep` objects, tear the next, delete the rest; a
+	// stale journal claims every job done.
 	const keep = 3
-	// Keep `keep` whole lines plus a torn fragment of the next — the
-	// shape a killed process leaves behind.
-	truncated := strings.Join(lines[:keep], "\n") + "\n" + lines[keep][:10]
-	if err := os.WriteFile(store.JournalPath(), []byte(truncated), 0o644); err != nil {
+	var stale bytes.Buffer
+	for i, j := range full.Jobs {
+		fmt.Fprintf(&stale, "{\"key\":%q}\n", j.Job.Key)
+		path := filepath.Join(dir, "objects", j.Job.Key+".json")
+		switch {
+		case i < keep:
+		case i == keep:
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := os.WriteFile(journal, stale.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if store, err = OpenDirStore(dir); err != nil {
 		t.Fatal(err)
-	}
-	kept, err := store.JournalKeys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kept) != keep {
-		t.Fatalf("truncated journal yields %d keys, want %d (torn line must be ignored)", len(kept), keep)
-	}
-	for _, j := range full.Jobs {
-		if !kept[j.Job.Key] {
-			if err := os.Remove(dir + "/objects/" + j.Job.Key + ".json"); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 
 	var n atomic.Int64
@@ -377,97 +396,44 @@ func TestJournalTruncationResume(t *testing.T) {
 	if got := int(n.Load()); got != total-keep {
 		t.Errorf("resume executed %d jobs, want %d", got, total-keep)
 	}
+	if out.CacheHits != keep || store.Quarantined() != 1 {
+		t.Errorf("resume: %d cache hits, %d quarantined; want %d and 1", out.CacheHits, store.Quarantined(), keep)
+	}
 	if !bytes.Equal(renderAll(full), renderAll(out)) {
 		t.Error("resumed merged report differs from the original run")
 	}
+	if data, err := os.ReadFile(journal); err != nil || !bytes.Equal(data, stale.Bytes()) {
+		t.Errorf("the stale journal was touched: %v", err)
+	}
 }
 
-// TestReopenOnTornJournal: a store opened on a journal that ends in a
-// torn line remembers exactly the whole lines, hands each caller its own
-// copy of them, and a sweep over the same (still stored) jobs gives no
-// remembered key a second line. The first append after the reopen ends
-// the fragment, so a never-seen job run there is journaled and the
-// fragment stays the file's only unparsable line.
-func TestReopenOnTornJournal(t *testing.T) {
-	specs := fakeSpecs([]uint64{1, 2})
+// TestDirStoreRefusesPathKeys: a key that is not one plain file name is
+// an error on every access and reaches no file, in objects/ or outside.
+func TestDirStoreRefusesPathKeys(t *testing.T) {
 	dir := t.TempDir()
-	store, err := OpenDirStore(dir)
+	store, err := OpenDirStore(filepath.Join(dir, "store"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Options{Store: store, Runner: fakeRunner}).Run(context.Background(), specs); err != nil {
-		t.Fatal(err)
+	const key = "a/../b"
+	if err := store.PutRaw(key, []byte(`{}`)); err == nil {
+		t.Error("PutRaw accepted a key with a path in it")
 	}
-	data, err := os.ReadFile(store.JournalPath())
-	if err != nil {
-		t.Fatal(err)
+	if _, ok, err := store.GetRaw(key); err == nil || ok {
+		t.Errorf("GetRaw on a key with a path in it: ok=%v err=%v", ok, err)
 	}
-	whole := strings.SplitAfter(string(data), "\n")
-	whole = whole[:len(whole)-2] // SplitAfter's empty tail, then the line to tear
-	torn := strings.Join(whole, "") + `{"key":"torn`
-	if err := os.WriteFile(store.JournalPath(), []byte(torn), 0o644); err != nil {
-		t.Fatal(err)
+	if err := store.Put(&Result{Key: key}); err == nil {
+		t.Error("Put accepted a key with a path in it")
 	}
-
-	if store, err = OpenDirStore(dir); err != nil {
-		t.Fatal(err)
+	if _, ok, err := store.Get(key); err == nil || ok {
+		t.Errorf("Get on a key with a path in it: ok=%v err=%v", ok, err)
 	}
-	kept, err := store.JournalKeys()
-	if err != nil {
-		t.Fatal(err)
+	objects, err := os.ReadDir(filepath.Join(dir, "store", "objects"))
+	if err != nil || len(objects) != 0 {
+		t.Errorf("objects/ holds %d entries after refused writes (err %v)", len(objects), err)
 	}
-	if len(kept) != len(whole) {
-		t.Fatalf("reopened store remembers %d keys, want the %d whole lines", len(kept), len(whole))
-	}
-	for _, raw := range whole {
-		var line JournalLine
-		if err := json.Unmarshal([]byte(raw), &line); err != nil || !kept[line.Key] {
-			t.Fatalf("whole line %q not remembered (err %v)", raw, err)
-		}
-	}
-	kept["scribble"] = true
-	if again, _ := store.JournalKeys(); again["scribble"] {
-		t.Fatal("JournalKeys handed out its own map, not a copy")
-	}
-	delete(kept, "scribble")
-
-	// The first append after a torn tail starts a line of its own: a
-	// never-seen job run now is journaled for the next open.
-	fresh := []Spec{{Experiment: "fake-new", Version: 1}}
-	if _, err := New(Options{Store: store, Runner: fakeRunner}).Run(context.Background(), fresh); err != nil {
-		t.Fatal(err)
-	}
-	if store, err = OpenDirStore(dir); err != nil {
-		t.Fatal(err)
-	}
-	if keys, _ := store.JournalKeys(); !keys[Expand(fresh)[0].Key] {
-		t.Fatal("the job run on a torn journal is not journaled: its line was glued onto the fragment")
-	}
-
-	var n atomic.Int64
-	if _, err := New(Options{Store: store, Runner: countingRunner(fakeRunner, &n)}).Run(context.Background(), specs); err != nil {
-		t.Fatal(err)
-	}
-	if n.Load() != 0 {
-		t.Errorf("every object survived, yet %d jobs re-ran", n.Load())
-	}
-	data, err = os.ReadFile(store.JournalPath())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := map[string]int{}
-	for _, raw := range strings.Split(string(data), "\n") {
-		var line JournalLine
-		if json.Unmarshal([]byte(raw), &line) == nil {
-			lines[line.Key]++
-		} else if raw != "" && raw != `{"key":"torn` {
-			t.Errorf("journal line %q does not parse and is not the torn fragment", raw)
-		}
-	}
-	for key := range kept {
-		if lines[key] != 1 {
-			t.Errorf("key %s has %d journal lines, want 1", key, lines[key])
-		}
+	if _, err := os.Stat(filepath.Join(dir, "store", "b.json")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a refused key reached a file outside objects/: %v", err)
 	}
 }
 
