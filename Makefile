@@ -17,12 +17,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# lint runs every repo-local analyzer (exhaustive, determinism,
-# phaseaudit). Exit 0 = clean, 1 = findings, 2 = the tool itself failed
-# to load/type-check a package. The gate runs the same whole-module pass
-# as a test (lint.TestModuleIsClean), not this.
+# lint runs the repo-local analyzers (determinism, phaseaudit) over the
+# whole module: lint.TestModuleIsClean, the same test the gate runs in
+# stage 4. It fails with one line per finding, or on a package that does
+# not load.
 lint:
-	$(GO) run ./cmd/protolint ./...
+	$(GO) test ./internal/lint -run TestModuleIsClean -count=1
 
 # fuzz runs the protocol-step fuzzer for a bounded minute; CI runs only
 # the checked-in seeds (via `make test`).

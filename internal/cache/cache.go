@@ -142,25 +142,6 @@ type pending struct {
 	bypass   bool // force a non-cachable transaction regardless of class
 }
 
-// Progress reports what a completed bus transaction did for the cache's
-// pending operation.
-type Progress uint8
-
-const (
-	// ProgressDone: the operation completed; TakeResolved yields its value.
-	ProgressDone Progress = iota
-	// ProgressMore: further bus work is needed (ask WantsBus and re-slot).
-	ProgressMore
-	// ProgressMoreUrgent: further bus work is needed and must be granted
-	// ahead of ordinary requests — the write leg of a fetch-then-write
-	// miss, which would otherwise livelock under heavy invalidation
-	// traffic (the fetched line can be invalidated before the write ever
-	// wins arbitration).
-	ProgressMoreUrgent
-	// ProgressRetry: the read was interrupted; re-slot with priority.
-	ProgressRetry
-)
-
 // ResolveInfo describes a completed processor operation at the moment its
 // result value binds. The machine's sequential-consistency oracle hooks
 // this: the binding moment — not the (possibly later) delivery to the
@@ -907,10 +888,16 @@ func (c *Cache) BusGrant(bank, banks int) (bus.Request, bool) {
 }
 
 // BusCompleted folds the result of our own granted transaction back into
-// the cache and reports how the pending operation progressed.
+// the cache and reports whether the pending operation's next bus leg must
+// be granted ahead of ordinary requests: the re-read of a killed read
+// ("retried immediately"), or the write leg of a fetch-then-write miss,
+// which would otherwise livelock under heavy invalidation traffic (the
+// fetched line can be invalidated before the write ever wins
+// arbitration). A false result means the operation either completed
+// (TakeResolved yields its value) or re-arbitrates normally.
 //
 //phase:bus
-func (c *Cache) BusCompleted(req bus.Request, res bus.Result) Progress {
+func (c *Cache) BusCompleted(req bus.Request, res bus.Result) (urgent bool) {
 	if !c.hasPend {
 		panic(fmt.Sprintf("cache %d: BusCompleted with nothing pending", c.id))
 	}
@@ -926,10 +913,11 @@ func (c *Cache) BusCompleted(req bus.Request, res bus.Result) Progress {
 			ln.dirty = false
 			c.pres.Remove(req.Addr, c.id)
 		}
-		return ProgressMore
+		return false
 	}
 	if p.rmw {
-		return c.rmwCompleted(p, req, res)
+		c.rmwCompleted(p, res)
+		return false
 	}
 	switch req.Op {
 	case bus.OpRead:
@@ -937,24 +925,28 @@ func (c *Cache) BusCompleted(req bus.Request, res bus.Result) Progress {
 			// Interrupted by the Local owner; "retried immediately".
 			p.retry = true
 			c.stats.Retries++
-			return ProgressRetry
+			return true
 		}
 		return c.readCompleted(p, res)
 	case bus.OpWrite:
-		return c.writeCompleted(p)
+		c.writeCompleted(p)
+		return false
 	case bus.OpInv:
-		return c.invCompleted(p)
+		c.invCompleted(p)
+		return false
 	default:
 		// OpRMW completions take the rmwCompleted path above.
 		panic(fmt.Sprintf("cache %d: unexpected completed op %v", c.id, req.Op))
 	}
 }
 
-func (c *Cache) readCompleted(p *pending, res bus.Result) Progress {
+// readCompleted reports whether the fetch was the read part of a
+// fetch-then-write miss, whose write part is urgent.
+func (c *Cache) readCompleted(p *pending, res bus.Result) (urgent bool) {
 	if p.bypass || !c.proto.Cachable(p.class, p.ev) {
 		// Uncached (or locked) read: deliver without installing.
 		c.resolve(p, res.Data)
-		return ProgressDone
+		return false
 	}
 	p.retry = false // the (possibly retried) read part is done
 	ln := c.lookup(p.addr)
@@ -983,16 +975,16 @@ func (c *Cache) readCompleted(p *pending, res bus.Result) Progress {
 		// Fetch-then-write miss: the read part is done; the write part
 		// follows and must win the bus before snooped invalidations can
 		// undo the fetch.
-		return ProgressMoreUrgent
+		return true
 	}
 	c.resolve(p, res.Data)
-	return ProgressDone
+	return false
 }
 
-func (c *Cache) writeCompleted(p *pending) Progress {
+func (c *Cache) writeCompleted(p *pending) {
 	if p.bypass || !c.proto.Cachable(p.class, p.ev) {
 		c.resolve(p, p.data)
-		return ProgressDone
+		return
 	}
 	ln := c.lookup(p.addr)
 	state, aux := coherence.Invalid, uint8(0)
@@ -1018,10 +1010,9 @@ func (c *Cache) writeCompleted(p *pending) Progress {
 		c.touch(ln)
 	}
 	c.resolve(p, p.data)
-	return ProgressDone
 }
 
-func (c *Cache) invCompleted(p *pending) Progress {
+func (c *Cache) invCompleted(p *pending) {
 	ln := c.lookup(p.addr)
 	if ln == nil {
 		panic(fmt.Sprintf("cache %d: BI completed for absent line %d", c.id, p.addr))
@@ -1032,10 +1023,9 @@ func (c *Cache) invCompleted(p *pending) Progress {
 	ln.data = p.data
 	c.touch(ln)
 	c.resolve(p, p.data)
-	return ProgressDone
 }
 
-func (c *Cache) rmwCompleted(p *pending, req bus.Request, res bus.Result) Progress {
+func (c *Cache) rmwCompleted(p *pending, res bus.Result) {
 	old := res.Data
 	if res.RMWSuccess {
 		ln := c.lookup(p.addr)
@@ -1062,7 +1052,6 @@ func (c *Cache) rmwCompleted(p *pending, req bus.Request, res bus.Result) Progre
 		}
 	}
 	c.resolve(p, old)
-	return ProgressDone
 }
 
 // TakeResolved delivers and clears a completed operation's value. The

@@ -14,8 +14,9 @@
 // faults on the same requests forever, however the concurrent clients
 // interleave, so a campaign cell is as reproducible as a fault-injection
 // trial. No math/rand, no wall clock — the determinism analyzer holds
-// this package to the same standard as the simulator, and the protolint
-// fixture pair (seed-derived plan vs time-seeded plan) pins the idiom.
+// this package to the same standard as the simulator, and its fixture
+// pair (seed-derived plan vs time-seeded plan, internal/lint's
+// chaosplan.go) pins the idiom.
 package chaos
 
 import (

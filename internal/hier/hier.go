@@ -256,11 +256,8 @@ func (m *Machine) Step() error {
 	for _, cl := range m.clusters {
 		if req, res, ok := cl.local.Tick(); ok {
 			c := cl.caches[req.Source]
-			switch c.BusCompleted(req, res) {
-			case cache.ProgressRetry, cache.ProgressMoreUrgent:
+			if c.BusCompleted(req, res) {
 				cl.local.PrioritySlot(req.Source)
-			case cache.ProgressDone, cache.ProgressMore:
-				// Done delivers below; More re-arbitrates normally.
 			}
 			if v, ok := c.TakeResolved(); ok {
 				cl.procs[req.Source].Deliver(v)

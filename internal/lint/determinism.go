@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strconv"
 	"strings"
@@ -11,11 +12,13 @@ import (
 // checkDeterminism flags constructs whose behavior varies run-to-run:
 //
 //   - range over a map where the iteration order can escape — the body
-//     prints or writes to a stream/builder, appends to a slice declared
-//     outside the loop that is never sorted afterwards in the same
+//     prints or writes to any io.Writer (a stream, a builder, a hash),
+//     appends to or stores by a position counter into a slice declared
+//     outside the loop that is not sorted after the loop in the same
 //     function, returns a value derived from the iteration variables, or
 //     sends on a channel. Order-insensitive folds (summing counters,
-//     filling another map) pass.
+//     filling another map, storing at a position derived from the key)
+//     pass.
 //   - time.Now / time.Since / time.Until, and the wall-clock timer family
 //     time.After / time.Tick / time.NewTimer / time.NewTicker: wall-clock
 //     input to a simulator invalidates reproducibility; the event loop
@@ -109,6 +112,13 @@ func mapRangeOrderEscapes(p *Package, file *ast.File, rng *ast.RangeStmt) string
 					return false
 				}
 			}
+		case *ast.AssignStmt:
+			if target := indexTarget(p, rng, n, iterObjs); target != nil {
+				if !sortedLater(p, file, rng, target) {
+					reason = fmt.Sprintf("reaches slice %q by position without a subsequent sort", target.Name())
+					return false
+				}
+			}
 		case *ast.ReturnStmt:
 			for _, res := range n.Results {
 				if usesAny(p, res, iterObjs) {
@@ -157,9 +167,10 @@ func usesAny(p *Package, expr ast.Expr, objs map[types.Object]bool) bool {
 
 // emissionCall recognizes calls that emit bytes or records in call
 // order: the fmt print family, io.WriteString, the
-// Write/WriteString/WriteByte/WriteRune methods on strings.Builder,
-// bytes.Buffer and bufio.Writer, json.Encoder.Encode (JSONL journals),
-// and report.Table.AddRow/AddRowf (rendered reports).
+// Write/WriteString/WriteByte/WriteRune methods of any io.Writer
+// (strings.Builder, bytes.Buffer, bufio.Writer, a hash.Hash feeding a
+// content key, a file), json.Encoder.Encode (JSONL journals), and
+// report.Table.AddRow/AddRowf (rendered reports).
 func emissionCall(p *Package, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -182,32 +193,53 @@ func emissionCall(p *Package, call *ast.CallExpr) (string, bool) {
 			}
 		}
 	}
-	if fn, ok := obj.(*types.Func); ok {
-		sig, _ := fn.Type().(*types.Signature)
-		if sig != nil && sig.Recv() != nil {
-			recv := sig.Recv().Type()
-			if ptr, ok := recv.(*types.Pointer); ok {
-				recv = ptr.Elem()
-			}
-			recvName := types.TypeString(recv, nil)
-			switch fn.Name() {
-			case "Write", "WriteString", "WriteByte", "WriteRune":
-				switch recvName {
-				case "strings.Builder", "bytes.Buffer", "bufio.Writer":
-					return recvName + "." + fn.Name(), true
-				}
-			case "Encode":
-				if recvName == "encoding/json.Encoder" {
-					return "json.Encoder.Encode", true
-				}
-			case "AddRow", "AddRowf":
-				if recvName == "repro/internal/report.Table" {
-					return "report.Table." + fn.Name(), true
-				}
-			}
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return "", false
+	}
+	sig, _ := fn.Type().(*types.Signature)
+	if sig == nil || sig.Recv() == nil {
+		return "", false
+	}
+	switch fn.Name() {
+	case "Write", "WriteString", "WriteByte", "WriteRune":
+		// Named by the operand's static type: a hash.Hash's Write is
+		// declared on the io.Writer it embeds.
+		if t := p.Info.Types[sel.X].Type; t != nil && isWriter(t) {
+			name := types.TypeString(t, func(p *types.Package) string { return p.Name() })
+			return strings.TrimPrefix(name, "*") + "." + fn.Name(), true
+		}
+	case "Encode", "AddRow", "AddRowf":
+		recv := sig.Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		switch types.TypeString(recv, nil) + "." + fn.Name() {
+		case "encoding/json.Encoder.Encode":
+			return "json.Encoder.Encode", true
+		case "repro/internal/report.Table.AddRow", "repro/internal/report.Table.AddRowf":
+			return "report.Table." + fn.Name(), true
 		}
 	}
 	return "", false
+}
+
+// isWriter reports whether t (or a pointer to it) has io.Writer's
+// Write([]byte) (int, error) method.
+func isWriter(t types.Type) bool {
+	obj, _, _ := types.LookupFieldOrMethod(t, true, nil, "Write")
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return false
+	}
+	sig := fn.Type().(*types.Signature)
+	if sig.Params().Len() != 1 || sig.Results().Len() != 2 {
+		return false
+	}
+	param, ok := sig.Params().At(0).Type().(*types.Slice)
+	return ok && types.Identical(param.Elem(), types.Typ[types.Byte]) &&
+		types.Identical(sig.Results().At(0).Type(), types.Typ[types.Int]) &&
+		types.Identical(sig.Results().At(1).Type(), types.Universe.Lookup("error").Type())
 }
 
 // appendTarget returns the object a call like "x = append(x, ...)"
@@ -240,9 +272,40 @@ func appendTarget(p *Package, rng *ast.RangeStmt, call *ast.CallExpr) types.Obje
 	return obj
 }
 
-// sortedLater reports whether the enclosing function also passes target
-// to a sort.* or slices.Sort* call, the collect-then-sort idiom that
-// restores determinism.
+// indexTarget returns the slice or array an assignment like
+// "out[i] = k" stores an iteration variable into, when the container is
+// declared outside the range statement and the position does not derive
+// from the iteration variables (a running counter, so the element lands
+// where the visit order puts it); nil otherwise.
+func indexTarget(p *Package, rng *ast.RangeStmt, as *ast.AssignStmt, iterObjs map[types.Object]bool) types.Object {
+	if as.Tok != token.ASSIGN || len(as.Lhs) != len(as.Rhs) {
+		return nil
+	}
+	for i, lhs := range as.Lhs {
+		ix, ok := lhs.(*ast.IndexExpr)
+		if !ok || usesAny(p, ix.Index, iterObjs) || !usesAny(p, as.Rhs[i], iterObjs) {
+			continue
+		}
+		base, ok := ix.X.(*ast.Ident)
+		if !ok {
+			continue
+		}
+		obj := p.Info.Uses[base]
+		if obj == nil || (obj.Pos() >= rng.Pos() && obj.Pos() < rng.End()) {
+			continue
+		}
+		switch obj.Type().Underlying().(type) {
+		case *types.Slice, *types.Array:
+			return obj
+		}
+	}
+	return nil
+}
+
+// sortedLater reports whether the enclosing function passes target to a
+// sort.* or slices.Sort* call after the range statement, the
+// collect-then-sort idiom that restores determinism. A sort before the
+// loop sorts nothing the loop produced.
 func sortedLater(p *Package, file *ast.File, rng *ast.RangeStmt, target types.Object) bool {
 	fn := enclosingFuncBody(file, rng)
 	if fn == nil {
@@ -254,7 +317,7 @@ func sortedLater(p *Package, file *ast.File, rng *ast.RangeStmt, target types.Ob
 			return false
 		}
 		call, ok := n.(*ast.CallExpr)
-		if !ok {
+		if !ok || call.Pos() < rng.End() {
 			return true
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)

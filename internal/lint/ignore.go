@@ -24,7 +24,6 @@ const ignoreDirective = "lint:ignore"
 // knownAnalyzers is the set of analyzer names a scoped ignore directive can
 // name. Adding an analyzer here is part of adding the analyzer.
 var knownAnalyzers = map[string]bool{
-	"exhaustive":  true,
 	"determinism": true,
 	"phaseaudit":  true,
 }
@@ -125,16 +124,11 @@ func (p *Package) suppressed(pos token.Pos, analyzer string) bool {
 	return p.ignores[position.Filename][position.Line].covers(analyzer)
 }
 
-// diag builds a Diagnostic anchored at pos. Suppressed findings are
-// dropped, unless the Run asked for them (IncludeSuppressed), in which
-// case they are kept and marked.
+// diag appends a Diagnostic anchored at pos, unless an ignore directive
+// covers it.
 func (p *Package) diag(diags []Diagnostic, pos token.Pos, analyzer, msg string) []Diagnostic {
-	d := Diagnostic{Pos: p.Fset.Position(pos), Analyzer: analyzer, Message: msg}
 	if p.suppressed(pos, analyzer) {
-		if !p.includeSuppressed {
-			return diags
-		}
-		d.Suppressed = true
+		return diags
 	}
-	return append(diags, d)
+	return append(diags, Diagnostic{Pos: p.Fset.Position(pos), Analyzer: analyzer, Message: msg})
 }

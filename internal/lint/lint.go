@@ -1,26 +1,25 @@
-// Package lint is protolint's engine: a static-analysis pass over this
-// module built entirely on the standard library (go/parser, go/ast,
-// go/types, go/importer — no golang.org/x/tools). It complements the
-// dynamic verification layers (internal/check's product-machine
-// exploration, the race detector) with three analyzer families:
+// Package lint is the module's static-analysis pass, built entirely on
+// the standard library (go/parser, go/ast, go/types, go/importer — no
+// golang.org/x/tools). It complements the dynamic verification layers
+// (internal/check's product-machine exploration, the race detector) with
+// two analyzers:
 //
-//   - exhaustive: every switch over a module-defined enum type (a named
-//     integer or string type with declared constants, e.g.
-//     coherence.State) must either cover all declared constants or carry
-//     an explicit default clause, so adding a protocol state or event
-//     kind cannot silently fall through.
 //   - determinism: map iteration whose order can reach simulator state,
-//     stats output, or trace emission is flagged, as are time.Now,
-//     wall-clock timers, and math/rand in simulation packages — every
-//     BENCH comparison and Figure 6-x reproduction depends on runs being
-//     bit-identical.
+//     stats output, trace emission or a content hash is flagged, as are
+//     time.Now, wall-clock timers, and math/rand in simulation packages —
+//     every BENCH comparison and Figure 6-x reproduction depends on runs
+//     being bit-identical.
 //   - phaseaudit: "//phase:bus|snoop|cpu|any" annotations declare which
 //     cycle-loop phase owns each mutable simulator field; the analyzer
 //     walks the call graph from the annotated phase roots and flags every
 //     write reached from a phase that does not own it (phaseaudit.go).
 //
-// Allocation freedom of the cycle loop is not a lint rule: the runtime
-// pin machine.TestSteadyStateAllocFree runs a table of machine shapes in
+// The gate is TestModuleIsClean, which runs both over the whole module;
+// there is no command-line front end. Switch exhaustiveness is not a
+// lint rule: every enum switch clause whose removal changes behaviour
+// fails a test of its own package or of a golden. Allocation freedom of
+// the cycle loop is not one either: the runtime pin
+// machine.TestSteadyStateAllocFree runs a table of machine shapes in
 // steady state and fails on any allocation. Nor are the protocol tables:
 // they are data, and coherence's Table.Audit checks them where they live.
 //
@@ -30,23 +29,19 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 )
 
-// Diagnostic is one finding. Suppressed findings are only present when
-// Config.IncludeSuppressed is set.
+// Diagnostic is one finding.
 type Diagnostic struct {
-	Pos        token.Position
-	Analyzer   string // "exhaustive", "determinism" or "phaseaudit"
-	Message    string
-	Suppressed bool // covered by a //lint:ignore directive
+	Pos      token.Position
+	Analyzer string // "determinism" or "phaseaudit"
+	Message  string
 }
 
 // String renders the diagnostic in go vet's file:line:col format.
@@ -58,19 +53,15 @@ func (d Diagnostic) String() string {
 type Config struct {
 	// Dirs are package directories to analyze (see ExpandPatterns).
 	Dirs []string
-	// IncludeSuppressed keeps findings covered by //lint:ignore
-	// directives in the result, marked with Suppressed=true, instead of
-	// dropping them. The -format=json CLI output uses this so CI tooling
-	// can see waivers.
-	IncludeSuppressed bool
 }
 
 // Run loads every package in cfg.Dirs, applies the analyzers, and returns
-// all diagnostics sorted by position. The per-package analyzers
-// (exhaustive, determinism) see one package at a time; the whole-program
-// analyzer (phaseaudit) sees every loaded package at once, because phase
-// ownership is a cross-package property. The error is non-nil only for
-// load failures (unparsable or untypeable code), not for findings.
+// the diagnostics no //lint:ignore directive covers, sorted by position.
+// The per-package analyzer (determinism) sees one package at a time; the
+// whole-program analyzer (phaseaudit) sees every loaded package at once,
+// because phase ownership is a cross-package property. The error is
+// non-nil only for load failures (unparsable or untypeable code), not
+// for findings.
 func Run(cfg Config) ([]Diagnostic, error) {
 	l := newLoader()
 	var all []*Package
@@ -83,8 +74,6 @@ func Run(cfg Config) ([]Diagnostic, error) {
 	}
 	var diags []Diagnostic
 	for _, p := range all {
-		p.includeSuppressed = cfg.IncludeSuppressed
-		diags = append(diags, checkExhaustive(p)...)
 		diags = append(diags, checkDeterminism(p)...)
 	}
 	diags = append(diags, checkPhases(all, "")...)
@@ -92,76 +81,17 @@ func Run(cfg Config) ([]Diagnostic, error) {
 	return diags, nil
 }
 
-// Unsuppressed counts the findings not covered by an ignore directive —
-// the number that decides protolint's exit code.
-func Unsuppressed(diags []Diagnostic) int {
-	n := 0
-	for _, d := range diags {
-		if !d.Suppressed {
-			n++
-		}
-	}
-	return n
-}
-
-// jsonDiag is the machine-readable rendering of one finding, one JSON
-// object per line (JSON Lines, so CI tooling can stream-parse).
-type jsonDiag struct {
-	Analyzer   string `json:"analyzer"`
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Col        int    `json:"col"`
-	Message    string `json:"message"`
-	Suppressed bool   `json:"suppressed"`
-}
-
-// WriteJSON renders diagnostics as JSON Lines.
-func WriteJSON(w io.Writer, diags []Diagnostic) error {
-	enc := json.NewEncoder(w)
-	for _, d := range diags {
-		jd := jsonDiag{
-			Analyzer:   d.Analyzer,
-			File:       filepath.ToSlash(d.Pos.Filename),
-			Line:       d.Pos.Line,
-			Col:        d.Pos.Column,
-			Message:    d.Message,
-			Suppressed: d.Suppressed,
-		}
-		if err := enc.Encode(jd); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ExpandPatterns resolves command-line package patterns to directories.
-// "./..." (or "dir/...") walks recursively; other arguments name single
-// package directories. Directories named testdata, vendored trees, and
-// dot/underscore-prefixed entries are skipped, mirroring the go tool.
+// ExpandPatterns resolves "dir/..." package patterns to the package
+// directories under dir. Directories named testdata, vendored trees, and
+// dot/underscore-prefixed entries below dir are skipped, mirroring the go
+// tool.
 func ExpandPatterns(patterns []string) ([]string, error) {
 	var dirs []string
 	seen := map[string]bool{}
-	add := func(d string) {
-		d = filepath.Clean(d)
-		if !seen[d] {
-			seen[d] = true
-			dirs = append(dirs, d)
-		}
-	}
 	for _, pat := range patterns {
-		root, recursive := strings.CutSuffix(pat, "/...")
-		if pat == "..." {
-			root, recursive = ".", true
-		}
-		if root == "" {
-			root = "."
-		}
-		if !recursive {
-			if !hasGoFiles(root) {
-				return nil, fmt.Errorf("no Go files in %s", root)
-			}
-			add(root)
-			continue
+		root, ok := strings.CutSuffix(pat, "/...")
+		if !ok {
+			return nil, fmt.Errorf("pattern %q does not end in /...", pat)
 		}
 		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 			if err != nil {
@@ -175,8 +105,9 @@ func ExpandPatterns(patterns []string) ([]string, error) {
 				name == "testdata" || name == "vendor") {
 				return filepath.SkipDir
 			}
-			if hasGoFiles(path) {
-				add(path)
+			if path = filepath.Clean(path); hasGoFiles(path) && !seen[path] {
+				seen[path] = true
+				dirs = append(dirs, path)
 			}
 			return nil
 		})

@@ -27,10 +27,6 @@ type Package struct {
 	// "//lint:ignore" directives suppress (the comment's line and the
 	// next).
 	ignores map[string]map[int]*ignoreScope
-
-	// includeSuppressed keeps suppressed findings (marked) instead of
-	// dropping them; set from Config.IncludeSuppressed by Run.
-	includeSuppressed bool
 }
 
 // loader parses and type-checks package directories. Imports — both
@@ -115,7 +111,7 @@ func (l *loader) load(dir string) ([]*Package, error) {
 
 // importPath derives an import path for dir by locating the enclosing
 // go.mod. Failing that (or for package main), the directory path serves;
-// the path is only used for display and for module-locality tests.
+// the path is only used for display and in phaseaudit's keys.
 func importPath(dir, pkgName string) string {
 	abs, err := filepath.Abs(dir)
 	if err != nil {

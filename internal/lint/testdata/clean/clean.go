@@ -1,22 +1,8 @@
-// Package clean is a protolint test fixture containing only blessed
-// idioms: the linter must report nothing here.
+// Package clean is a lint test fixture containing only blessed idioms:
+// the linter must report nothing here.
 package clean
 
-import (
-	"sort"
-
-	"repro/internal/coherence"
-)
-
-// Letter covers every state via an explicit default.
-func Letter(s coherence.State) string {
-	switch s {
-	case coherence.Local:
-		return "L"
-	default:
-		return s.Letter()
-	}
-}
+import "sort"
 
 // Histogram folds a map order-insensitively and sorts before emitting.
 func Histogram(counts map[int]uint64) []int {

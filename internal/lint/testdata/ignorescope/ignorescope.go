@@ -1,4 +1,4 @@
-// Package ignorescope is a protolint test fixture for analyzer-scoped
+// Package ignorescope is a lint test fixture for analyzer-scoped
 // suppression: a "//lint:ignore phaseaudit reason" directive waives only
 // the phaseaudit finding on its line — the determinism finding on the same
 // line must still be reported — while the legacy unscoped form keeps

@@ -1,4 +1,4 @@
-// Package phase is a protolint test fixture: each seeded violation below
+// Package phase is a lint test fixture: each seeded violation below
 // must be caught by the phaseaudit analyzer, and each clean idiom must
 // pass. The package lives under testdata so the go tool never builds it,
 // but it compiles.

@@ -421,11 +421,8 @@ func (m *Machine) busPhase() {
 			continue
 		}
 		c := m.caches[g.Req.Source]
-		switch c.BusCompleted(g.Req, g.Res) {
-		case cache.ProgressRetry, cache.ProgressMoreUrgent:
+		if c.BusCompleted(g.Req, g.Res) {
 			m.buses.PrioritySlot(g.Req.Addr, g.Req.Source)
-		case cache.ProgressDone, cache.ProgressMore:
-			// Done delivers below; More re-arbitrates normally.
 		}
 		if v, ok := c.TakeResolved(); ok {
 			m.deliver(g.Req.Source, v)

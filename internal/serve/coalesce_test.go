@@ -34,7 +34,7 @@ func TestConcurrentIdenticalPostsCoalesce(t *testing.T) {
 	// Wait until every late submission has attached to the in-flight
 	// run, then let the gated runner finish.
 	waitFor(t, func() bool { return s.metrics.coalesced.Value() == waiters-1 })
-	close(tr.gate)
+	tr.release()
 	wg.Wait()
 
 	for i, code := range codes {
@@ -180,7 +180,7 @@ func TestCoalescedWaiterSurvivesSubmitterDisconnect(t *testing.T) {
 	waitFor(t, func() bool { return s.metrics.coalesced.Value() == 1 })
 
 	cancel() // first client gone
-	close(tr.gate)
+	tr.release()
 	resp := <-second
 	if resp.Cache != "miss" || !resp.Coalesced {
 		t.Fatalf("surviving waiter got %+v", resp)

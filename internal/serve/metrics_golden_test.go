@@ -47,6 +47,7 @@ var wallClockValues = regexp.MustCompile(`(?m)^(mimdserved_job_latency_ms_(?:buc
 func TestMetricsGolden(t *testing.T) {
 	tr := &testRunner{gate: make(chan struct{})}
 	h := New(Options{MaxInFlight: 1, QueueDepth: -1, Runner: tr.run}).Handler()
+	t.Cleanup(tr.release)
 	do := func(method, path, body string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
@@ -61,7 +62,7 @@ func TestMetricsGolden(t *testing.T) {
 	if code := do(http.MethodPost, "/v1/run", `{"kind":"experiment","experiment":"fig7-1","seeds":[2]}`).Code; code != http.StatusTooManyRequests {
 		t.Fatalf("overload status %d, want 429", code)
 	}
-	close(tr.gate)
+	tr.release()
 	if code := <-cold; code != http.StatusOK {
 		t.Fatalf("cold run status %d", code)
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,7 +22,17 @@ import (
 // and an optional gate the test can hold closed to keep jobs in flight.
 type testRunner struct {
 	calls atomic.Int64
-	gate  chan struct{} // when non-nil, every call blocks until closed
+	gate  chan struct{} // when non-nil, every call blocks until release
+	once  sync.Once
+}
+
+// release opens the gate; later calls do nothing.
+func (tr *testRunner) release() {
+	tr.once.Do(func() {
+		if tr.gate != nil {
+			close(tr.gate)
+		}
+	})
 }
 
 func (tr *testRunner) run(spec sweep.JobSpec) (*report.Table, error) {
@@ -41,6 +52,10 @@ func newTestServer(t *testing.T, tr *testRunner, opts Options) (*Server, *httpte
 	s := New(opts)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
+	// Cleanups run last-registered first: a test that fails while jobs
+	// are parked on the gate releases them before Close waits for their
+	// handlers, so it fails instead of hanging.
+	t.Cleanup(tr.release)
 	return s, ts
 }
 
@@ -152,7 +167,7 @@ func TestOverloadSheds429WithRetryAfter(t *testing.T) {
 		t.Fatal("429 without a Retry-After hint")
 	}
 
-	close(tr.gate)
+	tr.release()
 	if code := <-first; code != http.StatusOK {
 		t.Fatalf("first request finished with %d", code)
 	}
@@ -255,7 +270,7 @@ func TestAsyncJobAndEventStream(t *testing.T) {
 	if ct := eresp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("events content type %q", ct)
 	}
-	close(tr.gate)
+	tr.release()
 	var events []map[string]any
 	sc := bufio.NewScanner(eresp.Body)
 	for sc.Scan() {
@@ -403,7 +418,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 
 	// Releasing the running job lets the drain finish cleanly.
-	close(tr.gate)
+	tr.release()
 	if resp := <-done; resp.Cache != "miss" {
 		t.Fatalf("in-flight request did not complete: %+v", resp)
 	}

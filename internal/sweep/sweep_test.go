@@ -169,8 +169,47 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 					t.Errorf("workers=%d: stored objects differ from serial", workers)
 				}
 			}
+			// The DirStore's files (checksummed envelopes) are content
+			// too: a serial and a parallel run write the same bytes.
+			var files [2][]byte
+			for i, workers := range []int{1, 4} {
+				dir := t.TempDir()
+				ds, err := OpenDirStore(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := New(Options{Workers: workers, Store: ds, Runner: tc.runner}).
+					Run(context.Background(), tc.specs); err != nil {
+					t.Fatal(err)
+				}
+				files[i] = dirBytes(t, dir)
+			}
+			if !bytes.Equal(files[0], files[1]) {
+				t.Error("DirStore object files differ between a serial and a parallel run")
+			}
 		})
 	}
+}
+
+// dirBytes renders a DirStore's object files in name order, one
+// "name bytes" line each.
+func dirBytes(t *testing.T, dir string) []byte {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "objects", "*.json"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no objects in %s: %v", dir, err)
+	}
+	sort.Strings(names)
+	var b bytes.Buffer
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.WriteString(filepath.Base(name) + " ")
+		b.Write(data)
+	}
+	return b.Bytes()
 }
 
 // TestWarmCacheExecutesNothing: a warm pass runs no job and writes

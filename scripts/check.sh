@@ -12,9 +12,10 @@
 #                  tests in their packages, and so are the Section 4
 #                  product-machine proof over every protocol at n = 2..5
 #                  caches with its reachable states pinned (cmd/modelcheck,
-#                  internal/check), the module's own analyzers over the
-#                  whole tree (internal/lint's TestModuleIsClean; `make
-#                  lint` is the same pass for people) and the audit of
+#                  internal/check), the module's own analyzers
+#                  (determinism and phaseaudit) over the whole tree
+#                  (internal/lint's TestModuleIsClean, their only front
+#                  end; `make lint` runs it alone) and the audit of
 #                  every protocol table's arcs (internal/coherence's
 #                  TestAuditRegisteredProtocolsClean: every registered
 #                  table and RWB at k = 2-8); so are the paper's claims
