@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build test race lint fuzz modelcheck fault bench bench-compare bench-pairs serve cluster chaos profile fmt loc
+.PHONY: check build test race lint fuzz modelcheck fault bench bench-compare bench-pairs bench-gate serve cluster chaos profile fmt loc
 
 check:
 	sh scripts/check.sh
@@ -54,6 +54,13 @@ bench-compare:
 # and of the working tree, quartiles and wins per end-to-end metric.
 bench-pairs:
 	sh scripts/pairs.sh $(W) $(or $(PARENT),HEAD) $(or $(N),10)
+
+# bench-gate [BASE=<rev>] is check.sh's benchmark gate: bench-pairs at
+# N = 7 and 3 s runs, on one CPU and on all, over the workloads whose
+# packages the change reaches; it fails only on a `worse` row past its
+# metric's bound (scripts/gate.sh).
+bench-gate:
+	sh scripts/gate.sh $(BASE)
 
 # serve runs the S24 simulation-as-a-service daemon on its default
 # loopback port with an on-disk result store.

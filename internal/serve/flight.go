@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"crypto/sha256"
+
 	"repro/internal/sweep"
 )
 
@@ -19,6 +21,22 @@ type flight struct {
 	done chan struct{}
 	resp Response
 	code int
+	// kept is set when the flight answered wholly from the store.
+	kept *kept
+	// answers counts the id's answers in the completed-flight window
+	// (Server.answered); guarded by Server.mu.
+	answers int
+}
+
+// kept is a store-served flight's answer as the sync door writes it,
+// with the SHA-256 of each job payload it was built from, in job order.
+// The request id hashes the jobs' version-salted keys, so the answer is
+// a pure function of the id and those payloads: a repeat whose payloads
+// re-read and hash the same may send body as it is (Server.repeat).
+type kept struct {
+	body   []byte
+	sums   [][sha256.Size]byte
+	silent int // fault campaigns' silent divergences, for the counter
 }
 
 func newFlight(req *request) *flight {

@@ -14,11 +14,12 @@ import (
 // that a concurrent flight just Put under the same name — losing a good
 // result and double-counting corruption.
 //
-// The guard serializes all Get/Put traffic per key through striped
+// The guard serializes all read and write traffic per key (raw payloads
+// included: Lookup and repeats read with GetRaw) through striped
 // mutexes (a probe's read-validate-quarantine and a flight's
 // write-rename can no longer interleave) and records keys whose entry
 // was just quarantined in a repair set: until the re-run's Put lands,
-// every other Get of that key answers "miss" without touching the store
+// every other read of that key answers "miss" without touching the store
 // at all — exactly one caller performs the quarantine, everyone else
 // simply routes through the engine, and the first fresh Put clears the
 // key. The engine's own store access goes through the same guard, so
@@ -37,7 +38,7 @@ func newStoreGuard(inner sweep.Store) *storeGuard {
 }
 
 // quarantiner is the optional corruption counter a store exposes
-// (DirStore does); the guard uses its delta to detect that a Get
+// (DirStore does); the guard uses its delta to detect that a read
 // quarantined the entry it read.
 type quarantiner interface {
 	Quarantined() int
@@ -67,8 +68,31 @@ func (g *storeGuard) landed(key string) {
 // Get implements sweep.Store. A key in the repair set is a miss by
 // definition.
 func (g *storeGuard) Get(key string) (*sweep.Result, bool, error) {
+	var res *sweep.Result
+	ok, err := g.read(key, func() (ok bool, err error) {
+		res, ok, err = g.inner.Get(key)
+		return ok, err
+	})
+	return res, ok, err
+}
+
+// GetRaw implements sweep.Store, with the same per-key serialization and
+// repair-set semantics as Get.
+func (g *storeGuard) GetRaw(key string) ([]byte, bool, error) {
+	var payload []byte
+	ok, err := g.read(key, func() (ok bool, err error) {
+		payload, ok, err = g.inner.GetRaw(key)
+		return ok, err
+	})
+	return payload, ok, err
+}
+
+// read runs one inner read of key under its stripe lock, after the
+// repair-set check, and puts key in the repair set when the read
+// quarantined its entry.
+func (g *storeGuard) read(key string, get func() (bool, error)) (bool, error) {
 	if g.inRepair(key) {
-		return nil, false, nil
+		return false, nil
 	}
 	lock := g.lockFor(key)
 	lock.Lock()
@@ -79,9 +103,9 @@ func (g *storeGuard) Get(key string) (*sweep.Result, bool, error) {
 	if q != nil {
 		before = q.Quarantined()
 	}
-	res, ok, err := g.inner.Get(key)
+	ok, err := get()
 	if q != nil && !ok && err == nil && q.Quarantined() > before {
-		// This Get quarantined the entry (the counter is global, so a
+		// This read quarantined the entry (the counter is global, so a
 		// concurrent quarantine of another key can also land here; the
 		// false positive only makes this key read as a miss until its
 		// next Put, which is harmless).
@@ -89,7 +113,7 @@ func (g *storeGuard) Get(key string) (*sweep.Result, bool, error) {
 		g.repairing[key] = true
 		g.mu.Unlock()
 	}
-	return res, ok, err
+	return ok, err
 }
 
 // Put implements sweep.Store and clears the key's repair mark: the
@@ -103,18 +127,6 @@ func (g *storeGuard) Put(res *sweep.Result) error {
 		g.landed(res.Key)
 	}
 	return err
-}
-
-// GetRaw implements sweep.Store, with the same per-key serialization and
-// repair-set semantics as Get.
-func (g *storeGuard) GetRaw(key string) ([]byte, bool, error) {
-	if g.inRepair(key) {
-		return nil, false, nil
-	}
-	lock := g.lockFor(key)
-	lock.Lock()
-	defer lock.Unlock()
-	return g.inner.GetRaw(key)
 }
 
 // PutRaw implements sweep.Store and, like Put, clears the key's repair

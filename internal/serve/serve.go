@@ -11,6 +11,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -96,7 +97,9 @@ type Response struct {
 	CacheHits int  `json:"cache_hits"`
 	Failed    int  `json:"failed,omitempty"`
 	// WallMS is the flight's end-to-end latency (the first submitter's
-	// view; coalesced waiters waited for some suffix of it).
+	// view; coalesced waiters waited for some suffix of it). A repeat
+	// answered from a kept answer (see Server.repeat) carries the WallMS
+	// of the flight that built it, like a waiter that coalesced onto it.
 	WallMS float64 `json:"wall_ms"`
 	// Tables holds the merged result tables in the requested format,
 	// one per input spec (experiment and sweep kinds).
@@ -124,7 +127,8 @@ type JobStatus struct {
 }
 
 // doneCap bounds the completed-flight registry (event replay and
-// GET /v1/jobs after completion); the oldest entries are evicted FIFO.
+// GET /v1/jobs after completion) to the ids of the last doneCap answers,
+// completions and repeats alike.
 const doneCap = 1024
 
 // Server is the daemon: stateless HTTP handlers over one shared store,
@@ -142,8 +146,8 @@ type Server struct {
 	mu        sync.Mutex
 	draining  bool
 	flights   map[string]*flight // active, by request id
-	done      map[string]*flight // completed, by request id
-	doneOrder []string
+	done      map[string]*flight // newest completed, by request id
+	doneOrder []string           // the ids of the last doneCap answers
 
 	// pauseMu guards the pause gate (see Pause). Separate from mu:
 	// paused requests block on the gate channel, and they must never
@@ -326,18 +330,34 @@ func (s *Server) runFlight(f *flight) {
 	f.resp, f.code = s.execute(f)
 	s.mu.Lock()
 	delete(s.flights, f.id)
-	s.done[f.id] = f
-	s.doneOrder = append(s.doneOrder, f.id)
-	for len(s.doneOrder) > doneCap {
-		delete(s.done, s.doneOrder[0])
-		s.doneOrder = s.doneOrder[1:]
+	if old := s.done[f.id]; old != nil {
+		f.answers = old.answers
 	}
+	s.done[f.id] = f
+	s.answered(f.id)
 	s.mu.Unlock()
 	// done closes before the hub: an event stream that drains the hub is
 	// then guaranteed to see the flight as finished and emit its terminal
 	// frame.
 	close(f.done)
 	f.hub.Close()
+}
+
+// answered records one answer for id, whose flight is in s.done, and
+// ages the window: an id leaves the registry when its last answer among
+// the newest doneCap does. The caller holds s.mu.
+func (s *Server) answered(id string) {
+	s.done[id].answers++
+	s.doneOrder = append(s.doneOrder, id)
+	for len(s.doneOrder) > doneCap {
+		oldest := s.doneOrder[0]
+		f := s.done[oldest]
+		f.answers--
+		if f.answers == 0 {
+			delete(s.done, oldest)
+		}
+		s.doneOrder = s.doneOrder[1:]
+	}
 }
 
 // execute runs a flight's request: answered from the store, or by an
@@ -467,7 +487,59 @@ func (s *Server) execute(f *flight) (Response, int) {
 		resp.Error = fmt.Sprintf("%d job(s) failed", len(out.Failed))
 		return resp, http.StatusInternalServerError
 	}
+	if hit && !req.spec.Profile {
+		if body, err := encodeJSON(resp); err == nil {
+			k := &kept{body: body, sums: make([][sha256.Size]byte, len(out.Jobs)), silent: silent}
+			for i, jr := range out.Jobs {
+				k.sums[i] = jr.Sum
+			}
+			f.kept = k
+		}
+	}
 	return resp, http.StatusOK
+}
+
+// repeat answers a sync request from the kept answer of the id's last
+// completed flight, if that flight answered wholly from the store: it
+// re-reads each job's payload once (GetRaw, so a corrupt object is
+// still caught and quarantined) and sends the kept bytes when every
+// payload hashes as it did then. It counts as a store-served answer.
+// It reports false, having written nothing, when there is no kept
+// answer, a flight of the id is running (the caller joins it), the
+// server is draining (the caller answers 503), the request asks for a
+// profile, or a payload is missing or changed (the caller's flight
+// re-runs what is missing).
+func (s *Server) repeat(w http.ResponseWriter, req *request) bool {
+	if req.spec.Profile {
+		return false
+	}
+	s.mu.Lock()
+	f := s.done[req.id]
+	if s.draining || s.flights[req.id] != nil || f == nil || f.kept == nil {
+		s.mu.Unlock()
+		return false
+	}
+	k := f.kept
+	s.mu.Unlock()
+
+	walls := make([]time.Duration, len(req.jobs))
+	for i, j := range req.jobs {
+		start := wallNow()
+		payload, ok, err := s.opts.Store.GetRaw(j.Key)
+		if err != nil || !ok || sha256.Sum256(payload) != k.sums[i] {
+			return false
+		}
+		walls[i] = wallNow().Sub(start)
+	}
+	s.mu.Lock()
+	if s.done[req.id] != nil {
+		s.answered(req.id)
+	}
+	s.mu.Unlock()
+	s.metrics.storeServed.Inc()
+	s.metrics.observeOutcome(0, len(req.jobs), 0, walls, k.silent)
+	s.writeBody(w, http.StatusOK, k.body)
+	return true
 }
 
 // lookup finds a flight, active or completed.
@@ -506,19 +578,29 @@ func (s *Server) writeError(w http.ResponseWriter, code int, msg string) {
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	cluster.SetRetryAfter(w.Header(), code, s.opts.RetryAfter)
-	// Marshal first and declare the exact length: a response bigger than
-	// the server's write buffer would otherwise go out chunked, and a
-	// mid-body connection cut would then look like a clean short read to
-	// a length-blind consumer. With Content-Length on the wire, the
-	// router's proxy detects the stump and fails over.
-	data, err := json.MarshalIndent(v, "", "  ")
+	data, err := encodeJSON(v)
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	data = append(data, '\n')
+	s.writeBody(w, code, data)
+}
+
+// encodeJSON is the indented document every JSON answer carries.
+func encodeJSON(v any) ([]byte, error) {
+	data, err := json.MarshalIndent(v, "", "  ")
+	return append(data, '\n'), err
+}
+
+// writeBody sends an encoded JSON answer. The body is whole before the
+// header goes out, so its exact length is declared: a response bigger
+// than the server's write buffer would otherwise go out chunked, and a
+// mid-body connection cut would then look like a clean short read to a
+// length-blind consumer. With Content-Length on the wire, the router's
+// proxy detects the stump and fails over.
+func (s *Server) writeBody(w http.ResponseWriter, code int, data []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	cluster.SetRetryAfter(w.Header(), code, s.opts.RetryAfter)
 	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.WriteHeader(code)
 	w.Write(data)
@@ -527,7 +609,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 // handleRun is the synchronous door: submit, wait, answer.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	req, ok := s.decodeSpec(w, r)
-	if !ok {
+	if !ok || s.repeat(w, req) {
 		return
 	}
 	f, coalesced, err := s.getOrStart(req)

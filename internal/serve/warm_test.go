@@ -56,24 +56,37 @@ func TestWarmEventStreamGolden(t *testing.T) {
 	checkGolden(t, "warm_events.golden", wallMS.ReplaceAllString(string(frames), `"wall_ms":"WALL"`))
 }
 
-// countingStore counts the calls that reach a sweep.Store.
+// countingStore counts the reads (Get and GetRaw) and the writes (Put
+// and PutRaw) that reach a sweep.Store.
 type countingStore struct {
 	sweep.Store
-	gets, puts atomic.Int64
+	reads, writes atomic.Int64
 }
 
 func (c *countingStore) Get(key string) (*sweep.Result, bool, error) {
-	c.gets.Add(1)
+	c.reads.Add(1)
 	return c.Store.Get(key)
 }
 
+func (c *countingStore) GetRaw(key string) ([]byte, bool, error) {
+	c.reads.Add(1)
+	return c.Store.GetRaw(key)
+}
+
 func (c *countingStore) Put(res *sweep.Result) error {
-	c.puts.Add(1)
+	c.writes.Add(1)
 	return c.Store.Put(res)
 }
 
+func (c *countingStore) PutRaw(key string, payload []byte) error {
+	c.writes.Add(1)
+	return c.Store.PutRaw(key, payload)
+}
+
 // TestWarmRequestStoreTraffic is the CI guard for what a hit costs: each
-// stored job is read exactly once and nothing is written.
+// stored job is read exactly once, by Get or GetRaw, and nothing is
+// written, whether the hit is the first after the cold run (a flight
+// whose Lookup builds the answer) or a repeat of a kept answer.
 func TestWarmRequestStoreTraffic(t *testing.T) {
 	store := &countingStore{Store: sweep.NewMemStore()}
 	s, ts := newTestServer(t, &testRunner{}, Options{Store: store})
@@ -86,20 +99,23 @@ func TestWarmRequestStoreTraffic(t *testing.T) {
 	if cold, code := post(ts.URL, "/v1/run", spec); code != http.StatusOK || cold.Jobs != jobs {
 		t.Fatalf("cold run: status %d %+v", code, cold)
 	}
-	gets, puts := store.gets.Load(), store.puts.Load()
+	reads, writes := store.reads.Load(), store.writes.Load()
 
 	for i := 0; i < warm; i++ {
 		if r, code := post(ts.URL, "/v1/run", spec); code != http.StatusOK || r.Cache != "hit" || r.CacheHits != jobs {
 			t.Fatalf("warm run %d: status %d %+v", i, code, r)
 		}
 	}
-	if got := store.gets.Load() - gets; got != warm*jobs {
-		t.Errorf("%d warm requests of %d jobs cost %d Gets, want %d", warm, jobs, got, warm*jobs)
+	if got := store.reads.Load() - reads; got != warm*jobs {
+		t.Errorf("%d warm requests of %d jobs cost %d reads, want %d", warm, jobs, got, warm*jobs)
 	}
-	if got := store.puts.Load() - puts; got != 0 {
-		t.Errorf("warm requests cost %d Puts, want 0", got)
+	if got := store.writes.Load() - writes; got != 0 {
+		t.Errorf("warm requests cost %d writes, want 0", got)
 	}
 	if got := s.Metrics().storeServed.Value(); got != warm {
 		t.Errorf("mimdserved_store_served_total = %d, want %d", got, warm)
+	}
+	if got := s.Metrics().jobCacheHits.Value(); got != warm*jobs {
+		t.Errorf("mimdserved_job_cache_hits_total = %d, want %d", got, warm*jobs)
 	}
 }

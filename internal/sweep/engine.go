@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -116,6 +118,9 @@ type JobResult struct {
 	Table  *report.Table
 	Cached bool
 	Wall   time.Duration
+	// Sum is the SHA-256 of the stored payload Lookup decoded Table
+	// from; Run leaves it zero.
+	Sum [sha256.Size]byte
 }
 
 // ExperimentStat aggregates the jobs of one input spec.
@@ -275,8 +280,10 @@ func (e *Engine) Run(ctx context.Context, specs []Spec) (*Outcome, error) {
 	return out, nil
 }
 
-// Lookup answers specs from the store alone. It Gets each job once in
-// canonical order and gives up at the first miss, having emitted nothing;
+// Lookup answers specs from the store alone. It reads each job's payload
+// once (GetRaw) in canonical order, hashes it into JobResult.Sum and
+// decodes it, and gives up at the first miss, having emitted nothing (a
+// payload that is no Result is a miss, which Run's Get then handles);
 // when every job is stored it returns the Outcome an all-hit Run would
 // have (same merge, same start, cached done and sweep events, in the
 // order a one-worker Run emits them). It runs no job, takes no worker and
@@ -287,11 +294,16 @@ func (e *Engine) Lookup(specs []Spec) (*Outcome, bool, error) {
 	results := make([]JobResult, len(jobs))
 	for i, j := range jobs {
 		jobStart := wallNow()
-		res, ok, err := e.opts.Store.Get(j.Key)
-		if err != nil || !ok || res.Table == nil {
+		payload, ok, err := e.opts.Store.GetRaw(j.Key)
+		if err != nil || !ok {
 			return nil, false, err
 		}
-		results[i] = JobResult{Job: j, Table: res.Table, Cached: true, Wall: wallNow().Sub(jobStart)}
+		var res Result
+		if json.Unmarshal(payload, &res) != nil || res.Table == nil {
+			return nil, false, nil
+		}
+		results[i] = JobResult{Job: j, Table: res.Table, Cached: true, Wall: wallNow().Sub(jobStart),
+			Sum: sha256.Sum256(payload)}
 	}
 	out := &Outcome{Jobs: results, CacheHits: len(jobs), Wall: wallNow().Sub(start)}
 	if err := e.merge(out, specs, results, make([]*JobFailure, len(jobs))); err != nil {

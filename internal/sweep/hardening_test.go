@@ -3,8 +3,10 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -247,8 +249,9 @@ func TestDirStoreCorruptEntryQuarantined(t *testing.T) {
 	}
 }
 
-// TestDirStoreEnvelopeRoundTrip pins the v2 framing: what Put writes, Get
-// verifies and returns intact, and the raw file carries a hex digest.
+// TestDirStoreEnvelopeRoundTrip pins the v2 framing: what PutRaw writes
+// is the fixed layout byte for byte, and Get and GetRaw read it back
+// intact.
 func TestDirStoreEnvelopeRoundTrip(t *testing.T) {
 	store, err := OpenDirStore(t.TempDir())
 	if err != nil {
@@ -257,25 +260,89 @@ func TestDirStoreEnvelopeRoundTrip(t *testing.T) {
 	tbl := &report.Table{ID: "x", Columns: []string{"a"}}
 	tbl.AddRow("1")
 	spec := JobSpec{Experiment: "x", Version: 1, Seed: 9, Scale: 1}
-	if err := store.Put(&Result{Key: spec.Key(), Spec: spec, Table: tbl}); err != nil {
+	payload, err := json.Marshal(&Result{Key: spec.Key(), Spec: spec, Table: tbl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.PutRaw(spec.Key(), payload); err != nil {
 		t.Fatal(err)
 	}
 	res, ok, err := store.Get(spec.Key())
 	if err != nil || !ok {
 		t.Fatalf("Get = (%v, %v)", ok, err)
 	}
-	if res.Table.ID != "x" || len(res.Table.Rows) != 1 {
-		t.Errorf("round-trip mangled the table: %+v", res.Table)
+	if res.Key != spec.Key() || res.Table.ID != "x" || len(res.Table.Rows) != 1 {
+		t.Errorf("round-trip mangled the result: %+v", res)
+	}
+	raw, ok, err := store.GetRaw(spec.Key())
+	if err != nil || !ok || !bytes.Equal(raw, payload) {
+		t.Errorf("GetRaw = (%s, %v, %v), want the payload written", raw, ok, err)
 	}
 	data, err := os.ReadFile(filepath.Join(store.Dir(), "objects", spec.Key()+".json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		t.Fatalf("object is not an envelope: %v", err)
+	want := fmt.Sprintf(`{"sha256":"%x","result":%s}`+"\n", sha256.Sum256(payload), payload)
+	if string(data) != want {
+		t.Errorf("object bytes:\n%s\nwant:\n%s", data, want)
 	}
-	if len(env.SHA256) != 64 {
-		t.Errorf("sha256 field is %q, want 64 hex chars", env.SHA256)
+	if err := store.PutRaw(spec.Key(), []byte("not json")); err == nil {
+		t.Error("PutRaw stored a payload that is not JSON")
+	}
+	if store.Quarantined() != 0 {
+		t.Errorf("Quarantined() = %d, want 0", store.Quarantined())
+	}
+}
+
+// TestDirStoreEnvelopeLayoutQuarantined: the envelope is read by its
+// layout alone, so a re-spaced envelope is corrupt even though it is
+// valid JSON over a payload that still verifies, and so are a torn
+// object and one flipped payload bit. Each is quarantined and its job
+// re-runs.
+func TestDirStoreEnvelopeLayoutQuarantined(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func([]byte) []byte
+	}{
+		{"respaced", func(b []byte) []byte {
+			return bytes.Replace(b, []byte(`","result":`), []byte(`", "result": `), 1)
+		}},
+		{"torn", func(b []byte) []byte { return b[:len(b)-len(envelopeTail)-1] }},
+		{"payload-bit", func(b []byte) []byte {
+			c := append([]byte(nil), b...)
+			c[len(c)-len(envelopeTail)-2] ^= 0x01
+			return c
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := OpenDirStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			specs := []Spec{{Experiment: "fake-flat", Version: 1, Seeds: []uint64{1}, Scale: 1}}
+			var executed atomic.Int64
+			runner := countingRunner(fakeRunner, &executed)
+			first, err := New(Options{Workers: 1, Store: store, Runner: runner}).Run(context.Background(), specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			corruptOneObject(t, store, tc.mutate)
+			if _, ok, err := store.GetRaw(first.Jobs[0].Job.Key); ok || err != nil {
+				t.Fatalf("GetRaw of the mutated object = (%v, %v), want a miss", ok, err)
+			}
+			if store.Quarantined() != 1 {
+				t.Errorf("Quarantined() = %d, want 1", store.Quarantined())
+			}
+			out, err := New(Options{Workers: 1, Store: store, Runner: runner}).Run(context.Background(), specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Executed != 1 || executed.Load() != 2 {
+				t.Errorf("rerun executed %d (runner calls %d), want 1 (2)", out.Executed, executed.Load())
+			}
+			if !bytes.Equal(renderAll(first), renderAll(out)) {
+				t.Error("the re-run job's table differs")
+			}
+		})
 	}
 }

@@ -119,10 +119,10 @@ func (m *MemStore) PutRaw(key string, payload []byte) error {
 // sweep's checkpoint: nothing else records that a job is done. A
 // journal.jsonl left by an older layout is ignored.
 //
-// Every object is an envelope {sha256, result}: Get recomputes the
-// payload hash and refuses to serve an entry whose bytes don't verify —
-// truncation, a flipped bit, or a hand-edited file all classify as
-// corruption. Corrupt entries are moved to quarantine/ (never deleted,
+// Every object is an envelope {sha256, result} in one fixed layout (see
+// envelopeHead): Get recomputes the payload hash and refuses to serve an
+// entry whose bytes don't verify — truncation, a flipped bit, or a
+// hand-edited file, re-spaced or not, all classify as corruption. Corrupt entries are moved to quarantine/ (never deleted,
 // never served) and the job transparently re-runs.
 //
 // A key must be one plain file name: a key holding a path separator is
@@ -135,12 +135,21 @@ type DirStore struct {
 	quarantined int
 }
 
-// envelope is the on-disk object framing: the Result payload plus the
-// hex SHA-256 of its exact bytes.
-type envelope struct {
-	SHA256 string          `json:"sha256"`
-	Result json.RawMessage `json:"result"`
-}
+// The on-disk object framing is one fixed layout,
+//
+//	{"sha256":"<64 hex digits>","result":<payload>}\n
+//
+// with the hex SHA-256 of the payload's exact bytes. readVerified takes
+// it apart by position in one pass, so the payload is neither scanned
+// nor copied before Get decodes it; a file in any other layout is
+// corrupt.
+const (
+	envelopeHead = `{"sha256":"`
+	envelopeMid  = `","result":`
+	envelopeTail = "}\n"
+	// envelopeLen is the framing around the payload.
+	envelopeLen = len(envelopeHead) + 2*sha256.Size + len(envelopeMid) + len(envelopeTail)
+)
 
 // OpenDirStore opens (or initializes) the store rooted at dir. A store
 // written by an incompatible layout version is cleared.
@@ -190,9 +199,10 @@ func checkKey(key string) error {
 	return nil
 }
 
-// readVerified returns key's payload bytes once they match the
-// envelope's SHA-256. An entry that fails either check is quarantined and
-// reported as a miss — a corrupt cache entry is never silently loaded.
+// readVerified returns key's payload bytes once the file has the
+// envelope layout and the payload matches its SHA-256. An entry that
+// fails either check is quarantined and reported as a miss — a corrupt
+// cache entry is never silently loaded.
 func (d *DirStore) readVerified(key string) ([]byte, bool, error) {
 	if err := checkKey(key); err != nil {
 		return nil, false, err
@@ -204,17 +214,24 @@ func (d *DirStore) readVerified(key string) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		// Truncated or torn object (hard kill mid-write, disk damage).
+	sumAt := len(envelopeHead)
+	payloadAt := sumAt + 2*sha256.Size + len(envelopeMid)
+	if len(data) < envelopeLen || string(data[:sumAt]) != envelopeHead ||
+		string(data[payloadAt-len(envelopeMid):payloadAt]) != envelopeMid ||
+		string(data[len(data)-len(envelopeTail):]) != envelopeTail {
+		// Truncated, torn or re-framed object (hard kill mid-write, disk
+		// damage, a hand edit).
 		return nil, false, d.quarantine(key)
 	}
-	sum := sha256.Sum256(env.Result)
-	if hex.EncodeToString(sum[:]) != env.SHA256 {
+	payload := data[payloadAt : len(data)-len(envelopeTail)]
+	var sum [2 * sha256.Size]byte
+	digest := sha256.Sum256(payload)
+	hex.Encode(sum[:], digest[:])
+	if string(sum[:]) != string(data[sumAt:sumAt+len(sum)]) {
 		// Bit rot or tampering: the payload no longer matches its hash.
 		return nil, false, d.quarantine(key)
 	}
-	return env.Result, true, nil
+	return payload, true, nil
 }
 
 // Get implements Store, with readVerified's quarantine-on-corruption
@@ -271,7 +288,8 @@ func (d *DirStore) GetRaw(key string) ([]byte, bool, error) {
 	return d.readVerified(key)
 }
 
-// PutRaw implements Store. The temp file gets a unique name
+// PutRaw implements Store: payload, which must be JSON, goes into the
+// envelope byte for byte. The temp file gets a unique name
 // (os.CreateTemp), so two concurrent writers of the same key can never
 // interleave into one torn temp file; the final rename is atomic and
 // last-writer-wins with byte-identical content for content-addressed
@@ -280,20 +298,22 @@ func (d *DirStore) PutRaw(key string, payload []byte) error {
 	if err := checkKey(key); err != nil {
 		return err
 	}
-	sum := sha256.Sum256(payload)
-	data, err := json.Marshal(envelope{
-		SHA256: hex.EncodeToString(sum[:]),
-		Result: payload,
-	})
-	if err != nil {
-		return err
+	if !json.Valid(payload) {
+		return fmt.Errorf("sweep: payload for %s is not JSON", key)
 	}
+	sum := sha256.Sum256(payload)
+	data := make([]byte, 0, envelopeLen+len(payload))
+	data = append(data, envelopeHead...)
+	data = hex.AppendEncode(data, sum[:])
+	data = append(data, envelopeMid...)
+	data = append(data, payload...)
+	data = append(data, envelopeTail...)
 	f, err := os.CreateTemp(filepath.Join(d.dir, "objects"), key+".tmp-*")
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
-	if _, err := f.Write(append(data, '\n')); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err

@@ -58,6 +58,16 @@
 #                  ./... never reaches: vet and test it, then run all
 #                  seven workloads at 1/200 size with every correctness
 #                  check on (checks, not measurements)
+#   7. bench gate  scripts/gate.sh (`make bench-gate`): paired runs of
+#                  the parent and the working tree (pairs.sh at N = 7,
+#                  3 s a run) on each workload whose packages the change
+#                  reaches, at GOMAXPROCS 1 and NumCPU; it fails only on
+#                  a `worse` row whose median moved past the metric's
+#                  BENCHMARK.json bound. Wall-time bound: 28 runs of
+#                  5-10 s per reached workload on 2 vCPUs, about 4 minutes
+#                  each and at most 30 minutes when all seven are
+#                  reached; nothing when none is (a change to docs or
+#                  tests only)
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -99,5 +109,8 @@ pins -run 'DispatchRunsJobsNotGroups' -cpu 1,2 -count=1 ./internal/sweep
 echo "==> benchmark harness"
 (cd benchmark && go vet . && go test .)
 go run -C benchmark repro/benchmark -workload all -smoke
+
+echo "==> benchmark gate"
+sh scripts/gate.sh
 
 echo "==> all checks passed"
