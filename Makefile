@@ -89,13 +89,14 @@ fmt:
 # goldens"): every line of non-test Go outside benchmark/ (lint fixtures
 # under testdata/ included), test lines separately so that code moved
 # into _test.go files is not mistaken for code removed, then package,
-# binary and CI stage counts, and the cmd/ and internal/ packages that
-# have no test.
+# binary (every directory outside benchmark/ that holds a package main,
+# wherever it sits) and CI stage counts, and the cmd/ and internal/
+# packages that have no test.
 loc:
 	@printf 'non-test Go lines outside benchmark/: '; find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
 	@printf 'test Go lines outside benchmark/:     '; find . -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
 	@printf 'internal packages:                    '; ls -d internal/*/ | wc -l
-	@printf 'binaries:                             '; ls -d cmd/*/ | wc -l
+	@printf 'binaries:                             '; grep -rl --include='*.go' '^package main$$' . | grep -v '^./benchmark/' | xargs -n1 dirname | sort -u | wc -l
 	@printf 'check.sh stages:                      '; grep '^echo "==> ' scripts/check.sh | grep -vc 'all checks passed'
 	@printf 'cmd/ packages without a _test.go:    '; for d in cmd/*/; do ls $$d*_test.go >/dev/null 2>&1 || printf ' %s' $$(basename $$d); done; echo
 	@printf 'internal/ packages without a _test.go:'; for d in internal/*/; do ls $$d*_test.go >/dev/null 2>&1 || printf ' %s' $$(basename $$d); done; echo

@@ -10,8 +10,6 @@
 //	mimdsim -protocol rb -pes 16 -workload pde -refs 50000 -buses 2
 //	mimdsim -trace refs.mct -protocol goodman       # binary or text trace
 //	mimdsim -config run.json -v
-//	mimdsim -protocol rb -faults all                # quickstart fault-injection trials
-//	mimdsim -protocol rb-dirty -faults mem-lost-write -fault-trials 8
 package main
 
 import (
@@ -24,7 +22,6 @@ import (
 
 	"repro/internal/coherence"
 	"repro/internal/config"
-	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/mrc"
 	"repro/internal/profiling"
@@ -65,9 +62,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		latency    = fs.Bool("latency", false, "print the miss-latency distribution")
 		configPath = fs.String("config", "", "load a JSON run spec (replaces the workload/machine flags)")
 		profile    = fs.Bool("profile", false, "attach the online miss-ratio profiler and print the hit-rate-vs-cache-size curve (per PE with -v)")
-		faults     = fs.String("faults", "", "run fault-injection trials instead of a plain simulation: comma-separated fault classes, or \"all\"")
-		faultN     = fs.Int("fault-trials", 4, "trials per fault class in -faults mode")
-		faultSeed  = fs.Uint64("fault-seed", 1, "campaign seed for -faults mode (workload and fault plans)")
 		utilWindow = fs.Uint64("utilwindow", 0, "sample bus utilization every N cycles and print the series")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -95,13 +89,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "mimdsim:", err)
 		}
 	}()
-
-	if *faults != "" {
-		if err := runFaults(stdout, spec.Protocol, *faults, spec.PEs, *faultN, *faultSeed); err != nil {
-			return fail(1, err)
-		}
-		return 0
-	}
 
 	if *configPath != "" {
 		loaded, err := config.LoadFile(*configPath)
@@ -189,42 +176,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		printProfile(stdout, profSet, *verbose)
 	}
 	return 0
-}
-
-// runFaults is the fault-injection quickstart: one single-protocol,
-// single-seed campaign spec, each selected class's cell run in turn and
-// printed trial by trial — the same cells cmd/faultcampaign tabulates.
-func runFaults(stdout io.Writer, protoName, classList string, pes, trials int, seed uint64) error {
-	spec := fault.CampaignSpec{Protocols: []string{protoName}, Seeds: []uint64{seed}, Trials: trials, PEs: pes}
-	if classList != "all" {
-		for _, name := range strings.Split(classList, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				spec.Classes = append(spec.Classes, name)
-			}
-		}
-		if len(spec.Classes) == 0 {
-			return fmt.Errorf("no fault classes selected")
-		}
-	}
-	cfg, err := spec.Config()
-	if err != nil {
-		return err
-	}
-	for i, class := range cfg.WithDefaults().Classes {
-		cell, err := cfg.RunCell(protoName, class, seed)
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			fmt.Fprintf(stdout, "protocol %s: fault-free reference ran %d cycles, %d memory writes\n\n", protoName, cell.Ref.Cycles, cell.Ref.Writes)
-		}
-		var counts [3]int
-		fmt.Fprintf(stdout, "%s:\n", class)
-		for t, res := range cell.Trials {
-			counts[res.Outcome]++
-			fmt.Fprintf(stdout, "  trial %d: %-8s %s\n", t, res.Outcome, res.Detail)
-		}
-		fmt.Fprintf(stdout, "  => masked=%d detected=%d silent=%d\n", counts[fault.Masked], counts[fault.Detected], counts[fault.Silent])
-	}
-	return nil
 }

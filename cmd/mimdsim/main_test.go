@@ -78,14 +78,6 @@ func TestWorkloadGoldens(t *testing.T) {
 	}
 }
 
-func TestFaultsGolden(t *testing.T) {
-	out, errs, code := sim("-faults", "all")
-	if code != 0 || errs != "" {
-		t.Fatalf("exit %d, stderr %q", code, errs)
-	}
-	checkGolden(t, "faults-all", out)
-}
-
 // TestUnusableDescriptionIsUsageError: a run description Validate
 // rejects exits 2 with one line on stderr and nothing on stdout — the
 // RWB threshold used to panic (k<2) or wrap through uint8 (k>255) from

@@ -11,7 +11,7 @@
 // the paper's experiments, and model-check protocol variants. The
 // subsystems live in internal/ packages (bus, cache, coherence, machine,
 // workload, check, experiments, ...) and the runnable entry points in
-// cmd/ and examples/.
+// cmd/.
 //
 // Quick start:
 //

@@ -50,3 +50,46 @@ func TestDocsCiteRealTests(t *testing.T) {
 		}
 	}
 }
+
+// TestDocsCiteRealCommands: every `go run ./X` and `go test ./X` path
+// README.md, DESIGN.md and EXPERIMENTS.md cite is a package directory in
+// the tree, and every `paperrepro -only a,b` id is a registered
+// experiment (or the trace experiment the same line registers with
+// -trace name=path), so a deleted program or a renamed experiment cannot
+// leave a doc pointing at nothing.
+func TestDocsCiteRealCommands(t *testing.T) {
+	ids := map[string]bool{}
+	for _, e := range Experiments() {
+		ids[e.ID] = true
+	}
+	command := regexp.MustCompile("\\bgo (?:run|test)\\b[^\n`]*")
+	path := regexp.MustCompile(`(?:^|\s)(\./[\w./-]*)`)
+	only := regexp.MustCompile("\\bpaperrepro\\b[^\n`]*?\\s-only[ =]([^\\s`]+)")
+	trace := regexp.MustCompile(`\s-trace ([a-z0-9-]+)=`)
+	id := regexp.MustCompile(`^[a-z0-9][a-z0-9.-]*$`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cmd := range command.FindAllString(string(raw), -1) {
+			for _, m := range path.FindAllStringSubmatch(cmd, -1) {
+				dir := strings.TrimSuffix(strings.TrimSuffix(m[1], "..."), "/")
+				if gos, _ := filepath.Glob(filepath.Join(dir, "*.go")); len(gos) == 0 {
+					t.Errorf("%s: %q cites %s, which is not a package directory", doc, cmd, m[1])
+				}
+			}
+		}
+		for _, m := range only.FindAllStringSubmatch(string(raw), -1) {
+			for _, name := range strings.Split(m[1], ",") {
+				if !id.MatchString(name) || ids[name] {
+					continue // a placeholder such as ID or trace-<name>
+				}
+				if tr := trace.FindStringSubmatch(m[0]); tr != nil && name == "trace-"+tr[1] {
+					continue
+				}
+				t.Errorf("%s: %q names experiment %s, which is not registered", doc, m[0], name)
+			}
+		}
+	}
+}

@@ -356,9 +356,6 @@ func (r *Router) Drain(ctx context.Context) error {
 	}
 }
 
-// Draining reports whether Drain has been called.
-func (r *Router) Draining() bool { return r.draining.Load() }
-
 // ResumePending replays the journal's unfinished flights against the
 // fleet: each pending submission is re-proxied to its shard (the
 // content-hash id makes replay idempotent — a flight that actually

@@ -131,8 +131,7 @@ type Cell struct {
 
 // RunCell executes the (protocol, class, seed) cell: a fault-free
 // reference run for the seed, then Trials planned faults of the class.
-// The sweep runners tabulate the result; cmd/mimdsim -faults prints it
-// trial by trial.
+// The sweep runners tabulate the result.
 func (c CampaignConfig) RunCell(protoName string, class Class, seed uint64) (*Cell, error) {
 	cfg := c.withDefaults()
 	proto, err := coherence.ByName(protoName)

@@ -2,6 +2,9 @@ package fault
 
 import (
 	"context"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -299,5 +302,37 @@ func TestRunTrialFiredAndClassified(t *testing.T) {
 		if !res.Fired {
 			t.Errorf("%v: planned fault never fired: %s", class, res.Detail)
 		}
+	}
+}
+
+// TestCellDetailGolden pins every trial's Detail text (the fault, and
+// the watchdog or oracle diagnostic that caught it) for the default
+// campaign shape's RB cells at seed 1. The matrix tests read counts
+// only, so this is the one check on the diagnostics. The golden was
+// recorded by the mimdsim -faults mode this rendering replaces.
+func TestCellDetailGolden(t *testing.T) {
+	var b strings.Builder
+	for i, class := range Classes() {
+		cell, err := CampaignConfig{}.RunCell("rb", class, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			fmt.Fprintf(&b, "protocol rb: fault-free reference ran %d cycles, %d memory writes\n\n", cell.Ref.Cycles, cell.Ref.Writes)
+		}
+		var counts [3]int
+		fmt.Fprintf(&b, "%s:\n", class)
+		for n, res := range cell.Trials {
+			counts[res.Outcome]++
+			fmt.Fprintf(&b, "  trial %d: %-8s %s\n", n, res.Outcome, res.Detail)
+		}
+		fmt.Fprintf(&b, "  => masked=%d detected=%d silent=%d\n", counts[Masked], counts[Detected], counts[Silent])
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "faults-all.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("cell details differ from testdata/faults-all.golden:\n--- got\n%s--- want\n%s", got, want)
 	}
 }

@@ -138,15 +138,6 @@ func New(cfg Config, agents [][]workload.Agent) (*Machine, error) {
 	return m, nil
 }
 
-// MustNew is New panicking on error.
-func MustNew(cfg Config, agents [][]workload.Agent) *Machine {
-	m, err := New(cfg, agents)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // recordingMem is the global bus's memory port: the real store, with
 // pristine values recorded for the oracle fallback.
 type recordingMem struct{ m *Machine }

@@ -18,14 +18,16 @@ func TestNewValidation(t *testing.T) {
 		[][]workload.Agent{{workload.Idle()}}); err == nil {
 		t.Error("bad cluster cache size accepted")
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("MustNew did not panic")
-			}
-		}()
-		MustNew(Config{Clusters: 1, PEsPerCluster: 1}, nil)
-	}()
+}
+
+// mustNew is New failing the test on error.
+func mustNew(t *testing.T, cfg Config, agents [][]workload.Agent) *Machine {
+	t.Helper()
+	m, err := New(cfg, agents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // groups builds a Clusters x PEsPerCluster agent matrix from a generator.
@@ -48,7 +50,7 @@ func TestSingleWriteReadAcrossClusters(t *testing.T) {
 		}
 		return workload.NewTrace(workload.Compute(50), workload.Read(5, 0))
 	})
-	m := MustNew(Config{Clusters: 2, PEsPerCluster: 1, CheckConsistency: true}, agents)
+	m := mustNew(t, Config{Clusters: 2, PEsPerCluster: 1, CheckConsistency: true}, agents)
 	if _, err := m.Run(10000); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func TestRandomWorkloadsConsistent(t *testing.T) {
 	agents := groups(4, 2, func(c, p int) workload.Agent {
 		return workload.NewRandom(0, 32, 300, 0.4, 0.1, uint64(c*10+p+1))
 	})
-	m := MustNew(Config{
+	m := mustNew(t, Config{
 		Clusters: 4, PEsPerCluster: 2,
 		L1Lines: 16, ClusterLines: 64,
 		CheckConsistency: true,
@@ -86,7 +88,7 @@ func TestSmallClusterCacheForcesInclusionEvictions(t *testing.T) {
 	agents := groups(2, 2, func(c, p int) workload.Agent {
 		return workload.NewRandom(0, 64, 400, 0.3, 0.05, uint64(c*7+p+1))
 	})
-	m := MustNew(Config{
+	m := mustNew(t, Config{
 		Clusters: 2, PEsPerCluster: 2,
 		L1Lines: 8, ClusterLines: 8, // cluster smaller than the footprint
 		CheckConsistency: true,
@@ -115,7 +117,7 @@ func TestMachineWideMutualExclusion(t *testing.T) {
 		locks = append(locks, s)
 		return s
 	})
-	m := MustNew(Config{Clusters: clusters, PEsPerCluster: pes, CheckConsistency: true}, agents)
+	m := mustNew(t, Config{Clusters: clusters, PEsPerCluster: pes, CheckConsistency: true}, agents)
 	if _, err := m.Run(10_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +147,7 @@ func TestBarrierAcrossClusters(t *testing.T) {
 		barriers = append(barriers, b)
 		return b
 	})
-	m := MustNew(Config{Clusters: clusters, PEsPerCluster: pes, CheckConsistency: true}, agents)
+	m := mustNew(t, Config{Clusters: clusters, PEsPerCluster: pes, CheckConsistency: true}, agents)
 	if _, err := m.Run(10_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +172,7 @@ func TestClusterCacheFiltersGlobalTraffic(t *testing.T) {
 	agents := groups(2, 4, func(c, p int) workload.Agent {
 		return workload.NewRandom(0, 128, 600, 0.05, 0, uint64(c*10+p+1))
 	})
-	m := MustNew(Config{
+	m := mustNew(t, Config{
 		Clusters: 2, PEsPerCluster: 4,
 		L1Lines: 8, ClusterLines: 512,
 		CheckConsistency: true,
@@ -200,7 +202,7 @@ func TestGlobalLatencyStretchesRuntime(t *testing.T) {
 		agents := groups(2, 2, func(c, p int) workload.Agent {
 			return workload.NewRandom(0, 64, 200, 0.5, 0, uint64(c*10+p+1))
 		})
-		m := MustNew(Config{
+		m := mustNew(t, Config{
 			Clusters: 2, PEsPerCluster: 2,
 			GlobalLatency:    lat,
 			CheckConsistency: true,
@@ -228,7 +230,7 @@ func TestProducerConsumerAcrossClusters(t *testing.T) {
 		{workload.NewProducer(10, 11, items, 30)},
 		{cons},
 	}
-	m := MustNew(Config{Clusters: 2, PEsPerCluster: 1, CheckConsistency: true}, agents)
+	m := mustNew(t, Config{Clusters: 2, PEsPerCluster: 1, CheckConsistency: true}, agents)
 	if _, err := m.Run(5_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +248,7 @@ func TestStaleFetchRace(t *testing.T) {
 	agents := groups(4, 4, func(c, p int) workload.Agent {
 		return workload.NewRandom(0, 8, 500, 0.3, 0.02, uint64(c*13+p+1))
 	})
-	m := MustNew(Config{
+	m := mustNew(t, Config{
 		Clusters: 4, PEsPerCluster: 4,
 		L1Lines: 8, ClusterLines: 32,
 		CheckConsistency: true,
@@ -264,7 +266,7 @@ func TestHierMetricsShape(t *testing.T) {
 	agents := groups(2, 1, func(c, p int) workload.Agent {
 		return workload.NewRandom(0, 16, 50, 0.2, 0, uint64(c+1))
 	})
-	m := MustNew(Config{Clusters: 2, PEsPerCluster: 1, CheckConsistency: true}, agents)
+	m := mustNew(t, Config{Clusters: 2, PEsPerCluster: 1, CheckConsistency: true}, agents)
 	if _, err := m.Run(1_000_000); err != nil {
 		t.Fatal(err)
 	}

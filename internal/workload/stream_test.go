@@ -9,12 +9,15 @@ import (
 
 // TestStreamIdentityGolden pins the first 5 M ops of unbounded PDE and
 // qsort Apps (pe 3, seed 7) as a SHA-256 of each op's (addr, data, kind,
-// class), recorded when every stack reserved MaxDepth+2 entries up front.
-// Every stack outgrows stackReserve inside the prefix, so this is the
-// check that growing on demand is not state (the 200 000-cycle
-// fingerprints never pass 4 096 entries); the hash must also match after
-// Reseed on the grown App. It runs without the race detector, like the
-// alloc pins (check.sh stage 5).
+// class). Every stack outgrows stackReserve and fills its 8 192-word
+// segment inside the prefix, so this is the check that growing on demand
+// is not state (the 200 000-cycle fingerprints never pass 4 096 entries);
+// the hash must also match after Reseed on the grown App. The hashes were
+// recorded when every stack reserved MaxDepth+2 entries up front, and
+// re-recorded when a draw past a full segment began to reference the
+// deepest entry instead of a duplicate; the first 400 000 ops of both
+// streams hash alike before and after that change. It runs without the
+// race detector, like the alloc pins (check.sh stage 5).
 func TestStreamIdentityGolden(t *testing.T) {
 	if raceEnabled {
 		t.Skip("10 M references take 13 s under the race detector; run without -race")
@@ -26,8 +29,8 @@ func TestStreamIdentityGolden(t *testing.T) {
 		profile AppProfile
 		want    string
 	}{
-		{PDEProfile(), "cb37ad76154c33d7624f394b28450c983bba7806a6ef30da025071133b9a4886"},
-		{QuicksortProfile(), "866407ca5f78d73d705fd4302cebae4814a3725708b2edd03b2aa7ebc32b495d"},
+		{PDEProfile(), "f417f9fb2912491d81f6dbaa90fea75b4d68319271f412590f901c971dd37b28"},
+		{QuicksortProfile(), "7a35d14006e72b68722f947ce70c5d4ce25ad372e20d3f75639d5d52c7490de3"},
 	} {
 		app := MustApp(tc.profile, DefaultLayout(), 3, 7, 0)
 		for _, pass := range []string{"fresh", "reseeded"} {

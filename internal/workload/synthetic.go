@@ -145,7 +145,6 @@ type stackModel struct {
 	// first. Two bytes an entry (NewApp bounds a segment at 64K words)
 	// halve the bytes promote moves on every reference.
 	stack    []uint16
-	nextNew  int // allocation cursor within the segment
 	hotFrac  float64
 	hotSet   int
 	midFrac  float64
@@ -162,12 +161,12 @@ func newStackModel(rng *RNG, base bus.Addr, size int, p AppProfile, maxRefs int)
 		logMax:  math.Log(float64(p.MaxDepth)),
 	}
 	m.midDepth = p.MidDepth
-	// The stack gains at most one entry per reference, never past MaxDepth
-	// (plus a float-rounding margin), and App.Next halts after maxRefs. So
-	// a stream of up to stackReserve-1 references never reallocates, and a
-	// longer one starts at stackReserve and lets promote's append grow the
-	// backing, a few amortised reallocations in its life (4096 -> 24576
-	// entries over 5 M references). Reserving MaxDepth+2 up front instead
+	// The stack gains at most one entry per reference, never past the
+	// segment or MaxDepth (plus a float-rounding margin), and App.Next
+	// halts after maxRefs. So a stream of up to stackReserve-1 references
+	// never reallocates, and a longer one starts at stackReserve and lets
+	// promote's append grow the backing, a few amortised reallocations in
+	// its life (4096 -> 9216 entries for an 8 192-word segment). Reserving MaxDepth+2 up front instead
 	// cost a 64-PE machine 15 MB its run never touched.
 	capacity := min(p.MaxDepth+2, stackReserve)
 	if maxRefs > 0 {
@@ -177,11 +176,10 @@ func newStackModel(rng *RNG, base bus.Addr, size int, p AppProfile, maxRefs int)
 	return m
 }
 
-// reset empties the LRU history and rewinds the allocation cursor,
-// keeping the stack backing at whatever capacity the stream grew it to.
+// reset empties the LRU history, keeping the stack backing at whatever
+// capacity the stream grew it to.
 func (m *stackModel) reset() {
 	m.stack = m.stack[:0]
-	m.nextNew = 0
 }
 
 // next returns the next address of the stream.
@@ -207,12 +205,17 @@ func (m *stackModel) next() bus.Addr {
 		depth = int(math.Exp(m.rng.Float64() * m.logMax))
 	}
 	if depth >= len(m.stack) {
-		// Deeper than history: reference a fresh address (a compulsory
-		// miss until the segment wraps).
-		off := uint16(m.nextNew % m.size)
-		m.nextNew++
-		m.promote(off, len(m.stack))
-		return m.base + bus.Addr(off)
+		if len(m.stack) < m.size {
+			// Deeper than history: reference a fresh address (a
+			// compulsory miss). Offsets are handed out in order, so the
+			// next fresh one is the stack's length.
+			off := uint16(len(m.stack))
+			m.promote(off, len(m.stack))
+			return m.base + bus.Addr(off)
+		}
+		// Every offset of the segment is on the stack: reference the
+		// least recently used one.
+		depth = len(m.stack) - 1
 	}
 	off := m.stack[depth]
 	m.promote(off, depth)

@@ -308,6 +308,29 @@ func TestStackModelLocality(t *testing.T) {
 	}
 }
 
+// TestStackModelStaysAStackPastItsSegment: once every offset of a
+// segment is on the stack, a draw deeper than the stack references the
+// deepest (least recently used) entry, so the stack stays a permutation
+// of the segment: a "fresh" offset taken modulo the segment would be a
+// second copy of one already there.
+func TestStackModelStaysAStackPastItsSegment(t *testing.T) {
+	const size = 64
+	m := newStackModel(NewRNG(3), 0, size, AppProfile{HotFrac: 0.6, HotSet: 16, MaxDepth: 4096}, 0)
+	for range 100_000 {
+		m.next()
+	}
+	seen := make(map[uint16]bool, len(m.stack))
+	for _, off := range m.stack {
+		if seen[off] {
+			t.Fatalf("offset %d is on the stack twice (%d entries for %d offsets)", off, len(m.stack), size)
+		}
+		seen[off] = true
+	}
+	if len(m.stack) != size {
+		t.Fatalf("stack holds %d entries, want all %d offsets", len(m.stack), size)
+	}
+}
+
 func TestSpinlockTTSSequence(t *testing.T) {
 	s := MustSpinlock(SpinlockConfig{
 		Lock: 100, Strategy: StrategyTTS, Iterations: 1,

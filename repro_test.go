@@ -5,7 +5,8 @@ import (
 	"testing"
 )
 
-// The facade tests exercise the public API exactly as the examples do.
+// The facade tests exercise the public API exactly as a caller outside
+// the module would.
 
 func TestFacadeProtocols(t *testing.T) {
 	names := map[string]Protocol{
