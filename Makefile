@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build test race lint fuzz modelcheck fault bench bench-compare bench-pairs bench-gate serve cluster chaos profile fmt loc
+.PHONY: check build test race lint fuzz modelcheck fault bench bench-compare bench-pairs bench-gate serve chaos profile fmt loc
 
 check:
 	sh scripts/check.sh
@@ -66,11 +66,6 @@ bench-gate:
 # loopback port with an on-disk result store.
 serve:
 	$(GO) run ./cmd/mimdserved -cache-dir .servecache
-
-# cluster runs the S25 tier self-contained: a router on its default port
-# with three in-process workers. Point curl at it.
-cluster:
-	$(GO) run ./cmd/mimdrouter -spawn 3
 
 # chaos runs the S27 chaos campaign over every fault class at every
 # intensity and prints the masked/degraded/failed matrix.

@@ -53,10 +53,12 @@ func TestDocsCiteRealTests(t *testing.T) {
 
 // TestDocsCiteRealCommands: every `go run ./X` and `go test ./X` path
 // README.md, DESIGN.md and EXPERIMENTS.md cite is a package directory in
-// the tree, and every `paperrepro -only a,b` id is a registered
-// experiment (or the trace experiment the same line registers with
-// -trace name=path), so a deleted program or a renamed experiment cannot
-// leave a doc pointing at nothing.
+// the tree, every `paperrepro -only a,b` id is a registered experiment
+// (or the trace experiment the same line registers with -trace
+// name=path), and every `make X` target, in an inline code span or on a
+// fenced line that starts with make, is a target of the Makefile, so a
+// deleted program, a renamed experiment or a dropped target cannot leave
+// a doc pointing at nothing.
 func TestDocsCiteRealCommands(t *testing.T) {
 	ids := map[string]bool{}
 	for _, e := range Experiments() {
@@ -67,10 +69,41 @@ func TestDocsCiteRealCommands(t *testing.T) {
 	only := regexp.MustCompile("\\bpaperrepro\\b[^\n`]*?\\s-only[ =]([^\\s`]+)")
 	trace := regexp.MustCompile(`\s-trace ([a-z0-9-]+)=`)
 	id := regexp.MustCompile(`^[a-z0-9][a-z0-9.-]*$`)
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([\w.-]+):`).FindAllStringSubmatch(string(makefile), -1) {
+		targets[m[1]] = true
+	}
+	fence := regexp.MustCompile("(?ms)^```.*?^```")
+	span := regexp.MustCompile("`make\\s([^`]*)`")
+	fencedMake := regexp.MustCompile(`(?m)^[ \t]*make[ \t]([^#\n]*)`)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		var makes []string
+		for _, m := range span.FindAllStringSubmatch(fence.ReplaceAllString(string(raw), ""), -1) {
+			makes = append(makes, m[1])
+		}
+		for _, block := range fence.FindAllString(string(raw), -1) {
+			for _, m := range fencedMake.FindAllStringSubmatch(block, -1) {
+				makes = append(makes, m[1])
+			}
+		}
+		for _, args := range makes {
+			for _, arg := range strings.Fields(args) {
+				if strings.HasPrefix(arg, "-") || strings.Contains(arg, "=") {
+					continue // a flag or a VAR=value
+				}
+				if !targets[arg] {
+					t.Errorf("%s: \"make %s\" names target %s, which the Makefile does not define", doc, strings.TrimSpace(args), arg)
+				}
+				break
+			}
 		}
 		for _, cmd := range command.FindAllString(string(raw), -1) {
 			for _, m := range path.FindAllStringSubmatch(cmd, -1) {

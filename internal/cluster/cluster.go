@@ -1,14 +1,20 @@
-// Package cluster is the S25 distributed sweep fabric: a shard-routed
-// router tier in front of a static fleet of mimdserved workers. The
-// content-hash request-id space is partitioned into a fixed number of
-// virtual shards, and each shard ranks the fleet by rendezvous (highest-
-// random-weight) hashing. The router keeps no state about workers
-// between requests: every request walks its shard's ranking and moves on
-// past a worker that fails it, so a dead worker's shards land on their
-// rendezvous successor request by request, and a journal lets a
-// restarted router resume in-flight submissions. Results are
-// content-addressed, so a cluster run is byte-identical to a single-node
-// run whatever the routing. See DESIGN.md §13.
+// Package cluster is the S25 shard-routed router tier: a Router in front
+// of a static fleet of serve workers. The content-hash request-id space
+// is partitioned into a fixed number of virtual shards, and each shard
+// ranks the fleet by rendezvous (highest-random-weight) hashing. The
+// router keeps no state about workers between requests: every request
+// walks its shard's ranking and moves on past a worker that fails it, so
+// a dead worker's shards land on their rendezvous successor request by
+// request. Results are content-addressed, so a cluster run is
+// byte-identical to a single-node run whatever the routing. See
+// DESIGN.md §13.
+//
+// Deprecated: on one host a single serve.Server with the fleet's total
+// engine concurrency beat the router and two workers on every latency
+// metric, and no chaos class that the router masks fails against it
+// (DESIGN.md §13). The package stays only because the frozen benchmark/
+// module's cluster-skewed workload and the internal/chaos campaign run
+// it; ROADMAP direction 19 deletes it with them.
 package cluster
 
 import "hash/fnv"

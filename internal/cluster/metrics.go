@@ -8,7 +8,7 @@ type Metrics struct {
 	reg               metrics.Registry
 	requests, proxied *metrics.CounterVec
 
-	failovers, noWorker, truncatedStreams, attemptTimeouts, resumedFlights *metrics.Counter
+	failovers, noWorker, truncatedStreams, attemptTimeouts *metrics.Counter
 }
 
 func newMetrics() *Metrics {
@@ -20,7 +20,6 @@ func newMetrics() *Metrics {
 	m.noWorker = r.Counter("mimdrouter_no_worker_total", "Submissions shed because every candidate failed.")
 	m.truncatedStreams = r.Counter("mimdrouter_truncated_streams_total", "Relayed streams that ended without a terminal frame.")
 	m.attemptTimeouts = r.Counter("mimdrouter_attempt_timeouts_total", "Proxy attempts cancelled waiting for response headers.")
-	m.resumedFlights = r.Counter("mimdrouter_resumed_flights_total", "Journaled flights resumed after a router restart.")
 	return m
 }
 
@@ -30,7 +29,6 @@ func (m *Metrics) TruncatedStreams() int64 { return m.truncatedStreams.Value() }
 func (m *Metrics) Failovers() int64        { return m.failovers.Value() }
 func (m *Metrics) NoWorker() int64         { return m.noWorker.Value() }
 func (m *Metrics) AttemptTimeouts() int64  { return m.attemptTimeouts.Value() }
-func (m *Metrics) ResumedFlights() int64   { return m.resumedFlights.Value() }
 
 // BreakerOpens returns 0: the router has no circuit breaker.
 //

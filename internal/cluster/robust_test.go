@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"bufio"
-	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -250,194 +247,5 @@ func TestFailoverRacesMembershipBump(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
-	}
-}
-
-// TestDrainWaitsForInflightStreams: Drain sheds new submissions with
-// 503+Retry-After but holds the door for a live proxied stream until
-// its terminal frame is relayed — the mimdrouter SIGINT path.
-func TestDrainWaitsForInflightStreams(t *testing.T) {
-	release := make(chan struct{})
-	streaming := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if strings.HasSuffix(req.URL.Path, "/events") {
-			w.Header().Set("Content-Type", "text/event-stream")
-			fmt.Fprint(w, "event: result\ndata: {\"slot\":0}\n\n")
-			w.(http.Flusher).Flush()
-			<-release
-			fmt.Fprint(w, "event: end\ndata: {\"http_code\":200}\n\n")
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"id":"x"}`)
-	}))
-	defer streaming.Close()
-
-	r := newTestRouter(t, Options{Workers: []Worker{{ID: "w1", URL: streaming.URL}}})
-	front := httptest.NewServer(r.Handler())
-	defer front.Close()
-
-	resp, err := http.Get(front.URL + "/v1/jobs/req-x/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	br := bufio.NewReader(resp.Body)
-	if line, err := br.ReadString('\n'); err != nil || !strings.HasPrefix(line, "event: result") {
-		t.Fatalf("first stream line = %q, %v", line, err)
-	}
-
-	drained := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		drained <- r.Drain(ctx)
-	}()
-
-	// Drain must not complete while the stream is open.
-	select {
-	case err := <-drained:
-		t.Fatalf("Drain returned %v with a live in-flight stream", err)
-	case <-time.After(100 * time.Millisecond):
-	}
-
-	// New submissions shed during the drain.
-	rec := httptest.NewRecorder()
-	r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs",
-		strings.NewReader(`{"kind":"experiment","experiment":"fig7-1"}`)))
-	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
-		t.Fatalf("submission during drain: status %d, Retry-After %q; want 503 with hint",
-			rec.Code, rec.Header().Get("Retry-After"))
-	}
-
-	close(release)
-	rest := make([]byte, 4096)
-	var streamed strings.Builder
-	for {
-		n, rerr := br.Read(rest[:])
-		streamed.Write(rest[:n])
-		if rerr != nil {
-			break
-		}
-	}
-	if !strings.Contains(streamed.String(), "event: end") {
-		t.Fatalf("drained stream missing terminal frame:\n%s", streamed.String())
-	}
-	select {
-	case err := <-drained:
-		if err != nil {
-			t.Fatalf("Drain = %v after the stream completed", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Drain never returned after the in-flight stream finished")
-	}
-}
-
-// TestJournalSubmitAndResume: a journaled submission leaves no pending
-// entries after success; a crash-orphaned begin record is re-proxied by
-// ResumePending and compacted away.
-func TestJournalSubmitAndResume(t *testing.T) {
-	var mu sync.Mutex
-	var seen []string
-	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		b := make([]byte, 1024)
-		n, _ := req.Body.Read(b)
-		mu.Lock()
-		seen = append(seen, string(b[:n]))
-		mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"id":"x","cache":"miss"}`)
-	}))
-	defer worker.Close()
-
-	path := filepath.Join(t.TempDir(), "flights.jsonl")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-
-	r := newTestRouter(t, Options{
-		Workers: []Worker{{ID: "w1", URL: worker.URL}},
-		Journal: j,
-	})
-
-	// A served submission journals begin+done: nothing pending after.
-	body := `{"kind":"experiment","experiment":"fig7-1"}`
-	rec := httptest.NewRecorder()
-	r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("journaled submission status %d", rec.Code)
-	}
-	pending, err := LoadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pending) != 0 {
-		t.Fatalf("pending after a completed submission = %+v", pending)
-	}
-
-	// Orphan a begin record (the crash) and resume it.
-	orphan := `{"kind":"experiment","experiment":"orphaned"}`
-	oid, _ := contentID([]byte(orphan))
-	if err := j.Begin(oid, ShardOf(oid, DefaultNumShards), []byte(orphan)); err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := r.ResumePending(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed != 1 {
-		t.Fatalf("ResumePending resumed %d flights, want 1", resumed)
-	}
-	mu.Lock()
-	replayed := false
-	for _, s := range seen {
-		if strings.Contains(s, "orphaned") {
-			replayed = true
-		}
-	}
-	mu.Unlock()
-	if !replayed {
-		t.Fatal("orphaned flight never reached the worker")
-	}
-	pending, err = LoadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pending) != 0 {
-		t.Fatalf("pending after resume = %+v, want compacted empty", pending)
-	}
-	if r.Metrics().ResumedFlights() != 1 {
-		t.Fatalf("ResumedFlights = %d, want 1", r.Metrics().ResumedFlights())
-	}
-}
-
-// TestJournalBeginFailureSheds: -journal promises a durable record per
-// submission, so a journal that cannot take the begin record sheds the
-// submission with 503 + Retry-After and the worker never sees it.
-func TestJournalBeginFailureSheds(t *testing.T) {
-	hits := 0
-	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		hits++
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"id":"x"}`)
-	}))
-	defer worker.Close()
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "flights.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-
-	r := newTestRouter(t, Options{Workers: []Worker{{ID: "w1", URL: worker.URL}}, Journal: j})
-	rec := httptest.NewRecorder()
-	r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs",
-		strings.NewReader(`{"kind":"experiment","experiment":"fig7-1"}`)))
-	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
-		t.Fatalf("submission on a closed journal: status %d, Retry-After %q; want 503 with hint",
-			rec.Code, rec.Header().Get("Retry-After"))
-	}
-	if hits != 0 {
-		t.Fatalf("worker saw %d unjournaled submission(s)", hits)
 	}
 }

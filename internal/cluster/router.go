@@ -3,14 +3,11 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -23,8 +20,8 @@ type Options struct {
 	// (they feed the rendezvous hash).
 	Workers []Worker
 	// RequestID computes the content-hash request id for a submission
-	// body — injected (cmd/mimdrouter wires serve.ComputeRequestID) so
-	// this package never imports the serving layer.
+	// body — injected (its callers pass serve.ComputeRequestID) so this
+	// package never imports the serving layer.
 	RequestID func(body []byte) (string, error)
 	// Client proxies requests; nil means a client with no overall
 	// timeout (SSE streams are long-lived).
@@ -47,9 +44,6 @@ type Options struct {
 	// the defense against a paused (accepted-but-silent) worker. It
 	// never cuts a stream that has started answering. 0 disables.
 	AttemptTimeout time.Duration
-	// Journal, when set, records begin/done per submission so a router
-	// restart resumes in-flight work (see ResumePending).
-	Journal *Journal
 }
 
 func (o Options) withDefaults() Options {
@@ -67,13 +61,11 @@ func (o Options) withDefaults() Options {
 // workers between requests, so a request's route depends only on its
 // shard and on what the workers answer it.
 type Router struct {
-	opts     Options
-	ids      []string          // the fleet's ids, in declaration order
-	urls     map[string]string // worker id -> URL
-	metrics  *Metrics
-	mux      *http.ServeMux
-	draining atomic.Bool
-	inflight sync.WaitGroup
+	opts    Options
+	ids     []string          // the fleet's ids, in declaration order
+	urls    map[string]string // worker id -> URL
+	metrics *Metrics
+	mux     *http.ServeMux
 }
 
 // New builds a router over the declared fleet.
@@ -99,7 +91,6 @@ func New(opts Options) (*Router, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", r.handleHealthz)
 	mux.HandleFunc("GET /metrics", r.handleMetrics)
-	mux.HandleFunc("GET /v1/cluster", r.handleCluster)
 	mux.HandleFunc("GET /v1/experiments", r.handleExperiments)
 	mux.HandleFunc("POST /v1/run", r.handleSubmit)
 	mux.HandleFunc("POST /v1/jobs", r.handleSubmit)
@@ -137,10 +128,6 @@ const maxBodyBytes = 1 << 20
 // handleSubmit routes POST /v1/run and POST /v1/jobs: compute the
 // content-hash id, map it to a shard, and proxy to the shard's owner.
 func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
-	if r.draining.Load() {
-		r.writeError(w, http.StatusServiceUnavailable, "router draining")
-		return
-	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBodyBytes))
 	if err != nil {
 		r.writeError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
@@ -151,21 +138,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		r.writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid spec: %v", err))
 		return
 	}
-	shard := ShardOf(id, DefaultNumShards)
-	if j := r.opts.Journal; j != nil {
-		// Journal before the first proxy byte moves: a crash anywhere
-		// past this point leaves a resumable begin record. Done is
-		// written once the client has a definitive answer — including a
-		// shed or an explicit error frame, after which the client owns
-		// the retry. A submission that cannot be journaled is shed: it
-		// would run with no durable record.
-		if err := j.Begin(id, shard, body); err != nil {
-			r.writeError(w, http.StatusServiceUnavailable, "journal: "+err.Error())
-			return
-		}
-		defer j.Done(id)
-	}
-	r.proxyToShard(w, req, shard, body)
+	r.proxyToShard(w, req, ShardOf(id, DefaultNumShards), body)
 }
 
 // handleByID routes GET /v1/jobs/{id} and GET /v1/jobs/{id}/events by
@@ -204,8 +177,6 @@ func gatewayStatus(code int) bool {
 // (see below). When every candidate fails, the router sheds with its
 // own 503 + Retry-After.
 func (r *Router) proxyToShard(w http.ResponseWriter, req *http.Request, shard int, body []byte) {
-	r.inflight.Add(1)
-	defer r.inflight.Done()
 	cands := Rank(r.ids, shard)
 	for i, id := range cands {
 		fail := func() {
@@ -338,88 +309,6 @@ func (b *cancelBody) Close() error {
 	return err
 }
 
-// Drain stops accepting new submissions (they shed with 503 and a
-// Retry-After hint) and waits for every in-flight relay — including
-// live event streams — to finish, or for ctx to give up.
-func (r *Router) Drain(ctx context.Context) error {
-	r.draining.Store(true)
-	done := make(chan struct{})
-	go func() {
-		r.inflight.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// ResumePending replays the journal's unfinished flights against the
-// fleet: each pending submission is re-proxied to its shard (the
-// content-hash id makes replay idempotent — a flight that actually
-// finished before the crash is answered straight from the worker's
-// store). Successfully resumed flights are compacted out of the
-// journal; flights that still cannot complete stay pending for the
-// next restart. Returns how many flights were resumed.
-func (r *Router) ResumePending(ctx context.Context) (int, error) {
-	j := r.opts.Journal
-	if j == nil {
-		return 0, nil
-	}
-	pending, err := LoadJournal(j.Path())
-	if err != nil {
-		return 0, err
-	}
-	if len(pending) == 0 {
-		return 0, nil
-	}
-	var remaining []PendingFlight
-	resumed := 0
-	for _, fl := range pending {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, "/v1/jobs", nil)
-		if err != nil {
-			remaining = append(remaining, fl)
-			continue
-		}
-		req.Header.Set("Content-Type", "application/json")
-		rec := &resumeRecorder{header: make(http.Header)}
-		r.proxyToShard(rec, req, fl.Shard, fl.Body)
-		if rec.code >= 200 && rec.code < 300 {
-			resumed++
-			r.metrics.resumedFlights.Inc()
-		} else {
-			remaining = append(remaining, fl)
-		}
-	}
-	if err := j.Compact(remaining); err != nil {
-		return resumed, err
-	}
-	return resumed, nil
-}
-
-// resumeRecorder is the throwaway ResponseWriter a journal resume
-// proxies into — nobody is waiting on the original connection anymore;
-// only the outcome code matters.
-type resumeRecorder struct {
-	header http.Header
-	code   int
-}
-
-func (r *resumeRecorder) Header() http.Header { return r.header }
-func (r *resumeRecorder) WriteHeader(code int) {
-	if r.code == 0 {
-		r.code = code
-	}
-}
-func (r *resumeRecorder) Write(b []byte) (int, error) {
-	if r.code == 0 {
-		r.code = http.StatusOK
-	}
-	return len(b), nil
-}
-
 // bodyReader wraps a buffered body for one proxy attempt (nil for GETs).
 func bodyReader(body []byte) io.Reader {
 	if body == nil {
@@ -503,16 +392,4 @@ func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (r *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	fmt.Fprint(w, r.metrics.Render(0, 0, 0))
-}
-
-// handleCluster lists the static fleet and the shard space.
-func (r *Router) handleCluster(w http.ResponseWriter, _ *http.Request) {
-	doc := struct {
-		NumShards int      `json:"num_shards"`
-		Workers   []Worker `json:"workers"`
-	}{DefaultNumShards, r.opts.Workers}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(doc)
 }

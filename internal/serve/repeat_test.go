@@ -3,12 +3,14 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -211,41 +213,84 @@ func TestRepeatJoinsRunningFlight(t *testing.T) {
 
 // TestConcurrentRepeatsIdentical: concurrent repeats of one id (run it
 // under -race) get identical bodies, each a whole hit that counts as
-// store-served and runs no engine.
+// store-served and runs no engine. With one of the id's stored objects
+// truncated under them, every repeat still answers the warm-up's
+// tables, the object is quarantined once, and its job re-runs once: the
+// store guard's race, a probe renaming away the fresh object a
+// concurrent flight just wrote, would quarantine twice or re-run twice.
 func TestConcurrentRepeatsIdentical(t *testing.T) {
 	const repeats = 8
-	s, ts, h, _ := newHeldServer(t, t.TempDir())
 	const spec = `{"kind":"experiment","experiment":"fig7-1","seeds":[1,2,3]}`
-	warmUp(t, ts.URL, spec)
-	calls, runs, served := h.calls.Load(), s.metrics.EngineRuns(), s.metrics.storeServed.Value()
+	for _, truncate := range []bool{false, true} {
+		name := "good"
+		if truncate {
+			name = "truncated"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, ts, h, store := newHeldServer(t, dir)
+			warm := warmUp(t, ts.URL, spec)
+			calls, runs, served := h.calls.Load(), s.metrics.EngineRuns(), s.metrics.storeServed.Value()
+			if truncate {
+				objects, err := filepath.Glob(filepath.Join(dir, "objects", "*.json"))
+				if err != nil || len(objects) != 3 {
+					t.Fatalf("store objects %v, %v; want 3", objects, err)
+				}
+				info, err := os.Stat(objects[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.Truncate(objects[0], info.Size()/2); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	var wg sync.WaitGroup
-	bodies := make([][]byte, repeats)
-	codes := make([]int, repeats)
-	for i := range bodies {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			bodies[i], codes[i], _ = postRaw(ts.URL, "/v1/run", spec)
-		}(i)
-	}
-	wg.Wait()
-	for i := range bodies {
-		if codes[i] != http.StatusOK || !bytes.Equal(bodies[i], bodies[0]) {
-			t.Errorf("repeat %d: status %d, body\n%s\nwant\n%s", i, codes[i], bodies[i], bodies[0])
-		}
-	}
-	for _, field := range []string{`"cache": "hit"`, `"executed": 0`, `"cache_hits": 3`} {
-		if !bytes.Contains(bodies[0], []byte(field)) {
-			t.Errorf("repeat lacks %s:\n%s", field, bodies[0])
-		}
-	}
-	if got := s.metrics.storeServed.Value() - served; got != repeats {
-		t.Errorf("mimdserved_store_served_total rose by %d, want %d", got, repeats)
-	}
-	if h.calls.Load() != calls || s.metrics.EngineRuns() != runs {
-		t.Errorf("repeats ran the runner %d times and the engine %d times",
-			h.calls.Load()-calls, s.metrics.EngineRuns()-runs)
+			var wg sync.WaitGroup
+			bodies := make([][]byte, repeats)
+			codes := make([]int, repeats)
+			for i := range bodies {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					bodies[i], codes[i], _ = postRaw(ts.URL, "/v1/run", spec)
+				}(i)
+			}
+			wg.Wait()
+
+			if truncate {
+				for i, body := range bodies {
+					var got Response
+					if err := json.Unmarshal(body, &got); codes[i] != http.StatusOK || err != nil ||
+						!slices.Equal(got.Tables, warm.Tables) {
+						t.Errorf("repeat %d: status %d, body\n%s\nwant the warm-up's tables", i, codes[i], body)
+					}
+				}
+				if q := store.Quarantined(); q != 1 {
+					t.Errorf("store quarantined %d objects, want 1", q)
+				}
+				if got := h.calls.Load() - calls; got != 1 {
+					t.Errorf("the runner ran %d more times, want 1", got)
+				}
+				return
+			}
+			for i := range bodies {
+				if codes[i] != http.StatusOK || !bytes.Equal(bodies[i], bodies[0]) {
+					t.Errorf("repeat %d: status %d, body\n%s\nwant\n%s", i, codes[i], bodies[i], bodies[0])
+				}
+			}
+			for _, field := range []string{`"cache": "hit"`, `"executed": 0`, `"cache_hits": 3`} {
+				if !bytes.Contains(bodies[0], []byte(field)) {
+					t.Errorf("repeat lacks %s:\n%s", field, bodies[0])
+				}
+			}
+			if got := s.metrics.storeServed.Value() - served; got != repeats {
+				t.Errorf("mimdserved_store_served_total rose by %d, want %d", got, repeats)
+			}
+			if h.calls.Load() != calls || s.metrics.EngineRuns() != runs {
+				t.Errorf("repeats ran the runner %d times and the engine %d times",
+					h.calls.Load()-calls, s.metrics.EngineRuns()-runs)
+			}
+		})
 	}
 }
 

@@ -26,7 +26,10 @@
 #                  docs cite (the root package's TestDocsCiteRealTests);
 #                  the chaos matrix (one cell per
 #                  class, two concurrent clients) runs again at -cpu 1,2,
-#                  so its byte-identity bar holds on one core and on two
+#                  so its byte-identity bar holds on one core and on two,
+#                  and so do serve's concurrent repeats of one id, over a
+#                  good object and over one truncated under them (the
+#                  store guard's race)
 #   5. work        the steady-state zero-allocation regressions, the
 #                  repository's only alloc gate (the machine pin runs
 #                  RB/RWB at 1-130 PEs, the three core-* machines,
@@ -100,6 +103,7 @@ go build ./...
 echo "==> go test -race ./..."
 go test -race ./...
 pins -race -run 'CampaignSmoke' -cpu 1,2 -count=1 ./internal/chaos
+pins -race -run '^TestConcurrentRepeatsIdentical$' -cpu 1,2 -count=1 ./internal/serve
 
 echo "==> allocs/cycle and work ledger"
 pins -run 'SteadyState.*AllocFree|Ledger|StreamIdentity|TraceGoldenAbove64PEs|CmStarOracleScale10' -count=1 ./internal/machine ./internal/workload ./internal/experiments
